@@ -5,9 +5,12 @@
 // A Dataset pairs an exact sliding-window stream.Counter with an
 // appendable edge log and a monotonic version: every accepted ingest
 // batch appends to the log, feeds the online counter, and advances the
-// version by one. The serving layer keys its result cache on
-// (dataset, version), so cached answers for an older version die
-// naturally on append — no TTLs, no explicit invalidation fan-out.
+// version by one. Reads count against immutable graph snapshots: the first
+// read after an ingest folds the log into the previous snapshot
+// (temporal.Extend) without holding up further ingests. The serving layer
+// keys its result cache on (dataset, version), so cached answers for an
+// older version die naturally on append — no TTLs, no explicit
+// invalidation fan-out.
 // Batches are validated and rejected atomically with the stream tier's
 // line-numbered errors: on error not one edge of the batch has been
 // ingested.
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"hare/internal/motif"
 	"hare/internal/stream"
@@ -143,6 +147,11 @@ type Stats struct {
 	Alerts      uint64 // alerts published
 	Dropped     uint64 // alerts dropped on full subscriber channels
 	Subscribers int
+	// SnapshotBuilds counts the graph snapshots built (one per version
+	// that was read) and SnapshotTime the time spent building them: what
+	// reads pay for following a moving dataset.
+	SnapshotBuilds uint64
+	SnapshotTime   time.Duration
 }
 
 // Dataset is a named mutable dataset: an appendable edge log, an exact
@@ -150,16 +159,22 @@ type Stats struct {
 // watch baseline. All methods are safe for concurrent use; ingest batches
 // serialize on an internal mutex, so accepted batches (and the versions
 // they stamp) form one total order.
+//
+// Lock order is buildMu before mu. Only Graph takes buildMu, and it never
+// holds mu while it builds, so nothing but another snapshot read waits
+// for a build.
 type Dataset struct {
 	name string
 	opts Options
 
+	buildMu sync.Mutex // held across a snapshot build: concurrent readers share it
+
 	mu      sync.Mutex
 	ctr     *stream.Counter
-	log     []temporal.Edge
+	log     []temporal.Edge // edges accepted after snapVer, not yet in snap
 	version uint64
 	lastT   temporal.Timestamp
-	snap    *temporal.Graph // version-stamped graph snapshot (nil = stale)
+	snap    *temporal.Graph // every edge accepted up to version snapVer (nil before the first read)
 	snapVer uint64
 
 	// Trailing baseline: Welford moments of every prior window reading,
@@ -172,6 +187,8 @@ type Dataset struct {
 	nextSub int
 
 	ingests, edges, rejected, alerts, dropped uint64
+	snapBuilds                                uint64
+	snapTime                                  time.Duration
 }
 
 // New returns an empty live dataset at version 1 (the version immutable
@@ -363,18 +380,43 @@ func (d *Dataset) Subscribe() (<-chan Alert, func()) {
 	return ch, cancel
 }
 
-// Graph returns an immutable graph snapshot of the full edge log, built
-// on first use per version and cached until the next accepted batch. The
-// serving layer counts against these snapshots, so any δ (not just the
-// stream window) and every query kind work on live datasets.
+// Graph returns an immutable graph snapshot of every edge accepted so far,
+// cached until the next accepted batch. The serving layer counts against
+// these snapshots, so any δ (not just the stream window) and every query
+// kind work on live datasets.
+//
+// A stale snapshot is brought up to date by folding the edges logged since
+// into it (temporal.Extend): a copy of the old snapshot's columns plus
+// work in the size of the tail, not a rebuild. The build runs outside mu,
+// on the log prefix captured when it started, so ingests proceed beside
+// it; the graph returned is the dataset at that capture — at least the
+// version the caller could have read before the call, possibly older than
+// Version() after it. Concurrent callers queue on one build and share its
+// result.
 func (d *Dataset) Graph() *temporal.Graph {
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
+	d.mu.Lock()
+	snap, tail, ver := d.snap, d.log, d.version
+	fresh := snap != nil && d.snapVer == ver
+	d.mu.Unlock()
+	if fresh {
+		return snap
+	}
+	// Ingest only appends to the log, so tail's elements are immutable.
+	start := time.Now()
+	snap = temporal.Extend(snap, tail)
+	took := time.Since(start)
+
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.snap == nil || d.snapVer != d.version {
-		d.snap = temporal.FromEdges(d.log)
-		d.snapVer = d.version
-	}
-	return d.snap
+	d.snap, d.snapVer = snap, ver
+	// The snapshot's columns now are the log up to ver; keep only what
+	// arrived during the build, in storage of its own size.
+	d.log = append([]temporal.Edge(nil), d.log[len(tail):]...)
+	d.snapBuilds++
+	d.snapTime += took
+	return snap
 }
 
 // SnapshotDims reports the cached snapshot's dimensions without building
@@ -400,5 +442,8 @@ func (d *Dataset) Stats() Stats {
 		Alerts:      d.alerts,
 		Dropped:     d.dropped,
 		Subscribers: len(d.subs),
+
+		SnapshotBuilds: d.snapBuilds,
+		SnapshotTime:   d.snapTime,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -438,4 +439,117 @@ func TestIngestErrorsMentionLiveTier(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = fmt.Sprintf("%v", err)
+}
+
+func TestIngestNeverWaitsForSnapshotBuild(t *testing.T) {
+	// Structural: with the builder's mutex held — a snapshot build in
+	// progress, as far as the rest of the dataset can tell — everything
+	// but Graph must still return. A method that needed that mutex would
+	// hang here, on this goroutine, and fail the run by deadlock.
+	d := mustNew(t, "nowait", Options{Delta: 100})
+	if _, err := d.Ingest([]temporal.Edge{{From: 0, To: 1, Time: 1}, {From: 1, To: 2, Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	d.Graph()
+
+	d.buildMu.Lock()
+	if _, err := d.Ingest([]temporal.Edge{{From: 2, To: 0, Time: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.IngestText(strings.NewReader("0 2 4\n")); err != nil {
+		t.Fatal(err)
+	}
+	if v := d.Version(); v != 4 {
+		t.Fatalf("version = %d, want 4", v)
+	}
+	if st := d.Stats(); st.Ingests != 3 || st.SnapshotBuilds != 1 {
+		t.Fatalf("stats = %+v, want 3 ingests and 1 snapshot build", st)
+	}
+	_, cancel := d.Subscribe()
+	cancel()
+	if _, _, ok := d.SnapshotDims(); ok {
+		t.Fatal("SnapshotDims fresh two ingests after the last build")
+	}
+	d.buildMu.Unlock()
+
+	g := d.Graph()
+	if g.NumEdges() != 4 || g.Validate() != nil {
+		t.Fatalf("snapshot after release: %d edges, validate %v", g.NumEdges(), g.Validate())
+	}
+	if st := d.Stats(); st.SnapshotBuilds != 2 || st.SnapshotTime <= 0 {
+		t.Fatalf("stats = %+v, want 2 timed snapshot builds", st)
+	}
+}
+
+func TestLiveConcurrentSnapshotReaders(t *testing.T) {
+	// One writer, several readers that only take snapshots. Every graph
+	// handed out must be a valid graph of some prefix of the batches, at
+	// least as long as what was accepted before the call, and all readers
+	// of one version must get the one graph built for it.
+	const batches, readers = 80, 4
+	rng := rand.New(rand.NewSource(16))
+	var (
+		feed     [][]temporal.Edge
+		prefixes = map[int]bool{0: true}
+		total    int
+	)
+	for i := 0; i < batches; i++ {
+		batch := make([]temporal.Edge, 1+rng.Intn(12))
+		for j := range batch {
+			u := temporal.NodeID(rng.Intn(15 + i))
+			v := (u + 1 + temporal.NodeID(rng.Intn(14+i))) % temporal.NodeID(15+i) // never a self-loop
+			batch[j] = temporal.Edge{From: u, To: v, Time: temporal.Timestamp(10*i + j/4)}
+		}
+		feed = append(feed, batch)
+		total += len(batch)
+		prefixes[total] = true
+	}
+
+	d := mustNew(t, "readers", Options{Delta: 50})
+	var (
+		wg      sync.WaitGroup
+		byEdges sync.Map // edge count (one per version) -> *temporal.Graph
+		done    = make(chan struct{})
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true // one more read, of the final version
+				default:
+				}
+				accepted := int(d.Stats().Edges)
+				g := d.Graph()
+				if err := g.Validate(); err != nil {
+					t.Errorf("snapshot of %d edges: %v", g.NumEdges(), err)
+					return
+				}
+				if n := g.NumEdges(); !prefixes[n] || n < accepted {
+					t.Errorf("snapshot has %d edges: not a batch prefix of at least %d", n, accepted)
+					return
+				}
+				if first, _ := byEdges.LoadOrStore(g.NumEdges(), g); first != g {
+					t.Errorf("two graphs handed out for the version with %d edges", g.NumEdges())
+					return
+				}
+			}
+		}()
+	}
+	for _, batch := range feed {
+		if _, err := d.Ingest(batch); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if g := d.Graph(); g.NumEdges() != total {
+		t.Fatalf("final snapshot has %d edges, %d went in", g.NumEdges(), total)
+	}
+	if st := d.Stats(); st.SnapshotBuilds == 0 || st.SnapshotBuilds > batches+1 {
+		t.Fatalf("%d snapshot builds for %d versions", st.SnapshotBuilds, batches+1)
+	}
 }

@@ -199,7 +199,13 @@ func TestIngestHandler(t *testing.T) {
 		t.Fatalf("GET ingest status = %d, want 405", code)
 	}
 
-	// /metrics exports the per-dataset ingest series.
+	// /metrics exports the per-dataset ingest series, and what reads paid
+	// for snapshots: two reads of one version build one.
+	for _, path := range []string{"/v1/count?dataset=feed&delta=100", "/v1/count?dataset=feed&delta=200"} {
+		if code, body := get(t, s, path); code != http.StatusOK {
+			t.Fatalf("count on live dataset: status %d, body %v", code, body)
+		}
+	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
@@ -207,6 +213,8 @@ func TestIngestHandler(t *testing.T) {
 		`hared_ingest_edges_total{dataset="feed"} 2`,
 		`hared_ingest_rejected_total{dataset="feed"} 1`,
 		`hared_live_version{dataset="feed"} 2`,
+		`hared_live_snapshot_builds_total{dataset="feed"} 1`,
+		`hared_live_snapshot_seconds_total{dataset="feed"} `,
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("metrics missing %q", want)

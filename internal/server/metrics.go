@@ -121,6 +121,14 @@ func (m *metrics) write(w io.Writer, s *Server) {
 		for _, r := range lrows {
 			fmt.Fprintf(w, "hared_live_version{dataset=%q} %d\n", r.name, r.stats.Version)
 		}
+		fmt.Fprintf(w, "# HELP hared_live_snapshot_builds_total Graph snapshots built for reads (one per version read), by live dataset.\n# TYPE hared_live_snapshot_builds_total counter\n")
+		for _, r := range lrows {
+			fmt.Fprintf(w, "hared_live_snapshot_builds_total{dataset=%q} %d\n", r.name, r.stats.SnapshotBuilds)
+		}
+		fmt.Fprintf(w, "# HELP hared_live_snapshot_seconds_total Time spent building graph snapshots, by live dataset.\n# TYPE hared_live_snapshot_seconds_total counter\n")
+		for _, r := range lrows {
+			fmt.Fprintf(w, "hared_live_snapshot_seconds_total{dataset=%q} %g\n", r.name, r.stats.SnapshotTime.Seconds())
+		}
 		fmt.Fprintf(w, "# HELP hared_watch_alerts_total Significance alerts published, by live dataset.\n# TYPE hared_watch_alerts_total counter\n")
 		for _, r := range lrows {
 			fmt.Fprintf(w, "hared_watch_alerts_total{dataset=%q} %d\n", r.name, r.stats.Alerts)

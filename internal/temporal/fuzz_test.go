@@ -135,3 +135,40 @@ func FuzzSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// fuzzExtendInput decodes fuzz bytes into an edge feed and the batch
+// boundaries to replay it at. Four bytes make an edge: node IDs in
+// [-1, 30] (so negative IDs, self-loops and multi-edges all occur), a time
+// step in [-2, 5] (so feeds are mostly ordered, with ties and the odd step
+// back), and a flag whose low two bits, when clear, end a batch.
+func fuzzExtendInput(data []byte) (edges []Edge, cuts []int) {
+	var now Timestamp
+	for ; len(data) >= 4; data = data[4:] {
+		now += Timestamp(data[2]%8) - 2
+		edges = append(edges, Edge{From: NodeID(data[0]%32) - 1, To: NodeID(data[1]%32) - 1, Time: now})
+		if data[3]%4 == 0 {
+			cuts = append(cuts, len(edges))
+		}
+	}
+	return edges, append(cuts, len(edges))
+}
+
+// FuzzExtend replays an arbitrary feed through Extend at arbitrary batch
+// boundaries. Whichever of the merge and the rebuild each step takes, the
+// graph after it must validate and equal FromEdges of the feed so far. The
+// seeds are testdata/fuzz/FuzzExtend.
+func FuzzExtend(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges, cuts := fuzzExtendInput(data)
+		var g *Graph
+		lo := 0
+		for _, hi := range cuts {
+			g = Extend(g, edges[lo:hi])
+			if err := g.Validate(); err != nil {
+				t.Fatalf("after %d of %d edges: %v", hi, len(edges), err)
+			}
+			graphsEqual(t, fmt.Sprintf("after %d of %d edges", hi, len(edges)), g, FromEdges(edges[:hi]))
+			lo = hi
+		}
+	})
+}
