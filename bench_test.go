@@ -1,9 +1,11 @@
 // Benchmarks regenerating each of the paper's tables and figures in
-// testing.B form (one benchmark family per table/figure; the harebench
-// command produces the full formatted reports). Datasets are the synthetic
-// suite scaled down so `go test -bench=. -benchmem` completes quickly;
-// absolute numbers are therefore smaller than the harness runs recorded in
-// EXPERIMENTS.md, but the relative shapes are the same.
+// testing.B form (one benchmark family per table/figure; `harebench -exp`
+// produces the full formatted reports). Datasets are the synthetic suite
+// scaled down so `go test -bench=. -benchmem` completes quickly; absolute
+// numbers are therefore smaller than the harebench run recorded in
+// EXPERIMENTS.md, but the relative shapes are the same. CI pins a subset
+// into bench.txt for the `harebench -compare` fence; end-to-end numbers
+// come from benchmark/ (BENCHMARK.json), not from here.
 package hare_test
 
 import (

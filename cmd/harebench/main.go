@@ -1,28 +1,26 @@
 // Command harebench regenerates the paper's evaluation tables and figures
-// on the synthetic dataset suite, or emits a machine-readable benchmark
-// report.
+// on the synthetic dataset suite, or fences two `go test -bench` outputs
+// against each other.
 //
 // Usage:
 //
 //	harebench -exp table3                       # one experiment
 //	harebench -exp all -scale 0.25              # the whole evaluation
 //	harebench -exp fig11 -datasets wikitalk,sms-a -threads 1,2,4,8
-//	harebench -json -scale 0.05 -count 5 -out BENCH.json
 //	harebench -compare -old baseline/bench.txt -new bench.txt
 //
 // Experiments: table2, table3, fig9, fig10, fig11, fig12a, fig12b, all.
-// With -json the experiment selection is ignored and a JSON report with
-// per-dataset ingest/count edges/sec, ns/op and steady-state allocs per
-// center is written to -out (stdout by default). With -compare two
-// `go test -bench` output files are compared with an exact permutation
-// test and the command exits 1 on any statistically significant ns/op
-// regression beyond -max-regress percent — the CI performance fence.
+// With -compare two `go test -bench` output files are compared with an
+// exact permutation test and the command exits 1 on any statistically
+// significant ns/op regression beyond -max-regress percent — the CI
+// performance fence. End-to-end numbers (real processes, latency
+// percentiles, CPU and memory per operation) come from
+// `bash benchmark/run.sh`, not from this command.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -40,10 +38,6 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated dataset subset (default: the experiment's paper set)")
 		threads  = flag.String("threads", "1,2,4,8,16,32", "comma-separated thread sweep (each >= 1)")
 		seed     = flag.Int64("seed", 0, "seed offset for the generated datasets")
-		jsonOut  = flag.Bool("json", false, "emit the machine-readable benchmark report instead of an experiment")
-		count    = flag.Int("count", 3, "json mode: best-of repetitions per measurement (>= 1)")
-		outPath  = flag.String("out", "", "json mode: output file (default stdout)")
-		loadW    = flag.Int("load-workers", 0, "json mode: parallel-loader workers for the load measurements (0 = all CPUs)")
 		compare  = flag.Bool("compare", false, "compare mode: fence two `go test -bench` output files instead of benchmarking")
 		oldPath  = flag.String("old", "", "compare mode: baseline bench output file (required)")
 		newPath  = flag.String("new", "", "compare mode: current bench output file (required)")
@@ -78,9 +72,6 @@ func main() {
 	if *delta <= 0 {
 		usageErr("-delta must be > 0 (got %d)", *delta)
 	}
-	if *count < 1 {
-		usageErr("-count must be >= 1 (got %d)", *count)
-	}
 	ths, err := parseInts(*threads)
 	if err != nil {
 		usageErr("-threads: %v", err)
@@ -90,36 +81,15 @@ func main() {
 			usageErr("-threads entries must be >= 1 (got %d)", th)
 		}
 	}
-	if *loadW < 0 {
-		usageErr("-load-workers must be >= 0 (got %d; 0 = all CPUs)", *loadW)
-	}
 	opts := bench.Options{
-		Out:         os.Stdout,
-		Scale:       *scale,
-		Delta:       temporal.Timestamp(*delta),
-		Threads:     ths,
-		Seed:        *seed,
-		LoadWorkers: *loadW,
+		Out:     os.Stdout,
+		Scale:   *scale,
+		Delta:   temporal.Timestamp(*delta),
+		Threads: ths,
+		Seed:    *seed,
 	}
 	if *datasets != "" {
 		opts.Datasets = strings.Split(*datasets, ",")
-	}
-	if *jsonOut {
-		var w io.Writer = os.Stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "harebench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := bench.WriteJSON(w, opts, *count); err != nil {
-			fmt.Fprintln(os.Stderr, "harebench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if err := bench.Run(*exp, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "harebench:", err)

@@ -1,7 +1,10 @@
 // Package bench regenerates every table and figure of the paper's evaluation
 // section (Tables II–III, Figures 9–12) on the synthetic dataset suite. Each
 // experiment prints rows mirroring the paper's layout so measured shapes can
-// be compared side by side with the published ones (see EXPERIMENTS.md).
+// be compared side by side with the published ones (EXPERIMENTS.md records a
+// reference run). The package also holds the Mann-Whitney regression fence
+// over `go test -bench` output (compare.go). End-to-end numbers are not
+// measured here: they come from benchmark/ (BENCHMARK.json).
 package bench
 
 import (
@@ -40,9 +43,6 @@ type Options struct {
 	Threads []int
 	// Seed offsets the dataset seeds (default 0: the canonical suite).
 	Seed int64
-	// LoadWorkers is the parallel-loader worker count used by the JSON
-	// report's load measurements (0 = GOMAXPROCS).
-	LoadWorkers int
 }
 
 func (o Options) scale() float64 {

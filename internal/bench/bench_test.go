@@ -117,48 +117,6 @@ func TestUnknownDataset(t *testing.T) {
 	}
 }
 
-func TestJSONReportLoadMetrics(t *testing.T) {
-	opts := Options{Scale: 0.01, Datasets: []string{"collegemsg"}, LoadWorkers: 2}
-	rep, err := JSONReport(opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != ReportSchema {
-		t.Fatalf("schema = %d, want %d", rep.Schema, ReportSchema)
-	}
-	if len(rep.Datasets) != 1 {
-		t.Fatalf("datasets = %d, want 1", len(rep.Datasets))
-	}
-	d := rep.Datasets[0]
-	if d.Edges <= 0 {
-		t.Fatalf("edges = %d", d.Edges)
-	}
-	if d.LoadNsOp <= 0 || d.LoadEdgesPerSec <= 0 {
-		t.Fatalf("parallel load not measured: ns=%d rate=%g", d.LoadNsOp, d.LoadEdgesPerSec)
-	}
-	if d.LoadSeqNsOp <= 0 || d.LoadSeqEdgesPerSec <= 0 {
-		t.Fatalf("sequential load not measured: ns=%d rate=%g", d.LoadSeqNsOp, d.LoadSeqEdgesPerSec)
-	}
-	if d.LoadWorkers != 2 {
-		t.Fatalf("load workers = %d, want 2", d.LoadWorkers)
-	}
-	if d.LoadAllocsPerEdge <= 0 {
-		// Whole-load allocations include the graph's columns, so per edge
-		// this is small but never exactly zero.
-		t.Fatalf("load allocs/edge = %g, want > 0", d.LoadAllocsPerEdge)
-	}
-	if d.SigSamples <= 0 || d.SigWorkers <= 0 {
-		t.Fatalf("significance shape not recorded: samples=%d workers=%d", d.SigSamples, d.SigWorkers)
-	}
-	if d.SigNsOp <= 0 || d.SigSamplesPerSec <= 0 || d.SigSeqNsOp <= 0 {
-		t.Fatalf("significance not measured: ns=%d seq=%d rate=%g",
-			d.SigNsOp, d.SigSeqNsOp, d.SigSamplesPerSec)
-	}
-	if d.SigSpeedup <= 0 {
-		t.Fatalf("sig speedup = %g, want > 0", d.SigSpeedup)
-	}
-}
-
 func TestCapThreads(t *testing.T) {
 	got := capThreads([]int{0, 1, 1, 4, 1 << 20})
 	if len(got) == 0 || got[0] != 1 {

@@ -212,23 +212,3 @@ func TestPermTestRankSum(t *testing.T) {
 		t.Fatalf("fallback p = %g, want < 0.05", p)
 	}
 }
-
-func TestJSONReportServeMetrics(t *testing.T) {
-	rep, err := JSONReport(Options{Scale: 0.01, Datasets: []string{"collegemsg"}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := rep.Datasets[0]
-	if d.ServeConcurrency < 2 {
-		t.Fatalf("serve concurrency = %d", d.ServeConcurrency)
-	}
-	if d.ServeColdNsOp <= 0 || d.ServeCachedNsOp <= 0 {
-		t.Fatalf("serve not measured: cold=%d cached=%d", d.ServeColdNsOp, d.ServeCachedNsOp)
-	}
-	if d.ServeColdReqPerSec <= 0 || d.ServeCachedReqSec <= 0 || d.ServeCacheSpeedup <= 0 {
-		t.Fatalf("serve rates not derived: %+v", d)
-	}
-	if d.ServeCachedNsOp >= d.ServeColdNsOp {
-		t.Fatalf("cached (%d ns) not faster than cold (%d ns)", d.ServeCachedNsOp, d.ServeColdNsOp)
-	}
-}

@@ -188,10 +188,11 @@ func TestEnsembleErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkEnsemble measures ensemble throughput across worker counts; the
-// parallel runs must beat the workers=1 sequential loop (CI records the
-// trajectory in BENCH_4.json via harebench; the ≥3x-at-8-workers target is
-// asserted on the bench datasets there, hardware permitting).
+// BenchmarkEnsemble measures ensemble throughput across worker counts. CI
+// runs it pinned (count=5) into bench.txt, where `harebench -compare`
+// fences each worker count against the previous main run; the benchmark's
+// per-layer form is nullmodel.ensemble_ms (BENCHMARK.json). No speedup is
+// asserted: it depends on the host's core count.
 func BenchmarkEnsemble(b *testing.B) {
 	r := rand.New(rand.NewSource(31))
 	g := randomGraph(r, 300, 30_000, 500_000)
