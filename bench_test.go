@@ -123,10 +123,10 @@ func BenchmarkFig9PerNode(b *testing.B) {
 	scratch := fast.NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		counts := &motif.Counts{TriMultiplicity: 3}
+		counts := &motif.Counts{}
 		for u := 0; u < g.NumNodes(); u++ {
 			fast.CountStarPairNode(g, temporal.NodeID(u), benchDelta, counts, scratch)
-			fast.CountTriNode(g, temporal.NodeID(u), benchDelta, &counts.Tri, false)
+			fast.CountTriNode(g, temporal.NodeID(u), benchDelta, &counts.Tri, true)
 		}
 	}
 }

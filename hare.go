@@ -184,8 +184,8 @@ type config struct {
 }
 
 // WithWorkers sets the number of worker goroutines. 0 (default) selects
-// GOMAXPROCS; 1 forces the sequential FAST algorithms (which use the
-// center-removal triangle optimisation).
+// GOMAXPROCS; 1 forces the sequential FAST algorithms. Either way every
+// triangle is counted once, by its lowest-(temporal degree, ID) vertex.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithDegreeThreshold sets HARE's degree threshold thrd explicitly. The
@@ -271,7 +271,7 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 }
 
 func sequential(g *Graph, delta Timestamp, doStar, doTri bool) *motif.Counts {
-	counts := &motif.Counts{TriMultiplicity: 1}
+	counts := &motif.Counts{}
 	s := fast.NewScratch()
 	for u := 0; u < g.NumNodes(); u++ {
 		if doStar {

@@ -12,8 +12,13 @@
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable
-// state. Triangles are counted in recount mode (once per vertex) to stay
-// dependency free; the merge divides by three.
+// state.
+//
+// Deviation from the paper: HARE recounts every triangle at all three of its
+// vertices to stay dependency free. Here each triangle is counted once, by
+// its lowest vertex in (temporal degree, ID) order (see package fast): a
+// pure function of the immutable graph, so equally dependency free, exact
+// under every split below, and a heavy center skips its first edges in O(1).
 package engine
 
 import (
@@ -78,8 +83,7 @@ func (o Options) chunk() int {
 	return 64
 }
 
-// Count runs HARE over all 36 motifs and returns the merged counters
-// (TriMultiplicity == 3).
+// Count runs HARE over all 36 motifs and returns the merged counters.
 func Count(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
 	return run(g, delta, opts, true, true)
 }
@@ -175,11 +179,13 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTr
 	}
 
 	perWorker := make([]*motif.Counts, workers)
-	scratch := make([]*fast.Scratch, workers)
+	scratch := make([]*fast.Scratch, workers) // FAST-Star only; stays nil for CountTri
 	for w := range perWorker {
-		perWorker[w] = &motif.Counts{TriMultiplicity: 3}
-		scratch[w] = fast.NewScratch()
-		scratch[w].Grow(g.NumNodes()) // keep the workers' hot loops allocation free
+		perWorker[w] = &motif.Counts{}
+		if doStar {
+			scratch[w] = fast.NewScratch()
+			scratch[w].Grow(g.NumNodes()) // keep the workers' hot loops allocation free
+		}
 	}
 
 	// Stage 1: inter-node parallelism over light centers.
@@ -190,7 +196,7 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTr
 		intraNode(g, u, delta, workers, perWorker, scratch, doStar, doTri)
 	}
 
-	total := &motif.Counts{TriMultiplicity: 3}
+	total := &motif.Counts{}
 	for _, c := range perWorker {
 		total.Add(c)
 	}
@@ -208,7 +214,7 @@ func interNode(g *temporal.Graph, delta temporal.Timestamp, opts Options,
 				fast.CountStarPairNode(g, u, delta, perWorker[w], scratch[w])
 			}
 			if doTri {
-				fast.CountTriNode(g, u, delta, &perWorker[w].Tri, false)
+				fast.CountTriNode(g, u, delta, &perWorker[w].Tri, true)
 			}
 		}
 	}
@@ -247,7 +253,7 @@ func intraNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 			fast.CountStarPairRange(su, delta, perWorker[w], scratch[w], start, end)
 		}
 		if doTri {
-			fast.CountTriRange(g, u, delta, &perWorker[w].Tri, false, start, end)
+			fast.CountTriRange(g, u, delta, &perWorker[w].Tri, true, start, end)
 		}
 	})
 }

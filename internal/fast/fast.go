@@ -18,6 +18,15 @@
 // Per-center counting is side-effect free with respect to other centers,
 // which is what makes the HARE framework (package engine) embarrassingly
 // parallel.
+//
+// Deviation from the paper: Algorithm 2 finds every triangle at each of its
+// three vertices (HARE recounts and divides by three; the sequential variant
+// removes finished centers). Here every triangle belongs to exactly one
+// owner, its lowest vertex in (temporal degree, ID) order — the classical
+// degree-ordered orientation of triangle listing. Ownership is a pure
+// function of the immutable graph, so it is as dependency free as
+// recounting, and it hands each triangle to the vertex that finds it most
+// cheaply: a hub skips every first edge in O(1).
 package fast
 
 import (
@@ -157,22 +166,30 @@ func CountStarPairRange(su temporal.Seq, delta temporal.Timestamp,
 	}
 }
 
+// precedes reports whether v comes before u, whose temporal degree is du, in
+// the (temporal degree, ID) order that decides triangle ownership.
+func precedes(g *temporal.Graph, v, u temporal.NodeID, du int) bool {
+	dv := g.Degree(v)
+	return dv < du || dv == du && v < u
+}
+
 // CountTriNode runs Algorithm 2 (FAST-Tri) for a single center node u,
 // accumulating into tri.
 //
-// With dedup == false every triangle instance is recorded once per vertex
-// (three isomorphic cells in total — the parallel-friendly recounting mode;
-// divide by three when merging). With dedup == true only neighbors with ID
-// greater than u participate, which is equivalent to the paper's sequential
-// center-removal trick: every instance is recorded exactly once, from its
-// smallest vertex.
+// With dedup == true (owner mode, what every whole-graph count uses) only
+// neighbors that follow u in (temporal degree, ID) order participate. That
+// is a strict total order on one graph, so summed over all centers every
+// instance is recorded exactly once, from its lowest vertex. With dedup ==
+// false every triangle containing u is recorded: the per-node view of
+// NodeProfile, three isomorphic cells per instance when summed over centers.
 func CountTriNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	tri *motif.TriCounter, dedup bool) {
 	CountTriRange(g, u, delta, tri, dedup, 0, g.Degree(u))
 }
 
 // CountTriRange runs the outer loop of Algorithm 2 for first-edge indices i
-// in [from, to) of S_u (intra-node parallel mode).
+// in [from, to) of S_u (intra-node parallel mode); the union over a
+// partition of [0, g.Degree(u)) equals CountTriNode in either mode.
 func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	tri *motif.TriCounter, dedup bool, from, to int) {
 	su := g.Seq(u)
@@ -183,7 +200,7 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 	times, others, outs, ids := su.Time, su.Other, su.Out, su.ID
 	for i := from; i < to; i++ {
 		oi := others[i]
-		if dedup && oi < u {
+		if dedup && precedes(g, oi, u, n) {
 			continue
 		}
 		ti := times[i]
@@ -197,7 +214,7 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 			if oj == oi {
 				continue
 			}
-			if dedup && oj < u {
+			if dedup && precedes(g, oj, u, n) {
 				continue
 			}
 			dj := motif.DirOf(outs[j])
@@ -239,11 +256,11 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 	}
 }
 
-// Count runs both FAST algorithms sequentially over all centers, using the
-// dedup mode for triangles (TriMultiplicity == 1). This is the
-// single-threaded reference entry point ("FAST" in the paper's Table III).
+// Count runs both FAST algorithms sequentially over all centers, every
+// triangle counted once by its owner. This is the single-threaded reference
+// entry point ("FAST" in the paper's Table III).
 func Count(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
-	counts := &motif.Counts{TriMultiplicity: 1}
+	counts := &motif.Counts{}
 	s := NewScratch()
 	s.Grow(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
@@ -253,24 +270,10 @@ func Count(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
 	return counts
 }
 
-// CountRecount is Count with the recounting triangle mode (TriMultiplicity
-// == 3): slower for a single thread but dependency free, matching what each
-// HARE worker computes.
-func CountRecount(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
-	counts := &motif.Counts{TriMultiplicity: 3}
-	s := NewScratch()
-	s.Grow(g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
-		CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, false)
-	}
-	return counts
-}
-
 // CountStarPair runs only FAST-Star over all centers ("FAST-Pair" in the
 // paper reports the pair-motif subset of this run).
 func CountStarPair(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
-	counts := &motif.Counts{TriMultiplicity: 1}
+	counts := &motif.Counts{}
 	s := NewScratch()
 	s.Grow(g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
@@ -279,8 +282,8 @@ func CountStarPair(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
 	return counts
 }
 
-// CountTri runs only FAST-Tri over all centers with sequential dedup
-// ("FAST-Tri" in the paper's Table III).
+// CountTri runs only FAST-Tri over all centers, every triangle counted once
+// by its owner ("FAST-Tri" in the paper's Table III).
 func CountTri(g *temporal.Graph, delta temporal.Timestamp) *motif.TriCounter {
 	var tri motif.TriCounter
 	for u := 0; u < g.NumNodes(); u++ {
@@ -294,9 +297,9 @@ func CountTri(g *temporal.Graph, delta temporal.Timestamp) *motif.TriCounter {
 // triangles containing u (each triangle once). Useful as a per-node
 // structural feature vector (see examples/motiffeatures).
 func NodeProfile(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp) motif.Matrix {
-	counts := &motif.Counts{TriMultiplicity: 1}
+	counts := &motif.Counts{}
 	CountStarPairNode(g, u, delta, counts, NewScratch())
-	CountTriNode(g, u, delta, &counts.Tri, false) // u-centered view of each triangle, once
+	CountTriNode(g, u, delta, &counts.Tri, false) // every triangle containing u, once
 	// The pair counter here holds u's one-sided view; both complementary
 	// cells of a pair label must contribute.
 	m := counts.ToMatrix()

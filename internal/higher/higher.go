@@ -72,7 +72,7 @@ func CountNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	scratch *fast.Scratch) (Star4Counter, motif.Counts) {
 	var all [8]uint64
 	countAllTriples(g.Seq(u), delta, &all)
-	counts := motif.Counts{TriMultiplicity: 1}
+	var counts motif.Counts
 	fast.CountStarPairNode(g, u, delta, &counts, scratch)
 	var s4 Star4Counter
 	for i := range s4 {

@@ -134,14 +134,14 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		su := g.Seq(u)
 		for w := 0; w < workers; w++ {
 			allPart[w] = [8]uint64{}
-			countsPart[w] = motif.Counts{TriMultiplicity: 1}
+			countsPart[w] = motif.Counts{}
 		}
 		engine.Dispatch(workers, su.Len()/(workers*8)+1, su.Len(), func(w, a, b int) {
 			countAllTriplesRange(su, delta, &allPart[w], a, b)
 			fast.CountStarPairRange(su, delta, &countsPart[w], scratch[w], a, b)
 		})
 		var all [8]uint64
-		counts := motif.Counts{TriMultiplicity: 1}
+		var counts motif.Counts
 		for w := 0; w < workers; w++ {
 			for i := range all {
 				all[i] += allPart[w][i]

@@ -141,44 +141,27 @@ func (c *TriCounter) Total() uint64 {
 	return s
 }
 
-// Counts aggregates the three counters produced by one counting run.
-//
-// TriMultiplicity records how many times each triangle instance was counted:
-// 3 for the parallel-friendly recounting mode (every vertex acts as center),
-// 1 for the sequential dedup mode (paper Algorithm 2 line 26). Matrix()
-// normalises by it. Zero is treated as 1 so the zero value is usable.
+// Counts aggregates the three counters produced by one counting run. Every
+// triangle instance is recorded once, in whichever of its three isomorphic
+// cells its counting center sees (package fast gives each triangle to its
+// lowest-(temporal degree, ID) vertex); ToMatrix sums the three.
 type Counts struct {
-	Pair            PairCounter
-	Star            StarCounter
-	Tri             TriCounter
-	TriMultiplicity int
+	Pair PairCounter
+	Star StarCounter
+	Tri  TriCounter
 }
 
-// Add accumulates another Counts with the same TriMultiplicity. Mixing
-// multiplicities is a programming error and panics.
+// Add accumulates another Counts.
 func (c *Counts) Add(o *Counts) {
-	if c.triMult() != o.triMult() {
-		panic(fmt.Sprintf("motif: mixing TriMultiplicity %d and %d", c.triMult(), o.triMult()))
-	}
 	c.Pair.Add(&o.Pair)
 	c.Star.Add(&o.Star)
 	c.Tri.Add(&o.Tri)
 }
 
-// Sub removes another Counts with the same TriMultiplicity (the inverse of
-// Add, with Add's mixing rule and the per-counter underflow contract).
+// Sub removes another Counts (the inverse of Add, with the per-counter
+// underflow contract).
 func (c *Counts) Sub(o *Counts) {
-	if c.triMult() != o.triMult() {
-		panic(fmt.Sprintf("motif: mixing TriMultiplicity %d and %d", c.triMult(), o.triMult()))
-	}
 	c.Pair.Sub(&o.Pair)
 	c.Star.Sub(&o.Star)
 	c.Tri.Sub(&o.Tri)
-}
-
-func (c *Counts) triMult() int {
-	if c.TriMultiplicity == 0 {
-		return 1
-	}
-	return c.TriMultiplicity
 }

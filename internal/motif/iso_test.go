@@ -186,18 +186,17 @@ func TestStarCellOfLookup(t *testing.T) {
 }
 
 func TestToMatrix(t *testing.T) {
-	c := Counts{TriMultiplicity: 3}
+	var c Counts
 	// One star instance in Star[I,in,o,in] -> M24.
 	c.Star[StarIndex(StarI, In, Out, In)] = 7
 	// Pair instance: both complementary cells hold the exact count 5.
 	cells, _ := PairCells(Label{5, 5})
 	c.Pair[cells[0]] = 5
 	c.Pair[cells[1]] = 5
-	// Triangle: 4 instances counted once per vertex across three cells.
+	// Triangle: 4 instances, each recorded once, in whichever isomorphic
+	// cell its counting center saw.
 	tcells, _ := TriCells(Label{2, 6})
-	for _, cell := range tcells {
-		c.Tri[cell] = 4
-	}
+	c.Tri[tcells[0]], c.Tri[tcells[1]], c.Tri[tcells[2]] = 1, 0, 3
 	m := c.ToMatrix()
 	if m.At(Label{2, 4}) != 7 {
 		t.Errorf("M24 = %d, want 7", m.At(Label{2, 4}))
@@ -210,13 +209,6 @@ func TestToMatrix(t *testing.T) {
 	}
 	if m.Total() != 16 {
 		t.Errorf("total = %d, want 16", m.Total())
-	}
-	// Dedup mode: one cell holds everything, multiplicity 1.
-	d := Counts{TriMultiplicity: 1}
-	d.Tri[tcells[0]] = 4
-	md := d.ToMatrix()
-	if md.At(Label{2, 6}) != 4 {
-		t.Errorf("dedup M26 = %d, want 4", md.At(Label{2, 6}))
 	}
 }
 

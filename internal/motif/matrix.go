@@ -61,8 +61,8 @@ func (m *Matrix) Diff(o *Matrix) []Label {
 //   - each star cell maps 1:1 onto a star label;
 //   - the two complementary pair cells each hold the exact count, so the
 //     merged value is their mean (they are equal for a correct counter);
-//   - the three isomorphic triangle cells are summed and divided by
-//     TriMultiplicity (3 in recount mode, 1 in dedup mode).
+//   - the three isomorphic triangle cells are summed: every instance was
+//     recorded once, in the cell its counting center sees.
 func (c *Counts) ToMatrix() Matrix {
 	var m Matrix
 	for i, v := range c.Star {
@@ -73,13 +73,12 @@ func (c *Counts) ToMatrix() Matrix {
 		cells, _ := PairCells(l)
 		m.Set(l, (c.Pair[cells[0]]+c.Pair[cells[1]])/2)
 	}
-	mult := uint64(c.triMult())
 	for _, row := range triLabelTable {
 		var s uint64
 		for _, cell := range row.cells {
 			s += c.Tri[cell]
 		}
-		m.Set(row.label, s/mult)
+		m.Set(row.label, s)
 	}
 	return m
 }

@@ -195,28 +195,6 @@ func TestCountersSubUnderflowPanics(t *testing.T) {
 	a.Sub(&b)
 }
 
-func TestCountsSubMismatchedMultiplicityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on mixed TriMultiplicity")
-		}
-	}()
-	a := Counts{TriMultiplicity: 1}
-	b := Counts{TriMultiplicity: 3}
-	a.Sub(&b)
-}
-
-func TestCountsAddMismatchedMultiplicityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on mixed TriMultiplicity")
-		}
-	}()
-	a := Counts{TriMultiplicity: 1}
-	b := Counts{TriMultiplicity: 3}
-	a.Add(&b)
-}
-
 func TestCounterAt(t *testing.T) {
 	var s StarCounter
 	s[StarIndex(StarII, Out, In, Out)] = 9

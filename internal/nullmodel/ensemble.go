@@ -107,7 +107,7 @@ func (s *moments) merge(o *moments) {
 // counter and scratch.
 func countMatrix(g *temporal.Graph, delta temporal.Timestamp,
 	counts *motif.Counts, s *fast.Scratch) motif.Matrix {
-	*counts = motif.Counts{TriMultiplicity: 1}
+	*counts = motif.Counts{}
 	for u := 0; u < g.NumNodes(); u++ {
 		fast.CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
 		fast.CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, true)

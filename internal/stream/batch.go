@@ -162,7 +162,6 @@ func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 	var cursor atomic.Int64
 	c.parallel(workers, func(w int) {
 		counts := &perWorker[w]
-		counts.TriMultiplicity = 1
 		kern := c.workerScratch[w]
 		for {
 			end := cursor.Add(batchChunk)

@@ -115,8 +115,6 @@ func NewCounter(opts Options) (*Counter, error) {
 		opts:      opts,
 		shardBits: bitsN,
 		shards:    make([]windowShard, 1<<bitsN),
-		counts:    motif.Counts{TriMultiplicity: 1},
-		retired:   motif.Counts{TriMultiplicity: 1},
 		kern:      newScratch(),
 	}
 	for i := range c.shards {
