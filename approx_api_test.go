@@ -1,6 +1,7 @@
 package hare_test
 
 import (
+	"strings"
 	"testing"
 
 	"hare"
@@ -47,8 +48,8 @@ func TestCountStar4ApproxAPI(t *testing.T) {
 	if _, err := hare.CountStar4Approx(nil, 10, hare.ApproxOptions{}); err == nil {
 		t.Fatal("want error for nil graph")
 	}
-	if _, err := hare.CountStar4Approx(g, -1, hare.ApproxOptions{}); err == nil {
-		t.Fatal("want error for negative δ")
+	if _, err := hare.CountStar4Approx(g, -1, hare.ApproxOptions{}); err == nil || !strings.Contains(err.Error(), "(-1)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
 	}
 	if _, err := hare.CountStar4Approx(g, 10, hare.ApproxOptions{Epsilon: 1.5}); err == nil {
 		t.Fatal("want error for epsilon out of range")
@@ -71,8 +72,8 @@ func TestCountPath4ApproxAPI(t *testing.T) {
 	if _, err := hare.CountPath4Approx(nil, 10, hare.ApproxOptions{}); err == nil {
 		t.Fatal("want error for nil graph")
 	}
-	if _, err := hare.CountPath4Approx(g, -1, hare.ApproxOptions{}); err == nil {
-		t.Fatal("want error for negative δ")
+	if _, err := hare.CountPath4Approx(g, -1, hare.ApproxOptions{}); err == nil || !strings.Contains(err.Error(), "(-1)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
 	}
 }
 
@@ -99,8 +100,8 @@ func TestCountMotifApproxAPI(t *testing.T) {
 	if _, err := hare.CountMotifApprox(g, nil, 10, hare.ApproxOptions{}); err == nil {
 		t.Fatal("want error for nil spec")
 	}
-	if _, err := hare.CountMotifApprox(g, spec, -1, hare.ApproxOptions{}); err == nil {
-		t.Fatal("want error for negative δ")
+	if _, err := hare.CountMotifApprox(g, spec, -1, hare.ApproxOptions{}); err == nil || !strings.Contains(err.Error(), "(-1)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
 	}
 }
 

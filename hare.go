@@ -19,7 +19,6 @@ package hare
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"hare/internal/engine"
@@ -210,29 +209,26 @@ func WithStaticSchedule() Option {
 // Count exactly counts all δ-temporal motif instances in g.
 func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 	if g == nil {
-		return Result{}, fmt.Errorf("hare: nil graph")
+		return Result{}, errNilGraph
 	}
 	if delta < 0 {
-		return Result{}, fmt.Errorf("hare: negative δ (%d)", delta)
+		return Result{}, errNegativeDelta(delta)
 	}
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	workers := c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	eo := engine.Options{Workers: c.workers, DegreeThreshold: c.thrd, Schedule: c.schedule}
+	workers := eo.EffectiveWorkers()
 	doStar := !c.hasOnly || c.only == CategoryPair || c.only == CategoryStar
 	doTri := !c.hasOnly || c.only == CategoryTri
 
 	start := time.Now()
 	var res Result
+	var counts *motif.Counts
 	if workers == 1 && c.schedule == engine.ScheduleDynamic && c.thrd == 0 {
-		counts := sequential(g, delta, doStar, doTri)
-		res.Matrix = counts.ToMatrix()
+		counts = sequential(g, delta, doStar, doTri)
 	} else {
-		eo := engine.Options{Workers: workers, DegreeThreshold: c.thrd, Schedule: c.schedule}
 		// Resolve the auto heuristic once, up front: the run uses the
 		// resolved value directly (no second O(n) degree scan) and the
 		// Result reports the threshold actually applied rather than the
@@ -241,7 +237,6 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 		if eff != 0 {
 			eo.DegreeThreshold = eff
 		}
-		var counts *motif.Counts
 		switch {
 		case doStar && doTri:
 			counts = engine.Count(g, delta, eo)
@@ -250,9 +245,9 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 		default:
 			counts = engine.CountTri(g, delta, eo)
 		}
-		res.Matrix = counts.ToMatrix()
 		res.DegreeThreshold = eff
 	}
+	res.Matrix = counts.ToMatrix()
 	res.Elapsed = time.Since(start)
 	res.Workers = workers
 	if !c.hasOnly {
@@ -270,18 +265,18 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 	return res, nil
 }
 
+// sequential runs the single-threaded FAST references: a path that shares
+// no scheduling code with the engine, which is what lets differential tests
+// and the benchmark's correctness gate compare the two.
 func sequential(g *Graph, delta Timestamp, doStar, doTri bool) *motif.Counts {
-	counts := &motif.Counts{}
-	s := fast.NewScratch()
-	for u := 0; u < g.NumNodes(); u++ {
-		if doStar {
-			fast.CountStarPairNode(g, NodeID(u), delta, counts, s)
-		}
-		if doTri {
-			fast.CountTriNode(g, NodeID(u), delta, &counts.Tri, true)
-		}
+	switch {
+	case doStar && doTri:
+		return fast.Count(g, delta)
+	case doStar:
+		return fast.CountStarPair(g, delta)
+	default:
+		return &motif.Counts{Tri: *fast.CountTri(g, delta)}
 	}
-	return counts
 }
 
 // CountNode returns the motif counts in which node u participates as the

@@ -1,6 +1,8 @@
 package hare
 
 import (
+	"fmt"
+
 	"hare/internal/higher"
 	"hare/internal/temporal"
 )
@@ -51,7 +53,7 @@ type temporalError string
 func (e temporalError) Error() string { return "hare: " + string(e) }
 
 func errNegativeDelta(d temporal.Timestamp) error {
-	return temporalError("negative δ")
+	return fmt.Errorf("hare: negative δ (%d)", d)
 }
 
 // Path4Counter holds counts of the 24 non-isomorphic 4-node, 3-edge

@@ -1,6 +1,7 @@
 package hare_test
 
 import (
+	"strings"
 	"testing"
 
 	"hare"
@@ -22,8 +23,8 @@ func TestCountStar4API(t *testing.T) {
 	if _, err := hare.CountStar4(nil, 10); err == nil {
 		t.Fatal("want error for nil graph")
 	}
-	if _, err := hare.CountStar4(g, -5); err == nil {
-		t.Fatal("want error for negative δ")
+	if _, err := hare.CountStar4(g, -5); err == nil || !strings.Contains(err.Error(), "(-5)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
 	}
 }
 
@@ -43,7 +44,7 @@ func TestCountPath4API(t *testing.T) {
 	if _, err := hare.CountPath4(nil, 10); err == nil {
 		t.Fatal("want error for nil graph")
 	}
-	if _, err := hare.CountPath4(g, -1); err == nil {
-		t.Fatal("want error for negative δ")
+	if _, err := hare.CountPath4(g, -1); err == nil || !strings.Contains(err.Error(), "(-1)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
 	}
 }

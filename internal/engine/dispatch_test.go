@@ -1,10 +1,17 @@
 package engine_test
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hare/internal/engine"
+	"hare/internal/temporal"
 )
 
 // Dispatch must deliver every index exactly once, with in-range worker ids,
@@ -38,5 +45,143 @@ func TestDispatchCoversRangeOnce(t *testing.T) {
 		if tc.n == 0 && calls != 0 {
 			t.Fatalf("empty range produced %d calls", calls)
 		}
+	}
+}
+
+// goroutineID parses the running goroutine's id out of its stack header
+// ("goroutine 123 [running]:"); test-only, to tell the caller's goroutine
+// from a worker's.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// Sweep is the one scheduler every two-stage count rides on, so its
+// delivery contract is checked directly, apart from any kernel: over random
+// graphs and sub-ranges and the whole option matrix, every non-skipped
+// pivot is delivered exactly once — as one light call or as heavy slices
+// that partition [0, degree) — skipped pivots never, worker ids stay in
+// [0, workers), and one worker means ascending order on the caller's
+// goroutine with no heavy stage.
+func TestSweepDeliversEachPivotOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type slice struct{ from, to int }
+	for trial := 0; trial < 6; trial++ {
+		g := skewedGraph(r, 25+r.Intn(40), 200+r.Intn(600), 100)
+		lo := r.Intn(g.NumNodes())
+		hi := lo + r.Intn(g.NumNodes()-lo+1)
+		degree := func(id int) int {
+			if d := g.Degree(temporal.NodeID(id)); d >= 2 {
+				return d
+			}
+			return -1
+		}
+		for _, workers := range []int{1, 2, 4, 32} {
+			for _, thrd := range []int{0, 1, -1} {
+				for _, chunk := range []int{0, 1, 3} {
+					for _, sched := range []engine.Schedule{engine.ScheduleDynamic, engine.ScheduleStatic} {
+						for _, withHeavy := range []bool{true, false} {
+							opts := engine.Options{Workers: workers, DegreeThreshold: thrd, ChunkSize: chunk, Schedule: sched}
+							name := fmt.Sprintf("trial %d [%d,%d) %+v heavy=%v", trial, lo, hi, opts, withHeavy)
+							var mu sync.Mutex
+							lightCalls := make([]int, g.NumNodes())
+							slices := make([][]slice, g.NumNodes())
+							var order []int
+							caller, offCaller := goroutineID(), false
+							seen := func(w int) {
+								if w < 0 || w >= workers {
+									t.Errorf("%s: worker id %d out of range", name, w)
+								}
+								if workers == 1 && goroutineID() != caller {
+									offCaller = true
+								}
+							}
+							light := func(w, id int) {
+								seen(w)
+								mu.Lock()
+								lightCalls[id]++
+								order = append(order, id)
+								mu.Unlock()
+							}
+							var heavy func(w, id, from, to int)
+							if withHeavy {
+								heavy = func(w, id, from, to int) {
+									seen(w)
+									mu.Lock()
+									slices[id] = append(slices[id], slice{from, to})
+									mu.Unlock()
+								}
+							}
+							engine.Sweep(g, opts, lo, hi, degree, light, heavy)
+
+							if offCaller {
+								t.Fatalf("%s: one worker ran off the caller's goroutine", name)
+							}
+							if workers == 1 && !sort.IntsAreSorted(order) {
+								t.Fatalf("%s: one worker delivered out of order: %v", name, order)
+							}
+							for id := 0; id < g.NumNodes(); id++ {
+								d := degree(id)
+								want := 0
+								if id >= lo && id < hi && d >= 0 {
+									want = 1
+								}
+								if len(slices[id]) == 0 {
+									if lightCalls[id] != want {
+										t.Fatalf("%s: pivot %d (degree %d) delivered %d times, want %d",
+											name, id, d, lightCalls[id], want)
+									}
+									continue
+								}
+								if want == 0 || lightCalls[id] != 0 || workers == 1 {
+									t.Fatalf("%s: pivot %d (degree %d) got %d light calls and slices %v",
+										name, id, d, lightCalls[id], slices[id])
+								}
+								sort.Slice(slices[id], func(a, b int) bool { return slices[id][a].from < slices[id][b].from })
+								next := 0
+								for _, s := range slices[id] {
+									if s.from != next || s.to <= s.from {
+										t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
+									}
+									next = s.to
+								}
+								if next != d {
+									t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// With a threshold of 1 and more than one worker every pivot of degree > 1
+// is heavy: the intra-pivot stage must actually run when a callback is
+// given, and fall back to one light call per pivot when it is not.
+func TestSweepHeavyStage(t *testing.T) {
+	g := skewedGraph(rand.New(rand.NewSource(8)), 30, 500, 100)
+	opts := engine.Options{Workers: 4, DegreeThreshold: 1}
+	degree := func(id int) int { return g.Degree(temporal.NodeID(id)) }
+	var wantLight, wantSliced int64 // pivots at or under thrd; first-edge indices of the rest
+	for u := 0; u < g.NumNodes(); u++ {
+		if d := degree(u); d > 1 {
+			wantSliced += int64(d)
+		} else {
+			wantLight++
+		}
+	}
+	var lightN, slicedN atomic.Int64
+	light := func(w, id int) { lightN.Add(1) }
+	engine.Sweep(g, opts, 0, g.NumNodes(), degree, light, func(w, id, from, to int) { slicedN.Add(int64(to - from)) })
+	if wantSliced == 0 || lightN.Load() != wantLight || slicedN.Load() != wantSliced {
+		t.Fatalf("with a heavy callback: %d light calls, %d first-edge indices sliced (want %d, %d > 0)",
+			lightN.Load(), slicedN.Load(), wantLight, wantSliced)
+	}
+	lightN.Store(0)
+	engine.Sweep(g, opts, 0, g.NumNodes(), degree, light, nil)
+	if lightN.Load() != int64(g.NumNodes()) {
+		t.Fatalf("without one: %d light calls, want %d", lightN.Load(), g.NumNodes())
 	}
 }

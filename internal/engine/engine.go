@@ -1,14 +1,22 @@
 // Package engine implements HARE, the paper's hierarchical parallel framework
-// for the FAST counting algorithms.
+// for the FAST counting algorithms, as one scheduler: Sweep.
 //
-// Two cooperating strategies (paper §IV-C):
+// Two cooperating strategies (paper §IV-C), both inside Sweep:
 //
-//   - inter-node parallelism: workers dynamically pull chunks of center nodes
-//     from a shared atomic cursor (the analogue of OpenMP dynamic
-//     scheduling);
-//   - intra-node parallelism: nodes whose temporal degree exceeds a threshold
-//     thrd are processed one at a time, with the first-edge loop of
-//     Algorithms 1/2 split across workers.
+//   - inter-node parallelism: workers dynamically pull chunks of pivots
+//     (center nodes here, middle edges in package higher) from a shared
+//     atomic cursor (the analogue of OpenMP dynamic scheduling);
+//   - intra-node parallelism: pivots whose temporal degree exceeds a
+//     threshold thrd are processed one at a time, with the first-edge loop
+//     of Algorithms 1/2 split across workers.
+//
+// Sweep is the only two-stage schedule in the repository and Options the
+// only resolver of workers, thrd and chunk size. Its callers are run (the 36
+// motifs, below), higher.CountStar4Range and higher.ForEdgesRange (and
+// through it higher.CountPath4Range and query's edge plans); a change to how
+// work is scheduled is an edit to Sweep. Dispatch, the flat chunked loop
+// underneath, is exported for the two loops that have no heavy stage
+// (nullmodel.SampleMatrices, approx.EstimateStrata).
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable
@@ -22,6 +30,7 @@
 package engine
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,15 +40,15 @@ import (
 	"hare/internal/temporal"
 )
 
-// Schedule selects how center nodes are assigned to workers in the
-// inter-node stage.
+// Schedule selects how pivots are assigned to workers in Sweep's light
+// stage.
 type Schedule int
 
 const (
 	// ScheduleDynamic is the default: workers pull fixed-size chunks from an
 	// atomic cursor as they become free.
 	ScheduleDynamic Schedule = iota
-	// ScheduleStatic pre-splits the node range into one contiguous block per
+	// ScheduleStatic pre-splits the pivot range into one contiguous block per
 	// worker. It exists to reproduce the paper's Fig. 12(b) ablation
 	// ("without thrd" / static OpenMP mode): long-tailed degree
 	// distributions make it badly load imbalanced.
@@ -53,28 +62,26 @@ type Options struct {
 	// Workers is the number of goroutines (#threads in the paper). <= 0
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
-	// DegreeThreshold is thrd: nodes with temporal degree strictly greater
+	// DegreeThreshold is thrd: pivots with temporal degree strictly greater
 	// are processed with intra-node parallelism. 0 selects the automatic
 	// top-20 heuristic; negative disables the intra-node stage entirely
 	// (flat inter-node parallelism, the "without thrd" ablation).
 	DegreeThreshold int
-	// Schedule selects dynamic (default) or static node assignment.
+	// Schedule selects dynamic (default) or static pivot assignment.
 	Schedule Schedule
-	// ChunkSize is the number of center nodes per dynamic work unit
-	// (default 64).
+	// ChunkSize is the number of pivots per dynamic work unit (default 64).
 	ChunkSize int
 }
 
-func (o Options) workers() int {
+// EffectiveWorkers resolves Options.Workers to the goroutine count a run
+// actually uses (<= 0 selects GOMAXPROCS): the size of the per-worker
+// accumulators a Sweep caller indexes by worker id.
+func (o Options) EffectiveWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// EffectiveWorkers resolves Options.Workers to the goroutine count a run
-// would actually use (<= 0 selects GOMAXPROCS).
-func (o Options) EffectiveWorkers() int { return o.workers() }
 
 func (o Options) chunk() int {
 	if o.ChunkSize > 0 {
@@ -100,7 +107,7 @@ func CountTri(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.
 }
 
 // EffectiveDegreeThreshold reports the thrd a run with opts uses to split
-// light from heavy centers: the explicit Options.DegreeThreshold when set,
+// light from heavy pivots: the explicit Options.DegreeThreshold when set,
 // otherwise the automatic top-20 heuristic. A return of 0 means the graph
 // is too small for the heuristic and the run has no intra-node stage;
 // negative means the caller disabled it. Callers (hare.Count's Result)
@@ -113,11 +120,11 @@ func EffectiveDegreeThreshold(g *temporal.Graph, opts Options) int {
 	return temporal.TopKDegreeThreshold(g, 20)
 }
 
-// Dispatch is HARE's dynamic work scheduler, exported so sibling subsystems
-// (higher-order counting, null-model ensembles) parallelise with the same
-// machinery: workers goroutines repeatedly pull up-to-chunk-sized index
-// ranges [start, end) ⊂ [0, n) from a shared atomic cursor until the range
-// is exhausted, then Dispatch returns. body runs concurrently with itself;
+// Dispatch is the flat dynamic work loop under Sweep, exported for loops
+// with no heavy stage (null-model samples, approx strata): workers
+// goroutines repeatedly pull up-to-chunk-sized index ranges
+// [start, end) ⊂ [0, n) from a shared atomic cursor until the range is
+// exhausted, then Dispatch returns. body runs concurrently with itself;
 // the worker id in [0, workers) lets callers index per-worker accumulators.
 // workers and chunk below 1 are treated as 1; with one worker the whole
 // range is delivered in a single call on the caller's goroutine.
@@ -158,102 +165,116 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 	wg.Wait()
 }
 
+// Sweep is HARE's two-stage schedule over the pivot IDs [lo, hi): the one
+// place the repository decides which worker runs which pivot.
+//
+// degree(id) classifies a pivot: negative means it cannot host an instance
+// and is never delivered; above thrd (EffectiveDegreeThreshold) it is
+// heavy; otherwise light.
+//
+// Stage 1 walks [lo, hi) in chunks of Options.ChunkSize pulled from a shared
+// cursor (ScheduleStatic: one contiguous block per worker instead) and calls
+// light(worker, id) for every light pivot, setting the heavy ones aside.
+//
+// Stage 2 runs after every light pivot has finished. With a heavy callback,
+// heavy pivots go one at a time, each split into small dynamic slices:
+// heavy(worker, id, from, to) is called with slices that partition
+// [0, degree(id)) — the first-edge range of a center node. With heavy nil,
+// each heavy pivot is its own work unit for light, so no worker inherits a
+// contiguous block of hubs.
+//
+// Every non-skipped pivot is delivered exactly once, which is what keeps
+// per-pivot integer tallies bit-identical at any setting. Callbacks run
+// concurrently with themselves; worker ids lie in
+// [0, opts.EffectiveWorkers()). One worker has nobody to split a hub with,
+// so it has no heavy stage: every pivot goes to light, on the caller's
+// goroutine, in ascending ID order — the sequential sweep is this code, not
+// a second loop.
+func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
+	light func(worker, id int), heavy func(worker, id, from, to int)) {
+	n := hi - lo
+	if n <= 0 {
+		return
+	}
+	workers := opts.EffectiveWorkers()
+	thrd := math.MaxInt
+	if workers > 1 {
+		if t := EffectiveDegreeThreshold(g, opts); t > 0 {
+			thrd = t
+		}
+	}
+	chunk := opts.chunk()
+	if opts.Schedule == ScheduleStatic {
+		chunk = (n + workers - 1) / workers
+	}
+	deferred := make([][]int, workers)
+	Dispatch(workers, chunk, n, func(w, start, end int) {
+		hubs := deferred[w] // written back once per chunk: the headers share cache lines
+		for id := lo + start; id < lo+end; id++ {
+			switch d := degree(id); {
+			case d < 0:
+			case d > thrd:
+				hubs = append(hubs, id)
+			default:
+				light(w, id)
+			}
+		}
+		deferred[w] = hubs
+	})
+	var hubs []int
+	for _, ids := range deferred {
+		hubs = append(hubs, ids...)
+	}
+	if heavy == nil {
+		Dispatch(workers, 1, len(hubs), func(w, i, _ int) { light(w, hubs[i]) })
+		return
+	}
+	for _, id := range hubs {
+		// First-edge iterations near the start of a sequence dominate (longer
+		// suffix to scan), so use small dynamic slices rather than a static
+		// split.
+		d := degree(id)
+		Dispatch(workers, d/(workers*8)+1, d, func(w, from, to int) { heavy(w, id, from, to) })
+	}
+}
+
 func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTri bool) *motif.Counts {
-	workers := opts.workers()
-	thrd := EffectiveDegreeThreshold(g, opts)
-	if opts.DegreeThreshold == 0 && thrd == 0 {
-		thrd = int(^uint(0) >> 1) // tiny graph: no intra-node stage
-	}
-
-	var light, heavy []temporal.NodeID
-	for u := 0; u < g.NumNodes(); u++ {
-		d := g.Degree(temporal.NodeID(u))
-		if d < 3 && (!doTri || d < 2) {
-			continue // cannot host any motif as center
-		}
-		if thrd > 0 && d > thrd {
-			heavy = append(heavy, temporal.NodeID(u))
-		} else {
-			light = append(light, temporal.NodeID(u))
-		}
-	}
-
-	perWorker := make([]*motif.Counts, workers)
+	workers := opts.EffectiveWorkers()
+	perWorker := make([]motif.Counts, workers)
 	scratch := make([]*fast.Scratch, workers) // FAST-Star only; stays nil for CountTri
-	for w := range perWorker {
-		perWorker[w] = &motif.Counts{}
-		if doStar {
+	if doStar {
+		for w := range scratch {
 			scratch[w] = fast.NewScratch()
 			scratch[w].Grow(g.NumNodes()) // keep the workers' hot loops allocation free
 		}
 	}
-
-	// Stage 1: inter-node parallelism over light centers.
-	interNode(g, delta, opts, light, perWorker, scratch, doStar, doTri)
-
-	// Stage 2: intra-node parallelism, one heavy center at a time.
-	for _, u := range heavy {
-		intraNode(g, u, delta, workers, perWorker, scratch, doStar, doTri)
+	minDegree := 3 // a star or pair needs three incident edges,
+	if doTri {
+		minDegree = 2 // a triangle two
 	}
-
-	total := &motif.Counts{}
-	for _, c := range perWorker {
-		total.Add(c)
-	}
-	return total
-}
-
-func interNode(g *temporal.Graph, delta temporal.Timestamp, opts Options,
-	nodes []temporal.NodeID, perWorker []*motif.Counts, scratch []*fast.Scratch,
-	doStar, doTri bool) {
-	workers := len(perWorker)
-	var wg sync.WaitGroup
-	countNodes := func(w int, batch []temporal.NodeID) {
-		for _, u := range batch {
-			if doStar {
-				fast.CountStarPairNode(g, u, delta, perWorker[w], scratch[w])
-			}
-			if doTri {
-				fast.CountTriNode(g, u, delta, &perWorker[w].Tri, true)
-			}
-		}
-	}
-	switch opts.Schedule {
-	case ScheduleStatic:
-		per := (len(nodes) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			if lo >= len(nodes) {
-				break
-			}
-			hi := min(lo+per, len(nodes))
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				countNodes(w, nodes[lo:hi])
-			}(w, lo, hi)
-		}
-	default:
-		Dispatch(workers, opts.chunk(), len(nodes), func(w, start, end int) {
-			countNodes(w, nodes[start:end])
-		})
-		return
-	}
-	wg.Wait()
-}
-
-func intraNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
-	workers int, perWorker []*motif.Counts, scratch []*fast.Scratch,
-	doStar, doTri bool) {
-	su := g.Seq(u)
-	// First-edge iterations near the start of S_u dominate (longer suffix to
-	// scan), so use small dynamic chunks rather than a static split.
-	Dispatch(workers, su.Len()/(workers*8)+1, su.Len(), func(w, start, end int) {
+	// A center's whole first-edge range is the light unit, a slice of it the
+	// heavy one: FAST is the same loop either way.
+	count := func(w, u, from, to int) {
 		if doStar {
-			fast.CountStarPairRange(su, delta, perWorker[w], scratch[w], start, end)
+			fast.CountStarPairRange(g.Seq(temporal.NodeID(u)), delta, &perWorker[w], scratch[w], from, to)
 		}
 		if doTri {
-			fast.CountTriRange(g, u, delta, &perWorker[w].Tri, true, start, end)
+			fast.CountTriRange(g, temporal.NodeID(u), delta, &perWorker[w].Tri, true, from, to)
 		}
-	})
+	}
+	Sweep(g, opts, 0, g.NumNodes(),
+		func(u int) int {
+			if d := g.Degree(temporal.NodeID(u)); d >= minDegree {
+				return d
+			}
+			return -1 // cannot host any motif as center
+		},
+		func(w, u int) { count(w, u, 0, g.Degree(temporal.NodeID(u))) },
+		count)
+
+	total := &motif.Counts{}
+	for w := range perWorker {
+		total.Add(&perWorker[w])
+	}
+	return total
 }

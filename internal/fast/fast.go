@@ -261,13 +261,18 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 // entry point ("FAST" in the paper's Table III).
 func Count(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
 	counts := &motif.Counts{}
-	s := NewScratch()
-	s.Grow(g.NumNodes())
+	CountInto(g, delta, counts, NewScratch())
+	return counts
+}
+
+// CountInto is Count accumulating into the caller's counter with the
+// caller's scratch, for loops that count many graphs of one size (null-model
+// ensembles) and keep both across them.
+func CountInto(g *temporal.Graph, delta temporal.Timestamp, counts *motif.Counts, s *Scratch) {
 	for u := 0; u < g.NumNodes(); u++ {
 		CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
 		CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, true)
 	}
-	return counts
 }
 
 // CountStarPair runs only FAST-Star over all centers ("FAST-Pair" in the

@@ -18,6 +18,15 @@
 // is exact, runs in the same asymptotics as FAST-Star, and — like FAST — is
 // embarrassingly parallel over centers (each 4-node star has a unique
 // center).
+//
+// The package has no scheduler of its own. The parallel counters
+// (parallel.go) are callers of engine.Sweep, HARE's two-stage schedule:
+// CountStar4Range sweeps center nodes with an intra-center split for hubs,
+// ForEdgesRange sweeps edges — for CountPath4Range and for the query
+// compiler's edge plans — with each hub-adjacent edge a work unit of its
+// own. Options converts to engine.Options in one place and resolves no
+// default itself. Count and CountPaths stay plain sequential loops: the
+// references the differential tests compare the scheduled counters to.
 package higher
 
 import (
@@ -74,6 +83,14 @@ func CountNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	countAllTriples(g.Seq(u), delta, &all)
 	var counts motif.Counts
 	fast.CountStarPairNode(g, u, delta, &counts, scratch)
+	return complement(&all, &counts), counts
+}
+
+// complement applies the package's identity: of the ordered in-window
+// triples tallied in all, those FAST-Star classifies as a 3-node star or a
+// pair are not 4-node stars; the rest are. Both sides are sums over centers,
+// so it holds for one center and for any set of them alike.
+func complement(all *[8]uint64, counts *motif.Counts) Star4Counter {
 	var s4 Star4Counter
 	for i := range s4 {
 		d1, d2, d3 := motif.PairDirs(i)
@@ -84,7 +101,7 @@ func CountNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 		v -= counts.Pair.At(d1, d2, d3)
 		s4[i] = v
 	}
-	return s4, counts
+	return s4
 }
 
 // Count counts all 4-node, 3-edge star motifs in the graph. Each instance

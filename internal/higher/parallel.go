@@ -1,8 +1,6 @@
 package higher
 
 import (
-	"runtime"
-
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/motif"
@@ -12,10 +10,11 @@ import (
 // Options configures the parallel higher-order counters. The zero value
 // means: one worker per CPU, automatic degree threshold (the HARE top-20
 // heuristic), default chunking. Both counters are exact at any setting —
-// the options only steer scheduling.
+// the options only steer scheduling, and engine.Sweep is what they steer:
+// they are engine.Options without the static-schedule ablation.
 type Options struct {
-	// Workers is the number of goroutines (<= 0 selects GOMAXPROCS;
-	// 1 runs the sequential reference loops).
+	// Workers is the number of goroutines (<= 0 selects GOMAXPROCS; 1 runs
+	// everything on the caller's goroutine in ascending pivot order).
 	Workers int
 	// DegreeThreshold splits light from heavy work the same way the HARE
 	// engine does: centers (stars) or middle-edge endpoints (paths) with
@@ -28,41 +27,19 @@ type Options struct {
 	ChunkSize int
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+// engine converts to the scheduler's options: the one place the two structs
+// meet. Defaults are resolved there, by engine alone.
+func (o Options) engine() engine.Options {
+	return engine.Options{Workers: o.Workers, DegreeThreshold: o.DegreeThreshold, ChunkSize: o.ChunkSize}
 }
 
 // EffectiveWorkers resolves Workers to the goroutine count a run actually
 // uses (<= 0 selects GOMAXPROCS). Callers sizing per-worker accumulators
 // for ForEdgesRange need the same resolution the scheduler applies.
-func (o Options) EffectiveWorkers() int { return o.workers() }
+func (o Options) EffectiveWorkers() int { return o.engine().EffectiveWorkers() }
 
-func (o Options) chunk() int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize
-	}
-	return 64
-}
-
-// effThrd resolves the degree threshold like the HARE engine: the explicit
-// value when set, the automatic top-20 heuristic when 0. A non-positive
-// result means "no heavy stage" (tiny graph, or explicitly disabled).
-func effThrd(g *temporal.Graph, opts Options) int {
-	if opts.DegreeThreshold != 0 {
-		return opts.DegreeThreshold
-	}
-	return temporal.TopKDegreeThreshold(g, 20)
-}
-
-// CountStar4 counts the 4-node, 3-edge star motifs with the engine's
-// scheduling machinery: light centers are pulled in dynamic chunks, heavy
-// centers (degree > thrd) are processed one at a time with both counter
-// families range-split across workers and the complement applied after the
-// partials merge. Counts are bit-identical to the sequential Count at any
-// worker count (per-center tallies are exact integer sums).
+// CountStar4 counts the 4-node, 3-edge star motifs over every center; see
+// CountStar4Range.
 func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4Counter {
 	return CountStar4Range(g, delta, opts, 0, g.NumNodes())
 }
@@ -73,92 +50,51 @@ func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4
 // counters that sum — in any order, the cells are exact uint64 tallies — to
 // CountStar4's full counter: the per-shard work unit of the scatter/gather
 // serving path (internal/shard).
+//
+// It is a caller of engine.Sweep: light centers are pulled in dynamic
+// chunks, heavy centers (degree > thrd) go one at a time with both counter
+// families split across workers — the all-triples counter by last-edge
+// index, FAST-Star by first-edge index; both partitions are exact. Each
+// worker sums both families over whatever it is handed and the complement
+// is applied once, after the partials merge. Counts are bit-identical to
+// the sequential Count at any setting.
 func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) Star4Counter {
-	if lo < 0 {
-		lo = 0
+	eo := opts.engine()
+	parts := make([]struct {
+		all     [8]uint64
+		counts  motif.Counts
+		scratch *fast.Scratch
+	}, eo.EffectiveWorkers())
+	for w := range parts {
+		parts[w].scratch = fast.NewScratch()
+		parts[w].scratch.Grow(g.NumNodes())
 	}
-	if hi > g.NumNodes() {
-		hi = g.NumNodes()
-	}
-	var total Star4Counter
-	if lo >= hi {
-		return total
-	}
-	workers := opts.workers()
-	if workers == 1 {
-		scratch := fast.NewScratch()
-		for u := lo; u < hi; u++ {
-			s4, _ := CountNode(g, temporal.NodeID(u), delta, scratch)
-			total.Add(&s4)
-		}
-		return total
-	}
-	thrd := effThrd(g, opts)
-	var light, heavy []temporal.NodeID
-	for u := lo; u < hi; u++ {
-		d := g.Degree(temporal.NodeID(u))
-		if d < 3 {
-			continue // a 4-node star needs three incident edges
-		}
-		if thrd > 0 && d > thrd {
-			heavy = append(heavy, temporal.NodeID(u))
-		} else {
-			light = append(light, temporal.NodeID(u))
-		}
-	}
-	scratch := make([]*fast.Scratch, workers)
-	perW := make([]Star4Counter, workers)
-	for w := range scratch {
-		scratch[w] = fast.NewScratch()
-		scratch[w].Grow(g.NumNodes())
-	}
-
-	// Stage 1: inter-center parallelism over light centers.
-	engine.Dispatch(workers, opts.chunk(), len(light), func(w, a, b int) {
-		for _, u := range light[a:b] {
-			s4, _ := CountNode(g, u, delta, scratch[w])
-			perW[w].Add(&s4)
-		}
-	})
-	for w := range perW {
-		total.Add(&perW[w])
-	}
-
-	// Stage 2: intra-center parallelism, one heavy center at a time. The
-	// all-triples counter splits by last-edge index, FAST-Star by first-edge
-	// index; both partitions are exact, so the per-center sums equal the
-	// sequential counters and the complement identity applies unchanged.
-	allPart := make([][8]uint64, workers)
-	countsPart := make([]motif.Counts, workers)
-	for _, u := range heavy {
-		su := g.Seq(u)
-		for w := 0; w < workers; w++ {
-			allPart[w] = [8]uint64{}
-			countsPart[w] = motif.Counts{}
-		}
-		engine.Dispatch(workers, su.Len()/(workers*8)+1, su.Len(), func(w, a, b int) {
-			countAllTriplesRange(su, delta, &allPart[w], a, b)
-			fast.CountStarPairRange(su, delta, &countsPart[w], scratch[w], a, b)
-		})
-		var all [8]uint64
-		var counts motif.Counts
-		for w := 0; w < workers; w++ {
-			for i := range all {
-				all[i] += allPart[w][i]
+	engine.Sweep(g, eo, max(lo, 0), min(hi, g.NumNodes()),
+		func(u int) int {
+			if d := g.Degree(temporal.NodeID(u)); d >= 3 {
+				return d
 			}
-			counts.Add(&countsPart[w])
-		}
+			return -1 // a 4-node star needs three incident edges
+		},
+		func(w, u int) {
+			p, su := &parts[w], g.Seq(temporal.NodeID(u))
+			countAllTriples(su, delta, &p.all)
+			fast.CountStarPairRange(su, delta, &p.counts, p.scratch, 0, su.Len())
+		},
+		func(w, u, from, to int) {
+			p, su := &parts[w], g.Seq(temporal.NodeID(u))
+			countAllTriplesRange(su, delta, &p.all, from, to)
+			fast.CountStarPairRange(su, delta, &p.counts, p.scratch, from, to)
+		})
+	var all [8]uint64
+	var counts motif.Counts
+	for w := range parts {
 		for i := range all {
-			d1, d2, d3 := motif.PairDirs(i)
-			v := all[i]
-			v -= counts.Star.At(motif.StarI, d1, d2, d3)
-			v -= counts.Star.At(motif.StarII, d1, d2, d3)
-			v -= counts.Star.At(motif.StarIII, d1, d2, d3)
-			v -= counts.Pair.At(d1, d2, d3)
-			total[i] += v
+			all[i] += parts[w].all[i]
 		}
+		counts.Add(&parts[w].counts)
 	}
-	return total
+	return complement(&all, &counts)
 }
 
 // countAllTriplesRange tallies the ordered triples whose *last* edge index
@@ -202,10 +138,8 @@ func countAllTriplesRange(seq temporal.Seq, delta temporal.Timestamp, out *[8]ui
 }
 
 // CountPath4 counts the 4-node, 3-edge path motifs in parallel over middle
-// edges. Middle edges with a heavy endpoint (degree > thrd) dominate the
-// O(d(b)·d(c)) per-edge cost, so they are scheduled one edge per work unit
-// after the chunked light edges — no worker inherits a contiguous block of
-// hubs. Bit-identical to the sequential CountPaths at any worker count.
+// edges; see CountPath4Range and, for the schedule, ForEdgesRange.
+// Bit-identical to the sequential CountPaths at any worker count.
 func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathCounter {
 	return CountPath4Range(g, delta, opts, 0, g.NumEdges())
 }
@@ -217,7 +151,7 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // scatter/gather serving path (internal/shard).
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
 	var total PathCounter
-	perW := make([]PathCounter, opts.workers())
+	perW := make([]PathCounter, opts.EffectiveWorkers())
 	ForEdgesRange(g, opts, lo, hi, func(w int, id temporal.EdgeID) {
 		countPathsMiddle(g, id, delta, &perW[w])
 	})
@@ -227,52 +161,21 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 	return total
 }
 
-// ForEdgesRange schedules body exactly once per edge ID in [lo, hi)
-// (clamped to [0, NumEdges)) with the two-stage machinery the path counter
-// established: light edges are pulled in dynamic chunks, while edges with a
-// heavy endpoint (degree > thrd) are scheduled one per work unit so no
-// worker inherits a contiguous block of hubs. body runs concurrently with
-// itself; the worker id indexes [0, opts.EffectiveWorkers()) so callers can
-// accumulate into per-worker partials. With one worker, body runs on the
-// caller's goroutine in ascending ID order. Exactly-once delivery is what
-// keeps per-edge tallies bit-identical at any worker count — both
-// CountPath4Range and the query compiler's edge-pivot plans
-// (internal/query) schedule through this function.
+// ForEdgesRange calls body exactly once per edge ID in [lo, hi) (clamped to
+// [0, NumEdges)). It is engine.Sweep over edge pivots, an edge's degree
+// being the larger of its endpoints': light edges are pulled in dynamic
+// chunks, and since the O(d(b)·d(c)) per-edge cost has no inner range to
+// split, each edge with a heavy endpoint (degree > thrd) is a work unit of
+// its own, after the light ones — no worker inherits a contiguous block of
+// hubs. body runs concurrently with itself; the worker id indexes
+// [0, opts.EffectiveWorkers()) so callers can accumulate into per-worker
+// partials. With one worker, body runs on the caller's goroutine in
+// ascending ID order. Its callers are CountPath4Range and the query
+// compiler's edge-pivot plans (internal/query).
 func ForEdgesRange(g *temporal.Graph, opts Options, lo, hi int, body func(worker int, id temporal.EdgeID)) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > g.NumEdges() {
-		hi = g.NumEdges()
-	}
-	if lo >= hi {
-		return
-	}
-	workers := opts.workers()
-	if workers == 1 {
-		for id := lo; id < hi; id++ {
-			body(0, temporal.EdgeID(id))
-		}
-		return
-	}
-	thrd := effThrd(g, opts)
 	src, dst := g.Src(), g.Dst()
-	var light, heavy []temporal.EdgeID
-	for id := lo; id < hi; id++ {
-		if thrd > 0 && (g.Degree(src[id]) > thrd || g.Degree(dst[id]) > thrd) {
-			heavy = append(heavy, temporal.EdgeID(id))
-		} else {
-			light = append(light, temporal.EdgeID(id))
-		}
-	}
-	engine.Dispatch(workers, opts.chunk(), len(light), func(w, a, b int) {
-		for _, id := range light[a:b] {
-			body(w, id)
-		}
-	})
-	engine.Dispatch(workers, 1, len(heavy), func(w, a, b int) {
-		for _, id := range heavy[a:b] {
-			body(w, id)
-		}
-	})
+	engine.Sweep(g, opts.engine(), max(lo, 0), min(hi, g.NumEdges()),
+		func(id int) int { return max(g.Degree(src[id]), g.Degree(dst[id])) },
+		func(w, id int) { body(w, temporal.EdgeID(id)) },
+		nil)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hare/internal/engine"
 	"hare/internal/temporal"
 )
 
@@ -128,27 +129,31 @@ func TestCountStar4SkipsLowDegreeCenters(t *testing.T) {
 	}
 }
 
+// Options resolves nothing itself: it converts to engine.Options, whose
+// defaults (internal/engine's TestOptionsDefaults pins chunk 64 there) then
+// apply. What must hold here is that every field survives the conversion
+// and the resolution callers see is the scheduler's.
 func TestOptionsDefaults(t *testing.T) {
-	if (Options{}).workers() < 1 {
+	if (Options{}).EffectiveWorkers() < 1 {
 		t.Fatal("zero Options must resolve to >= 1 worker")
 	}
-	if (Options{Workers: 3}).workers() != 3 {
+	if (Options{Workers: 3}).EffectiveWorkers() != 3 {
 		t.Fatal("explicit workers ignored")
 	}
-	if (Options{}).chunk() != 64 || (Options{ChunkSize: 7}).chunk() != 7 {
-		t.Fatal("chunk defaults wrong")
+	if (Options{}).engine() != (engine.Options{}) || (Options{ChunkSize: 7}).engine().ChunkSize != 7 {
+		t.Fatal("chunk size must reach the scheduler as given (0 = its default of 64)")
 	}
 	// EffectiveWorkers is the exported resolution callers sizing
 	// per-worker accumulators for ForEdgesRange rely on — it must agree
 	// with the scheduler's own.
-	if (Options{Workers: 3}).EffectiveWorkers() != 3 || (Options{}).EffectiveWorkers() != (Options{}).workers() {
+	if (Options{}).EffectiveWorkers() != (Options{}).engine().EffectiveWorkers() {
 		t.Fatal("EffectiveWorkers diverges from the scheduler's resolution")
 	}
 	g := temporal.FromEdges([]temporal.Edge{{From: 0, To: 1, Time: 0}})
-	if effThrd(g, Options{DegreeThreshold: 5}) != 5 {
+	if engine.EffectiveDegreeThreshold(g, Options{DegreeThreshold: 5}.engine()) != 5 {
 		t.Fatal("explicit threshold ignored")
 	}
-	if effThrd(g, Options{}) != 0 {
+	if engine.EffectiveDegreeThreshold(g, Options{}.engine()) != 0 {
 		t.Fatal("tiny graph should have no heavy stage")
 	}
 }

@@ -180,8 +180,8 @@ func CountPathMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Time
 func countPathsMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp, out *PathCounter) {
 	b, c := g.Src()[mid], g.Dst()[mid]
 	mt := g.Times()[mid]
-	fw := windowAround(g.Seq(b), mt, delta)
-	gw := windowAround(g.Seq(c), mt, delta)
+	fw := WindowAround(g.Seq(b), mt, delta)
+	gw := WindowAround(g.Seq(c), mt, delta)
 	for fi := 0; fi < fw.Len(); fi++ {
 		fID, fOther := fw.ID[fi], fw.Other[fi]
 		if fID == mid || fOther == c {
@@ -193,7 +193,7 @@ func countPathsMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Tim
 			if gID == mid || gOther == b || gOther == fOther {
 				continue // triangle or repeated node: not a path
 			}
-			if span3(fTime, mt, gw.Time[gi]) > delta {
+			if Span3(fTime, mt, gw.Time[gi]) > delta {
 				continue
 			}
 			// Temporal ranks by EdgeID (total order).
@@ -207,14 +207,17 @@ func countPathsMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Tim
 	}
 }
 
-// windowAround returns the half-edges with |t − center| ≤ δ.
-func windowAround(seq temporal.Seq, center temporal.Timestamp, delta temporal.Timestamp) temporal.Seq {
+// WindowAround returns the half-edges with |t − center| ≤ δ: the window the
+// path counter scans around its middle edge and the query executor
+// (internal/query) around its pivot edge.
+func WindowAround(seq temporal.Seq, center temporal.Timestamp, delta temporal.Timestamp) temporal.Seq {
 	start := seq.LowerBoundTime(center - delta)
 	end := seq.UpperBoundTime(center + delta)
 	return seq.Slice(start, end)
 }
 
-func span3(a, b, c temporal.Timestamp) temporal.Timestamp {
+// Span3 returns the time span covered by three timestamps.
+func Span3(a, b, c temporal.Timestamp) temporal.Timestamp {
 	min, max := a, a
 	if b < min {
 		min = b

@@ -193,6 +193,23 @@ func TestPathsTieHeavy(t *testing.T) {
 	}
 }
 
+// CountPathMiddle is the per-edge unit samplers (internal/approx) evaluate
+// one draw at a time: summed over every edge it must be CountPaths.
+func TestCountPathMiddleSumsToCountPaths(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 10; trial++ {
+		g := randomGraph(r, 4+r.Intn(10), 1+r.Intn(120), 1+int64(r.Intn(40)))
+		delta := int64(r.Intn(25))
+		var got PathCounter
+		for id := 0; id < g.NumEdges(); id++ {
+			CountPathMiddle(g, temporal.EdgeID(id), delta, &got)
+		}
+		if want := CountPaths(g, delta); got != want {
+			t.Fatalf("trial %d δ=%d: per-edge sum %d, CountPaths %d", trial, delta, got.Total(), want.Total())
+		}
+	}
+}
+
 func TestPathCounterHelpers(t *testing.T) {
 	var a, b PathCounter
 	l := AllPathLabels()[0]

@@ -21,28 +21,24 @@ import (
 // cost is one ~1.5 KiB moment state per chunk.
 const aggChunk = 4
 
-// Ensemble generates and counts N null samples concurrently. Each worker
-// owns an in-place Sampler (one scratch graph reused across its samples)
-// and a FAST scratch; sample t draws from seed Seed + t·7919 regardless of
+// DefaultSamples is the ensemble size when none is requested — here, in
+// Options.Trials, in a served sig request and at the shard coordinator.
+const DefaultSamples = 20
+
+// Ensemble generates and counts N null samples concurrently (see
+// SampleMatrices): sample t draws from seed Seed + t·7919 regardless of
 // which worker runs it, so the ensemble is a pure function of
 // (graph, delta, Model, Samples, Seed).
 type Ensemble struct {
 	// Model is the null model (default TimeShuffle).
 	Model Model
-	// Samples is the number of null samples (default 20).
+	// Samples is the number of null samples (default DefaultSamples).
 	Samples int
 	// Seed feeds the per-sample deterministic RNG chain.
 	Seed int64
 	// Workers is the parallelism for sampling/counting and for the
 	// real-graph count (0 = all CPUs). It never changes the statistics.
 	Workers int
-}
-
-func (e *Ensemble) samples() int {
-	if e.Samples > 0 {
-		return e.Samples
-	}
-	return 20
 }
 
 // sampleSeed derives sample t's RNG seed. The 7919 stride keeps the chain
@@ -102,78 +98,27 @@ func (s *moments) merge(o *moments) {
 	s.n = n
 }
 
-// countMatrix counts one sample with the sequential FAST algorithms
-// (parallelism lives across samples, not within one), reusing the worker's
-// counter and scratch.
-func countMatrix(g *temporal.Graph, delta temporal.Timestamp,
-	counts *motif.Counts, s *fast.Scratch) motif.Matrix {
-	*counts = motif.Counts{}
-	for u := 0; u < g.NumNodes(); u++ {
-		fast.CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
-		fast.CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, true)
-	}
-	return counts.ToMatrix()
-}
-
 // Run counts motifs in g and in Samples null samples, returning per-motif
 // statistics: mean, standard deviation, z-scores, and empirical tail
-// p-values. Results are bit-identical for a fixed (Model, Samples, Seed)
-// at any Workers value.
+// p-values. It is SampleMatrices over [0, Samples) folded by
+// ReportFromSamples — the same two halves the shard tier runs on different
+// machines — so results are bit-identical for a fixed (Model, Samples, Seed)
+// at any Workers value and any split.
 func (e *Ensemble) Run(g *temporal.Graph, delta temporal.Timestamp) (*Report, error) {
-	if g == nil {
-		return nil, fmt.Errorf("nullmodel: nil graph")
+	samples := e.Samples
+	if samples <= 0 {
+		samples = DefaultSamples
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("nullmodel: negative δ (%d)", delta)
+	mats, err := SampleMatrices(g, delta, e.Model, e.Seed, 0, samples, e.Workers)
+	if err != nil {
+		return nil, err
 	}
-	samples := e.samples()
-	rep := &Report{Model: e.Model, Trials: samples}
-	rep.Real = engine.Count(g, delta, engine.Options{Workers: e.Workers}).ToMatrix()
-
-	nchunks := (samples + aggChunk - 1) / aggChunk
-	workers := engine.Options{Workers: e.Workers}.EffectiveWorkers()
-	if workers > nchunks {
-		workers = nchunks // spare workers would never get a chunk
-	}
-	rep.Workers = workers
-
-	chunkStats := make([]moments, nchunks)
-	samplers := make([]*Sampler, workers)
-	scratch := make([]*fast.Scratch, workers)
-	for w := 0; w < workers; w++ {
-		samplers[w] = NewSampler(g, e.Model)
-		scratch[w] = fast.NewScratch()
-		scratch[w].Grow(g.NumNodes())
-	}
-	var (
-		errMu  sync.Mutex
-		runErr error
-	)
-	engine.Dispatch(workers, 1, nchunks, func(w, lo, hi int) {
-		var counts motif.Counts
-		for c := lo; c < hi; c++ {
-			first, last := c*aggChunk, min((c+1)*aggChunk, samples)
-			for t := first; t < last; t++ {
-				sg, err := samplers[w].Sample(sampleSeed(e.Seed, t))
-				if err != nil { // unknown model: first error wins, workers drain
-					errMu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				m := countMatrix(sg, delta, &counts, scratch[w])
-				chunkStats[c].observe(&m, &rep.Real)
-			}
-		}
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	finishReport(rep, chunkStats)
-	return rep, nil
+	opts := engine.Options{Workers: e.Workers}
+	real := engine.Count(g, delta, opts).ToMatrix()
+	// Reported parallelism is clamped to the aggregation chunks: the
+	// granularity at which the statistics could be folded concurrently.
+	workers := min(opts.EffectiveWorkers(), (samples+aggChunk-1)/aggChunk)
+	return ReportFromSamples(e.Model, real, mats, workers)
 }
 
 // finishReport merges the per-chunk moment states in index order — the
@@ -198,12 +143,15 @@ func finishReport(rep *Report, chunkStats []moments) {
 }
 
 // SampleMatrices draws and counts the null samples with indices [lo, hi)
-// and returns their exact count matrices in index order. Sample t uses the
-// same deterministic seed chain as Ensemble.Run (Seed + t·7919), so any
+// and returns their exact count matrices in index order. Sample t draws
+// from seed + t·7919 whichever call and worker produces it, so any
 // partition of [0, Samples) across processes reproduces exactly the
-// matrices a single Run would have observed — the worker half of the
-// scatter/gather significance path (internal/shard). workers bounds local
-// parallelism and never changes the matrices.
+// matrices a single Ensemble.Run observes — the worker half of the
+// scatter/gather significance path (internal/shard). Each worker owns an
+// in-place Sampler (one scratch graph reused across its samples) and a FAST
+// scratch, and counts a sample with the sequential algorithms: parallelism
+// lives across samples, not within one. workers bounds local parallelism
+// and never changes the matrices.
 func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 	seed int64, lo, hi, workers int) ([]motif.Matrix, error) {
 	if g == nil {
@@ -236,10 +184,9 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 		runErr error
 	)
 	engine.Dispatch(w, 1, n, func(w, a, b int) {
-		var counts motif.Counts
 		for i := a; i < b; i++ {
 			sg, err := samplers[w].Sample(sampleSeed(seed, lo+i))
-			if err != nil {
+			if err != nil { // unknown model: first error wins, workers drain
 				errMu.Lock()
 				if runErr == nil {
 					runErr = err
@@ -247,7 +194,9 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 				errMu.Unlock()
 				return
 			}
-			out[i] = countMatrix(sg, delta, &counts, scratch[w])
+			var counts motif.Counts
+			fast.CountInto(sg, delta, &counts, scratch[w])
+			out[i] = counts.ToMatrix()
 		}
 	})
 	if runErr != nil {
@@ -256,15 +205,15 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 	return out, nil
 }
 
-// ReportFromSamples assembles the exact Ensemble.Run report from
-// already-counted sample matrices: samples[t] must be the count matrix of
-// null sample t (the SampleMatrices output for [0, len(samples))). The
-// matrices fold into the same fixed-size aggregation chunks, observed in
-// sample-index order and merged in chunk-index order, so the resulting
-// floating-point statistics are bit-identical to a single-process
-// Ensemble.Run with the same model, seed chain and sample count — the
-// gather half of the scatter/gather significance path. workers is recorded
-// verbatim in Report.Workers (informational). len(samples) must be >= 1.
+// ReportFromSamples assembles the ensemble report from already-counted
+// sample matrices: samples[t] must be the count matrix of null sample t
+// (the SampleMatrices output for [0, len(samples))). The matrices fold into
+// fixed-size aggregation chunks, observed in sample-index order and merged
+// in chunk-index order, so the floating-point statistics depend only on
+// the model, seed chain and sample count, never on who counted what — the
+// gather half of the scatter/gather significance path, and of Ensemble.Run.
+// workers is recorded verbatim in Report.Workers (informational).
+// len(samples) must be >= 1.
 func ReportFromSamples(model Model, real motif.Matrix, samples []motif.Matrix, workers int) (*Report, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("nullmodel: no sample matrices")

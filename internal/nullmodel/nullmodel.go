@@ -121,7 +121,7 @@ func Sample(g *temporal.Graph, model Model, seed int64) (*temporal.Graph, error)
 type Options struct {
 	// Model is the null model (default TimeShuffle).
 	Model Model
-	// Trials is the number of null samples (default 20).
+	// Trials is the number of null samples (default DefaultSamples).
 	Trials int
 	// Seed feeds the deterministic RNG chain: sample t draws from seed
 	// Seed + t·7919, so results do not depend on scheduling.
@@ -130,13 +130,6 @@ type Options struct {
 	// samples concurrently — and the engine parallelism for the real-graph
 	// count (0 = all CPUs). Any value yields bit-identical statistics.
 	Workers int
-}
-
-func (o Options) trials() int {
-	if o.Trials > 0 {
-		return o.Trials
-	}
-	return 20
 }
 
 // Report holds real counts and null-model statistics per motif.
@@ -221,6 +214,6 @@ func (r *Report) TopSignificant(n int) []motif.LabelCount {
 // Significance counts motifs in g and in Trials null samples, returning
 // per-motif statistics. It is the one-call form of Ensemble.Run.
 func Significance(g *temporal.Graph, delta temporal.Timestamp, opts Options) (*Report, error) {
-	e := &Ensemble{Model: opts.Model, Samples: opts.trials(), Seed: opts.Seed, Workers: opts.Workers}
+	e := &Ensemble{Model: opts.Model, Samples: opts.Trials, Seed: opts.Seed, Workers: opts.Workers}
 	return e.Run(g, delta)
 }

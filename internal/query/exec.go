@@ -86,10 +86,10 @@ func (p *Plan) countPivotEdge(g *temporal.Graph, e temporal.EdgeID, delta tempor
 	ids[p.pivotSlot], times[p.pivotSlot] = e, mt
 
 	s0, s1 := &p.steps[0], &p.steps[1]
-	w0 := windowAround(g.Seq(nodes[s0.anchor]), mt, delta)
+	w0 := higher.WindowAround(g.Seq(nodes[s0.anchor]), mt, delta)
 	var w1 temporal.Seq
 	if s1.hoist {
-		w1 = windowAround(g.Seq(nodes[s1.anchor]), mt, delta)
+		w1 = higher.WindowAround(g.Seq(nodes[s1.anchor]), mt, delta)
 	}
 	var count uint64
 	for i := 0; i < w0.Len(); i++ {
@@ -102,7 +102,7 @@ func (p *Plan) countPivotEdge(g *temporal.Graph, e temporal.EdgeID, delta tempor
 		ids[s0.slot], times[s0.slot] = w0.ID[i], w0.Time[i]
 		wi := w1
 		if !s1.hoist {
-			wi = windowAround(g.Seq(nodes[s1.anchor]), mt, delta)
+			wi = higher.WindowAround(g.Seq(nodes[s1.anchor]), mt, delta)
 		}
 		for j := 0; j < wi.Len(); j++ {
 			if wi.Out[j] != s1.wantOut {
@@ -115,7 +115,7 @@ func (p *Plan) countPivotEdge(g *temporal.Graph, e temporal.EdgeID, delta tempor
 			// Temporal order is EdgeID order (the repo-wide total order):
 			// the listing order of the spec must be strictly increasing,
 			// which also enforces the three edges are distinct.
-			if ids[0] < ids[1] && ids[1] < ids[2] && span3(times[0], times[1], times[2]) <= delta {
+			if ids[0] < ids[1] && ids[1] < ids[2] && higher.Span3(times[0], times[1], times[2]) <= delta {
 				count++
 			}
 		}
@@ -137,27 +137,4 @@ func bindOther(st *step, ov temporal.NodeID, nodes *[MaxNodes]temporal.NodeID) b
 	}
 	nodes[st.other] = ov
 	return true
-}
-
-// windowAround returns the half-edges with |t − center| ≤ δ (the same
-// window the path counter scans around its middle edge).
-func windowAround(seq temporal.Seq, center, delta temporal.Timestamp) temporal.Seq {
-	return seq.Slice(seq.LowerBoundTime(center-delta), seq.UpperBoundTime(center+delta))
-}
-
-func span3(a, b, c temporal.Timestamp) temporal.Timestamp {
-	lo, hi := a, a
-	if b < lo {
-		lo = b
-	}
-	if b > hi {
-		hi = b
-	}
-	if c < lo {
-		lo = c
-	}
-	if c > hi {
-		hi = c
-	}
-	return hi - lo
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hare/internal/brute"
+	"hare/internal/fast"
 	"hare/internal/higher"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -241,6 +242,39 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 			if sum != want {
 				t.Fatalf("spec %q: range partials sum %d, want %d", s, sum, want)
 			}
+		}
+	}
+}
+
+// PivotCount is the per-pivot unit samplers (internal/approx) evaluate one
+// draw at a time: summed over the whole pivot domain it must be Execute,
+// for a center plan and for an edge plan.
+func TestPivotCountSumsToExecute(t *testing.T) {
+	r := rand.New(rand.NewSource(404))
+	g := hubGraph(r, 12, 120, 80, 30)
+	scratch := fast.NewScratch()
+	for _, tc := range []struct {
+		text string
+		kind PlanKind
+	}{
+		{"c->x; y->c; c->z", PlanCenter},
+		{"a->b; b->c; c->a", PlanEdge},
+	} {
+		s, err := ParseSpec(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Compile(s)
+		if p.Kind() != tc.kind {
+			t.Fatalf("spec %q compiled to %v, want %v", s, p.Kind(), tc.kind)
+		}
+		var sum uint64
+		for id := 0; id < p.Domain(g); id++ {
+			sum += p.PivotCount(g, 15, id, scratch)
+		}
+		want := p.Execute(g, 15, Options{Workers: 2})
+		if want == 0 || sum != want {
+			t.Fatalf("spec %q: per-pivot sum %d, Execute %d (want equal and non-zero)", s, sum, want)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func (r *Request) normalize() (motif.Label, error) {
 			return motif.Label{}, err
 		}
 		if r.Samples == 0 {
-			r.Samples = 20
+			r.Samples = nullmodel.DefaultSamples
 		}
 		if r.Samples < 1 {
 			return motif.Label{}, fmt.Errorf("samples must be >= 1 (got %d)", r.Samples)

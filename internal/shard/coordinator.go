@@ -209,7 +209,7 @@ func (c *Coordinator) Significance(ctx context.Context, g *temporal.Graph, req s
 	}
 	samples := req.Samples
 	if samples <= 0 {
-		samples = 20
+		samples = nullmodel.DefaultSamples
 	}
 	real := engine.Count(g, temporal.Timestamp(req.Delta), engine.Options{Workers: req.Workers}).ToMatrix()
 	tasks := c.rangeTasks(req, g, samples)
