@@ -1,6 +1,7 @@
 package temporal_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 // A live read after one ingest batch, at the size serve-live reaches: a
 // 200k-edge wikitalk prefix already built, 1000 more edges to fold in.
-// BenchmarkExtend merges them; BenchmarkFromEdges builds the same graph
-// from scratch, the cost the merge is there to avoid.
+// BenchmarkExtend merges them; BenchmarkFromEdges/wikitalk builds the same
+// graph from scratch, the cost the merge is there to avoid.
 const extendBenchBase, extendBenchTail = 200_000, 1000
 
 var extendBenchInput = sync.OnceValues(func() (*temporal.Graph, []temporal.Edge) {
@@ -36,9 +37,18 @@ func BenchmarkExtend(b *testing.B) {
 
 func BenchmarkFromEdges(b *testing.B) {
 	_, edges := extendBenchInput()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchGraph = temporal.FromEdges(edges)
+	for _, in := range []struct {
+		name  string
+		edges []temporal.Edge
+	}{
+		{"wikitalk", edges},
+		{"hub", temporal.HubSkewedEdges(rand.New(rand.NewSource(6)), 40_000, len(edges))},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchGraph = temporal.FromEdges(in.edges)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package temporal
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -9,9 +11,11 @@ import (
 // Parallel graph finalisation: the column-level core behind
 // Builder.BuildParallel and the parallel loader. Every stage is a
 // deterministic reformulation of Builder.Build — a stable timestamp sort
-// via sorted segments merged left-to-right, a counting-sort CSR scatter
-// with per-(worker, node) bases, and per-node-range grouped-index
-// construction — so the resulting Graph is bit-identical to Build's.
+// (skipped for chronological input) via sorted segments merged
+// left-to-right, a counting-sort CSR scatter with per-(worker, node) bases,
+// and Build's own sort-free grouping pass, groupByTransposition, run per
+// destination-node range — so the resulting Graph is bit-identical to
+// Build's, in time linear in the edges whatever the degree skew.
 
 // minParallelBuildEdges is the edge count below which buildColumns runs
 // single-threaded; goroutine fan-out costs more than it saves there.
@@ -38,11 +42,7 @@ func (b *Builder) BuildParallel(workers int) *Graph {
 			src[i], dst[i], ts[i] = e.From, e.To, e.Time
 		}
 	})
-	n := 0
-	if m > 0 || b.maxNode > 0 {
-		n = int(b.maxNode) + 1
-	}
-	return buildColumns(src, dst, ts, n, b.selfLoops, workers)
+	return buildColumns(src, dst, ts, int(b.maxNode)+1, b.selfLoops, workers) // m > 0 here
 }
 
 // buildColumns finalises a Graph from input-order edge columns. src/dst/ts
@@ -67,71 +67,21 @@ func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops
 	n := numNodes
 	g := &Graph{numNodes: n, selfLoops: selfLoops}
 
-	// Stable sort by timestamp: sort contiguous segments concurrently by
-	// (time, input index) — a total order, so the faster non-stable sort is
-	// safe — then merge pairs level by level. A left segment holds only
-	// smaller input indices than its right neighbour, so taking the left
-	// element on timestamp ties keeps the merge stable.
-	perm := make([]int32, m)
-	parallelRanges(m, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			perm[i] = int32(i)
-		}
-	})
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * m / workers
-	}
-	runConcurrently(workers, func(w int) {
-		seg := perm[bounds[w]:bounds[w+1]]
-		sort.Slice(seg, func(a, b int) bool {
-			ta, tb := ts[seg[a]], ts[seg[b]]
-			return ta < tb || (ta == tb && seg[a] < seg[b])
-		})
-	})
-	tmp := make([]int32, m)
-	for len(bounds) > 2 {
-		pairs := (len(bounds) - 1) / 2
-		nb := make([]int, 0, pairs+2)
-		nb = append(nb, 0)
-		runConcurrently(pairs, func(p int) {
-			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				a, b := perm[i], perm[j]
-				if ts[a] <= ts[b] { // tie → left, preserving input order
-					tmp[k] = a
-					i++
-				} else {
-					tmp[k] = b
-					j++
-				}
-				k++
+	// EdgeID order is the stable sort by timestamp: chronological input, as
+	// every dataset file of the paper is, keeps its columns as they are.
+	g.src, g.dst, g.ts = src, dst, ts
+	if !slices.IsSorted(ts) {
+		perm := sortedPermByTime(ts, workers)
+		g.src = make([]NodeID, m)
+		g.dst = make([]NodeID, m)
+		g.ts = make([]Timestamp, m)
+		parallelRanges(m, workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				p := perm[i]
+				g.src[i], g.dst[i], g.ts[i] = src[p], dst[p], ts[p]
 			}
-			copy(tmp[k:hi], perm[i:mid])
-			copy(tmp[k+(mid-i):hi], perm[j:hi])
 		})
-		for p := 0; p < pairs; p++ {
-			nb = append(nb, bounds[2*p+2])
-		}
-		if len(bounds)%2 == 0 { // odd segment count: carry the last as is
-			copy(tmp[bounds[len(bounds)-2]:], perm[bounds[len(bounds)-2]:])
-			nb = append(nb, bounds[len(bounds)-1])
-		}
-		perm, tmp = tmp, perm
-		bounds = nb
 	}
-
-	// Scatter the edge columns into EdgeID order.
-	g.src = make([]NodeID, m)
-	g.dst = make([]NodeID, m)
-	g.ts = make([]Timestamp, m)
-	parallelRanges(m, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := perm[i]
-			g.src[i], g.dst[i], g.ts[i] = src[p], dst[p], ts[p]
-		}
-	})
 
 	// CSR incident index as a parallel counting sort: per-(worker, node)
 	// counts over contiguous EdgeID ranges, then exclusive bases so worker
@@ -199,44 +149,33 @@ func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops
 		}
 	})
 
-	// Grouped per-pair index, built per node range: each range is a
-	// contiguous slice of the half-edge columns, so workers never touch the
-	// same cache lines. Ranges are balanced by half-edge count.
+	// Grouped per-pair index by transposition, partitioned by destination:
+	// each worker owns a node range balanced by half-edge count, scans the
+	// whole incident index and writes only its own nodes' spans and cursors,
+	// so a hub costs its owner O(d), not a sort. The incident stage's
+	// scratch is dead by now and serves as the cursors.
 	nbounds := nodeRangesByWeight(g.incOff, workers)
 	nranges := len(nbounds) - 1
 	g.grpID = make([]EdgeID, h)
 	g.grpTime = make([]Timestamp, h)
 	g.grpOther = make([]NodeID, h)
 	g.grpOut = make([]bool, h)
-	perm2 := make([]int32, h)
-	nbrCnt := make([]int, n)
+	g.nbrOff = make([]int, n+1)
 	runConcurrently(nranges, func(r int) {
+		g.groupByTransposition(cnt[:n], nbounds[r], nbounds[r+1])
 		for u := nbounds[r]; u < nbounds[r+1]; u++ {
 			lo, hi := g.incOff[u], g.incOff[u+1]
-			span := perm2[lo:hi]
-			for i := range span {
-				span[i] = int32(lo + i)
-			}
-			sort.SliceStable(span, func(a, b int) bool {
-				return g.incOther[span[a]] < g.incOther[span[b]]
-			})
 			k := 0
 			for j := lo; j < hi; j++ {
-				p := span[j-lo]
-				g.grpID[j] = g.incID[p]
-				g.grpTime[j] = g.incTime[p]
-				g.grpOther[j] = g.incOther[p]
-				g.grpOut[j] = g.incOut[p]
 				if j == lo || g.grpOther[j] != g.grpOther[j-1] {
 					k++
 				}
 			}
-			nbrCnt[u] = k
+			g.nbrOff[u+1] = k
 		}
 	})
-	g.nbrOff = make([]int, n+1)
 	for u := 0; u < n; u++ {
-		g.nbrOff[u+1] = g.nbrOff[u] + nbrCnt[u]
+		g.nbrOff[u+1] += g.nbrOff[u]
 	}
 	nk := g.nbrOff[n]
 	g.nbrKey = make([]NodeID, nk)
@@ -258,18 +197,72 @@ func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops
 	return g
 }
 
-// buildColumnsSeq is buildColumns through the sequential Builder, the
-// reference the parallel path must match.
+// sortedPermByTime returns the stable sort of [0, len(ts)) by timestamp:
+// contiguous segments sorted concurrently by (time, input index) — a total
+// order, so the faster non-stable sort is safe — then merged in pairs level
+// by level. A left segment holds only smaller input indices than its right
+// neighbour, so taking the left element on timestamp ties keeps the merge
+// stable.
+func sortedPermByTime(ts []Timestamp, workers int) []int32 {
+	m := len(ts)
+	perm := make([]int32, m)
+	bounds := make([]int, workers+1)
+	for w := 0; w <= workers; w++ {
+		bounds[w] = w * m / workers
+	}
+	runConcurrently(workers, func(w int) {
+		seg := perm[bounds[w]:bounds[w+1]]
+		for i := range seg {
+			seg[i] = int32(bounds[w] + i)
+		}
+		slices.SortFunc(seg, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(ts[a], ts[b]), cmp.Compare(a, b))
+		})
+	})
+	tmp := make([]int32, m)
+	for len(bounds) > 2 {
+		pairs := (len(bounds) - 1) / 2
+		nb := make([]int, 0, pairs+2)
+		nb = append(nb, 0)
+		runConcurrently(pairs, func(p int) {
+			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				a, b := perm[i], perm[j]
+				if ts[a] <= ts[b] { // tie → left, preserving input order
+					tmp[k] = a
+					i++
+				} else {
+					tmp[k] = b
+					j++
+				}
+				k++
+			}
+			copy(tmp[k:hi], perm[i:mid])
+			copy(tmp[k+(mid-i):hi], perm[j:hi])
+		})
+		for p := 0; p < pairs; p++ {
+			nb = append(nb, bounds[2*p+2])
+		}
+		if len(bounds)%2 == 0 { // odd segment count: carry the last as is
+			copy(tmp[bounds[len(bounds)-2]:], perm[bounds[len(bounds)-2]:])
+			nb = append(nb, bounds[len(bounds)-1])
+		}
+		perm, tmp = tmp, perm
+		bounds = nb
+	}
+	return perm
+}
+
+// buildColumnsSeq is buildColumns through Builder.Build's sequential core,
+// the reference the parallel path must match.
 func buildColumnsSeq(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops int) *Graph {
-	b := NewBuilder(len(ts))
+	edges := make([]Edge, len(ts))
 	for i := range ts {
-		b.edges = append(b.edges, Edge{From: src[i], To: dst[i], Time: ts[i]})
+		edges[i] = Edge{From: src[i], To: dst[i], Time: ts[i]}
 	}
-	if numNodes > 0 {
-		b.maxNode = NodeID(numNodes - 1)
-	}
-	b.selfLoops = selfLoops
-	return b.Build()
+	var rb Rebuilder
+	return rb.build(edges, selfLoops, NodeID(max(numNodes-1, 0)))
 }
 
 // nodeRangesByWeight splits [0, n) into up to `workers` contiguous ranges

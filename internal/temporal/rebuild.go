@@ -10,6 +10,8 @@ import (
 // derive many same-sized graphs from one base graph — null-model ensembles
 // permute the ts column or rewire the dst column and recount — where a
 // FromEdges call per sample would allocate a full set of columns each time.
+// After the time sort a rebuild is three linear passes (incident scatter,
+// groupByTransposition, group boundaries), insensitive to degree skew.
 //
 // The graph returned by Rebuild aliases the Rebuilder's storage: the next
 // Rebuild call overwrites it. Callers that need the result to outlive the
@@ -18,9 +20,8 @@ import (
 //
 // The zero value is ready to use.
 type Rebuilder struct {
-	g    *Graph
-	perm []int32
-	cur  []int
+	g   *Graph
+	cur []int
 }
 
 // Rebuild sorts edges by time (stably, in place — the caller's slice is
@@ -55,9 +56,8 @@ func (rb *Rebuilder) Rebuild(edges []Edge) *Graph {
 // free of self-loops and negative IDs, with maxNode their largest node ID.
 // It reuses rb's storage wherever capacities allow.
 func (rb *Rebuilder) build(edges []Edge, selfLoops int, maxNode NodeID) *Graph {
-	// slices.SortStableFunc rather than sort.SliceStable: same stable
-	// ordering, but no reflection swapper, so repeated rebuilds stay
-	// allocation free.
+	// Stable, so timestamp ties keep input order; the slices package has no
+	// reflection swapper, so repeated rebuilds stay allocation free.
 	slices.SortStableFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) })
 
 	m := len(edges)
@@ -110,31 +110,13 @@ func (rb *Rebuilder) build(edges []Edge, selfLoops int, maxNode NodeID) *Graph {
 		g.incID[p], g.incTime[p], g.incOther[p], g.incOut[p] = id, t, u, false
 	}
 
-	// Grouped per-pair index: within each node's incident span, stably
-	// re-sort a permutation by neighbor (stability preserves EdgeID order
-	// inside each group), gather into the grp columns, then record group
-	// boundaries as (neighbor key, offset) pairs.
-	rb.perm = grow(rb.perm, h)
-	perm := rb.perm
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	for u := 0; u < n; u++ {
-		span := perm[g.incOff[u]:g.incOff[u+1]]
-		slices.SortStableFunc(span, func(a, b int32) int {
-			return cmp.Compare(g.incOther[a], g.incOther[b])
-		})
-	}
+	// Grouped per-pair index: transpose the incident index into the grp
+	// columns, then record group boundaries as (neighbor key, offset) pairs.
 	g.grpID = grow(g.grpID, h)
 	g.grpTime = grow(g.grpTime, h)
 	g.grpOther = grow(g.grpOther, h)
 	g.grpOut = grow(g.grpOut, h)
-	for j, p := range perm {
-		g.grpID[j] = g.incID[p]
-		g.grpTime[j] = g.incTime[p]
-		g.grpOther[j] = g.incOther[p]
-		g.grpOut[j] = g.incOut[p]
-	}
+	g.groupByTransposition(cur, 0, n)
 	g.nbrOff = grow(g.nbrOff, n+1)
 	g.nbrKey = g.nbrKey[:0]
 	g.grpOff = g.grpOff[:0]
@@ -151,6 +133,30 @@ func (rb *Rebuilder) build(edges []Edge, selfLoops int, maxNode NodeID) *Graph {
 	g.nbrOff[n] = len(g.nbrKey)
 	g.grpOff = append(g.grpOff, h)
 	return g
+}
+
+// groupByTransposition fills the grp columns of nodes [lo, hi) from the
+// incident index: the one routine behind every builder's grouped per-pair
+// index. It is a sparse-matrix transposition (Gustavson 1978): visiting
+// nodes v in ascending order and S_v in EdgeID order, each half-edge
+// (v, other=u) is appended at u's cursor as (u, other=v), direction flipped.
+// u's span so fills grouped by neighbor ascending and EdgeID-sorted inside
+// each group, in O(h) with no comparison, whatever the degree skew. A call
+// writes only cur[lo:hi] (scratch) and the spans of [lo, hi), so calls on
+// disjoint ranges may run concurrently, with a scheduling-independent result.
+func (g *Graph) groupByTransposition(cur []int, lo, hi int) {
+	copy(cur[lo:hi], g.incOff[lo:hi])
+	for v := 0; v < g.numNodes; v++ {
+		for j := g.incOff[v]; j < g.incOff[v+1]; j++ {
+			u := int(g.incOther[j])
+			if u < lo || u >= hi {
+				continue
+			}
+			p := cur[u]
+			cur[u]++
+			g.grpID[p], g.grpTime[p], g.grpOther[p], g.grpOut[p] = g.incID[j], g.incTime[j], NodeID(v), !g.incOut[j]
+		}
+	}
 }
 
 // grow returns s resized to n elements, reusing its backing array when the
