@@ -66,8 +66,10 @@ type Path4Label = higher.PathLabel
 // CountPath4 exactly counts the 4-node, 3-edge path motifs in g (edges
 // a–b, b–c, c–d over four distinct nodes within δ). Together with
 // CountStar4 this covers every connected 4-node 3-edge motif. Counting
-// parallelises over middle edges — WithWorkers and WithDegreeThreshold
-// apply as in CountStar4.
+// parallelises over middle edges in plain dynamic chunks — WithWorkers
+// applies; WithDegreeThreshold steers node pivots only and has no effect
+// here (a middle edge costs the sum of its endpoints' δ-windows, so hubs need
+// no stage of their own).
 func CountPath4(g *Graph, delta Timestamp, opts ...Option) (Path4Counter, error) {
 	if g == nil {
 		return Path4Counter{}, errNilGraph

@@ -1,6 +1,7 @@
 package hare_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -46,5 +47,62 @@ func TestCountPath4API(t *testing.T) {
 	}
 	if _, err := hare.CountPath4(g, -1); err == nil || !strings.Contains(err.Error(), "(-1)") {
 		t.Fatalf("want an error naming the negative δ, got %v", err)
+	}
+}
+
+// δ is any non-negative int64 and the server passes it through unchecked, so
+// a window bound written t ± δ wraps around for huge δ and silently drops
+// instances. Every family must give its δ = span answer for every δ beyond
+// the span, up to MaxInt64 — on the five-edge graph where path4 once
+// answered 6, 4, 1 and 0, and on the same graph shifted below zero, where
+// t − δ is the bound that wraps.
+func TestHugeDeltaCountsEverything(t *testing.T) {
+	tri, err := hare.ParseSpec("a->b; b->c; c->a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shift := range []hare.Timestamp{0, -1000} {
+		g := hare.FromEdges([]hare.Edge{
+			{From: 0, To: 1, Time: 10 + shift},
+			{From: 1, To: 2, Time: 20 + shift},
+			{From: 2, To: 3, Time: 30 + shift},
+			{From: 3, To: 0, Time: 40 + shift},
+			{From: 2, To: 0, Time: 50 + shift},
+		})
+		const span = 40
+		type answer struct {
+			matrix hare.Matrix
+			star4  hare.Star4Counter
+			path4  hare.Path4Counter
+			tri    uint64
+		}
+		count := func(delta hare.Timestamp) (a answer) {
+			res, err := hare.Count(g, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.matrix = res.Matrix
+			if a.star4, err = hare.CountStar4(g, delta); err != nil {
+				t.Fatal(err)
+			}
+			if a.path4, err = hare.CountPath4(g, delta); err != nil {
+				t.Fatal(err)
+			}
+			if a.tri, err = hare.CountMotif(g, tri, delta); err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		want := count(span)
+		if want.path4.Total() != 6 || want.tri != 1 || want.matrix.Total() == 0 {
+			t.Fatalf("shift %d: δ=span counts path4 %d, triangle spec %d, 36 motifs %d; want 6, 1, > 0",
+				shift, want.path4.Total(), want.tri, want.matrix.Total())
+		}
+		for _, delta := range []hare.Timestamp{span + 1, 1000, math.MaxInt64 - 1045, math.MaxInt64 - 45,
+			math.MaxInt64 - 15, math.MaxInt64 - 1, math.MaxInt64} {
+			if got := count(delta); got != want {
+				t.Errorf("shift %d δ=%d: got %+v, want the δ=span answer %+v", shift, delta, got, want)
+			}
+		}
 	}
 }

@@ -78,8 +78,8 @@ func EstimateStrata(g *temporal.Graph, k Kernel, delta temporal.Timestamp, plan 
 	scratch := make([]*fast.Scratch, workers)
 	bufs := make([][]float64, workers)
 	for w := range scratch {
-		scratch[w] = fast.NewScratch()
-		scratch[w].Grow(g.NumNodes())
+		scratch[w] = fast.GetScratch(g.NumNodes())
+		defer fast.PutScratch(scratch[w])
 		bufs[w] = make([]float64, series)
 	}
 	engine.Dispatch(workers, 1, hi-lo, func(w, a, b int) {

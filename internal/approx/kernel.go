@@ -53,7 +53,9 @@ func (StarKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scra
 }
 
 // PathKernel samples 4-node paths by structural-middle edge. Weight is
-// d(src)·d(dst) — the window-pair bound on the per-middle-edge scan.
+// d(src)·d(dst): a proxy for the tally's variance (a middle edge can host up
+// to one path per pair of legs), not for the evaluation's cost, which the
+// pair sweep made linear in the two windows.
 type PathKernel struct{}
 
 // Cells implements Kernel: the full 48-slot path counter (24 canonical
@@ -70,9 +72,9 @@ func (PathKernel) Weight(g *temporal.Graph, id int) float64 {
 }
 
 // Eval implements Kernel via the exact per-middle-edge counter.
-func (PathKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, _ *fast.Scratch, out []float64) {
+func (PathKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64) {
 	var pc higher.PathCounter
-	higher.CountPathMiddle(g, temporal.EdgeID(id), delta, &pc)
+	higher.CountPathMiddle(g, temporal.EdgeID(id), delta, scratch, &pc)
 	for i := range pc {
 		out[i] = float64(pc[i])
 	}

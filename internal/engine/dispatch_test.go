@@ -80,74 +80,69 @@ func TestSweepDeliversEachPivotOnce(t *testing.T) {
 			for _, thrd := range []int{0, 1, -1} {
 				for _, chunk := range []int{0, 1, 3} {
 					for _, sched := range []engine.Schedule{engine.ScheduleDynamic, engine.ScheduleStatic} {
-						for _, withHeavy := range []bool{true, false} {
-							opts := engine.Options{Workers: workers, DegreeThreshold: thrd, ChunkSize: chunk, Schedule: sched}
-							name := fmt.Sprintf("trial %d [%d,%d) %+v heavy=%v", trial, lo, hi, opts, withHeavy)
-							var mu sync.Mutex
-							lightCalls := make([]int, g.NumNodes())
-							slices := make([][]slice, g.NumNodes())
-							var order []int
-							caller, offCaller := goroutineID(), false
-							seen := func(w int) {
-								if w < 0 || w >= workers {
-									t.Errorf("%s: worker id %d out of range", name, w)
-								}
-								if workers == 1 && goroutineID() != caller {
-									offCaller = true
-								}
+						opts := engine.Options{Workers: workers, DegreeThreshold: thrd, ChunkSize: chunk, Schedule: sched}
+						name := fmt.Sprintf("trial %d [%d,%d) %+v", trial, lo, hi, opts)
+						var mu sync.Mutex
+						lightCalls := make([]int, g.NumNodes())
+						slices := make([][]slice, g.NumNodes())
+						var order []int
+						caller, offCaller := goroutineID(), false
+						seen := func(w int) {
+							if w < 0 || w >= workers {
+								t.Errorf("%s: worker id %d out of range", name, w)
 							}
-							light := func(w, id int) {
-								seen(w)
-								mu.Lock()
-								lightCalls[id]++
-								order = append(order, id)
-								mu.Unlock()
+							if workers == 1 && goroutineID() != caller {
+								offCaller = true
 							}
-							var heavy func(w, id, from, to int)
-							if withHeavy {
-								heavy = func(w, id, from, to int) {
-									seen(w)
-									mu.Lock()
-									slices[id] = append(slices[id], slice{from, to})
-									mu.Unlock()
-								}
-							}
-							engine.Sweep(g, opts, lo, hi, degree, light, heavy)
+						}
+						light := func(w, id int) {
+							seen(w)
+							mu.Lock()
+							lightCalls[id]++
+							order = append(order, id)
+							mu.Unlock()
+						}
+						heavy := func(w, id, from, to int) {
+							seen(w)
+							mu.Lock()
+							slices[id] = append(slices[id], slice{from, to})
+							mu.Unlock()
+						}
+						engine.Sweep(g, opts, lo, hi, degree, light, heavy)
 
-							if offCaller {
-								t.Fatalf("%s: one worker ran off the caller's goroutine", name)
+						if offCaller {
+							t.Fatalf("%s: one worker ran off the caller's goroutine", name)
+						}
+						if workers == 1 && !sort.IntsAreSorted(order) {
+							t.Fatalf("%s: one worker delivered out of order: %v", name, order)
+						}
+						for id := 0; id < g.NumNodes(); id++ {
+							d := degree(id)
+							want := 0
+							if id >= lo && id < hi && d >= 0 {
+								want = 1
 							}
-							if workers == 1 && !sort.IntsAreSorted(order) {
-								t.Fatalf("%s: one worker delivered out of order: %v", name, order)
+							if len(slices[id]) == 0 {
+								if lightCalls[id] != want {
+									t.Fatalf("%s: pivot %d (degree %d) delivered %d times, want %d",
+										name, id, d, lightCalls[id], want)
+								}
+								continue
 							}
-							for id := 0; id < g.NumNodes(); id++ {
-								d := degree(id)
-								want := 0
-								if id >= lo && id < hi && d >= 0 {
-									want = 1
-								}
-								if len(slices[id]) == 0 {
-									if lightCalls[id] != want {
-										t.Fatalf("%s: pivot %d (degree %d) delivered %d times, want %d",
-											name, id, d, lightCalls[id], want)
-									}
-									continue
-								}
-								if want == 0 || lightCalls[id] != 0 || workers == 1 {
-									t.Fatalf("%s: pivot %d (degree %d) got %d light calls and slices %v",
-										name, id, d, lightCalls[id], slices[id])
-								}
-								sort.Slice(slices[id], func(a, b int) bool { return slices[id][a].from < slices[id][b].from })
-								next := 0
-								for _, s := range slices[id] {
-									if s.from != next || s.to <= s.from {
-										t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
-									}
-									next = s.to
-								}
-								if next != d {
+							if want == 0 || lightCalls[id] != 0 || workers == 1 {
+								t.Fatalf("%s: pivot %d (degree %d) got %d light calls and slices %v",
+									name, id, d, lightCalls[id], slices[id])
+							}
+							sort.Slice(slices[id], func(a, b int) bool { return slices[id][a].from < slices[id][b].from })
+							next := 0
+							for _, s := range slices[id] {
+								if s.from != next || s.to <= s.from {
 									t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
 								}
+								next = s.to
+							}
+							if next != d {
+								t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
 							}
 						}
 					}
@@ -158,8 +153,7 @@ func TestSweepDeliversEachPivotOnce(t *testing.T) {
 }
 
 // With a threshold of 1 and more than one worker every pivot of degree > 1
-// is heavy: the intra-pivot stage must actually run when a callback is
-// given, and fall back to one light call per pivot when it is not.
+// is heavy: the intra-pivot stage must actually run.
 func TestSweepHeavyStage(t *testing.T) {
 	g := skewedGraph(rand.New(rand.NewSource(8)), 30, 500, 100)
 	opts := engine.Options{Workers: 4, DegreeThreshold: 1}
@@ -173,15 +167,11 @@ func TestSweepHeavyStage(t *testing.T) {
 		}
 	}
 	var lightN, slicedN atomic.Int64
-	light := func(w, id int) { lightN.Add(1) }
-	engine.Sweep(g, opts, 0, g.NumNodes(), degree, light, func(w, id, from, to int) { slicedN.Add(int64(to - from)) })
+	engine.Sweep(g, opts, 0, g.NumNodes(), degree,
+		func(w, id int) { lightN.Add(1) },
+		func(w, id, from, to int) { slicedN.Add(int64(to - from)) })
 	if wantSliced == 0 || lightN.Load() != wantLight || slicedN.Load() != wantSliced {
-		t.Fatalf("with a heavy callback: %d light calls, %d first-edge indices sliced (want %d, %d > 0)",
+		t.Fatalf("%d light calls, %d first-edge indices sliced (want %d, %d > 0)",
 			lightN.Load(), slicedN.Load(), wantLight, wantSliced)
-	}
-	lightN.Store(0)
-	engine.Sweep(g, opts, 0, g.NumNodes(), degree, light, nil)
-	if lightN.Load() != int64(g.NumNodes()) {
-		t.Fatalf("without one: %d light calls, want %d", lightN.Load(), g.NumNodes())
 	}
 }

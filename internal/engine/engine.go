@@ -4,19 +4,20 @@
 // Two cooperating strategies (paper §IV-C), both inside Sweep:
 //
 //   - inter-node parallelism: workers dynamically pull chunks of pivots
-//     (center nodes here, middle edges in package higher) from a shared
-//     atomic cursor (the analogue of OpenMP dynamic scheduling);
+//     (center nodes) from a shared atomic cursor (the analogue of OpenMP
+//     dynamic scheduling);
 //   - intra-node parallelism: pivots whose temporal degree exceeds a
 //     threshold thrd are processed one at a time, with the first-edge loop
 //     of Algorithms 1/2 split across workers.
 //
 // Sweep is the only two-stage schedule in the repository and Options the
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
-// motifs, below), higher.CountStar4Range and higher.ForEdgesRange (and
-// through it higher.CountPath4Range and query's edge plans); a change to how
-// work is scheduled is an edit to Sweep. Dispatch, the flat chunked loop
-// underneath, is exported for the two loops that have no heavy stage
-// (nullmodel.SampleMatrices, approx.EstimateStrata).
+// motifs, below) and higher.CountStar4Range: the node pivots, whose cost
+// grows with a power of the degree; a change to how work is scheduled is an
+// edit to Sweep. Dispatch, the flat chunked loop underneath, is exported for
+// the loops that have no heavy stage (higher.ForEdgesRange and through it
+// path4 and query's edge plans, whose per-edge cost is linear in the
+// endpoints' δ-windows; nullmodel.SampleMatrices; approx.EstimateStrata).
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable
@@ -83,7 +84,9 @@ func (o Options) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) chunk() int {
+// Chunk resolves Options.ChunkSize to the pivots per dynamic work unit a run
+// actually uses (<= 0 selects 64).
+func (o Options) Chunk() int {
 	if o.ChunkSize > 0 {
 		return o.ChunkSize
 	}
@@ -176,12 +179,10 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 // cursor (ScheduleStatic: one contiguous block per worker instead) and calls
 // light(worker, id) for every light pivot, setting the heavy ones aside.
 //
-// Stage 2 runs after every light pivot has finished. With a heavy callback,
-// heavy pivots go one at a time, each split into small dynamic slices:
-// heavy(worker, id, from, to) is called with slices that partition
-// [0, degree(id)) — the first-edge range of a center node. With heavy nil,
-// each heavy pivot is its own work unit for light, so no worker inherits a
-// contiguous block of hubs.
+// Stage 2 runs after every light pivot has finished. Heavy pivots go one at
+// a time, each split into small dynamic slices: heavy(worker, id, from, to)
+// is called with slices that partition [0, degree(id)) — the first-edge
+// range of a center node.
 //
 // Every non-skipped pivot is delivered exactly once, which is what keeps
 // per-pivot integer tallies bit-identical at any setting. Callbacks run
@@ -203,7 +204,7 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 			thrd = t
 		}
 	}
-	chunk := opts.chunk()
+	chunk := opts.Chunk()
 	if opts.Schedule == ScheduleStatic {
 		chunk = (n + workers - 1) / workers
 	}
@@ -224,10 +225,6 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 	var hubs []int
 	for _, ids := range deferred {
 		hubs = append(hubs, ids...)
-	}
-	if heavy == nil {
-		Dispatch(workers, 1, len(hubs), func(w, i, _ int) { light(w, hubs[i]) })
-		return
 	}
 	for _, id := range hubs {
 		// First-edge iterations near the start of a sequence dominate (longer

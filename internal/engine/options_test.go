@@ -15,7 +15,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if (Options{Workers: 3}).EffectiveWorkers() != 3 {
 		t.Fatal("explicit workers ignored")
 	}
-	if (Options{}).chunk() != 64 || (Options{ChunkSize: 7}).chunk() != 7 {
+	if (Options{}).Chunk() != 64 || (Options{ChunkSize: 7}).Chunk() != 7 {
 		t.Fatal("chunk defaults wrong")
 	}
 	g := temporal.FromEdges([]temporal.Edge{{From: 0, To: 1, Time: 0}})

@@ -37,20 +37,20 @@ func TestSteadyStateZeroAllocsPerCenter(t *testing.T) {
 func TestScratchEpochWrap(t *testing.T) {
 	s := NewScratch()
 	s.Grow(4)
-	s.bump(2, true)
-	if _, cout := s.vals(2); cout != 1 {
+	s.Bump(2, true)
+	if _, cout := s.Vals(2); cout != 1 {
 		t.Fatal("bump not visible")
 	}
 	// Force a wrap: set the epoch to its maximum and reset twice.
 	s.epoch = ^uint32(0) - 1
-	s.bump(3, false)
-	s.reset() // -> MaxUint32
-	s.reset() // wraps -> clears marks, epoch 1
-	if cin, cout := s.vals(3); cin != 0 || cout != 0 {
+	s.Bump(3, false)
+	s.Reset() // -> MaxUint32
+	s.Reset() // wraps -> clears marks, epoch 1
+	if cin, cout := s.Vals(3); cin != 0 || cout != 0 {
 		t.Fatalf("stale counters survived the epoch wrap: (%d,%d)", cin, cout)
 	}
-	s.bump(3, false)
-	if cin, _ := s.vals(3); cin != 1 {
+	s.Bump(3, false)
+	if cin, _ := s.Vals(3); cin != 1 {
 		t.Fatal("bump after wrap not visible")
 	}
 }

@@ -30,6 +30,8 @@
 package fast
 
 import (
+	"sync"
+
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
@@ -55,6 +57,25 @@ func NewScratch() *Scratch {
 	return &Scratch{epoch: 1}
 }
 
+// scratchPool recycles scratches between requests: a scratch is 20 bytes per
+// node, and a server that allocated one per worker per request would hand
+// the collector megabytes for every count it serves.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
+// GetScratch returns a scratch covering node IDs in [0, n) from the
+// package's pool; hand it back with PutScratch. A recycled scratch keeps its
+// arrays and its epoch, so whatever its last user left behind is stale to the
+// next one after the first Reset (every counting routine starts with one).
+func GetScratch(n int) *Scratch {
+	s := scratchPool.Get().(*Scratch)
+	s.Grow(n)
+	return s
+}
+
+// PutScratch returns a scratch obtained from GetScratch to the pool. The
+// caller must not use it afterwards.
+func PutScratch(s *Scratch) { scratchPool.Put(s) }
+
 // Grow ensures the scratch covers node IDs in [0, n).
 func (s *Scratch) Grow(n int) {
 	if n <= len(s.mark) {
@@ -74,8 +95,8 @@ func (s *Scratch) Grow(n int) {
 	s.mark = mark
 }
 
-// reset invalidates every slot in O(1) by advancing the epoch.
-func (s *Scratch) reset() {
+// Reset invalidates every slot in O(1) by advancing the epoch.
+func (s *Scratch) Reset() {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: marks from 2^32 scans ago could alias
 		clear(s.mark)
@@ -83,18 +104,18 @@ func (s *Scratch) reset() {
 	}
 }
 
-// vals returns the live (m_in, m_out) counters for node u (zero when the
+// Vals returns the live (m_in, m_out) counters for node u (zero when the
 // slot is stale or out of range).
-func (s *Scratch) vals(u temporal.NodeID) (cin, cout uint64) {
+func (s *Scratch) Vals(u temporal.NodeID) (cin, cout uint64) {
 	if int(u) < len(s.mark) && s.mark[u] == s.epoch {
 		return s.in[u], s.out[u]
 	}
 	return 0, 0
 }
 
-// bump increments m_out (out == true) or m_in for node u, reviving a stale
+// Bump increments m_out (out == true) or m_in for node u, reviving a stale
 // slot first.
-func (s *Scratch) bump(u temporal.NodeID, out bool) {
+func (s *Scratch) Bump(u temporal.NodeID, out bool) {
 	if int(u) >= len(s.mark) {
 		s.Grow(int(u) + 1)
 	}
@@ -133,7 +154,7 @@ func CountStarPairRange(su temporal.Seq, delta temporal.Timestamp,
 	for i := from; i < to; i++ {
 		t1, o1 := times[i], others[i]
 		d1 := motif.DirOf(outs[i])
-		s.reset()
+		s.Reset()
 		var nIn, nOut uint64 // #e_in, #e_out: middle-edge candidates so far
 		for j := i + 1; j < n; j++ {
 			if times[j]-t1 > delta {
@@ -142,24 +163,24 @@ func CountStarPairRange(su temporal.Seq, delta temporal.Timestamp,
 			o3 := others[j]
 			d3 := motif.DirOf(outs[j])
 			if o3 == o1 {
-				cin, cout := s.vals(o1)
+				cin, cout := s.Vals(o1)
 				counts.Pair[motif.PairIndex(d1, motif.In, d3)] += cin
 				counts.Pair[motif.PairIndex(d1, motif.Out, d3)] += cout
 				counts.Star[motif.StarIndex(motif.StarII, d1, motif.In, d3)] += nIn - cin
 				counts.Star[motif.StarIndex(motif.StarII, d1, motif.Out, d3)] += nOut - cout
 			} else {
-				cin3, cout3 := s.vals(o3)
-				cin1, cout1 := s.vals(o1)
+				cin3, cout3 := s.Vals(o3)
+				cin1, cout1 := s.Vals(o1)
 				counts.Star[motif.StarIndex(motif.StarI, d1, motif.In, d3)] += cin3
 				counts.Star[motif.StarIndex(motif.StarI, d1, motif.Out, d3)] += cout3
 				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.In, d3)] += cin1
 				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.Out, d3)] += cout1
 			}
 			if outs[j] {
-				s.bump(o3, true)
+				s.Bump(o3, true)
 				nOut++
 			} else {
-				s.bump(o3, false)
+				s.Bump(o3, false)
 				nIn++
 			}
 		}
@@ -226,12 +247,13 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 			}
 			// Only edges with t_k >= t_j − δ can participate (Triangle-I
 			// needs t_j − t_k ≤ δ; types II/III start at t_i ≥ t_j − δ).
+			// Compared as a difference: t_j − δ overflows for huge δ.
 			bTimes := between.Time
-			minT := times[j] - delta
+			tj := times[j]
 			lo, hi := 0, bn
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
-				if bTimes[mid] < minT {
+				if tj-bTimes[mid] > delta {
 					lo = mid + 1
 				} else {
 					hi = mid

@@ -19,14 +19,15 @@
 // embarrassingly parallel over centers (each 4-node star has a unique
 // center).
 //
-// The package has no scheduler of its own. The parallel counters
-// (parallel.go) are callers of engine.Sweep, HARE's two-stage schedule:
-// CountStar4Range sweeps center nodes with an intra-center split for hubs,
-// ForEdgesRange sweeps edges — for CountPath4Range and for the query
-// compiler's edge plans — with each hub-adjacent edge a work unit of its
-// own. Options converts to engine.Options in one place and resolves no
-// default itself. Count and CountPaths stay plain sequential loops: the
-// references the differential tests compare the scheduled counters to.
+// The package has no scheduler of its own. CountStar4Range is a caller of
+// engine.Sweep, HARE's two-stage schedule: it sweeps center nodes with an
+// intra-center split for hubs. ForEdgesRange sweeps edges — for
+// CountPath4Range and for the query compiler's edge plans — in the flat
+// dynamic chunks of engine.Dispatch, because an edge pivot's cost is linear
+// in its endpoints' δ-windows (sweep.go). Options converts to engine.Options
+// in one place and resolves no default itself. Count and CountPaths stay
+// plain sequential loops: the references the differential tests compare the
+// scheduled counters to.
 package higher
 
 import (
@@ -130,7 +131,7 @@ func countAllTriples(seq temporal.Seq, delta temporal.Timestamp, out *[8]uint64)
 	var c2 [4]uint64
 	start := 0
 	for k := 0; k < n; k++ {
-		for times[start] < times[k]-delta {
+		for times[k]-times[start] > delta {
 			x := int(motif.DirOf(outs[start]))
 			c1[x]--
 			c2[x<<1|0] -= c1[0]

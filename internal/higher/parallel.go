@@ -1,6 +1,8 @@
 package higher
 
 import (
+	"sort"
+
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/motif"
@@ -10,20 +12,22 @@ import (
 // Options configures the parallel higher-order counters. The zero value
 // means: one worker per CPU, automatic degree threshold (the HARE top-20
 // heuristic), default chunking. Both counters are exact at any setting —
-// the options only steer scheduling, and engine.Sweep is what they steer:
-// they are engine.Options without the static-schedule ablation.
+// the options only steer scheduling, engine.Sweep for node pivots and
+// engine.Dispatch for edge pivots: they are engine.Options without the
+// static-schedule ablation.
 type Options struct {
 	// Workers is the number of goroutines (<= 0 selects GOMAXPROCS; 1 runs
 	// everything on the caller's goroutine in ascending pivot order).
 	Workers int
 	// DegreeThreshold splits light from heavy work the same way the HARE
-	// engine does: centers (stars) or middle-edge endpoints (paths) with
-	// temporal degree strictly greater are scheduled with finer-grained
-	// parallelism. 0 selects the automatic top-20 heuristic; negative
-	// disables the heavy stage.
+	// engine does: centers with temporal degree strictly greater are
+	// scheduled with finer-grained parallelism. 0 selects the automatic
+	// top-20 heuristic; negative disables the heavy stage. It steers node
+	// pivots only (CountStar4Range, center plans): edge pivots have no heavy
+	// stage, see ForEdgesRange.
 	DegreeThreshold int
-	// ChunkSize is the number of light work items per dynamic work unit
-	// (default 64).
+	// ChunkSize is the number of light work items (centers, or edge pivots)
+	// per dynamic work unit (default 64).
 	ChunkSize int
 }
 
@@ -66,8 +70,8 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		scratch *fast.Scratch
 	}, eo.EffectiveWorkers())
 	for w := range parts {
-		parts[w].scratch = fast.NewScratch()
-		parts[w].scratch.Grow(g.NumNodes())
+		parts[w].scratch = fast.GetScratch(g.NumNodes())
+		defer fast.PutScratch(parts[w].scratch)
 	}
 	engine.Sweep(g, eo, max(lo, 0), min(hi, g.NumNodes()),
 		func(u int) int {
@@ -110,9 +114,10 @@ func countAllTriplesRange(seq temporal.Seq, delta temporal.Timestamp, out *[8]ui
 	times, outs := seq.Time, seq.Out
 	var c1 [2]uint64
 	var c2 [4]uint64
-	// Window start for k = lo, then replay the additions the sequential
-	// loop would have accumulated for indices [start, lo).
-	start := seq.LowerBoundTime(times[lo] - delta)
+	// Window start for k = lo (a binary search on the time difference:
+	// times[lo] − δ overflows for huge δ), then replay the additions the
+	// sequential loop would have accumulated for indices [start, lo).
+	start := sort.Search(lo, func(x int) bool { return times[lo]-times[x] <= delta })
 	for x := start; x < lo; x++ {
 		z := int(motif.DirOf(outs[x]))
 		c2[0<<1|z] += c1[0]
@@ -120,7 +125,7 @@ func countAllTriplesRange(seq temporal.Seq, delta temporal.Timestamp, out *[8]ui
 		c1[z]++
 	}
 	for k := lo; k < hi; k++ {
-		for times[start] < times[k]-delta {
+		for times[k]-times[start] > delta {
 			x := int(motif.DirOf(outs[start]))
 			c1[x]--
 			c2[x<<1|0] -= c1[0]
@@ -148,34 +153,60 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // lies in [lo, hi) (clamped to [0, NumEdges)). Every path instance has a
 // unique middle edge, so partial counters over any partition of the edge
 // IDs sum to CountPath4's full counter — the per-shard work unit of the
-// scatter/gather serving path (internal/shard).
+// scatter/gather serving path (internal/shard). The raw tallies of the pair
+// sweep (sweep.go) are merged first; the 24 labels are read off once.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
+	diff, _ := SweepEdgesRange(g, delta, opts, AllLegOrders, lo, hi)
 	var total PathCounter
-	perW := make([]PathCounter, opts.EffectiveWorkers())
-	ForEdgesRange(g, opts, lo, hi, func(w int, id temporal.EdgeID) {
-		countPathsMiddle(g, id, delta, &perW[w])
-	})
-	for w := range perW {
-		total.Add(&perW[w])
-	}
+	total.addPaths(&diff)
 	return total
 }
 
+// SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi) and
+// the given role orders under ForEdgesRange, each worker with a pooled
+// scratch and tallies of its own, and returns the merged tallies: leg pairs
+// with different far ends (4-node paths) and with the same one (triangles).
+// Cells are exact integers, so the sums do not depend on which worker met
+// which pivot. It is the range form of the sweep, for CountPath4Range and
+// the query compiler's path and triangle plans.
+func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, orders LegOrders, lo, hi int) (diff, same LegPairs) {
+	parts := make([]struct {
+		diff, same LegPairs
+		scratch    *fast.Scratch
+		_          [64]byte // keeps neighbouring workers off each other's cache lines
+	}, opts.EffectiveWorkers())
+	for w := range parts {
+		parts[w].scratch = fast.GetScratch(g.NumNodes())
+		defer fast.PutScratch(parts[w].scratch)
+	}
+	ForEdgesRange(g, opts, lo, hi, func(w int, id temporal.EdgeID) {
+		p := &parts[w]
+		CountLegPairs(g, id, delta, orders, p.scratch, &p.diff, &p.same)
+	})
+	for w := range parts {
+		diff.add(&parts[w].diff)
+		same.add(&parts[w].same)
+	}
+	return diff, same
+}
+
 // ForEdgesRange calls body exactly once per edge ID in [lo, hi) (clamped to
-// [0, NumEdges)). It is engine.Sweep over edge pivots, an edge's degree
-// being the larger of its endpoints': light edges are pulled in dynamic
-// chunks, and since the O(d(b)·d(c)) per-edge cost has no inner range to
-// split, each edge with a heavy endpoint (degree > thrd) is a work unit of
-// its own, after the light ones — no worker inherits a contiguous block of
-// hubs. body runs concurrently with itself; the worker id indexes
+// [0, NumEdges)), in dynamic chunks of Options.ChunkSize (engine.Dispatch).
+// The schedule is flat: an edge pivot costs the sum of its endpoints'
+// δ-windows under the pair sweep and at most a product of two such windows
+// under the query executor's nested scan, never a degree product, so a hub's
+// edges need no stage of their own and DegreeThreshold does not apply. body
+// runs concurrently with itself; the worker id indexes
 // [0, opts.EffectiveWorkers()) so callers can accumulate into per-worker
 // partials. With one worker, body runs on the caller's goroutine in
-// ascending ID order. Its callers are CountPath4Range and the query
-// compiler's edge-pivot plans (internal/query).
+// ascending ID order. Its callers are SweepEdgesRange and the query
+// compiler's nested-scan plans (internal/query).
 func ForEdgesRange(g *temporal.Graph, opts Options, lo, hi int, body func(worker int, id temporal.EdgeID)) {
-	src, dst := g.Src(), g.Dst()
-	engine.Sweep(g, opts.engine(), max(lo, 0), min(hi, g.NumEdges()),
-		func(id int) int { return max(g.Degree(src[id]), g.Degree(dst[id])) },
-		func(w, id int) { body(w, temporal.EdgeID(id)) },
-		nil)
+	lo, hi = max(lo, 0), min(hi, g.NumEdges())
+	eo := opts.engine()
+	engine.Dispatch(eo.EffectiveWorkers(), eo.Chunk(), hi-lo, func(w, start, end int) {
+		for id := lo + start; id < lo+end; id++ {
+			body(w, temporal.EdgeID(id))
+		}
+	})
 }

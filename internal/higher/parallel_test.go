@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hare/internal/engine"
+	"hare/internal/gen"
 	"hare/internal/temporal"
 )
 
@@ -177,6 +178,23 @@ func BenchmarkCountPath4(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				CountPath4(g, 2_000, Options{Workers: workers})
+			}
+		})
+	}
+	// On 400 nodes the dense per-node scratch sits in cache. The serving
+	// benchmark's traffic is wikitalk: 100k nodes, so every bump is a miss.
+	cfg, err := gen.DatasetByName("wikitalk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wiki, err := gen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("wikitalk/workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				CountPath4(wiki, 600, Options{Workers: workers})
 			}
 		})
 	}

@@ -2,15 +2,21 @@ package higher
 
 import (
 	"fmt"
+	"strings"
 
+	"hare/internal/fast"
+	"hare/internal/motif"
 	"hare/internal/temporal"
 )
 
 // 4-node, 3-edge δ-temporal paths complete the 4-node 3-edge family next to
 // the stars: edges a–b, b–c, c–d over four distinct nodes. Every instance
 // has a unique *structural middle* edge (the one sharing a node with both
-// others), which anchors the counting loop; the temporal order of the three
-// edges and their directions along the a→b→c→d traversal define the motif.
+// others), which is the pivot of the pair sweep (sweep.go) that counts them:
+// per middle edge, the legs at its two endpoints are counted against each
+// other, never paired up, and the different-far-end cells are the paths. The
+// temporal order of the three edges and their directions along the a→b→c→d
+// traversal define the motif.
 //
 // Taxonomy: 6 temporal permutations of (first-leg, middle, last-leg) × 2³
 // directions = 48 raw patterns; path reversal (reading d,c,b,a) identifies
@@ -153,107 +159,65 @@ func (c *PathCounter) Labels() []struct {
 	return out
 }
 
-// CountPaths exactly counts all 4-node, 3-edge path motifs. For every edge
-// in the role of the structural middle (b–c), the legs are drawn from the
-// δ-neighbourhoods of b and c; cost is O(Σ_m d^δ(b)·d^δ(c)), so it is
-// pricier than the 3-node algorithms — it exists to complete the
-// higher-order family, per the paper's §VI.
-func CountPaths(g *temporal.Graph, delta temporal.Timestamp) PathCounter {
-	var out PathCounter
-	for id := 0; id < g.NumEdges(); id++ {
-		countPathsMiddle(g, temporal.EdgeID(id), delta, &out)
+// pathCells maps the raw cells of a LegPairs, laid out
+// [order][outer leg out][inner leg out], to canonical path labels: 6×2×2 raw
+// patterns onto the 24 motifs. f forward along a→b→c→d means a→b, i.e. f
+// points *into* b; the stored pivot b→c is always forward; g forward means
+// c→d, i.e. g points *out of* c.
+var pathCells = func() (cells [numLegOrders][2][2]PathLabel) {
+	for o := LegOrder(0); o < numLegOrders; o++ {
+		rank := func(role byte) int { return strings.IndexByte(pathPerms[o], role) }
+		for _, fOut := range []bool{false, true} {
+			for _, gOut := range []bool{false, true} {
+				outer, inner := motif.DirOf(gOut), motif.DirOf(fOut)
+				if outerIsF[o] {
+					outer, inner = inner, outer
+				}
+				cells[o][outer][inner] = CanonicalPath(rank('f'), rank('m'), rank('g'), !fOut, true, gOut)
+			}
+		}
 	}
+	return cells
+}()
+
+// addPaths adds the different-far-end leg pairs to the path counter.
+func (c *PathCounter) addPaths(diff *LegPairs) {
+	for o := range diff {
+		for x := range diff[o] {
+			for y, v := range diff[o][x] {
+				c[pathCells[o][x][y]] += v
+			}
+		}
+	}
+}
+
+// CountPaths exactly counts all 4-node, 3-edge path motifs on the caller's
+// goroutine: for every edge in the role of the structural middle (b–c), one
+// pair sweep (sweep.go) over the δ-windows of b and c, O(Σ_m d^δ(b)+d^δ(c))
+// in all. It completes the higher-order family, per the paper's §VI.
+func CountPaths(g *temporal.Graph, delta temporal.Timestamp) PathCounter {
+	scratch := fast.GetScratch(g.NumNodes())
+	defer fast.PutScratch(scratch)
+	var diff, same LegPairs
+	for id := 0; id < g.NumEdges(); id++ {
+		CountLegPairs(g, temporal.EdgeID(id), delta, AllLegOrders, scratch, &diff, &same)
+	}
+	var out PathCounter
+	out.addPaths(&diff)
 	return out
 }
 
 // CountPathMiddle adds to out every path instance whose structural middle
 // is the given edge — the same per-edge unit CountPath4Range schedules,
 // exposed so samplers (internal/approx) can evaluate a single pivot without
-// paying a full range dispatch per draw.
-func CountPathMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp, out *PathCounter) {
-	countPathsMiddle(g, mid, delta, out)
-}
-
-// countPathsMiddle tallies every path instance whose structural middle is
-// the given edge. Each instance has a unique middle, so per-edge tallies
-// sum without correction — the unit of work for the parallel CountPath4.
-func countPathsMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp, out *PathCounter) {
-	b, c := g.Src()[mid], g.Dst()[mid]
-	mt := g.Times()[mid]
-	fw := WindowAround(g.Seq(b), mt, delta)
-	gw := WindowAround(g.Seq(c), mt, delta)
-	for fi := 0; fi < fw.Len(); fi++ {
-		fID, fOther := fw.ID[fi], fw.Other[fi]
-		if fID == mid || fOther == c {
-			continue // multi-edge on the middle pair: not a path
-		}
-		fTime, fOut := fw.Time[fi], fw.Out[fi]
-		for gi := 0; gi < gw.Len(); gi++ {
-			gID, gOther := gw.ID[gi], gw.Other[gi]
-			if gID == mid || gOther == b || gOther == fOther {
-				continue // triangle or repeated node: not a path
-			}
-			if Span3(fTime, mt, gw.Time[gi]) > delta {
-				continue
-			}
-			// Temporal ranks by EdgeID (total order).
-			rankF, rankM, rankG := ranks(fID, mid, gID)
-			// Directions along a→b→c→d: f forward means a→b, i.e. f
-			// points *into* b; m forward means b→c (always true for
-			// the stored orientation); g forward means c→d, i.e. g
-			// points *out of* c.
-			out[CanonicalPath(rankF, rankM, rankG, !fOut, true, gw.Out[gi])]++
-		}
-	}
-}
-
-// WindowAround returns the half-edges with |t − center| ≤ δ: the window the
-// path counter scans around its middle edge and the query executor
-// (internal/query) around its pivot edge.
-func WindowAround(seq temporal.Seq, center temporal.Timestamp, delta temporal.Timestamp) temporal.Seq {
-	start := seq.LowerBoundTime(center - delta)
-	end := seq.UpperBoundTime(center + delta)
-	return seq.Slice(start, end)
-}
-
-// Span3 returns the time span covered by three timestamps.
-func Span3(a, b, c temporal.Timestamp) temporal.Timestamp {
-	min, max := a, a
-	if b < min {
-		min = b
-	}
-	if b > max {
-		max = b
-	}
-	if c < min {
-		min = c
-	}
-	if c > max {
-		max = c
-	}
-	return max - min
-}
-
-func ranks(idF, idM, idG temporal.EdgeID) (rf, rm, rg int) {
-	if idF > idM {
-		rf++
-	}
-	if idF > idG {
-		rf++
-	}
-	if idM > idF {
-		rm++
-	}
-	if idM > idG {
-		rm++
-	}
-	if idG > idF {
-		rg++
-	}
-	if idG > idM {
-		rg++
-	}
-	return
+// paying a full range dispatch per draw. Each instance has a unique middle,
+// so per-edge tallies sum without correction. scratch must cover the graph's
+// node IDs.
+func CountPathMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp,
+	scratch *fast.Scratch, out *PathCounter) {
+	var diff, same LegPairs
+	CountLegPairs(g, mid, delta, AllLegOrders, scratch, &diff, &same)
+	out.addPaths(&diff)
 }
 
 // NumPathMotifs is the number of non-isomorphic 4-node 3-edge path motifs.

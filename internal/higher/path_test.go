@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hare/internal/fast"
 	"hare/internal/temporal"
 )
 
@@ -201,9 +202,11 @@ func TestCountPathMiddleSumsToCountPaths(t *testing.T) {
 		g := randomGraph(r, 4+r.Intn(10), 1+r.Intn(120), 1+int64(r.Intn(40)))
 		delta := int64(r.Intn(25))
 		var got PathCounter
+		scratch := fast.GetScratch(g.NumNodes())
 		for id := 0; id < g.NumEdges(); id++ {
-			CountPathMiddle(g, temporal.EdgeID(id), delta, &got)
+			CountPathMiddle(g, temporal.EdgeID(id), delta, scratch, &got)
 		}
+		fast.PutScratch(scratch)
 		if want := CountPaths(g, delta); got != want {
 			t.Fatalf("trial %d δ=%d: per-edge sum %d, CountPaths %d", trial, delta, got.Total(), want.Total())
 		}

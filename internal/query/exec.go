@@ -28,13 +28,27 @@ func (p *Plan) Execute(g *temporal.Graph, delta temporal.Timestamp, opts Options
 // cell for PlanCenter (id is a node), the per-pivot-edge tally for PlanEdge
 // (id is an edge). ExecuteRange over any ID set equals the sum of
 // PivotCount over it; samplers (internal/approx) call this per draw,
-// reusing one scratch across draws instead of paying a range dispatch each.
+// reusing one scratch (covering the graph's node IDs) across draws instead
+// of paying a range dispatch each.
 func (p *Plan) PivotCount(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch) uint64 {
-	if p.kind == PlanCenter {
+	switch {
+	case p.kind == PlanCenter:
 		s4, _ := higher.CountNode(g, temporal.NodeID(id), delta, scratch)
 		return s4.At(p.dirs[0], p.dirs[1], p.dirs[2])
+	case p.sweep != nil:
+		var diff, same higher.LegPairs
+		higher.CountLegPairs(g, temporal.EdgeID(id), delta, 1<<p.sweep.order, scratch, &diff, &same)
+		return p.sweep.cell(&diff, &same)
 	}
-	return p.countPivotEdge(g, temporal.EdgeID(id), delta)
+	return p.scanPivotEdge(g, temporal.EdgeID(id), delta)
+}
+
+// cell reads the plan's count off the sweep's tallies.
+func (sw *legSweep) cell(diff, same *higher.LegPairs) uint64 {
+	if sw.same {
+		return same.At(sw.order, sw.fOut, sw.gOut)
+	}
+	return diff.At(sw.order, sw.fOut, sw.gOut)
 }
 
 // padCount keeps per-worker tallies on separate cache lines; the merge sums
@@ -48,16 +62,22 @@ type padCount struct {
 // PlanCenter, pivot-slot graph edge for PlanEdge) lies in the half-open
 // range [lo, hi), clamped to [0, Domain(g)).
 func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) uint64 {
-	if p.kind == PlanCenter {
+	switch {
+	case p.kind == PlanCenter:
 		// Delegation: a 4-node center spec is exactly one cell of the star
 		// counter (the leaf assignment is forced by temporal order), so the
 		// compiled plan *is* the hand-tuned machinery plus a cell read.
 		c := higher.CountStar4Range(g, delta, opts, lo, hi)
 		return c.At(p.dirs[0], p.dirs[1], p.dirs[2])
+	case p.sweep != nil:
+		// Likewise a path or triangle spec is one cell of the pair sweep, of
+		// which only the one role order the slots select is run.
+		diff, same := higher.SweepEdgesRange(g, delta, opts, 1<<p.sweep.order, lo, hi)
+		return p.sweep.cell(&diff, &same)
 	}
 	per := make([]padCount, opts.EffectiveWorkers())
 	higher.ForEdgesRange(g, opts, lo, hi, func(w int, id temporal.EdgeID) {
-		per[w].v += p.countPivotEdge(g, id, delta)
+		per[w].v += p.scanPivotEdge(g, id, delta)
 	})
 	var total uint64
 	for i := range per {
@@ -66,56 +86,45 @@ func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Op
 	return total
 }
 
-// countPivotEdge tallies every instance whose pivot-slot edge is the graph
-// edge e: bind the pivot spec edge's variables to e's endpoints, then run
-// the two compiled enumeration levels over the δ windows (±δ around e's
-// time — a sound superset, since an instance spans ≤ δ) of their anchor
-// nodes' chronological sequences. Each candidate graph edge appears exactly
-// once in its level's anchor window (no self-loops), and an instance
-// determines its pivot edge and variable assignment uniquely (a connected
-// spec using every variable has no order-preserving automorphisms), so
-// per-pivot-edge tallies sum without correction — the unit of work for
-// ForEdgesRange and the shard tier.
-func (p *Plan) countPivotEdge(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp) uint64 {
+// scanPivotEdge is the nested scan, for the edge plans the pair sweep does
+// not describe: it tallies every instance whose first edge is the graph edge
+// e (Compile pivots these plans on slot 0). Bind the first spec edge's
+// variables to e's endpoints, then run the two compiled enumeration levels,
+// each over the part of its anchor endpoint's sequence that follows e within
+// δ — exactly the edges that can come later in an instance e opens, so the
+// span needs no further test and only the order of the two candidates does.
+// Each candidate graph edge appears exactly once in its level's window (no
+// self-loops), and an instance determines its pivot edge and variable
+// assignment uniquely (a connected spec using every variable has no
+// order-preserving automorphisms), so per-pivot-edge tallies sum without
+// correction — the unit of work for ForEdgesRange and the shard tier.
+func (p *Plan) scanPivotEdge(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp) uint64 {
 	pe := p.spec.edges[p.pivotSlot]
 	var nodes [MaxNodes]temporal.NodeID
-	var ids [SpecEdges]temporal.EdgeID
-	var times [SpecEdges]temporal.Timestamp
 	nodes[pe.Src], nodes[pe.Dst] = g.Src()[e], g.Dst()[e]
-	mt := g.Times()[e]
-	ids[p.pivotSlot], times[p.pivotSlot] = e, mt
+	t := g.Times()[e]
 
 	s0, s1 := &p.steps[0], &p.steps[1]
-	w0 := higher.WindowAround(g.Seq(nodes[s0.anchor]), mt, delta)
-	var w1 temporal.Seq
-	if s1.hoist {
-		w1 = higher.WindowAround(g.Seq(nodes[s1.anchor]), mt, delta)
+	w0 := higher.AfterPivot(g.Seq(nodes[s0.anchor]), e, t, delta)
+	w1 := w0
+	if s1.anchor != s0.anchor {
+		w1 = higher.AfterPivot(g.Seq(nodes[s1.anchor]), e, t, delta)
 	}
 	var count uint64
-	for i := 0; i < w0.Len(); i++ {
-		if w0.Out[i] != s0.wantOut {
+	from, n1 := 0, len(w1.ID)
+	for i := range w0.ID {
+		if w0.Out[i] != s0.wantOut || !bindOther(s0, w0.Other[i], &nodes) {
 			continue
 		}
-		if !bindOther(s0, w0.Other[i], &nodes) {
-			continue
+		// Temporal order is EdgeID order (the repo-wide total order): the
+		// third edge must follow the second, which also keeps them distinct.
+		// Both windows ascend in EdgeID, so where the third may start only
+		// moves forward.
+		for from < n1 && w1.ID[from] <= w0.ID[i] {
+			from++
 		}
-		ids[s0.slot], times[s0.slot] = w0.ID[i], w0.Time[i]
-		wi := w1
-		if !s1.hoist {
-			wi = higher.WindowAround(g.Seq(nodes[s1.anchor]), mt, delta)
-		}
-		for j := 0; j < wi.Len(); j++ {
-			if wi.Out[j] != s1.wantOut {
-				continue
-			}
-			if !bindOther(s1, wi.Other[j], &nodes) {
-				continue
-			}
-			ids[s1.slot], times[s1.slot] = wi.ID[j], wi.Time[j]
-			// Temporal order is EdgeID order (the repo-wide total order):
-			// the listing order of the spec must be strictly increasing,
-			// which also enforces the three edges are distinct.
-			if ids[0] < ids[1] && ids[1] < ids[2] && higher.Span3(times[0], times[1], times[2]) <= delta {
+		for j := from; j < n1; j++ {
+			if w1.Out[j] == s1.wantOut && bindOther(s1, w1.Other[j], &nodes) {
 				count++
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"hare/internal/brute"
 	"hare/internal/fast"
+	"hare/internal/gen"
 	"hare/internal/higher"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -52,7 +53,8 @@ func hubGraph(r *rand.Rand, nodes, edges, hubEdges int, span int64) *temporal.Gr
 }
 
 // schedulingRegimes is the option matrix every exactness test runs under:
-// the 1/2/4-worker ladder plus the degree-threshold extremes.
+// the 1/2/4-worker ladder plus the degree-threshold extremes (which steer
+// center plans; for edge plans they vary the chunk size only).
 var schedulingRegimes = []Options{
 	{Workers: 1},
 	{Workers: 2},
@@ -258,7 +260,8 @@ func TestPivotCountSumsToExecute(t *testing.T) {
 		kind PlanKind
 	}{
 		{"c->x; y->c; c->z", PlanCenter},
-		{"a->b; b->c; c->a", PlanEdge},
+		{"a->b; b->c; c->a", PlanEdge}, // pair sweep
+		{"a->b; a->c; b->a", PlanEdge}, // nested scan
 	} {
 		s, err := ParseSpec(tc.text)
 		if err != nil {
@@ -314,6 +317,87 @@ func TestTriangleKnown(t *testing.T) {
 	}
 	if got := p.Execute(g, 1, Options{Workers: 1}); got != 0 {
 		t.Fatalf("δ=1 triangle count = %d, want 0", got)
+	}
+}
+
+// smallSpecs returns the canonical specs over at most three variables with
+// the paper's label for each: a spec on ≤ 3 nodes *is* one of the 36 motifs,
+// and motif.Classify names it from the spec's own edges read as an instance.
+func smallSpecs(t *testing.T) map[motif.Label]*Spec {
+	t.Helper()
+	terms := []string{"a->b", "b->a", "a->c", "c->a", "b->c", "c->b"}
+	byLabel := map[motif.Label]*Spec{}
+	for _, t1 := range terms {
+		for _, t2 := range terms {
+			for _, t3 := range terms {
+				s, err := ParseSpec(t1 + "; " + t2 + "; " + t3)
+				if err != nil {
+					t.Fatal(err) // three edges over three variables always connect
+				}
+				var es [SpecEdges]temporal.Edge
+				for i, e := range s.Edges() {
+					es[i] = temporal.Edge{From: temporal.NodeID(e.Src), To: temporal.NodeID(e.Dst), Time: int64(i)}
+				}
+				label, ok := motif.Classify(es[0], es[1], es[2])
+				if !ok {
+					t.Fatalf("spec %q is not a 2- or 3-node motif", s)
+				}
+				if prev, seen := byLabel[label]; seen && prev.Canonical() != s.Canonical() {
+					t.Fatalf("label %v names two specs: %q and %q", label, prev, s)
+				}
+				byLabel[label] = s
+			}
+		}
+	}
+	if len(byLabel) != len(motif.AllLabels()) {
+		t.Fatalf("%d specs over ≤ 3 variables, want the %d motifs", len(byLabel), len(motif.AllLabels()))
+	}
+	return byLabel
+}
+
+// The 36 motifs are specs, so the paper's kernel is a free oracle for the
+// executor: every spec over at most three variables must count exactly its
+// cell of the 6×6 matrix — the eight triangle specs (pair sweep, same-far-end
+// cells) against FAST-Tri, the 28 star and pair specs (nested scan) against
+// FAST-Star — with no brute force, so on inputs brute force cannot reach.
+func TestSmallSpecsMatchMotifMatrix(t *testing.T) {
+	specs := smallSpecs(t)
+	college, err := gen.DatasetByName("collegemsg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := gen.Generate(college)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(405))
+	for _, in := range []struct {
+		name  string
+		g     *temporal.Graph
+		delta temporal.Timestamp
+	}{
+		{"collegemsg", cg, 600},
+		{"hub", hubGraph(r, 60, 1500, 2500, 4000), 90},
+	} {
+		want := fast.Count(in.g, in.delta).ToMatrix()
+		var tri uint64
+		for label, s := range specs {
+			p := Compile(s)
+			if p.Kind() != PlanEdge || (p.sweep != nil) != (label.Category() == motif.CategoryTri) {
+				t.Fatalf("%s: spec %q (%v) compiled to %v, sweep=%v", in.name, s, label, p.Kind(), p.sweep != nil)
+			}
+			for _, workers := range []int{1, 2} {
+				if got := p.Execute(in.g, in.delta, Options{Workers: workers}); got != want.At(label) {
+					t.Fatalf("%s: spec %q workers=%d counts %d, %v = %d", in.name, s, workers, got, label, want.At(label))
+				}
+			}
+			if label.Category() == motif.CategoryTri {
+				tri += want.At(label)
+			}
+		}
+		if tri == 0 {
+			t.Fatalf("%s: no triangles, the test is vacuous", in.name)
+		}
 	}
 }
 

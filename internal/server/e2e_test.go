@@ -392,3 +392,45 @@ func TestEndToEndConcurrentMixedQueries(t *testing.T) {
 		}
 	}
 }
+
+// The server hands any delta ≥ 0 to the kernels unchanged, MaxInt64
+// included: the answer must be the everything-in-one-window count, not what
+// a wrapped-around t ± δ window happens to hold (path4 answered 0 here).
+func TestEndToEndHugeDelta(t *testing.T) {
+	g := hare.FromEdges([]hare.Edge{
+		{From: 0, To: 1, Time: 10}, {From: 1, To: 2, Time: 20}, {From: 2, To: 3, Time: 30},
+		{From: 3, To: 0, Time: 40}, {From: 2, To: 0, Time: 50},
+	})
+	srv, err := hare.NewServer(hare.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterGraph("five", "five edges", g); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/v1/path4?dataset=five&delta=9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body e2eResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
+	}
+	want, err := hare.CountPath4(g, 40) // the graph's whole span
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served uint64
+	for _, lc := range want.Labels() {
+		served += body.Paths[lc.Label.String()]
+		if body.Paths[lc.Label.String()] != lc.Count {
+			t.Errorf("%s = %d, want %d", lc.Label, body.Paths[lc.Label.String()], lc.Count)
+		}
+	}
+	if served != 6 || body.Total != 6 || body.DeltaSeconds != 9223372036854775807 {
+		t.Fatalf("served %d paths (total %d) at δ=%d, want 6 at MaxInt64", served, body.Total, body.DeltaSeconds)
+	}
+}

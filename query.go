@@ -34,9 +34,11 @@ const QueryMotif = server.KindQuery
 // 3-edge shape — temporal triangles, cycles, ping-pong multi-edges —
 // without per-shape code. The spec compiles to a counting plan over the
 // same columnar machinery (a 4-node star spec delegates to the hand-tuned
-// star counter; everything else runs the generic edge-pivot scan), and
-// scheduling follows the shared knobs: WithWorkers and WithDegreeThreshold
-// apply, and the count is bit-identical at any setting.
+// star counter, a 4-node path or a triangle to the pair sweep behind
+// CountPath4; the 2- and 3-node star/pair shapes run a nested window scan),
+// and scheduling follows the shared knobs: WithWorkers applies,
+// WithDegreeThreshold to star specs only, and the count is bit-identical at
+// any setting.
 func CountMotif(g *Graph, spec *MotifSpec, delta Timestamp, opts ...Option) (uint64, error) {
 	if g == nil {
 		return 0, errNilGraph
