@@ -151,13 +151,15 @@ func kernelsFor(t *testing.T, g *temporal.Graph, delta temporal.Timestamp) map[s
 	star := higher.CountStar4(g, delta, higher.Options{Workers: 1})
 	path := higher.CountPath4(g, delta, higher.Options{Workers: 1})
 	tri := query.Compile(mustSpec(t, "a->b; b->c; c->a"))
+	star3 := query.Compile(mustSpec(t, "a->b; a->c; b->a")) // a center plan: node domain, d³ weight
 	return map[string]struct {
 		k     Kernel
 		exact float64
 	}{
-		"star4": {StarKernel{}, float64(star.Total())},
-		"path4": {PathKernel{}, float64(path.Total())},
-		"query": {PlanKernel{Plan: tri}, float64(tri.Execute(g, delta, query.Options{Workers: 1}))},
+		"star4":        {StarKernel{}, float64(star.Total())},
+		"path4":        {PathKernel{}, float64(path.Total())},
+		"query":        {PlanKernel{Plan: tri}, float64(tri.Execute(g, delta, query.Options{Workers: 1}))},
+		"query-center": {PlanKernel{Plan: star3}, float64(star3.Execute(g, delta, query.Options{Workers: 1}))},
 	}
 }
 
@@ -370,27 +372,29 @@ func TestEstimateStrataRangesCompose(t *testing.T) {
 	// same result as the full local run — the shard gather contract.
 	g := hubGraph(5)
 	const delta = 600
-	plan, err := NewPlan(g, PathKernel{}, Options{Samples: 256, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := EstimateStrata(g, PathKernel{}, delta, plan, 2, 0, len(plan.Strata))
-	mid := len(plan.Strata) / 2
-	parts := append(
-		EstimateStrata(g, PathKernel{}, delta, plan, 3, 0, mid),
-		EstimateStrata(g, PathKernel{}, delta, plan, 1, mid, len(plan.Strata))...)
-	if !reflect.DeepEqual(full, parts) {
-		t.Fatalf("range-split moments differ from the full run")
-	}
-	a, err := Finish(plan, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Finish(plan, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("finished results differ across the split")
+	for name, tc := range kernelsFor(t, g, delta) {
+		plan, err := NewPlan(g, tc.k, Options{Samples: 256, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := EstimateStrata(g, tc.k, delta, plan, 2, 0, len(plan.Strata))
+		mid := len(plan.Strata) / 2
+		parts := append(
+			EstimateStrata(g, tc.k, delta, plan, 3, 0, mid),
+			EstimateStrata(g, tc.k, delta, plan, 1, mid, len(plan.Strata))...)
+		if !reflect.DeepEqual(full, parts) {
+			t.Fatalf("%s: range-split moments differ from the full run", name)
+		}
+		a, err := Finish(plan, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Finish(plan, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: finished results differ across the split", name)
+		}
 	}
 }

@@ -15,7 +15,7 @@
 // motifs, below) and higher.CountStar4Range: the node pivots, whose cost
 // grows with a power of the degree; a change to how work is scheduled is an
 // edit to Sweep. Dispatch, the flat chunked loop underneath, is exported for
-// the loops that have no heavy stage (higher.ForEdgesRange and through it
+// the loops that have no heavy stage (higher.SweepEdgesRange and through it
 // path4 and query's edge plans, whose per-edge cost is linear in the
 // endpoints' δ-windows; nullmodel.SampleMatrices; approx.EstimateStrata).
 //

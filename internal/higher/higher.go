@@ -21,13 +21,15 @@
 //
 // The package has no scheduler of its own. CountStar4Range is a caller of
 // engine.Sweep, HARE's two-stage schedule: it sweeps center nodes with an
-// intra-center split for hubs. ForEdgesRange sweeps edges — for
-// CountPath4Range and for the query compiler's edge plans — in the flat
-// dynamic chunks of engine.Dispatch, because an edge pivot's cost is linear
-// in its endpoints' δ-windows (sweep.go). Options converts to engine.Options
-// in one place and resolves no default itself. Count and CountPaths stay
-// plain sequential loops: the references the differential tests compare the
-// scheduled counters to.
+// intra-center split for hubs, and returns the FAST-Star counters beside the
+// 4-node ones, so the query compiler's center plans read any star or pair
+// cell from it. SweepEdgesRange sweeps edges — for CountPath4Range and for
+// the query compiler's edge plans — in the flat dynamic chunks of
+// engine.Dispatch, because an edge pivot's cost is linear in its endpoints'
+// δ-windows (sweep.go). Options converts to engine.Options in one place and
+// resolves no default itself. Count and CountPaths stay plain sequential
+// loops: the references the differential tests compare the scheduled
+// counters to.
 package higher
 
 import (

@@ -24,7 +24,7 @@ type Options struct {
 	// scheduled with finer-grained parallelism. 0 selects the automatic
 	// top-20 heuristic; negative disables the heavy stage. It steers node
 	// pivots only (CountStar4Range, center plans): edge pivots have no heavy
-	// stage, see ForEdgesRange.
+	// stage, see SweepEdgesRange.
 	DegreeThreshold int
 	// ChunkSize is the number of light work items (centers, or edge pivots)
 	// per dynamic work unit (default 64).
@@ -38,22 +38,25 @@ func (o Options) engine() engine.Options {
 }
 
 // EffectiveWorkers resolves Workers to the goroutine count a run actually
-// uses (<= 0 selects GOMAXPROCS). Callers sizing per-worker accumulators
-// for ForEdgesRange need the same resolution the scheduler applies.
+// uses (<= 0 selects GOMAXPROCS): the scheduler's own resolution.
 func (o Options) EffectiveWorkers() int { return o.engine().EffectiveWorkers() }
 
 // CountStar4 counts the 4-node, 3-edge star motifs over every center; see
 // CountStar4Range.
 func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4Counter {
-	return CountStar4Range(g, delta, opts, 0, g.NumNodes())
+	s4, _ := CountStar4Range(g, delta, opts, 0, g.NumNodes())
+	return s4
 }
 
 // CountStar4Range counts the 4-node stars whose center node lies in the
-// half-open ID range [lo, hi) (clamped to [0, NumNodes)). Every 4-node star
-// has a unique center, so any partition of the node IDs yields partial
-// counters that sum — in any order, the cells are exact uint64 tallies — to
-// CountStar4's full counter: the per-shard work unit of the scatter/gather
-// serving path (internal/shard).
+// half-open ID range [lo, hi) (clamped to [0, NumNodes)) and returns them
+// with the FAST-Star counters they are derived from — the 3-node stars and
+// pairs at the same centers: CountNode's pair, summed over the range. A star
+// of either size has a unique center, and a pair instance is recorded once
+// at each endpoint, in complementary cells, so any partition of the node
+// IDs yields partial counters that sum — in any order, the cells are exact
+// uint64 tallies — to the full ones: the per-shard work unit of the
+// scatter/gather serving path (internal/shard).
 //
 // It is a caller of engine.Sweep: light centers are pulled in dynamic
 // chunks, heavy centers (degree > thrd) go one at a time with both counter
@@ -62,7 +65,7 @@ func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4
 // worker sums both families over whatever it is handed and the complement
 // is applied once, after the partials merge. Counts are bit-identical to
 // the sequential Count at any setting.
-func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) Star4Counter {
+func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) (Star4Counter, motif.Counts) {
 	eo := opts.engine()
 	parts := make([]struct {
 		all     [8]uint64
@@ -78,7 +81,7 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 			if d := g.Degree(temporal.NodeID(u)); d >= 3 {
 				return d
 			}
-			return -1 // a 4-node star needs three incident edges
+			return -1 // every star and pair needs three edges at its center
 		},
 		func(w, u int) {
 			p, su := &parts[w], g.Seq(temporal.NodeID(u))
@@ -98,7 +101,7 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		}
 		counts.Add(&parts[w].counts)
 	}
-	return complement(&all, &counts)
+	return complement(&all, &counts), counts
 }
 
 // countAllTriplesRange tallies the ordered triples whose *last* edge index
@@ -143,7 +146,7 @@ func countAllTriplesRange(seq temporal.Seq, delta temporal.Timestamp, out *[8]ui
 }
 
 // CountPath4 counts the 4-node, 3-edge path motifs in parallel over middle
-// edges; see CountPath4Range and, for the schedule, ForEdgesRange.
+// edges; see CountPath4Range and, for the schedule, SweepEdgesRange.
 // Bit-identical to the sequential CountPaths at any worker count.
 func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathCounter {
 	return CountPath4Range(g, delta, opts, 0, g.NumEdges())
@@ -162,51 +165,40 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 	return total
 }
 
-// SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi) and
-// the given role orders under ForEdgesRange, each worker with a pooled
-// scratch and tallies of its own, and returns the merged tallies: leg pairs
-// with different far ends (4-node paths) and with the same one (triangles).
-// Cells are exact integers, so the sums do not depend on which worker met
-// which pivot. It is the range form of the sweep, for CountPath4Range and
-// the query compiler's path and triangle plans.
+// SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi)
+// (clamped to [0, NumEdges)) and the given role orders, each worker with a
+// pooled scratch and tallies of its own, and returns the merged tallies: leg
+// pairs with different far ends (4-node paths) and with the same one
+// (triangles). Cells are exact integers, so the sums do not depend on which
+// worker met which pivot. It is the range form of the sweep, for
+// CountPath4Range and the query compiler's path and triangle plans.
+//
+// The schedule is flat, dynamic chunks of Options.ChunkSize
+// (engine.Dispatch): an edge pivot costs the sum of its endpoints'
+// δ-windows, never a degree product, so a hub's edges need no stage of
+// their own and DegreeThreshold does not apply. With one worker the pivots
+// run on the caller's goroutine in ascending ID order.
 func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, orders LegOrders, lo, hi int) (diff, same LegPairs) {
+	lo, hi = max(lo, 0), min(hi, g.NumEdges())
+	eo := opts.engine()
 	parts := make([]struct {
 		diff, same LegPairs
 		scratch    *fast.Scratch
 		_          [64]byte // keeps neighbouring workers off each other's cache lines
-	}, opts.EffectiveWorkers())
+	}, eo.EffectiveWorkers())
 	for w := range parts {
 		parts[w].scratch = fast.GetScratch(g.NumNodes())
 		defer fast.PutScratch(parts[w].scratch)
 	}
-	ForEdgesRange(g, opts, lo, hi, func(w int, id temporal.EdgeID) {
+	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
 		p := &parts[w]
-		CountLegPairs(g, id, delta, orders, p.scratch, &p.diff, &p.same)
+		for id := lo + start; id < lo+end; id++ {
+			CountLegPairs(g, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
+		}
 	})
 	for w := range parts {
 		diff.add(&parts[w].diff)
 		same.add(&parts[w].same)
 	}
 	return diff, same
-}
-
-// ForEdgesRange calls body exactly once per edge ID in [lo, hi) (clamped to
-// [0, NumEdges)), in dynamic chunks of Options.ChunkSize (engine.Dispatch).
-// The schedule is flat: an edge pivot costs the sum of its endpoints'
-// δ-windows under the pair sweep and at most a product of two such windows
-// under the query executor's nested scan, never a degree product, so a hub's
-// edges need no stage of their own and DegreeThreshold does not apply. body
-// runs concurrently with itself; the worker id indexes
-// [0, opts.EffectiveWorkers()) so callers can accumulate into per-worker
-// partials. With one worker, body runs on the caller's goroutine in
-// ascending ID order. Its callers are SweepEdgesRange and the query
-// compiler's nested-scan plans (internal/query).
-func ForEdgesRange(g *temporal.Graph, opts Options, lo, hi int, body func(worker int, id temporal.EdgeID)) {
-	lo, hi = max(lo, 0), min(hi, g.NumEdges())
-	eo := opts.engine()
-	engine.Dispatch(eo.EffectiveWorkers(), eo.Chunk(), hi-lo, func(w, start, end int) {
-		for id := lo + start; id < lo+end; id++ {
-			body(w, temporal.EdgeID(id))
-		}
-	})
 }

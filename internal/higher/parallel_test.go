@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"hare/internal/engine"
+	"hare/internal/fast"
 	"hare/internal/gen"
+	"hare/internal/motif"
 	"hare/internal/temporal"
 )
 
@@ -144,9 +146,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if (Options{}).engine() != (engine.Options{}) || (Options{ChunkSize: 7}).engine().ChunkSize != 7 {
 		t.Fatal("chunk size must reach the scheduler as given (0 = its default of 64)")
 	}
-	// EffectiveWorkers is the exported resolution callers sizing
-	// per-worker accumulators for ForEdgesRange rely on — it must agree
-	// with the scheduler's own.
+	// EffectiveWorkers is exported as the scheduler's resolution, so it
+	// must agree with the scheduler's own.
 	if (Options{}).EffectiveWorkers() != (Options{}).engine().EffectiveWorkers() {
 		t.Fatal("EffectiveWorkers diverges from the scheduler's resolution")
 	}
@@ -201,14 +202,21 @@ func BenchmarkCountPath4(b *testing.B) {
 }
 
 // Range counters are the shard workers' unit of work: any partition of the
-// node IDs (stars) or middle-edge IDs (paths) must sum — partial counter by
-// partial counter — to the full count, at every scheduling regime, and
-// out-of-bounds ranges must clamp rather than panic.
+// node IDs (stars, with the FAST-Star counters beside them) or middle-edge
+// IDs (paths) must sum — partial counter by partial counter — to the full
+// count, at every scheduling regime, and out-of-bounds ranges must clamp
+// rather than panic.
 func TestCountRangePartitionsSumToFull(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
+	scratch := fast.NewScratch()
 	for trial := 0; trial < 8; trial++ {
 		g := hubGraph(r, 4+r.Intn(10), 40+r.Intn(120), 50+r.Intn(50), 1+int64(r.Intn(30)))
 		delta := temporal.Timestamp(1 + r.Intn(25))
+		var wantC motif.Counts
+		for u := 0; u < g.NumNodes(); u++ {
+			_, c := CountNode(g, temporal.NodeID(u), delta, scratch)
+			wantC.Add(&c)
+		}
 		for _, workers := range []int{1, 3} {
 			opts := Options{Workers: workers}
 			wantS := CountStar4(g, delta, opts)
@@ -228,12 +236,17 @@ func TestCountRangePartitionsSumToFull(t *testing.T) {
 				return cuts
 			}
 			var gotS Star4Counter
+			var gotC motif.Counts
 			for cuts, i := cut(g.NumNodes()), 0; i+1 < len(cuts); i++ {
-				part := CountStar4Range(g, delta, opts, cuts[i], cuts[i+1])
+				part, c := CountStar4Range(g, delta, opts, cuts[i], cuts[i+1])
 				gotS.Add(&part)
+				gotC.Add(&c)
 			}
 			if gotS != wantS {
 				t.Fatalf("trial %d workers %d: star4 partition sum %v != full %v", trial, workers, gotS, wantS)
+			}
+			if gotC != wantC {
+				t.Fatalf("trial %d workers %d: star/pair partition sum differs from CountNode's", trial, workers)
 			}
 			var gotP PathCounter
 			for cuts, i := cut(g.NumEdges()), 0; i+1 < len(cuts); i++ {
@@ -247,10 +260,10 @@ func TestCountRangePartitionsSumToFull(t *testing.T) {
 	}
 	// Clamping: negative lo, overlong hi, and empty/inverted ranges.
 	g := hubGraph(r, 8, 60, 40, 20)
-	if got, want := CountStar4Range(g, 10, Options{Workers: 1}, -5, g.NumNodes()+7), CountStar4(g, 10, Options{Workers: 1}); got != want {
+	if got, _ := CountStar4Range(g, 10, Options{Workers: 1}, -5, g.NumNodes()+7); got != CountStar4(g, 10, Options{Workers: 1}) {
 		t.Errorf("clamped star4 range differs from full count")
 	}
-	if got := CountStar4Range(g, 10, Options{}, 3, 3); got.Total() != 0 {
+	if got, c := CountStar4Range(g, 10, Options{}, 3, 3); got.Total() != 0 || c != (motif.Counts{}) {
 		t.Errorf("empty star4 range counted %d", got.Total())
 	}
 	if got := CountPath4Range(g, 10, Options{}, 5, 2); got.Total() != 0 {

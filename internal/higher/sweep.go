@@ -93,18 +93,6 @@ func (p *LegPairs) add(o *LegPairs) {
 	}
 }
 
-// AfterPivot returns the half-edges of seq — the chronological sequence of
-// one endpoint of pivot edge e, whose time is t — that follow the pivot and
-// lie within δ of it: the candidates for any later edge of an instance that e
-// opens. It is the after-half of the window CountLegPairs splits, found the
-// same way: one binary search on EdgeID for the pivot's position, then a
-// linear extension over entries the caller walks anyway. Times are compared
-// as differences: t + δ overflows for huge δ.
-func AfterPivot(seq temporal.Seq, e temporal.EdgeID, t, delta temporal.Timestamp) temporal.Seq {
-	pos := pivotPos(seq.ID, e)
-	return seq.Slice(pos+1, windowEnd(seq.Time, pos, t, delta))
-}
-
 // pivotPos is the index of edge e in a sequence's ascending EdgeID column
 // (e must be present).
 func pivotPos(ids []temporal.EdgeID, e temporal.EdgeID) int {

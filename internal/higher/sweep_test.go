@@ -2,10 +2,8 @@ package higher
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"hare/internal/fast"
@@ -204,32 +202,6 @@ func checkSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
 func TestPairSweepMatchesEnumerator(t *testing.T) {
 	for _, c := range sweepCorpus() {
 		t.Run(c.name, func(t *testing.T) { checkSweep(t, c.edges, c.delta) })
-	}
-}
-
-// AfterPivot, the window the query executor's nested scan draws from, is by
-// definition a filter: the half-edges after the pivot in EdgeID order whose
-// time is within δ of it — for any δ up to MaxInt64.
-func TestAfterPivotIsTheWindowPastThePivot(t *testing.T) {
-	for _, c := range sweepCorpus()[:8] {
-		g := temporal.FromEdges(c.edges)
-		for _, delta := range []temporal.Timestamp{c.delta, 0, math.MaxInt64} {
-			for id := 0; id < g.NumEdges(); id++ {
-				e, tm := temporal.EdgeID(id), g.Times()[id]
-				for _, u := range []temporal.NodeID{g.Src()[id], g.Dst()[id]} {
-					seq := g.Seq(u)
-					var want []temporal.EdgeID
-					for i := 0; i < seq.Len(); i++ {
-						if seq.ID[i] > e && seq.Time[i]-tm <= delta {
-							want = append(want, seq.ID[i])
-						}
-					}
-					if got := AfterPivot(seq, e, tm, delta).ID; !slices.Equal(got, want) {
-						t.Fatalf("%s δ=%d edge %d at node %d: window %v, want %v", c.name, delta, id, u, got, want)
-					}
-				}
-			}
-		}
 	}
 }
 

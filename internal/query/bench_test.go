@@ -7,11 +7,9 @@ import (
 	"hare/internal/gen"
 )
 
-// BenchmarkExecuteEdge measures the edge-plan executor on the serving
-// benchmark's input (wikitalk, δ = 600): the two shapes the pair sweep
-// answers, a triangle and a 4-node path, and one 3-node star that takes the
-// nested scan.
-func BenchmarkExecuteEdge(b *testing.B) {
+// benchExecute times Execute for each shape on the serving benchmark's input
+// (wikitalk, δ = 600) at one and two workers.
+func benchExecute(b *testing.B, shapes []struct{ name, text string }) {
 	cfg, err := gen.DatasetByName("wikitalk")
 	if err != nil {
 		b.Fatal(err)
@@ -20,11 +18,7 @@ func BenchmarkExecuteEdge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, shape := range []struct{ name, text string }{
-		{"triangle", "a->b; b->c; c->a"},
-		{"path", "a->b; b->c; c->d"},
-		{"nested", "a->b; a->c; b->a"},
-	} {
+	for _, shape := range shapes {
 		s, err := ParseSpec(shape.text)
 		if err != nil {
 			b.Fatal(err)
@@ -38,4 +32,23 @@ func BenchmarkExecuteEdge(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkExecuteEdge measures the edge-plan executor: the two shapes the
+// pair sweep answers, a triangle and a 4-node path.
+func BenchmarkExecuteEdge(b *testing.B) {
+	benchExecute(b, []struct{ name, text string }{
+		{"triangle", "a->b; b->c; c->a"},
+		{"path", "a->b; b->c; c->d"},
+	})
+}
+
+// BenchmarkExecuteCenter measures the center-plan executor: a 4-node
+// out-star (a cell of the star complement) and a 3-node star (a cell of
+// FAST-Star's counter).
+func BenchmarkExecuteCenter(b *testing.B) {
+	benchExecute(b, []struct{ name, text string }{
+		{"star4", "a->b; a->c; a->d"},
+		{"star3", "a->b; a->c; b->a"},
+	})
 }

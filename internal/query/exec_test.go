@@ -198,8 +198,9 @@ func TestCompiledPathMatchesCountPath4(t *testing.T) {
 
 // Novel shapes the hand-tuned counters cannot serve — the temporal
 // triangle, the cycle-closing 3-path, ping-pong multi-edges, 3-node stars —
-// must match the independent brute-force enumeration on both corpora at
-// every scheduling regime, and their range partials must sum to the total.
+// and every other spec over at most three variables must match the
+// independent brute-force enumeration on both corpora at every scheduling
+// regime, and their range partials must sum to the total.
 func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 	shapes := []string{
 		"a->b; b->c; c->a", // temporal triangle
@@ -212,6 +213,17 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 		"a->b; b->c; c->d", // 4-node path (edge pivot, cross-checked twice)
 		"a->b; c->b; c->d", // 4-node path, middle reversed
 	}
+	var specs []*Spec
+	for _, text := range shapes {
+		s, err := ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	for _, s := range smallSpecs(t) {
+		specs = append(specs, s)
+	}
 	r := rand.New(rand.NewSource(403))
 	for trial := 0; trial < 4; trial++ {
 		var g *temporal.Graph
@@ -221,11 +233,7 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 			g = hubGraph(r, 5+r.Intn(10), 40+r.Intn(80), 40+r.Intn(60), 1+int64(r.Intn(40)))
 		}
 		delta := int64(1 + r.Intn(25))
-		for _, text := range shapes {
-			s, err := ParseSpec(text)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, s := range specs {
 			p := Compile(s)
 			want := bruteCount(g, delta, s)
 			for _, opts := range schedulingRegimes {
@@ -250,7 +258,7 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 
 // PivotCount is the per-pivot unit samplers (internal/approx) evaluate one
 // draw at a time: summed over the whole pivot domain it must be Execute,
-// for a center plan and for an edge plan.
+// for every counter family a plan reads a cell of.
 func TestPivotCountSumsToExecute(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	g := hubGraph(r, 12, 120, 80, 30)
@@ -259,9 +267,10 @@ func TestPivotCountSumsToExecute(t *testing.T) {
 		text string
 		kind PlanKind
 	}{
-		{"c->x; y->c; c->z", PlanCenter},
-		{"a->b; b->c; c->a", PlanEdge}, // pair sweep
-		{"a->b; a->c; b->a", PlanEdge}, // nested scan
+		{"c->x; y->c; c->z", PlanCenter}, // 4-node star cell
+		{"a->b; a->c; b->a", PlanCenter}, // 3-node star cell
+		{"a->b; b->a; a->b", PlanCenter}, // pair cell, one of two complementary ones
+		{"a->b; b->c; c->a", PlanEdge},   // pair sweep
 	} {
 		s, err := ParseSpec(tc.text)
 		if err != nil {
@@ -357,9 +366,10 @@ func smallSpecs(t *testing.T) map[motif.Label]*Spec {
 
 // The 36 motifs are specs, so the paper's kernel is a free oracle for the
 // executor: every spec over at most three variables must count exactly its
-// cell of the 6×6 matrix — the eight triangle specs (pair sweep, same-far-end
-// cells) against FAST-Tri, the 28 star and pair specs (nested scan) against
-// FAST-Star — with no brute force, so on inputs brute force cannot reach.
+// cell of the 6×6 matrix — the eight triangle specs (edge plans, the pair
+// sweep's same-far-end cells) against FAST-Tri, the 28 star and pair specs
+// (center plans, one FAST-Star cell) against the matrix fast.Count builds —
+// with no brute force, so on inputs brute force cannot reach.
 func TestSmallSpecsMatchMotifMatrix(t *testing.T) {
 	specs := smallSpecs(t)
 	college, err := gen.DatasetByName("collegemsg")
@@ -383,8 +393,8 @@ func TestSmallSpecsMatchMotifMatrix(t *testing.T) {
 		var tri uint64
 		for label, s := range specs {
 			p := Compile(s)
-			if p.Kind() != PlanEdge || (p.sweep != nil) != (label.Category() == motif.CategoryTri) {
-				t.Fatalf("%s: spec %q (%v) compiled to %v, sweep=%v", in.name, s, label, p.Kind(), p.sweep != nil)
+			if (p.Kind() == PlanEdge) != (label.Category() == motif.CategoryTri) {
+				t.Fatalf("%s: spec %q (%v) compiled to %v", in.name, s, label, p.Kind())
 			}
 			for _, workers := range []int{1, 2} {
 				if got := p.Execute(in.g, in.delta, Options{Workers: workers}); got != want.At(label) {
@@ -417,11 +427,6 @@ func TestCompileAccessors(t *testing.T) {
 		}
 		if fmt.Sprint(p.Kind()) == "" {
 			t.Fatalf("empty kind for %q", text)
-		}
-		// The shard tier's partition guard: both plan kinds count over a
-		// contiguous pivot range, so every compiled plan is splittable.
-		if !p.Splittable() {
-			t.Fatalf("plan for %q not splittable", text)
 		}
 	}
 }

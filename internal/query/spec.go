@@ -2,11 +2,11 @@
 // a small declarative motif *spec* — an ordered, directed 3-edge pattern
 // over at most four node variables — into a counting *plan* that runs over
 // the columnar CSR core with the counting routines and the scheduling of the
-// hand-tuned counters (a star spec is a cell of CountStar4Range, a path or
-// triangle spec a cell of the pair sweep behind CountPath4Range; see
-// Compile), and the same exactness bar: plans are exact, bit-identical at
-// any worker count, and range-splittable along their pivot for the
-// scatter/gather tier.
+// hand-tuned counters (a star or pair spec is a cell of CountStar4Range's
+// counters, a path or triangle spec a cell of the pair sweep behind
+// CountPath4Range; see Compile), and the same exactness bar: plans are
+// exact, bit-identical at any worker count, and range-splittable along their
+// pivot for the scatter/gather tier.
 //
 // A spec names the paper's δ-temporal motif semantics directly (Paranjape
 // et al., WSDM'17 Def. 1, as used throughout this repository): the i-th

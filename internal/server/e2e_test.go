@@ -32,6 +32,7 @@ type e2eResponse struct {
 	Count        *uint64           `json:"count"`
 	Patterns     map[string]uint64 `json:"patterns"`
 	Paths        map[string]uint64 `json:"paths"`
+	Pivot        string            `json:"pivot"`
 	Motifs       []struct {
 		Label  string  `json:"label"`
 		Real   uint64  `json:"real"`
@@ -390,6 +391,51 @@ func TestEndToEndConcurrentMixedQueries(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// A 3-node star spec is one of the paper's 36 motifs, so /v1/query must
+// answer it as a center plan and with exactly the count /v1/count reports
+// for its label: two kinds, one number.
+func TestEndToEndStarSpecEqualsItsMotifCount(t *testing.T) {
+	g := e2eGraph(t)
+	srv, err := hare.NewServer(hare.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterGraph("college", "e2e graph", g); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	fetch := func(path string) e2eResponse {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body e2eResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, decode error %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	// a->b, a->c, b->a read as an instance on nodes 0, 1, 2.
+	label, ok := motif.Classify(hare.Edge{From: 0, To: 1, Time: 0}, hare.Edge{From: 0, To: 2, Time: 1}, hare.Edge{From: 1, To: 0, Time: 2})
+	if !ok || label.Category() != motif.CategoryStar {
+		t.Fatalf("spec classified as %v (ok=%v), want a star motif", label, ok)
+	}
+	q := fetch("/v1/query?dataset=college&delta=600&spec=a-%3Eb,a-%3Ec,b-%3Ea")
+	if q.Pivot != "center" {
+		t.Errorf("pivot = %q, want center", q.Pivot)
+	}
+	c := fetch("/v1/count?dataset=college&delta=600&motif=" + label.String())
+	if c.Count == nil {
+		t.Fatalf("/v1/count motif=%s carries no count", label)
+	}
+	if *c.Count == 0 || q.Total != *c.Count {
+		t.Fatalf("query total %d, /v1/count %s count %d (want equal and non-zero)", q.Total, label, *c.Count)
 	}
 }
 

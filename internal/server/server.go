@@ -224,6 +224,7 @@ type jobResult struct {
 	sig    *nullmodel.Report
 	motifs *uint64        // query kind: the compiled-spec count
 	approx *approx.Result // approx mode of star4/path4/query (req.EpsilonSet)
+	pivot  string         // query kind: the compiled plan's pivot family
 }
 
 // query returns the handler for one query kind.
@@ -335,6 +336,12 @@ func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 		}
 		res.sig = rep
 	case KindQuery:
+		// The pivot is a pure function of the canonical spec, set here
+		// rather than by the backend so a shard coordinator's answer
+		// renders identically to the local backend's.
+		if sp, err := query.ParseSpec(req.Spec); err == nil {
+			res.pivot = query.Compile(sp).Kind().String()
+		}
 		if req.EpsilonSet {
 			a, err := s.backend.QueryApprox(ctx, g, req)
 			if err != nil {
@@ -437,6 +444,8 @@ func (s *Server) response(req Request, label motif.Label, res *jobResult, hit, s
 		DeltaSeconds: req.Delta,
 		Nodes:        res.nodes,
 		Edges:        res.edges,
+		Spec:         req.Spec, // query kind only, like pivot; omitted for the rest
+		Pivot:        res.pivot,
 		Workers:      res.workers,
 		ElapsedMS:    float64(res.elapsed.Nanoseconds()) / 1e6,
 		Cached:       hit,
@@ -475,14 +484,7 @@ func (s *Server) response(req Request, label motif.Label, res *jobResult, hit, s
 		}
 		out.Total = res.path4.Total()
 	case KindQuery:
-		out.Spec = req.Spec
 		out.Total = *res.motifs
-		// The pivot is a pure function of the canonical spec; recompiling
-		// here keeps jobResult backend-agnostic (a shard coordinator's
-		// answer renders identically to the local backend's).
-		if s, err := query.ParseSpec(req.Spec); err == nil {
-			out.Pivot = query.Compile(s).Kind().String()
-		}
 	case KindSig:
 		rep := res.sig
 		out.Model = rep.Model.String()
@@ -548,11 +550,6 @@ func (s *Server) renderApprox(out *queryResponse, req Request, a *approx.Result)
 		out.Intervals = make(map[string]approx.Interval, len(labels))
 		for _, l := range labels {
 			out.Intervals[l.String()] = a.Cells[int(l)]
-		}
-	case KindQuery:
-		out.Spec = req.Spec
-		if sp, err := query.ParseSpec(req.Spec); err == nil {
-			out.Pivot = query.Compile(sp).Kind().String()
 		}
 	}
 }

@@ -113,23 +113,13 @@ func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.R
 
 // Query compiles the (already canonical) spec and scatters ranges of the
 // plan's pivot domain — center-node IDs for center plans, pivot-edge IDs
-// for edge plans — summing the partial counts in shard order. A plan
-// without a splittable pivot (none exists today: both plan kinds
-// partition over a contiguous ID range) is routed whole to the worker
-// rendezvous hashing assigns the dataset, like /v1/count.
+// for edge plans — summing the partial counts in shard order.
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
 	spec, err := query.ParseSpec(req.Spec)
 	if err != nil {
 		return 0, err
 	}
-	plan := query.Compile(spec)
-	var tasks []task
-	if plan.Splittable() {
-		tasks = c.rangeTasks(req, g, plan.Domain(g))
-	} else {
-		home := PickShard(req.Dataset, len(c.client.peers))
-		tasks = []task{{sub: sub(req, g, 0, 1, 0, plan.Domain(g)), home: home}}
-	}
+	tasks := c.rangeTasks(req, g, query.Compile(spec).Domain(g))
 	if len(tasks) == 0 {
 		return 0, nil
 	}

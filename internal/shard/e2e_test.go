@@ -113,11 +113,12 @@ var e2eQueries = []string{
 	"/v1/star4?dataset=college&delta=600",
 	"/v1/path4?dataset=college&delta=600",
 	"/v1/sig?dataset=college&delta=600&samples=6&seed=3",
-	// Both compiled-plan pivot families: a star spec scatters center-node
-	// ranges, a triangle spec scatters pivot-edge ranges. (Comma is the
-	// spec separator here because raw semicolons are invalid in URL query
-	// strings; %3E is ">".)
+	// Both compiled-plan pivot families: star specs (4-node and 3-node)
+	// scatter center-node ranges, a triangle spec scatters pivot-edge
+	// ranges. (Comma is the spec separator here because raw semicolons are
+	// invalid in URL query strings; %3E is ">".)
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,a-%3Ec,a-%3Ed",
+	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,a-%3Ec,b-%3Ea",
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,b-%3Ec,c-%3Ea",
 	// Approximate mode: the coordinator scatters stratum-index ranges,
 	// workers rebuild the identical sampling plan from the wire knobs and

@@ -123,7 +123,7 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	rs := Ranges(g.NumNodes(), shards)
 	parts := make([]*Partial, len(rs))
 	for i, r := range rs {
-		c := higher.CountStar4Range(g, delta, higher.Options{Workers: 2}, r.Lo, r.Hi)
+		c, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 2}, r.Lo, r.Hi)
 		parts[i] = &Partial{Proto: ProtoVersion, Kind: server.KindStar4, Shard: i, Star4: &c}
 	}
 

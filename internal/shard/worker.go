@@ -113,7 +113,7 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		}
 		p.Count = &CountPartial{Matrix: ans.Matrix, Workers: ans.Workers, DegreeThreshold: ans.DegreeThreshold}
 	case server.KindStar4:
-		c := higher.CountStar4Range(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)
+		c, _ := higher.CountStar4Range(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)
 		p.Star4 = &c
 	case server.KindPath4:
 		c := higher.CountPath4Range(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)

@@ -32,13 +32,13 @@ const QueryMotif = server.KindQuery
 // CountMotif exactly counts the instances of a compiled motif spec in g
 // within δ: the generalized form of CountStar4/CountPath4 that serves any
 // 3-edge shape — temporal triangles, cycles, ping-pong multi-edges —
-// without per-shape code. The spec compiles to a counting plan over the
-// same columnar machinery (a 4-node star spec delegates to the hand-tuned
-// star counter, a 4-node path or a triangle to the pair sweep behind
-// CountPath4; the 2- and 3-node star/pair shapes run a nested window scan),
-// and scheduling follows the shared knobs: WithWorkers applies,
-// WithDegreeThreshold to star specs only, and the count is bit-identical at
-// any setting.
+// without per-shape code. The spec compiles to one cell of a counter the
+// package already has (a spec with a center — a 4-node or 3-node star, or a
+// 2-node pair spec — reads the star counter behind CountStar4 and the
+// FAST-Star counters it is built from; a 4-node path or a triangle reads the
+// pair sweep behind CountPath4), and scheduling follows the shared knobs:
+// WithWorkers applies, WithDegreeThreshold to center specs only, and the
+// count is bit-identical at any setting.
 func CountMotif(g *Graph, spec *MotifSpec, delta Timestamp, opts ...Option) (uint64, error) {
 	if g == nil {
 		return 0, errNilGraph
