@@ -150,39 +150,94 @@ func CountStarPairRange(su temporal.Seq, delta temporal.Timestamp,
 	if to > n-2 {
 		to = n - 2
 	}
-	times, others, outs := su.Time, su.Other, su.Out
+	times := su.Time
 	for i := from; i < to; i++ {
-		t1, o1 := times[i], others[i]
-		d1 := motif.DirOf(outs[i])
-		s.Reset()
-		var nIn, nOut uint64 // #e_in, #e_out: middle-edge candidates so far
-		for j := i + 1; j < n; j++ {
-			if times[j]-t1 > delta {
-				break
-			}
-			o3 := others[j]
-			d3 := motif.DirOf(outs[j])
-			if o3 == o1 {
-				cin, cout := s.Vals(o1)
-				counts.Pair[motif.PairIndex(d1, motif.In, d3)] += cin
-				counts.Pair[motif.PairIndex(d1, motif.Out, d3)] += cout
-				counts.Star[motif.StarIndex(motif.StarII, d1, motif.In, d3)] += nIn - cin
-				counts.Star[motif.StarIndex(motif.StarII, d1, motif.Out, d3)] += nOut - cout
-			} else {
-				cin3, cout3 := s.Vals(o3)
-				cin1, cout1 := s.Vals(o1)
-				counts.Star[motif.StarIndex(motif.StarI, d1, motif.In, d3)] += cin3
-				counts.Star[motif.StarIndex(motif.StarI, d1, motif.Out, d3)] += cout3
-				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.In, d3)] += cin1
-				counts.Star[motif.StarIndex(motif.StarIII, d1, motif.Out, d3)] += cout1
-			}
-			if outs[j] {
-				s.Bump(o3, true)
-				nOut++
-			} else {
-				s.Bump(o3, false)
-				nIn++
-			}
+		if times[i+2]-times[i] > delta {
+			continue // fewer than two later edges in the window: no triple
+		}
+		CountAfter(su.Slice(i+1, n), times[i], su.Other[i], su.Out[i], delta, counts, s)
+	}
+}
+
+// CountAfter is Algorithm 1's inner loop: it records every star and pair
+// triple whose first edge is (t1, o1, out1), a center edge with far end o1,
+// leaving the center when out1. win holds the center's later edges in order;
+// the scan stops at the first one more than δ after t1. Each window edge is
+// a last-edge candidate e3, checked against the middle edges before it in
+// s's m_in/m_out before it becomes one itself.
+func CountAfter(win temporal.Seq, t1 temporal.Timestamp, o1 temporal.NodeID, out1 bool,
+	delta temporal.Timestamp, counts *motif.Counts, s *Scratch) {
+	d1 := motif.DirOf(out1)
+	s.Reset()
+	var nIn, nOut uint64 // #e_in, #e_out: middle-edge candidates so far
+	times := win.Time
+	others, outs := win.Other[:len(times)], win.Out[:len(times)]
+	for j, t3 := range times {
+		if t3-t1 > delta {
+			break
+		}
+		o3 := others[j]
+		d3 := motif.DirOf(outs[j])
+		if o3 == o1 {
+			cin, cout := s.Vals(o1)
+			counts.Pair[motif.PairIndex(d1, motif.In, d3)] += cin
+			counts.Pair[motif.PairIndex(d1, motif.Out, d3)] += cout
+			counts.Star[motif.StarIndex(motif.StarII, d1, motif.In, d3)] += nIn - cin
+			counts.Star[motif.StarIndex(motif.StarII, d1, motif.Out, d3)] += nOut - cout
+		} else {
+			cin3, cout3 := s.Vals(o3)
+			cin1, cout1 := s.Vals(o1)
+			counts.Star[motif.StarIndex(motif.StarI, d1, motif.In, d3)] += cin3
+			counts.Star[motif.StarIndex(motif.StarI, d1, motif.Out, d3)] += cout3
+			counts.Star[motif.StarIndex(motif.StarIII, d1, motif.In, d3)] += cin1
+			counts.Star[motif.StarIndex(motif.StarIII, d1, motif.Out, d3)] += cout1
+		}
+		if outs[j] {
+			s.Bump(o3, true)
+			nOut++
+		} else {
+			s.Bump(o3, false)
+			nIn++
+		}
+	}
+}
+
+// CountBefore is CountAfter's time mirror: it records every star and pair
+// triple whose last edge is (o3, out3). win holds the center's earlier edges
+// in order, already cut to those at most δ before it. Each window edge is a
+// middle-edge candidate e2, checked against the first edges before it.
+func CountBefore(win temporal.Seq, o3 temporal.NodeID, out3 bool, counts *motif.Counts, s *Scratch) {
+	d3 := motif.DirOf(out3)
+	s.Reset()
+	var nIn, nOut uint64 // first-edge candidates so far
+	others := win.Other
+	outs := win.Out[:len(others)]
+	for i, o2 := range others {
+		d2 := motif.DirOf(outs[i])
+		if o2 == o3 {
+			// e2 pairs with e3: a first edge to o3 makes a 2-node pair,
+			// any other is the isolated edge of a Star-I.
+			cin, cout := s.Vals(o3)
+			counts.Pair[motif.PairIndex(motif.In, d2, d3)] += cin
+			counts.Pair[motif.PairIndex(motif.Out, d2, d3)] += cout
+			counts.Star[motif.StarIndex(motif.StarI, motif.In, d2, d3)] += nIn - cin
+			counts.Star[motif.StarIndex(motif.StarI, motif.Out, d2, d3)] += nOut - cout
+		} else {
+			// A first edge to o2 pairs with e2 (Star-III), one to o3 with
+			// e3 (Star-II).
+			cin2, cout2 := s.Vals(o2)
+			cin3, cout3 := s.Vals(o3)
+			counts.Star[motif.StarIndex(motif.StarIII, motif.In, d2, d3)] += cin2
+			counts.Star[motif.StarIndex(motif.StarIII, motif.Out, d2, d3)] += cout2
+			counts.Star[motif.StarIndex(motif.StarII, motif.In, d2, d3)] += cin3
+			counts.Star[motif.StarIndex(motif.StarII, motif.Out, d2, d3)] += cout3
+		}
+		if outs[i] {
+			s.Bump(o2, true)
+			nOut++
+		} else {
+			s.Bump(o2, false)
+			nIn++
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -243,6 +244,63 @@ func TestCountRangePartition(t *testing.T) {
 		}
 		if parts.Star != whole.Star || parts.Pair != whole.Pair || parts.Tri != whole.Tri {
 			t.Fatalf("trial %d: partition (0,%d,%d) differs from whole", trial, cut1, cut2)
+		}
+	}
+}
+
+// CountAfter over each edge's forward δ-window and CountBefore over each
+// backward one must each find every star and pair triple at a center once,
+// by its first or its last edge: the per-edge routines the stream tier runs
+// sum to Algorithm 1 at every center.
+func TestCountBeforeAfterSumToCountStarPair(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	hub := func() *temporal.Graph {
+		b := temporal.NewBuilder(400)
+		for i := 0; i < 400; i++ {
+			u, v := temporal.NodeID(r.Intn(3)), temporal.NodeID(3+r.Intn(40))
+			if r.Intn(2) == 0 {
+				u, v = v, u
+			}
+			_ = b.AddEdge(u, v, r.Int63n(300))
+		}
+		return b.Build()
+	}
+	cases := []struct {
+		name  string
+		g     *temporal.Graph
+		delta temporal.Timestamp
+	}{
+		{"random", randomGraph(r, 12, 300, 200), 30},
+		{"hub-skewed", hub(), 40},
+		{"duplicate-timestamp", randomGraph(r, 6, 200, 4), 1},
+		{"delta-0", randomGraph(r, 6, 200, 20), 0},
+		{"huge-delta", randomGraph(r, 8, 150, 1000), math.MaxInt64},
+	}
+	s := NewScratch()
+	for _, tc := range cases {
+		g, delta := tc.g, tc.delta
+		var triples uint64
+		for u := 0; u < g.NumNodes(); u++ {
+			var want, before, after motif.Counts
+			CountStarPairNode(g, temporal.NodeID(u), delta, &want, s)
+			su := g.Seq(temporal.NodeID(u))
+			lo := 0
+			for j := 0; j < su.Len(); j++ {
+				for su.Time[j]-su.Time[lo] > delta {
+					lo++
+				}
+				CountBefore(su.Slice(lo, j), su.Other[j], su.Out[j], &before, s)
+				CountAfter(su.Slice(j+1, su.Len()), su.Time[j], su.Other[j], su.Out[j], delta, &after, s)
+			}
+			for side, got := range map[string]*motif.Counts{"CountBefore": &before, "CountAfter": &after} {
+				if got.Star != want.Star || got.Pair != want.Pair {
+					t.Fatalf("%s center %d: %s sums differ from CountStarPairNode", tc.name, u, side)
+				}
+			}
+			triples += want.Star.Total() + want.Pair.Total()
+		}
+		if triples == 0 {
+			t.Fatalf("%s: no star or pair triples, the corpus checks nothing", tc.name)
 		}
 	}
 }

@@ -157,6 +157,16 @@ func CountLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestam
 	if orders&dstAfter != 0 {
 		gAfter = sc.Slice(pc+1, windowEnd(sc.Time, pc, t, delta))
 	}
+	CountLegPairsIn(fBefore, fAfter, gBefore, gAfter, b, c, delta, orders, s, diff, same)
+}
+
+// CountLegPairsIn is CountLegPairs on windows the caller has already cut: the
+// legs at the pivot b→c's source b (f) and destination c (g) that lie before
+// and after it, each in EdgeID order and within δ of the pivot. Only the
+// halves the orders read need be set. s may be any scratch; a node ID beyond
+// it grows it.
+func CountLegPairsIn(fBefore, fAfter, gBefore, gAfter temporal.Seq, b, c temporal.NodeID,
+	delta temporal.Timestamp, orders LegOrders, s *fast.Scratch, diff, same *LegPairs) {
 	for o := LegOrder(0); o < numLegOrders; o++ {
 		if orders&(1<<o) == 0 {
 			continue

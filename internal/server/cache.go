@@ -48,16 +48,22 @@ func NewCache(capacity int) *Cache {
 // request's in-flight computation (a dedup coalesce).
 func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (val any, hit, shared bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
+	if e := c.lookup(key); e != nil {
 		c.hits++
-		val = el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		return val, true, false, nil
+		return e.val, true, false, nil
 	}
 	c.mu.Unlock()
 
 	val, shared, err = c.flights.do(ctx, key, func(fctx context.Context) (any, error) {
+		// A flight for key may have resolved between the check above and
+		// this one starting: its result is stored, so serve it.
+		c.mu.Lock()
+		e := c.lookup(key)
+		c.mu.Unlock()
+		if e != nil {
+			return e, nil // unwrapped below, so the caller can count a hit
+		}
 		v, err := compute(fctx)
 		if err == nil {
 			// Store before the flight resolves, so a caller re-entering
@@ -66,14 +72,31 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context
 		}
 		return v, err
 	})
+	if e, ok := val.(*cacheEntry); ok {
+		val, hit = e.val, true
+	}
 	c.mu.Lock()
-	if shared {
+	switch {
+	case shared:
 		c.coalesced++
-	} else {
+	case hit:
+		c.hits++
+	default:
 		c.misses++
 	}
 	c.mu.Unlock()
-	return val, false, shared, err
+	return val, hit, shared, err
+}
+
+// lookup returns key's stored entry, marking it most recently used, or nil.
+// Callers hold c.mu.
+func (c *Cache) lookup(key string) *cacheEntry {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry)
 }
 
 // store inserts a computed value and evicts beyond capacity.
@@ -82,14 +105,7 @@ func (c *Cache) store(key string, val any) {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// A rare duplicate compute (flight resolved between this caller's
-		// cache check and flight join): refresh rather than double-insert.
-		el.Value.(*cacheEntry).val = val
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		e := c.lru.Remove(back).(*cacheEntry)

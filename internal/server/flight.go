@@ -18,6 +18,8 @@ import (
 type group struct {
 	mu sync.Mutex
 	m  map[string]*call
+
+	joining func(key string) // test hook: runs as a caller enters do
 }
 
 type call struct {
@@ -33,6 +35,9 @@ type call struct {
 // arrived. If ctx ends first, do returns ctx.Err() — and cancels the
 // flight's context if this was its last waiter.
 func (g *group) do(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, shared bool, err error) {
+	if g.joining != nil {
+		g.joining(key)
+	}
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*call)

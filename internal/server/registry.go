@@ -136,9 +136,7 @@ func (r *Registry) Get(name string) (*temporal.Graph, error) {
 		g, _, err := e.load()
 		return g, err
 	}
-	if e.g != nil {
-		r.lru.MoveToFront(e.elem)
-		g := e.g
+	if g := r.resident(e); g != nil {
 		r.mu.Unlock()
 		return g, nil
 	}
@@ -148,26 +146,25 @@ func (r *Registry) Get(name string) (*temporal.Graph, error) {
 	// state worth keeping even if the requesters gave up — hence the
 	// Background context.
 	v, _, err := r.flights.do(context.Background(), name, func(context.Context) (any, error) {
+		// A flight for name may have resolved between the check above and
+		// this one starting: its graph is resident, so hand it out.
+		r.mu.Lock()
+		g := r.resident(e)
+		r.mu.Unlock()
+		if g != nil {
+			return g, nil
+		}
 		g, source, err := e.load()
 		if err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
 		// Store before the flight resolves so a Get racing its completion
-		// finds the resident graph instead of starting a second load.
+		// finds the resident graph instead of starting a second flight.
 		r.loads++
-		e.source = source
-		if e.elem != nil {
-			// Rare duplicate load (a previous flight resolved between this
-			// caller's residency check and its flight join): refresh the
-			// existing LRU element rather than double-inserting the entry.
-			e.g = g
-			r.lru.MoveToFront(e.elem)
-		} else {
-			e.g = g
-			e.elem = r.lru.PushFront(e)
-			r.evictOverflow()
-		}
+		e.g, e.source = g, source
+		e.elem = r.lru.PushFront(e)
+		r.evictOverflow()
 		r.mu.Unlock()
 		return g, nil
 	})
@@ -175,6 +172,15 @@ func (r *Registry) Get(name string) (*temporal.Graph, error) {
 		return nil, err
 	}
 	return v.(*temporal.Graph), nil
+}
+
+// resident returns e's graph, marking it most recently used, or nil when it
+// is not loaded. Callers hold r.mu.
+func (r *Registry) resident(e *regEntry) *temporal.Graph {
+	if e.g != nil {
+		r.lru.MoveToFront(e.elem)
+	}
+	return e.g
 }
 
 // evictOverflow drops least-recently-used resident graphs beyond the

@@ -595,6 +595,94 @@ func TestRegistryLoadErrorRetries(t *testing.T) {
 	}
 }
 
+// holdSecondJoiner stops the second caller to enter g, once it is past its
+// caller's residency or cache check, until release is closed; checked closes
+// when it gets there. A first caller whose flight waits for checked, and a
+// release after that flight resolved, force the interleaving in which a
+// check-then-join caller finds no flight left to join.
+func holdSecondJoiner(g *group) (checked, release chan struct{}) {
+	checked, release = make(chan struct{}), make(chan struct{})
+	var n atomic.Int64
+	g.joining = func(string) {
+		if n.Add(1) == 2 {
+			close(checked)
+			<-release
+		}
+	}
+	return checked, release
+}
+
+func TestRegistryLateJoinerFindsResidentGraph(t *testing.T) {
+	r := NewRegistry(0)
+	checked, release := holdSecondJoiner(&r.flights)
+	var loads atomic.Int64
+	g := tinyGraph()
+	r.Register("a", "", func() (*temporal.Graph, error) {
+		loads.Add(1)
+		<-checked // the other Get has seen no resident graph
+		return g, nil
+	})
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { _, err := r.Get("a"); done <- err }()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			close(release) // the flight has resolved: let the held Get join
+		}
+	}
+	if got := loads.Load(); got != 1 {
+		t.Fatalf("a loaded %d times, want 1", got)
+	}
+	if loads, _, resident := r.Stats(); loads != 1 || resident != 1 {
+		t.Fatalf("loads/resident = %d/%d, want 1/1", loads, resident)
+	}
+}
+
+func TestCacheLateJoinerReadsStoredResult(t *testing.T) {
+	c := NewCache(4)
+	checked, release := holdSecondJoiner(&c.flights)
+	var computes atomic.Int64
+	type result struct {
+		val any
+		hit bool
+		err error
+	}
+	done := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			v, hit, _, err := c.Do(context.Background(), "key", func(context.Context) (any, error) {
+				computes.Add(1)
+				<-checked // the other Do has missed the cache
+				return 42, nil
+			})
+			done <- result{v, hit, err}
+		}()
+	}
+	var hits int
+	for i := 0; i < 2; i++ {
+		res := <-done
+		if res.err != nil || res.val != 42 {
+			t.Fatalf("Do = %v, %v; want 42", res.val, res.err)
+		}
+		if res.hit {
+			hits++
+		}
+		if i == 0 {
+			close(release) // the flight has resolved: let the held Do join
+		}
+	}
+	if got := computes.Load(); got != 1 {
+		t.Fatalf("compute ran %d times, want 1", got)
+	}
+	if h, m, _, _ := c.Stats(); hits != 1 || h != 1 || m != 1 {
+		t.Fatalf("hit results/hits/misses = %d/%d/%d, want 1/1/1", hits, h, m)
+	}
+}
+
 func TestQueryEndpoints(t *testing.T) {
 	s, _ := newTestServer(t, Options{WorkerBudget: 2})
 	code, body := get(t, s, "/v1/count?dataset=tiny&delta=300")

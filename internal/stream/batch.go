@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hare/internal/fast"
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
@@ -37,7 +38,7 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		// larger batches would overflow them silently. Split at the caller.
 		return fmt.Errorf("stream: batch of %d edges exceeds the %d limit; split it", len(edges), 1<<30-1)
 	}
-	last, started := c.lastT, c.started
+	last, started, nodes := c.lastT, c.started, c.nodes
 	nonLoops := 0
 	for i, e := range edges {
 		if e.From < 0 || e.To < 0 {
@@ -47,6 +48,7 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 			return fmt.Errorf("stream: batch edge %d: out-of-order edge at t=%d (last %d)", i, e.Time, last)
 		}
 		started, last = true, e.Time
+		nodes = max(nodes, int(e.From)+1, int(e.To)+1)
 		if e.From != e.To {
 			nonLoops++
 		}
@@ -58,14 +60,17 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
+	c.nodes = nodes
 	workers := c.opts.Workers
 	if workers > len(edges)/(MinParallelBatch/4) {
 		workers = len(edges) / (MinParallelBatch / 4)
 	}
 	if workers <= 1 || len(edges) < MinParallelBatch {
+		s := fast.GetScratch(c.nodes)
 		for _, e := range edges {
-			c.addValidated(e.From, e.To, e.Time)
+			c.addValidated(e.From, e.To, e.Time, s)
 		}
+		fast.PutScratch(s)
 		return nil
 	}
 
@@ -86,10 +91,7 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 	if len(recs) == 0 {
 		// Nothing to count, but the watermark still advanced: expire what
 		// fell out of the window, as a loop of Add calls would have.
-		if c.opts.Mode == Sliding {
-			c.retireExpired(cutoff)
-		}
-		return nil
+		return c.Advance(last)
 	}
 
 	// Bucket the batch's half-edges by owning worker in one O(n) pass: each
@@ -152,17 +154,15 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 }
 
 // scanPhase fans the per-edge scans of recs out over workers with private
-// counters, then merges them into the counter's tallies (retire selects the
-// retirement kernels and the retired accumulator).
+// counters and pooled scratches, then merges them into the counter's tallies
+// (retire selects the retirement scans and the retired accumulator).
 func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
-	for len(c.workerScratch) < workers {
-		c.workerScratch = append(c.workerScratch, newScratch())
-	}
 	perWorker := make([]motif.Counts, workers)
 	var cursor atomic.Int64
 	c.parallel(workers, func(w int) {
 		counts := &perWorker[w]
-		kern := c.workerScratch[w]
+		s := fast.GetScratch(c.nodes)
+		defer fast.PutScratch(s)
 		for {
 			end := cursor.Add(batchChunk)
 			start := end - batchChunk
@@ -173,17 +173,15 @@ func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 				end = int64(len(recs))
 			}
 			for _, r := range recs[start:end] {
-				var pop int
 				if retire {
 					uw := c.peek(r.u).after(r.id, r.t+c.opts.Delta)
 					vw := c.peek(r.v).after(r.id, r.t+c.opts.Delta)
-					pop = kern.countRetire(counts, uw, vw, r.u, r.v)
+					countRetire(counts, uw, vw, r.u, r.v, r.t, c.opts.Delta, s)
 				} else {
 					uw := c.peek(r.u).before(r.t-c.opts.Delta, r.id)
 					vw := c.peek(r.v).before(r.t-c.opts.Delta, r.id)
-					pop = kern.countArrival(counts, uw, vw, r.u, r.v)
+					countArrival(counts, uw, vw, r.u, r.v, c.opts.Delta, s)
 				}
-				kern.shed(pop)
 			}
 		}
 	})

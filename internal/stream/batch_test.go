@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -351,38 +350,40 @@ func TestNewCounterValidation(t *testing.T) {
 	}
 }
 
-// TestScratchShedding checks the documented memory policy: after a
-// pathological high-degree burst, the scratch maps are reallocated (not
-// just cleared) once traffic calms down, releasing the burst's buckets.
-func TestScratchShedding(t *testing.T) {
-	c, err := New(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burst: one hub talks to shedFloor+ distinct neighbors inside the
-	// window, so a scan populates > shedFloor map entries.
-	for i := 0; i < shedFloor+128; i++ {
-		if err := c.Add(0, temporal.NodeID(i+1), int64(i)); err != nil {
-			t.Fatal(err)
+// TestHubBurstStaysInNodeSpace checks the scans' memory model: a hub
+// window with thousands of distinct neighbours is counted on a dense
+// fast.Scratch sized to the node space, with no per-edge maps and no growth
+// past it — arrival and retirement scans alike allocate nothing.
+func TestHubBurstStaysInNodeSpace(t *testing.T) {
+	const hubNbrs = 5000
+	const n = hubNbrs + 2 // neighbours 1..hubNbrs, the far endpoint n-1
+	var uw, vw temporal.Seq
+	for i := 0; i < 2*hubNbrs; i++ {
+		// The hub 0 and the node n-1 both talk to every neighbour twice, so
+		// every neighbour closes stars at each and triangles on 0->n-1.
+		uw.ID = append(uw.ID, temporal.EdgeID(2*i))
+		vw.ID = append(vw.ID, temporal.EdgeID(2*i+1))
+		for _, w := range []*temporal.Seq{&uw, &vw} {
+			w.Time = append(w.Time, int64(i))
+			w.Other = append(w.Other, temporal.NodeID(1+i%hubNbrs))
 		}
+		uw.Out = append(uw.Out, i%2 == 0)
+		vw.Out = append(vw.Out, i%3 == 0)
 	}
-	burstMap := reflect.ValueOf(c.kern.runIn).Pointer()
-	if c.kern.peak < shedFloor {
-		t.Fatalf("burst peak = %d, want >= %d", c.kern.peak, shedFloor)
-	}
-	// Quiet traffic on fresh nodes: tiny windows, population far below the
-	// high-water mark — the maps must be swapped for small ones.
-	base := temporal.NodeID(shedFloor + 1000)
-	for i := 0; i < 4; i++ {
-		if err := c.Add(base+temporal.NodeID(i), base+temporal.NodeID(i+1), int64(shedFloor+200+i)); err != nil {
-			t.Fatal(err)
+	s := fast.NewScratch()
+	s.Grow(n)
+	const delta = 1 << 40
+	var counts motif.Counts
+	arrive := func() { countArrival(&counts, uw, vw, 0, n-1, delta, s) }
+	retire := func() { countRetire(&counts, uw, vw, 0, n-1, 0, delta, s) }
+	for name, scan := range map[string]func(){"countArrival": arrive, "countRetire": retire} {
+		counts = motif.Counts{}
+		if avg := testing.AllocsPerRun(3, scan); avg != 0 {
+			t.Errorf("%s on a %d-neighbour hub allocates %.1f times, want 0", name, hubNbrs, avg)
 		}
-	}
-	if got := reflect.ValueOf(c.kern.runIn).Pointer(); got == burstMap {
-		t.Fatal("scratch maps not reallocated after burst subsided")
-	}
-	if c.kern.peak >= shedFloor {
-		t.Fatalf("high-water mark not reset: %d", c.kern.peak)
+		if counts.Star.Total() == 0 || counts.Tri.Total() == 0 {
+			t.Errorf("%s found no stars or triangles: the burst is not exercised", name)
+		}
 	}
 }
 

@@ -1,69 +1,24 @@
 package stream
 
 import (
+	"hare/internal/fast"
+	"hare/internal/higher"
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
 
-// scratch holds one worker's reusable hash maps for the per-edge scans. A
-// scratch must not be shared between goroutines; the batched ingest path
-// gives every worker its own.
-//
-// Memory policy: clear() empties a map but Go never releases its buckets, so
-// one pathological high-degree burst (a node with a huge δ-window) would pin
-// that worst-case footprint forever. The scratch therefore tracks a
-// high-water mark of entries populated per scan and reallocates the maps
-// once the mark exceeds shedFloor while the current scan used less than
-// 1/shedRatio of it — steady-state traffic pays nothing, and a burst's
-// buckets are shed as soon as the stream calms down.
-type scratch struct {
-	runIn   map[temporal.NodeID]uint64
-	runOut  map[temporal.NodeID]uint64
-	nbrJoin map[temporal.NodeID][]temporal.HalfEdge
-	peak    int // max entries populated in one scan since the last shed
-}
-
-const (
-	shedFloor = 4096
-	shedRatio = 8
-)
-
-func newScratch() *scratch {
-	return &scratch{
-		runIn:   make(map[temporal.NodeID]uint64),
-		runOut:  make(map[temporal.NodeID]uint64),
-		nbrJoin: make(map[temporal.NodeID][]temporal.HalfEdge),
-	}
-}
-
-// shed applies the memory policy after one edge's scans; pop is the number
-// of map entries those scans populated.
-func (s *scratch) shed(pop int) {
-	if pop > s.peak {
-		s.peak = pop
-	}
-	if s.peak >= shedFloor && pop*shedRatio <= s.peak {
-		s.runIn = make(map[temporal.NodeID]uint64, pop)
-		s.runOut = make(map[temporal.NodeID]uint64, pop)
-		s.nbrJoin = make(map[temporal.NodeID][]temporal.HalfEdge, pop)
-		s.peak = pop
-	}
-}
-
 // countArrival tallies every motif instance completed by the edge
 // (id, u->v, t): the arriving edge is the chronologically last edge of each
 // instance. uw and vw are columnar views of the endpoints' δ-windows as of
-// the arrival — edges with ID < id and Time >= t-δ. Returns the scratch
-// population for shed accounting.
-func (s *scratch) countArrival(counts *motif.Counts, uw, vw temporal.Seq, u, v temporal.NodeID) int {
-	pop := s.scanStarPair(counts, uw, v, true)
-	if p := s.scanStarPair(counts, vw, u, false); p > pop {
-		pop = p
-	}
-	if p := s.joinTriangles(&counts.Tri, true, uw, vw); p > pop {
-		pop = p
-	}
-	return pop
+// the arrival — edges with ID < id and Time >= t-δ.
+func countArrival(counts *motif.Counts, uw, vw temporal.Seq, u, v temporal.NodeID,
+	delta temporal.Timestamp, s *fast.Scratch) {
+	fast.CountBefore(uw, v, true, counts, s)
+	fast.CountBefore(vw, u, false, counts, s)
+	var diff, same higher.LegPairs
+	higher.CountLegPairsIn(uw, temporal.Seq{}, vw, temporal.Seq{}, u, v, delta,
+		1<<higher.OrderFGM|1<<higher.OrderGFM, s, &diff, &same)
+	addTriangles(&counts.Tri, &same, true)
 }
 
 // countRetire tallies every still-live motif instance whose chronologically
@@ -71,117 +26,21 @@ func (s *scratch) countArrival(counts *motif.Counts, uw, vw temporal.Seq, u, v t
 // the endpoints' forward windows — edges with ID > id and Time <= t+δ.
 // Every such instance was counted at arrival time (all three edges span
 // <= δ), so subtracting these tallies retires exactly the instances that
-// drop out of the sliding window. Returns the scratch population.
-func (s *scratch) countRetire(counts *motif.Counts, uw, vw temporal.Seq, u, v temporal.NodeID) int {
-	pop := s.retireStarPair(counts, uw, v, true)
-	if p := s.retireStarPair(counts, vw, u, false); p > pop {
-		pop = p
-	}
-	if p := s.joinTriangles(&counts.Tri, false, uw, vw); p > pop {
-		pop = p
-	}
-	return pop
+// drop out of the sliding window.
+func countRetire(counts *motif.Counts, uw, vw temporal.Seq, u, v temporal.NodeID,
+	t, delta temporal.Timestamp, s *fast.Scratch) {
+	fast.CountAfter(uw, t, v, true, delta, counts, s)
+	fast.CountAfter(vw, t, u, false, delta, counts, s)
+	var diff, same higher.LegPairs
+	higher.CountLegPairsIn(temporal.Seq{}, uw, temporal.Seq{}, vw, u, v, delta,
+		1<<higher.OrderMFG|1<<higher.OrderMGF, s, &diff, &same)
+	addTriangles(&counts.Tri, &same, false)
 }
 
-// scanStarPair counts the star/pair triples whose last edge is the arriving
-// edge, centered at the window's owner. other is the arriving edge's far
-// endpoint and out its direction relative to the owner.
-//
-// One forward pass over the window with running totals: at each candidate
-// middle edge e2, the number of valid first edges of each class is known
-// from the running counters, split by whether the first edge goes to the
-// same neighbor as e2 / as the arriving edge.
-func (s *scratch) scanStarPair(counts *motif.Counts, win temporal.Seq, other temporal.NodeID, out bool) int {
-	if win.Len() < 2 {
-		return 0
-	}
-	d3 := motif.DirOf(out)
-	clear(s.runIn)
-	clear(s.runOut)
-	var nIn, nOut uint64
-	for i := 0; i < win.Len(); i++ {
-		e2Other, e2Out := win.Other[i], win.Out[i]
-		d2 := motif.DirOf(e2Out)
-		if e2Other == other {
-			// e2 pairs with the arriving edge (both to `other`): a first
-			// edge to `other` completes a 2-node pair; elsewhere it is the
-			// isolated first edge of a Star-I.
-			cin, cout := s.runIn[other], s.runOut[other]
-			counts.Pair[motif.PairIndex(motif.In, d2, d3)] += cin
-			counts.Pair[motif.PairIndex(motif.Out, d2, d3)] += cout
-			counts.Star[motif.StarIndex(motif.StarI, motif.In, d2, d3)] += nIn - cin
-			counts.Star[motif.StarIndex(motif.StarI, motif.Out, d2, d3)] += nOut - cout
-		} else {
-			// e2 goes to some n != other: a first edge to n pairs with e2
-			// (Star-III); a first edge to `other` pairs with the arriving
-			// edge (Star-II).
-			counts.Star[motif.StarIndex(motif.StarIII, motif.In, d2, d3)] += s.runIn[e2Other]
-			counts.Star[motif.StarIndex(motif.StarIII, motif.Out, d2, d3)] += s.runOut[e2Other]
-			counts.Star[motif.StarIndex(motif.StarII, motif.In, d2, d3)] += s.runIn[other]
-			counts.Star[motif.StarIndex(motif.StarII, motif.Out, d2, d3)] += s.runOut[other]
-		}
-		if e2Out {
-			s.runOut[e2Other]++
-			nOut++
-		} else {
-			s.runIn[e2Other]++
-			nIn++
-		}
-	}
-	return len(s.runIn) + len(s.runOut)
-}
-
-// retireStarPair is scanStarPair's time mirror: the fixed edge is the
-// chronologically *first* edge of each triple (direction d1 relative to the
-// owner), and win holds the owner's later in-window edges. One forward pass
-// treating each window edge as the last edge e3, with running totals over
-// the middle-edge candidates seen so far — the same loop shape as batch
-// FAST's Algorithm 1 inner loop with the retiring edge as e1.
-func (s *scratch) retireStarPair(counts *motif.Counts, win temporal.Seq, other temporal.NodeID, out bool) int {
-	if win.Len() < 2 {
-		return 0
-	}
-	d1 := motif.DirOf(out)
-	clear(s.runIn)
-	clear(s.runOut)
-	var nIn, nOut uint64
-	for i := 0; i < win.Len(); i++ {
-		e3Other, e3Out := win.Other[i], win.Out[i]
-		d3 := motif.DirOf(e3Out)
-		if e3Other == other {
-			// e3 pairs with the retiring edge (both to `other`): a middle
-			// edge to `other` makes the triple a 2-node pair; elsewhere the
-			// middle edge is isolated (Star-II).
-			cin, cout := s.runIn[other], s.runOut[other]
-			counts.Pair[motif.PairIndex(d1, motif.In, d3)] += cin
-			counts.Pair[motif.PairIndex(d1, motif.Out, d3)] += cout
-			counts.Star[motif.StarIndex(motif.StarII, d1, motif.In, d3)] += nIn - cin
-			counts.Star[motif.StarIndex(motif.StarII, d1, motif.Out, d3)] += nOut - cout
-		} else {
-			// e3 goes to some n != other: a middle edge to n pairs with e3
-			// (Star-I); a middle edge to `other` pairs with the retiring
-			// edge (Star-III).
-			counts.Star[motif.StarIndex(motif.StarI, d1, motif.In, d3)] += s.runIn[e3Other]
-			counts.Star[motif.StarIndex(motif.StarI, d1, motif.Out, d3)] += s.runOut[e3Other]
-			counts.Star[motif.StarIndex(motif.StarIII, d1, motif.In, d3)] += s.runIn[other]
-			counts.Star[motif.StarIndex(motif.StarIII, d1, motif.Out, d3)] += s.runOut[other]
-		}
-		if e3Out {
-			s.runOut[e3Other]++
-			nOut++
-		} else {
-			s.runIn[e3Other]++
-			nIn++
-		}
-	}
-	return len(s.runIn) + len(s.runOut)
-}
-
-// joinTriangles enumerates the triangles in which the fixed edge u->v is the
-// chronologically extreme edge of the instance: its two companions are one
-// window edge u<->w joined with one window edge v<->w. With arrival == true
-// the fixed edge is the newest (last) edge and the windows look backward;
-// otherwise it is a retiring (first) edge and the windows look forward.
+// addTriangles records the triangles on the fixed edge u->v from the pair
+// sweep's same-far-end tallies, f being the leg at u and g the leg at v:
+// orders FGM and GFM when u->v arrives (it is last), MFG and MGF when it
+// retires (it is first).
 //
 // Both cases record the instance in the cell its *arrival* classification
 // uses — Triangle-III from the perspective of the vertex not on the last
@@ -189,55 +48,22 @@ func (s *scratch) retireStarPair(counts *motif.Counts, win temporal.Seq, other t
 // the cumulative ones: di/dj are the center-incident edges' directions in
 // chronological order, dk the last edge's direction relative to the first
 // edge's far endpoint.
-func (s *scratch) joinTriangles(tri *motif.TriCounter, arrival bool, uWin, vWin temporal.Seq) int {
-	if uWin.Len() == 0 || vWin.Len() == 0 {
-		return 0
-	}
-	// Hash the smaller window by shared neighbor, scan the larger.
-	swapped := false
-	if uWin.Len() > vWin.Len() {
-		uWin, vWin = vWin, uWin
-		swapped = true
-	}
-	clear(s.nbrJoin)
-	for i := 0; i < uWin.Len(); i++ {
-		a := uWin.At(i)
-		s.nbrJoin[a.Other] = append(s.nbrJoin[a.Other], a)
-	}
-	for i := 0; i < vWin.Len(); i++ {
-		b := vWin.At(i)
-		for _, a := range s.nbrJoin[b.Other] {
-			aw, bw := a, b // aw is u<->w, bw is v<->w (pre-swap orientation)
-			if swapped {
-				aw, bw = b, a
-			}
-			var di, dj, dk motif.Dir
+func addTriangles(tri *motif.TriCounter, same *higher.LegPairs, arrival bool) {
+	for _, fOut := range [2]bool{false, true} {
+		for _, gOut := range [2]bool{false, true} {
+			fd, gd := motif.DirOf(fOut), motif.DirOf(gOut)
 			if arrival {
-				// The fixed edge is last; the center is the shared vertex w,
-				// so the window edges' directions flip to w's perspective.
-				diW := motif.Dir(aw.Dir()).Flip()
-				djW := motif.Dir(bw.Dir()).Flip()
-				if aw.ID < bw.ID {
-					di, dj = diW, djW
-					dk = motif.Out // ei's far endpoint is u; u->v leaves u
-				} else {
-					di, dj = djW, diW
-					dk = motif.In // ei's far endpoint is v; u->v enters v
-				}
+				// The center is the legs' common far end, so they flip to its
+				// view; the first leg's far end is u (u->v leaves it) or v.
+				tri[motif.TriIndex(motif.TriIII, fd.Flip(), gd.Flip(), motif.Out)] += same.At(higher.OrderFGM, fOut, gOut)
+				tri[motif.TriIndex(motif.TriIII, gd.Flip(), fd.Flip(), motif.In)] += same.At(higher.OrderGFM, fOut, gOut)
 			} else {
-				// The fixed edge is first (ei); the last edge is the later
-				// of (aw,bw) and the center its non-endpoint, u or v — so
-				// every direction is already stored center-relative.
-				if aw.ID > bw.ID {
-					// aw (u<->w) is last: center v, ej = bw, dk = aw rel. u.
-					di, dj, dk = motif.In, motif.Dir(bw.Dir()), motif.Dir(aw.Dir())
-				} else {
-					// bw (v<->w) is last: center u, ej = aw, dk = bw rel. v.
-					di, dj, dk = motif.Out, motif.Dir(aw.Dir()), motif.Dir(bw.Dir())
-				}
+				// The later leg is last and the center its pivot endpoint's
+				// partner: u when g is last, v when f is. Every leg is already
+				// stored relative to it.
+				tri[motif.TriIndex(motif.TriIII, motif.Out, fd, gd)] += same.At(higher.OrderMFG, fOut, gOut)
+				tri[motif.TriIndex(motif.TriIII, motif.In, gd, fd)] += same.At(higher.OrderMGF, fOut, gOut)
 			}
-			tri[motif.TriIndex(motif.TriIII, di, dj, dk)]++
 		}
 	}
-	return len(s.nbrJoin)
 }

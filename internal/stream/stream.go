@@ -5,22 +5,26 @@
 // instances completed so far and, in sliding mode, the exact counts of the
 // instances lying entirely inside the last δ window.
 //
-// The algorithm inverts FAST's loop structure: instead of fixing the first
-// edge and scanning forward (Algorithm 1), the newest edge is the *last*
-// edge of every newly completed instance, and one backward scan over each
-// endpoint's δ-window counts the completed star/pair triples while a
-// shared-neighbor join between the two windows enumerates the completed
-// triangles. Per-edge cost is O(d^δ) for stars/pairs plus output-sensitive
-// work for triangles — the same asymptotics as batch FAST, paid
-// incrementally. Sliding mode additionally runs the time-mirrored scans
+// The counting routines are the batch ones, run on each new edge's
+// δ-windows. The newest edge is the *last* edge of every newly completed
+// instance: fast.CountBefore, the time mirror of FAST-Star's window loop
+// (Algorithm 1), counts the completed star/pair triples in each endpoint's
+// backward window, and higher.CountLegPairsIn, the pair sweep behind path4,
+// counts the completed triangles as the legs at the two endpoints with one
+// common far end. Per-edge cost is O(d^δ) — the same asymptotics as batch
+// FAST, paid incrementally. Sliding mode additionally runs the forward scans
 // when an edge expires: the expiring edge is the *first* edge of every
-// instance leaving the window, so the same kernels retire them exactly.
+// instance leaving the window, so fast.CountAfter (Algorithm 1's loop for
+// one first edge) and the sweep's forward orders retire them exactly.
 //
 // Per-node window state is sharded by node hash, and AddBatch fans a batch
 // of edges out over worker goroutines with private per-worker counters
 // merged at the end (the engine package's reduction discipline), so ingest
 // throughput and state maintenance both scale across cores while results
-// stay bit-identical to sequential Add and to batch hare.Count.
+// stay bit-identical to sequential Add and to batch hare.Count. The scans'
+// per-neighbour counters live on a pooled fast.Scratch covering every node ID
+// up to the largest ingested, 20 bytes each: the memory model of batch
+// counting.
 package stream
 
 import (
@@ -29,6 +33,7 @@ import (
 	"math/bits"
 	"runtime"
 
+	"hare/internal/fast"
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
@@ -78,9 +83,7 @@ type Counter struct {
 	lastT   temporal.Timestamp
 	started bool
 	loops   uint64
-
-	kern          *scratch   // sequential-path scratch
-	workerScratch []*scratch // batch workers' scratches, grown on demand
+	nodes   int // one past the largest node ID ingested: the scratch size
 }
 
 // New returns an empty cumulative Counter with the given window δ.
@@ -115,7 +118,6 @@ func NewCounter(opts Options) (*Counter, error) {
 		opts:      opts,
 		shardBits: bitsN,
 		shards:    make([]windowShard, 1<<bitsN),
-		kern:      newScratch(),
 	}
 	for i := range c.shards {
 		c.shards[i].windows = make(map[temporal.NodeID]*nodeWindow)
@@ -177,15 +179,18 @@ func (c *Counter) Add(u, v temporal.NodeID, t temporal.Timestamp) error {
 		// order; wrapping would corrupt counts silently, so refuse instead.
 		return fmt.Errorf("stream: edge id space exhausted after %d edges", c.nextID)
 	}
-	c.addValidated(u, v, t)
+	c.nodes = max(c.nodes, int(u)+1, int(v)+1)
+	s := fast.GetScratch(c.nodes)
+	c.addValidated(u, v, t, s)
+	fast.PutScratch(s)
 	return nil
 }
 
-func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
+func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp, s *fast.Scratch) {
 	c.started, c.lastT = true, t
 	cutoff := t - c.opts.Delta
 	if c.opts.Mode == Sliding {
-		c.retireExpired(cutoff)
+		c.retireExpired(cutoff, s)
 	}
 	if u == v {
 		c.loops++
@@ -197,8 +202,7 @@ func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
 	wu, wv := c.window(u), c.window(v)
 	uw := wu.before(cutoff, id)
 	vw := wv.before(cutoff, id)
-	pop := c.kern.countArrival(&c.counts, uw, vw, u, v)
-	c.kern.shed(pop)
+	countArrival(&c.counts, uw, vw, u, v, c.opts.Delta, s)
 
 	wu.push(id, t, v, true)
 	wv.push(id, t, u, false)
@@ -213,13 +217,12 @@ func (c *Counter) addValidated(u, v temporal.NodeID, t temporal.Timestamp) {
 // instances it leads. Pops happen in EdgeID order, so each expiring edge is
 // the chronologically first edge of every instance it still participates
 // in; its companions are exactly the in-window edges that follow it
-// (ID greater, time within δ) — see scratch.countRetire.
-func (c *Counter) retireExpired(cutoff temporal.Timestamp) {
+// (ID greater, time within δ) — see countRetire.
+func (c *Counter) retireExpired(cutoff temporal.Timestamp, s *fast.Scratch) {
 	for _, r := range c.fifo.popExpired(cutoff) {
 		uw := c.peek(r.u).after(r.id, r.t+c.opts.Delta)
 		vw := c.peek(r.v).after(r.id, r.t+c.opts.Delta)
-		pop := c.kern.countRetire(&c.retired, uw, vw, r.u, r.v)
-		c.kern.shed(pop)
+		countRetire(&c.retired, uw, vw, r.u, r.v, r.t, c.opts.Delta, s)
 	}
 	c.fifo.compact()
 }
@@ -234,7 +237,9 @@ func (c *Counter) Advance(t temporal.Timestamp) error {
 	}
 	c.started, c.lastT = true, t
 	if c.opts.Mode == Sliding {
-		c.retireExpired(t - c.opts.Delta)
+		s := fast.GetScratch(c.nodes)
+		c.retireExpired(t-c.opts.Delta, s)
+		fast.PutScratch(s)
 	}
 	return nil
 }
