@@ -193,7 +193,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 func WithDegreeThreshold(t int) Option { return func(c *config) { c.thrd = t } }
 
 // WithOnly restricts counting to one motif category (pair and star motifs
-// are always counted together — they share Algorithm 1 — so CategoryPair and
+// are always counted together — one kernel finds both — so CategoryPair and
 // CategoryStar are equivalent here, and the non-requested categories are
 // simply zero in the result).
 func WithOnly(cat Category) Option {

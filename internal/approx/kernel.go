@@ -26,9 +26,10 @@ type Kernel interface {
 	Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64)
 }
 
-// StarKernel samples 4-node stars by center node. Weight is d³ — the
-// all-triples count a center of temporal degree d can host dominates both
-// its cost and its tally variance.
+// StarKernel samples 4-node stars by center node. Weight is d³, the
+// all-triples count a center of temporal degree d can host: a proxy for the
+// tally's variance, not for the evaluation's cost, which the star/pair sweep
+// made linear in d.
 type StarKernel struct{}
 
 // Cells implements Kernel (the 8 direction-pattern star motifs).

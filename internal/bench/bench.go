@@ -202,8 +202,11 @@ func Table3(opts Options) error {
 	return nil
 }
 
-// Fig9 groups per-node work by log2 degree bucket, timing what the engine
-// runs per center: FAST-Star plus the triangles that center owns.
+// Fig9 groups per-node work by log2 degree bucket, timing the paper's
+// algorithms per center, as the figure does: Algorithm 1 (FAST-Star) plus
+// the triangles that center owns. The engine counts stars and pairs with the
+// sweep (fast.SweepStarPairRange) instead, whose per-center cost is linear
+// in the degree.
 func Fig9(opts Options) error {
 	w := opts.Out
 	s := newSuite(opts)

@@ -41,6 +41,30 @@ func Count(g *temporal.Graph, delta temporal.Timestamp) motif.Matrix {
 	return m
 }
 
+// CenterTriples tallies every chronologically ordered triple of edges
+// incident to u with t_k − t_i ≤ δ, whatever their far ends, by the direction
+// pattern of its edges relative to u (motif.PairIndex): the all-triples tally
+// 4-node stars are complemented from. It filters the edge columns for u
+// rather than reading u's incidence sequence.
+func CenterTriples(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp) (all [8]uint64) {
+	src, dst, ts := g.Src(), g.Dst(), g.Times()
+	var inc []int
+	for i := range ts {
+		if src[i] == u || dst[i] == u {
+			inc = append(inc, i)
+		}
+	}
+	dir := func(i int) motif.Dir { return motif.DirOf(src[i] == u) }
+	for a, i := range inc {
+		for b := a + 1; b < len(inc) && ts[inc[b]]-ts[i] <= delta; b++ {
+			for c := b + 1; c < len(inc) && ts[inc[c]]-ts[i] <= delta; c++ {
+				all[motif.PairIndex(dir(i), dir(inc[b]), dir(inc[c]))]++
+			}
+		}
+	}
+	return all
+}
+
 // CountLabel counts instances of a single motif label (convenience for
 // baseline tests).
 func CountLabel(g *temporal.Graph, delta temporal.Timestamp, label motif.Label) uint64 {

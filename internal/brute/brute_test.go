@@ -62,6 +62,25 @@ func TestCountLabel(t *testing.T) {
 	}
 }
 
+func TestCenterTriplesKnown(t *testing.T) {
+	g := temporal.FromEdges([]temporal.Edge{
+		{From: 0, To: 1, Time: 1}, {From: 2, To: 0, Time: 2}, {From: 0, To: 1, Time: 3},
+		{From: 3, To: 4, Time: 4}, // not at the center
+		{From: 0, To: 3, Time: 20},
+	})
+	oio, ooo, ioo := motif.PairIndex(motif.Out, motif.In, motif.Out),
+		motif.PairIndex(motif.Out, motif.Out, motif.Out), motif.PairIndex(motif.In, motif.Out, motif.Out)
+	var want [8]uint64
+	want[oio] = 1 // (1, 2, 3); the edge at 20 is out of every window
+	if got := CenterTriples(g, 0, 10); got != want {
+		t.Fatalf("δ=10: %v, want %v", got, want)
+	}
+	want[oio], want[ooo], want[ioo] = 2, 1, 1 // every 3 of the center's 4 edges
+	if got := CenterTriples(g, 0, 100); got != want {
+		t.Fatalf("δ=100: %v, want %v", got, want)
+	}
+}
+
 func TestFourNodePatternsIgnored(t *testing.T) {
 	// Connected in aggregate but any triple spans 4 nodes -> no motifs...
 	// here: a path of 3 edges over 4 nodes.

@@ -7,17 +7,18 @@
 //     (center nodes) from a shared atomic cursor (the analogue of OpenMP
 //     dynamic scheduling);
 //   - intra-node parallelism: pivots whose temporal degree exceeds a
-//     threshold thrd are processed one at a time, with the first-edge loop
-//     of Algorithms 1/2 split across workers.
+//     threshold thrd are processed one at a time, with the center's edge
+//     loop split across workers.
 //
 // Sweep is the only two-stage schedule in the repository and Options the
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
 // motifs, below) and higher.CountStar4Range: the node pivots, whose cost
-// grows with a power of the degree; a change to how work is scheduled is an
-// edit to Sweep. Dispatch, the flat chunked loop underneath, is exported for
-// the loops that have no heavy stage (higher.SweepEdgesRange and through it
-// path4 and query's edge plans, whose per-edge cost is linear in the
-// endpoints' δ-windows; nullmodel.SampleMatrices; approx.EstimateStrata).
+// grows with the degree, so one hub can outweigh whole chunks of others; a
+// change to how work is scheduled is an edit to Sweep. Dispatch, the flat
+// chunked loop underneath, is exported for the loops that have no heavy
+// stage (higher.SweepEdgesRange and through it path4 and query's edge plans,
+// whose per-edge cost is linear in the endpoints' δ-windows;
+// nullmodel.SampleMatrices; approx.EstimateStrata).
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable
@@ -181,8 +182,9 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 //
 // Stage 2 runs after every light pivot has finished. Heavy pivots go one at
 // a time, each split into small dynamic slices: heavy(worker, id, from, to)
-// is called with slices that partition [0, degree(id)) — the first-edge
-// range of a center node.
+// is called with slices that partition [0, degree(id)) — the edge range of a
+// center node, which each kernel reads as its own loop's index (first edges
+// for FAST-Tri, last edges for the star/pair sweep).
 //
 // Every non-skipped pivot is delivered exactly once, which is what keeps
 // per-pivot integer tallies bit-identical at any setting. Callbacks run
@@ -227,9 +229,9 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 		hubs = append(hubs, ids...)
 	}
 	for _, id := range hubs {
-		// First-edge iterations near the start of a sequence dominate (longer
-		// suffix to scan), so use small dynamic slices rather than a static
-		// split.
+		// Slices cost unevenly (FAST-Tri's first edges scan windows of
+		// different lengths; a sweep slice replays the window before it), so
+		// use small dynamic slices rather than a static split.
 		d := degree(id)
 		Dispatch(workers, d/(workers*8)+1, d, func(w, from, to int) { heavy(w, id, from, to) })
 	}
@@ -238,7 +240,7 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTri bool) *motif.Counts {
 	workers := opts.EffectiveWorkers()
 	perWorker := make([]motif.Counts, workers)
-	scratch := make([]*fast.Scratch, workers) // FAST-Star only; stays nil for CountTri
+	scratch := make([]*fast.Scratch, workers) // stars and pairs only; stays nil for CountTri
 	if doStar {
 		for w := range scratch {
 			scratch[w] = fast.NewScratch()
@@ -249,11 +251,13 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTr
 	if doTri {
 		minDegree = 2 // a triangle two
 	}
-	// A center's whole first-edge range is the light unit, a slice of it the
-	// heavy one: FAST is the same loop either way.
+	// A center's whole edge range is the light unit, a slice of it the heavy
+	// one: the star/pair sweep's slice is a last-edge range, FAST-Tri's a
+	// first-edge range, and each kernel is the same loop either way.
 	count := func(w, u, from, to int) {
 		if doStar {
-			fast.CountStarPairRange(g.Seq(temporal.NodeID(u)), delta, &perWorker[w], scratch[w], from, to)
+			var all [8]uint64 // the 4-node-star tally, which the 36 motifs do not use
+			fast.SweepStarPairRange(g.Seq(temporal.NodeID(u)), delta, &perWorker[w], &all, scratch[w], from, to)
 		}
 		if doTri {
 			fast.CountTriRange(g, temporal.NodeID(u), delta, &perWorker[w].Tri, true, from, to)

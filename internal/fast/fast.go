@@ -9,6 +9,15 @@
 // Both run in time linear in |E| for bounded in-window degree d^δ
 // (O(d^δ·|E|) and O((d^δ)²·|E|) respectively).
 //
+// Beside Algorithm 1 the package has the star/pair sweep
+// (SweepStarPairRange), which finds the same star and pair cells in O(|E|)
+// whatever the window, one push and one pop per edge: it is what the engine,
+// package higher and the null-model ensembles run. Count, CountStarPair and
+// CountStarPairRange stay Algorithm 1 verbatim — Table III's FAST columns,
+// the sequential reference the parallel paths are checked against, and the
+// sweep's oracle — and CountAfter/CountBefore, its inner loop and that
+// loop's mirror, are the stream tier's per-edge kernels.
+//
 // The hot loops iterate the graph's columnar CSR layout (temporal.Seq views)
 // directly, and the per-worker Scratch replaces Algorithm 1's hash maps with
 // dense epoch-versioned arrays: resetting between first-edge iterations is a
@@ -42,12 +51,16 @@ import (
 // clearing between scans is one epoch increment instead of a map clear.
 // Reusing a Scratch across centers keeps the hot loop allocation free once
 // the arrays have grown to the graph's node space (Grow preallocates).
-// A Scratch must not be shared between goroutines.
+// SweepStarPairRange keeps its per-neighbour records in nbrs instead, one per
+// neighbour in the window, with the slot index in in[u]. A Scratch must not
+// be shared between goroutines.
 type Scratch struct {
 	in    []uint64
 	out   []uint64
 	mark  []uint32
 	epoch uint32
+	nbrs  []nbrWindow
+	free  []int32 // released slots of nbrs
 }
 
 // NewScratch returns an empty Scratch. It grows on demand; call Grow with
@@ -338,16 +351,24 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 // entry point ("FAST" in the paper's Table III).
 func Count(g *temporal.Graph, delta temporal.Timestamp) *motif.Counts {
 	counts := &motif.Counts{}
-	CountInto(g, delta, counts, NewScratch())
+	s := NewScratch()
+	for u := 0; u < g.NumNodes(); u++ {
+		CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
+		CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, true)
+	}
 	return counts
 }
 
-// CountInto is Count accumulating into the caller's counter with the
-// caller's scratch, for loops that count many graphs of one size (null-model
-// ensembles) and keep both across them.
+// CountInto counts all 36 motifs sequentially into the caller's counter with
+// the caller's scratch, for loops that count many graphs of one size
+// (null-model ensembles) and keep both across them. It runs what the engine
+// runs per center: stars and pairs by the sweep (SweepStarPairRange), then
+// FAST-Tri; its counts equal Count's.
 func CountInto(g *temporal.Graph, delta temporal.Timestamp, counts *motif.Counts, s *Scratch) {
+	var all [8]uint64 // the 4-node-star tally, which the 36 motifs do not use
 	for u := 0; u < g.NumNodes(); u++ {
-		CountStarPairNode(g, temporal.NodeID(u), delta, counts, s)
+		su := g.Seq(temporal.NodeID(u))
+		SweepStarPairRange(su, delta, counts, &all, s, 0, su.Len())
 		CountTriNode(g, temporal.NodeID(u), delta, &counts.Tri, true)
 	}
 }

@@ -248,11 +248,16 @@ func TestCountRangePartition(t *testing.T) {
 	}
 }
 
-// CountAfter over each edge's forward δ-window and CountBefore over each
-// backward one must each find every star and pair triple at a center once,
-// by its first or its last edge: the per-edge routines the stream tier runs
-// sum to Algorithm 1 at every center.
-func TestCountBeforeAfterSumToCountStarPair(t *testing.T) {
+type starPairCase struct {
+	name  string
+	g     *temporal.Graph
+	delta temporal.Timestamp
+}
+
+// starPairCorpus lists the inputs the per-center star/pair routines are held
+// to Algorithm 1 on: random, hub-skewed, duplicate timestamps, δ = 0, and δ
+// so large that t − δ would overflow.
+func starPairCorpus() []starPairCase {
 	r := rand.New(rand.NewSource(31))
 	hub := func() *temporal.Graph {
 		b := temporal.NewBuilder(400)
@@ -265,19 +270,23 @@ func TestCountBeforeAfterSumToCountStarPair(t *testing.T) {
 		}
 		return b.Build()
 	}
-	cases := []struct {
-		name  string
-		g     *temporal.Graph
-		delta temporal.Timestamp
-	}{
+	return []starPairCase{
 		{"random", randomGraph(r, 12, 300, 200), 30},
 		{"hub-skewed", hub(), 40},
 		{"duplicate-timestamp", randomGraph(r, 6, 200, 4), 1},
 		{"delta-0", randomGraph(r, 6, 200, 20), 0},
 		{"huge-delta", randomGraph(r, 8, 150, 1000), math.MaxInt64},
+		{"delta-2^62", randomGraph(r, 8, 150, 1000), 1 << 62},
 	}
+}
+
+// CountAfter over each edge's forward δ-window and CountBefore over each
+// backward one must each find every star and pair triple at a center once,
+// by its first or its last edge: the per-edge routines the stream tier runs
+// sum to Algorithm 1 at every center.
+func TestCountBeforeAfterSumToCountStarPair(t *testing.T) {
 	s := NewScratch()
-	for _, tc := range cases {
+	for _, tc := range starPairCorpus() {
 		g, delta := tc.g, tc.delta
 		var triples uint64
 		for u := 0; u < g.NumNodes(); u++ {

@@ -14,10 +14,10 @@
 //	Star4[d1,d2,d3] = All[d1,d2,d3] − Σ_type Star[type,d1,d2,d3] − Pair[d1,d2,d3]
 //
 // where All counts every center-incident ordered triple within δ by
-// direction pattern (a 2-class sliding window, O(d) per center). The result
-// is exact, runs in the same asymptotics as FAST-Star, and — like FAST — is
-// embarrassingly parallel over centers (each 4-node star has a unique
-// center).
+// direction pattern. fast.SweepStarPairRange yields All beside the star and
+// pair cells from its one O(d) pass per center, so the 4-node counts cost
+// nothing beyond the 3-node ones, and — like FAST — are embarrassingly
+// parallel over centers (each 4-node star has a unique center).
 //
 // The package has no scheduler of its own. CountStar4Range is a caller of
 // engine.Sweep, HARE's two-stage schedule: it sweeps center nodes with an
@@ -83,9 +83,9 @@ func (c *Star4Counter) String() string {
 func CountNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	scratch *fast.Scratch) (Star4Counter, motif.Counts) {
 	var all [8]uint64
-	countAllTriples(g.Seq(u), delta, &all)
 	var counts motif.Counts
-	fast.CountStarPairNode(g, u, delta, &counts, scratch)
+	su := g.Seq(u)
+	fast.SweepStarPairRange(su, delta, &counts, &all, scratch, 0, su.Len())
 	return complement(&all, &counts), counts
 }
 
@@ -117,35 +117,4 @@ func Count(g *temporal.Graph, delta temporal.Timestamp) Star4Counter {
 		total.Add(&s4)
 	}
 	return total
-}
-
-// countAllTriples tallies every ordered triple (i<j<k, t_k − t_i ≤ δ) of one
-// center's sequence by direction pattern, with the push/pop sliding window
-// (cf. Paranjape's general counter, specialised to two classes and inlined
-// for the counter-adaptation the paper's future-work section sketches).
-func countAllTriples(seq temporal.Seq, delta temporal.Timestamp, out *[8]uint64) {
-	n := seq.Len()
-	if n < 3 {
-		return
-	}
-	times, outs := seq.Time, seq.Out
-	var c1 [2]uint64
-	var c2 [4]uint64
-	start := 0
-	for k := 0; k < n; k++ {
-		for times[k]-times[start] > delta {
-			x := int(motif.DirOf(outs[start]))
-			c1[x]--
-			c2[x<<1|0] -= c1[0]
-			c2[x<<1|1] -= c1[1]
-			start++
-		}
-		z := int(motif.DirOf(outs[k]))
-		for xy := 0; xy < 4; xy++ {
-			out[xy<<1|z] += c2[xy]
-		}
-		c2[0<<1|z] += c1[0]
-		c2[1<<1|z] += c1[1]
-		c1[z]++
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hare/internal/brute"
 	"hare/internal/fast"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -130,15 +131,14 @@ func TestTieHeavyMatchesBruteForce(t *testing.T) {
 }
 
 // The decomposition identity: All = Pair + 3-node stars + 4-node stars, per
-// direction pattern, per center.
+// direction pattern, per center, with All enumerated by brute force.
 func TestDecompositionIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	g := randomGraph(r, 10, 300, 60)
 	delta := int64(20)
 	scratch := fast.NewScratch()
 	for u := 0; u < g.NumNodes(); u++ {
-		var all [8]uint64
-		countAllTriples(g.Seq(temporal.NodeID(u)), delta, &all)
+		all := brute.CenterTriples(g, temporal.NodeID(u), delta)
 		s4, counts := CountNode(g, temporal.NodeID(u), delta, scratch)
 		for i := 0; i < 8; i++ {
 			d1, d2, d3 := motif.PairDirs(i)

@@ -1,8 +1,6 @@
 package higher
 
 import (
-	"sort"
-
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/motif"
@@ -59,12 +57,12 @@ func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4
 // scatter/gather serving path (internal/shard).
 //
 // It is a caller of engine.Sweep: light centers are pulled in dynamic
-// chunks, heavy centers (degree > thrd) go one at a time with both counter
-// families split across workers — the all-triples counter by last-edge
-// index, FAST-Star by first-edge index; both partitions are exact. Each
-// worker sums both families over whatever it is handed and the complement
-// is applied once, after the partials merge. Counts are bit-identical to
-// the sequential Count at any setting.
+// chunks, heavy centers (degree > thrd) go one at a time with their
+// last-edge range split across workers, each slice one
+// fast.SweepStarPairRange call that yields the star, pair and all-triples
+// tallies together. Each worker sums them over whatever it is handed and the
+// complement is applied once, after the partials merge. Counts are
+// bit-identical to the sequential Count at any setting.
 func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) (Star4Counter, motif.Counts) {
 	eo := opts.engine()
 	parts := make([]struct {
@@ -76,6 +74,10 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		parts[w].scratch = fast.GetScratch(g.NumNodes())
 		defer fast.PutScratch(parts[w].scratch)
 	}
+	count := func(w, u, from, to int) {
+		p := &parts[w]
+		fast.SweepStarPairRange(g.Seq(temporal.NodeID(u)), delta, &p.counts, &p.all, p.scratch, from, to)
+	}
 	engine.Sweep(g, eo, max(lo, 0), min(hi, g.NumNodes()),
 		func(u int) int {
 			if d := g.Degree(temporal.NodeID(u)); d >= 3 {
@@ -83,16 +85,8 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 			}
 			return -1 // every star and pair needs three edges at its center
 		},
-		func(w, u int) {
-			p, su := &parts[w], g.Seq(temporal.NodeID(u))
-			countAllTriples(su, delta, &p.all)
-			fast.CountStarPairRange(su, delta, &p.counts, p.scratch, 0, su.Len())
-		},
-		func(w, u, from, to int) {
-			p, su := &parts[w], g.Seq(temporal.NodeID(u))
-			countAllTriplesRange(su, delta, &p.all, from, to)
-			fast.CountStarPairRange(su, delta, &p.counts, p.scratch, from, to)
-		})
+		func(w, u int) { count(w, u, 0, g.Degree(temporal.NodeID(u))) },
+		count)
 	var all [8]uint64
 	var counts motif.Counts
 	for w := range parts {
@@ -102,47 +96,6 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		counts.Add(&parts[w].counts)
 	}
 	return complement(&all, &counts), counts
-}
-
-// countAllTriplesRange tallies the ordered triples whose *last* edge index
-// k lies in [lo, hi) — the range analogue of countAllTriples. The sliding
-// window state at k = lo is reconstructed by replaying the in-window prefix
-// (O(window) work), after which the loop proceeds exactly as the sequential
-// one; a partition of [0, n) therefore sums to the full counter.
-func countAllTriplesRange(seq temporal.Seq, delta temporal.Timestamp, out *[8]uint64, lo, hi int) {
-	n := seq.Len()
-	if n < 3 || lo >= hi {
-		return
-	}
-	times, outs := seq.Time, seq.Out
-	var c1 [2]uint64
-	var c2 [4]uint64
-	// Window start for k = lo (a binary search on the time difference:
-	// times[lo] − δ overflows for huge δ), then replay the additions the
-	// sequential loop would have accumulated for indices [start, lo).
-	start := sort.Search(lo, func(x int) bool { return times[lo]-times[x] <= delta })
-	for x := start; x < lo; x++ {
-		z := int(motif.DirOf(outs[x]))
-		c2[0<<1|z] += c1[0]
-		c2[1<<1|z] += c1[1]
-		c1[z]++
-	}
-	for k := lo; k < hi; k++ {
-		for times[k]-times[start] > delta {
-			x := int(motif.DirOf(outs[start]))
-			c1[x]--
-			c2[x<<1|0] -= c1[0]
-			c2[x<<1|1] -= c1[1]
-			start++
-		}
-		z := int(motif.DirOf(outs[k]))
-		for xy := 0; xy < 4; xy++ {
-			out[xy<<1|z] += c2[xy]
-		}
-		c2[0<<1|z] += c1[0]
-		c2[1<<1|z] += c1[1]
-		c1[z]++
-	}
 }
 
 // CountPath4 counts the 4-node, 3-edge path motifs in parallel over middle

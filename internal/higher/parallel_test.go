@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hare/internal/brute"
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/gen"
@@ -83,31 +84,31 @@ func TestCountPath4MatchesSequential(t *testing.T) {
 }
 
 // Any partition of [0, n) by last-edge index must sum to the full
-// all-triples counter — the invariant the intra-center split rests on.
+// all-triples counter, enumerated by brute force, and to the whole center's
+// star and pair cells — the invariant the intra-center split rests on.
 func TestCountAllTriplesRangePartition(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
+	scratch := fast.NewScratch()
 	for trial := 0; trial < 20; trial++ {
 		g := hubGraph(r, 3+r.Intn(5), 20+r.Intn(80), 0, 1+int64(r.Intn(10)))
 		delta := int64(r.Intn(8))
 		for u := 0; u < g.NumNodes(); u++ {
-			seq := g.Seq(temporal.NodeID(u))
-			var want [8]uint64
-			countAllTriples(seq, delta, &want)
+			want := brute.CenterTriples(g, temporal.NodeID(u), delta)
+			_, wantC := CountNode(g, temporal.NodeID(u), delta, scratch)
 			// Random 3-way split.
+			seq := g.Seq(temporal.NodeID(u))
 			n := seq.Len()
-			a, b := 0, 0
-			if n > 0 {
-				a, b = r.Intn(n+1), r.Intn(n+1)
-			}
+			a, b := r.Intn(n+1), r.Intn(n+1)
 			if a > b {
 				a, b = b, a
 			}
 			var got [8]uint64
-			countAllTriplesRange(seq, delta, &got, 0, a)
-			countAllTriplesRange(seq, delta, &got, a, b)
-			countAllTriplesRange(seq, delta, &got, b, n)
-			if got != want {
-				t.Fatalf("trial %d node %d split (%d,%d,%d): got %v want %v",
+			var gotC motif.Counts
+			for _, cut := range [][2]int{{0, a}, {a, b}, {b, n}} {
+				fast.SweepStarPairRange(seq, delta, &gotC, &got, scratch, cut[0], cut[1])
+			}
+			if got != want || gotC != wantC {
+				t.Fatalf("trial %d node %d split (%d,%d,%d): all %v want %v, or star/pair cells differ",
 					trial, u, a, b, n, got, want)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hare/internal/brute"
 	"hare/internal/fast"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -256,6 +257,48 @@ func FuzzPairSweep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		edges, delta := decodeSweepCase(data)
 		checkSweep(t, edges, delta)
+	})
+}
+
+// checkStarSweep holds fast.SweepStarPairRange, at every center of one input,
+// to Algorithm 1's star and pair cells and to brute force's all-triples tally
+// (the term star4 is complemented from), whole and over a three-way split by
+// last edge.
+func checkStarSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
+	t.Helper()
+	g := temporal.FromEdges(edges)
+	scratch := fast.GetScratch(g.NumNodes())
+	defer fast.PutScratch(scratch)
+	for u := 0; u < g.NumNodes(); u++ {
+		su := g.Seq(temporal.NodeID(u))
+		n := su.Len()
+		var want motif.Counts
+		fast.CountStarPairRange(su, delta, &want, scratch, 0, n)
+		wantAll := brute.CenterTriples(g, temporal.NodeID(u), delta)
+		for _, cuts := range [][]int{{0, n}, {0, n / 3, 2 * n / 3, n}} {
+			var got motif.Counts
+			var all [8]uint64
+			for i := 0; i+1 < len(cuts); i++ {
+				fast.SweepStarPairRange(su, delta, &got, &all, scratch, cuts[i], cuts[i+1])
+			}
+			if got != want || all != wantAll {
+				t.Fatalf("center %d δ=%d cuts %v:\n got %v %v all %v\nwant %v %v all %v",
+					u, delta, cuts, got.Star, got.Pair, all, want.Star, want.Pair, wantAll)
+			}
+		}
+	}
+}
+
+// FuzzStarSweep: any small multigraph and δ, star/pair sweep ≡ Algorithm 1
+// and brute force. Inputs are cut to 512 edges: the all-triples enumerator
+// is cubic in a window, and a fuzzed window can hold every edge.
+func FuzzStarSweep(f *testing.F) {
+	for _, c := range sweepCorpus() {
+		f.Add(encodeSweepCase(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges, delta := decodeSweepCase(data)
+		checkStarSweep(t, edges[:min(len(edges), 512)], delta)
 	})
 }
 

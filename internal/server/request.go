@@ -169,8 +169,8 @@ func (r *Request) normalize() (motif.Label, error) {
 }
 
 // categoryKey is the cache-key fragment for a count request's motif
-// restriction. Pair and star motifs are counted together (they share
-// Algorithm 1), so their categories canonicalize to one key and one cached
+// restriction. Pair and star motifs are counted together (they share one
+// kernel), so their categories canonicalize to one key and one cached
 // matrix serves both.
 func categoryKey(m string) string {
 	if m == "" {
