@@ -43,7 +43,7 @@ func main() {
 		comma   = flag.Bool("comma", false, "treat commas as field separators")
 		stats   = flag.Bool("stats", false, "print graph statistics before counting")
 		check   = flag.Bool("check", false, "validate internal graph invariants after loading")
-		loadW   = flag.Int("load-workers", 0, "parallel ingestion workers (0 = all CPUs, 1 = sequential)")
+		loadW   = flag.Int("load-workers", 0, "parallel ingestion workers (0 = all CPUs)")
 		epsilon = flag.Float64("epsilon", 0, "approximate -query with this relative-error target in (0,1); 0 = exact")
 		conf    = flag.Float64("conf", 0, "confidence level for -epsilon intervals (0 = 0.95)")
 		seed    = flag.Int64("seed", 0, "sampling seed for -epsilon")

@@ -75,7 +75,7 @@ func FromEdges(edges []Edge) *Graph { return temporal.FromEdges(edges) }
 // whitespace-separated "u v t" edge list (gzip transparent). Text loading
 // is parallel by default — plain files are memory-mapped and parsed in
 // newline-aligned chunks, ".gz" files pipeline decompression with
-// parsing — and bit-identical to the sequential loader; see
+// parsing — and its result does not depend on the worker count; see
 // LoadOptions.Workers.
 func LoadFile(path string, opts LoadOptions) (*Graph, error) {
 	return temporal.LoadFile(path, opts)

@@ -36,12 +36,14 @@ import (
 	"hare/internal/temporal"
 )
 
-// Backend performs the counting for the four query kinds. Implementations
-// must be safe for concurrent use and exact: the answer may not depend on
-// req.Workers or req.Thrd. ctx is the job's flight context (canceled only
-// when every request waiting on the job has gone): the in-process library
-// backend may ignore it, a distributed backend (the internal/shard
-// coordinator) threads it through its scatter RPCs.
+// Backend performs the counting for the five query kinds — count, star4,
+// path4, sig and query — three of which (star4, path4 and query) also have
+// an approximate mode. Implementations must be safe for concurrent use and
+// exact: the answer may not depend on req.Workers or req.Thrd. ctx is the
+// job's flight context (canceled only when every request waiting on the
+// job has gone): the in-process library backend may ignore it, a
+// distributed backend (the internal/shard coordinator) threads it through
+// its scatter RPCs.
 type Backend interface {
 	Count(ctx context.Context, g *temporal.Graph, req Request) (CountAnswer, error)
 	Star4(ctx context.Context, g *temporal.Graph, req Request) (higher.Star4Counter, error)

@@ -22,9 +22,9 @@ import (
 //
 // Every partition rides a uniqueness argument (unique star center, unique
 // path middle edge, index-derived sample seed) so the merged answer is
-// bit-identical to the in-process library backend at any fleet size;
-// /v1/count is not range-splittable and is routed whole to the worker
-// that rendezvous hashing assigns the dataset.
+// bit-identical to the in-process library backend at any fleet size.
+// /v1/count is routed whole to the worker that rendezvous hashing assigns
+// the dataset: a placement choice, not a limit of the kernel.
 type Coordinator struct {
 	client *Client
 }
@@ -71,8 +71,10 @@ func (c *Coordinator) rangeTasks(req server.Request, g *temporal.Graph, n int) [
 }
 
 // Count routes the whole query to the worker rendezvous hashing assigns
-// the dataset: the 2/3-node kernel is not range-splittable, but distinct
-// datasets spread across the fleet and stay resident where they land.
+// the dataset. The 2/3-node kernel would split exactly by center range
+// (engine.run does so in process, and the sweep within a center); routing
+// it whole is a placement choice, so distinct datasets spread across the
+// fleet and stay resident where they land.
 func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
 	home := PickShard(req.Dataset, len(c.client.peers))
 	tasks := []task{{sub: sub(req, g, 0, 1, 0, 0), home: home}}

@@ -14,8 +14,10 @@
 //     index-derived, and the coordinator re-folds the raw sample count
 //     matrices through the same fixed-chunk Welford tree as a local run;
 //   - /v1/count is routed whole to one worker picked by rendezvous
-//     hashing of the dataset name (the counting kernel is not
-//     range-splittable, but datasets spread across the fleet).
+//     hashing of the dataset name. The kernel splits exactly by center
+//     range in process (engine.run); routing it whole is a placement
+//     choice, so distinct datasets spread across the fleet and each stays
+//     resident where it lands.
 //
 // Merged in deterministic shard order, the gathered answer is
 // bit-identical to the single-node one at any worker count. The wire

@@ -159,9 +159,9 @@ func (s *streamSource) next() ([]byte, error) {
 			return buf[:last+1], nil
 		}
 		if len(buf) >= maxLineLen {
-			// An unterminated line at least as long as the sequential
-			// scanner's buffer cap: fail like it does, without buffering
-			// the rest of the line.
+			// An unterminated line at least as long as the line cap
+			// (bufio.Scanner's, see maxLineLen): fail like the scanner
+			// does, without buffering the rest of the line.
 			s.done = true
 			return nil, bufio.ErrTooLong
 		}
@@ -216,8 +216,8 @@ func ForEachParsedChunk(r io.Reader, comma bool, workers int, yield func(ParsedC
 // order on the calling goroutine. yield returning false cancels the
 // remaining work. The returned error is a source read error, positioned
 // after the lines of every chunk yielded before it; it is suppressed when
-// yield stopped the pipeline first (the sequential loader, too, never sees
-// a read error past the point where it stops consuming lines).
+// yield stopped the pipeline first (a bufio.Scanner loop, too, never sees a
+// read error past the point where it stops consuming lines).
 func forEachChunk(src chunkSource, comma bool, workers int, post func(*rawChunk), yield func(*rawChunk) bool) error {
 	type job struct {
 		idx  int
@@ -237,7 +237,7 @@ func forEachChunk(src chunkSource, comma bool, workers int, post func(*rawChunk)
 			// Check for cancellation before touching the source: once the
 			// consumer stops, at most the one read already in flight runs
 			// to completion, so a stopped pipeline does not keep draining
-			// the caller's reader. (Like the sequential scanner's buffer,
+			// the caller's reader. (Like a bufio.Scanner's buffer,
 			// read-ahead may still have consumed input past the stop line.)
 			select {
 			case <-done:

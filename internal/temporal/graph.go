@@ -183,14 +183,15 @@ func (g *Graph) TimeSpan() (min, max Timestamp, ok bool) {
 // Builder accumulates edges and produces an immutable Graph.
 // The zero value is ready to use.
 type Builder struct {
-	edges     []Edge
+	src, dst  []NodeID // kept edges in input order, as columns
+	ts        []Timestamp
 	maxNode   NodeID
 	selfLoops int
 }
 
 // NewBuilder returns a Builder with capacity for n edges.
 func NewBuilder(n int) *Builder {
-	return &Builder{edges: make([]Edge, 0, n)}
+	return &Builder{src: make([]NodeID, 0, n), dst: make([]NodeID, 0, n), ts: make([]Timestamp, 0, n)}
 }
 
 // AddEdge records the directed temporal edge u -> v at time t. Self-loops
@@ -209,19 +210,29 @@ func (b *Builder) AddEdge(u, v NodeID, t Timestamp) error {
 	if v > b.maxNode {
 		b.maxNode = v
 	}
-	b.edges = append(b.edges, Edge{From: u, To: v, Time: t})
+	b.src = append(b.src, u)
+	b.dst = append(b.dst, v)
+	b.ts = append(b.ts, t)
 	return nil
 }
 
 // Len returns the number of edges added so far (self-loops excluded).
-func (b *Builder) Len() int { return len(b.edges) }
+func (b *Builder) Len() int { return len(b.ts) }
 
-// Build finalises the graph: stable-sorts edges by time (assigning EdgeIDs),
-// scatters them into the src/dst/ts columns, and builds the CSR incident and
-// grouped per-pair indexes. The Builder must not be reused afterwards.
+// numNodes is the node-space size of the graph b builds.
+func (b *Builder) numNodes() int {
+	if len(b.ts) == 0 {
+		return 0
+	}
+	return int(b.maxNode) + 1
+}
+
+// Build finalises the graph: stable-sorts the edges by time (assigning
+// EdgeIDs) into the src/dst/ts columns, and builds the CSR incident and
+// grouped per-pair indexes, on the calling goroutine. The Builder must not
+// be reused afterwards.
 func (b *Builder) Build() *Graph {
-	var rb Rebuilder // fresh: the returned graph owns its storage outright
-	return rb.build(b.edges, b.selfLoops, b.maxNode)
+	return buildColumns(b.src, b.dst, b.ts, b.numNodes(), b.selfLoops, 1)
 }
 
 // FromEdges builds a Graph directly from an edge slice. The input slice is

@@ -24,12 +24,12 @@ type LoadOptions struct {
 	// lines; reading stops at the line holding the MaxEdges-th kept edge.
 	MaxEdges int
 	// Workers is the parallelism of the ingestion pipeline: the input is
-	// split into newline-aligned chunks parsed concurrently (a zero-alloc
-	// byte-level parser with ParseEdgeLine as its reference grammar) and
-	// the CSR build is parallelised. The result is bit-identical to the
-	// sequential loader: same EdgeIDs, same relabel assignment, and the
-	// same error on the same line number. 0 selects GOMAXPROCS; 1 or any
-	// negative value forces the sequential reference path.
+	// split into newline-aligned chunks parsed by that many goroutines (a
+	// zero-alloc byte-level parser with ParseEdgeLine as its reference
+	// grammar) and the CSR build fans out as far. The result does not depend
+	// on it: same EdgeIDs, same relabel assignment, and the same error on
+	// the same line number as a bufio.Scanner reading line by line. 0
+	// selects GOMAXPROCS; 1 or any negative value parses on one goroutine.
 	Workers int
 }
 
@@ -70,68 +70,13 @@ func ParseEdgeLine(line string, comma bool) (e EdgeLine, skip bool, err error) {
 	return e, false, nil
 }
 
-// ReadEdgeList parses "u v t" lines from r and builds a Graph, in parallel
-// when opts.Workers allows (see LoadOptions.Workers).
+// ReadEdgeList parses "u v t" lines from r and builds a Graph with
+// opts.Workers goroutines (see LoadOptions.Workers).
 //
 // The line grammar is ParseEdgeLine's.
 func ReadEdgeList(r io.Reader, opts LoadOptions) (*Graph, error) {
-	if w := opts.loadWorkers(); w > 1 {
-		return readEdgeListParallel(newStreamSource(r, defaultChunkSize, w), opts, w)
-	}
-	return readEdgeListSeq(r, opts)
-}
-
-// readEdgeListSeq is the sequential reference loader the parallel pipeline
-// must be bit-identical to (ploader_test.go enforces the equivalence).
-func readEdgeListSeq(r io.Reader, opts LoadOptions) (*Graph, error) {
-	b := NewBuilder(1024)
-	relabel := map[int64]NodeID{}
-	next := NodeID(0)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		el, skip, err := ParseEdgeLine(sc.Text(), opts.Comma)
-		if err != nil {
-			return nil, fmt.Errorf("temporal: line %d: %v", lineNo, err)
-		}
-		if skip {
-			continue
-		}
-		u64, v64, t := el.U, el.V, el.T
-		var u, v NodeID
-		if opts.Relabel {
-			u, next = relabelID(relabel, u64, next)
-			v, next = relabelID(relabel, v64, next)
-		} else {
-			if u64 < 0 || v64 < 0 || u64 > 1<<31-1 || v64 > 1<<31-1 {
-				return nil, fmt.Errorf("temporal: line %d: node id out of range (use Relabel)", lineNo)
-			}
-			u, v = NodeID(u64), NodeID(v64)
-		}
-		if err := b.AddEdge(u, v, t); err != nil {
-			return nil, fmt.Errorf("temporal: line %d: %v", lineNo, err)
-		}
-		if opts.MaxEdges > 0 && b.Len() >= opts.MaxEdges {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// The scanner failed reading the line after the last complete one,
-		// so the error (an I/O failure or a line past the buffer cap)
-		// carries that line's number.
-		return nil, fmt.Errorf("temporal: line %d: read: %v", lineNo+1, err)
-	}
-	return b.Build(), nil
-}
-
-func relabelID(m map[int64]NodeID, raw int64, next NodeID) (NodeID, NodeID) {
-	if id, ok := m[raw]; ok {
-		return id, next
-	}
-	m[raw] = next
-	return next, next + 1
+	w := opts.loadWorkers()
+	return readEdgeListParallel(newStreamSource(r, defaultChunkSize, w), opts, w)
 }
 
 // LoadFile reads a graph file, dispatching on the extension: ".hare"
@@ -141,10 +86,10 @@ func relabelID(m map[int64]NodeID, raw int64, next NodeID) (NodeID, NodeID) {
 // paths. Snapshot loads ignore the parse-oriented LoadOptions — relabeling
 // and ordering were fixed when the snapshot was written.
 //
-// With parallel loading enabled (LoadOptions.Workers), plain text files
-// are memory-mapped (read wholesale when mapping is unavailable) and
-// chunked in place, while ".gz" files pipeline decompression with parsing:
-// the producer goroutine inflates while the workers parse.
+// Plain text files are memory-mapped (streamed when mapping is
+// unavailable) and chunked in place, while ".gz" files pipeline
+// decompression with parsing: the producer goroutine inflates while the
+// LoadOptions.Workers goroutines parse.
 func LoadFile(path string, opts LoadOptions) (*Graph, error) {
 	if strings.HasSuffix(path, ".hare") {
 		return LoadSnapshot(path)
@@ -162,31 +107,24 @@ func LoadFile(path string, opts LoadOptions) (*Graph, error) {
 		defer zr.Close()
 		return ReadSnapshot(zr)
 	}
+	w := opts.loadWorkers()
+	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
 		zr, err := gzip.NewReader(f)
 		if err != nil {
 			return nil, fmt.Errorf("temporal: gzip %s: %v", path, err)
 		}
 		defer zr.Close()
-		if w := opts.loadWorkers(); w > 1 {
-			// File-backed: the pipeline may join the producer on early
-			// stops, which it must before the deferred Closes run.
-			src := newStreamSource(zr, defaultChunkSize, w)
-			src.fileBacked = true
-			return readEdgeListParallel(src, opts, w)
-		}
-		return ReadEdgeList(zr, opts)
+		r = zr
+	} else if data, unmap, ok := mmapFile(f); ok {
+		defer unmap()
+		return readEdgeListParallel(newMemSource(data, defaultChunkSize), opts, w)
 	}
-	if w := opts.loadWorkers(); w > 1 {
-		if data, unmap, ok := mmapFile(f); ok {
-			defer unmap()
-			return readEdgeListParallel(newMemSource(data, defaultChunkSize), opts, w)
-		}
-		src := newStreamSource(f, defaultChunkSize, w)
-		src.fileBacked = true
-		return readEdgeListParallel(src, opts, w)
-	}
-	return ReadEdgeList(f, opts)
+	// File-backed: the pipeline may join the producer on early stops, which
+	// it must before the deferred Closes run.
+	src := newStreamSource(r, defaultChunkSize, w)
+	src.fileBacked = true
+	return readEdgeListParallel(src, opts, w)
 }
 
 // WriteEdgeList writes the graph as "u v t" lines in chronological order.

@@ -6,14 +6,16 @@ import (
 )
 
 // Byte-level edge-line parsing: the zero-allocation fast path of the
-// parallel ingestion pipeline. ParseEdgeLine (loader.go) remains the
-// reference grammar — it is what the sequential loader executes and what
-// the fuzz target exercises — and parseEdgeLineBytes defers to it on any
-// line outside the common all-ASCII shape, so the two can never disagree.
+// ingestion pipeline. ParseEdgeLine (loader.go) remains the reference
+// grammar — it is what the stream feeder's scanner path and the tests'
+// reference loader execute, and what the fuzz target exercises — and
+// parseEdgeLineBytes defers to it on any line outside the common all-ASCII
+// shape, so the two can never disagree.
 
-// maxLineLen mirrors the sequential loader's bufio.Scanner buffer limit so
-// overlong lines fail identically on both paths: a line whose content
-// (excluding the newline) reaches this length is a read-level error.
+// maxLineLen mirrors a bufio.Scanner buffer limit of 16 MiB so overlong
+// lines fail as a scanner loop over ParseEdgeLine fails: a line whose
+// content (excluding the newline) reaches this length is a read-level
+// error.
 const maxLineLen = 16 * 1024 * 1024
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports true for — the
@@ -104,7 +106,7 @@ func parseEdgeLineSlow(line []byte, comma bool) (EdgeLine, bool, error) {
 
 // rawChunk is one newline-aligned piece of the input after parsing: the
 // parsed rows as columns in input order, plus the bookkeeping needed to
-// reconstruct the sequential loader's observable behaviour exactly.
+// reconstruct a line-by-line loader's observable behaviour exactly.
 type rawChunk struct {
 	idx   int // chunk index in input order
 	lines int // lines scanned, up to and including the failing line if any

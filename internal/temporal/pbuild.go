@@ -2,85 +2,63 @@ package temporal
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 )
 
-// Parallel graph finalisation: the column-level core behind
-// Builder.BuildParallel and the parallel loader. Every stage is a
-// deterministic reformulation of Builder.Build — a stable timestamp sort
-// (skipped for chronological input) via sorted segments merged
-// left-to-right, a counting-sort CSR scatter with per-(worker, node) bases,
-// and Build's own sort-free grouping pass, groupByTransposition, run per
-// destination-node range — so the resulting Graph is bit-identical to
-// Build's, in time linear in the edges whatever the degree skew.
-
-// minParallelBuildEdges is the edge count below which buildColumns runs
-// single-threaded; goroutine fan-out costs more than it saves there.
-const minParallelBuildEdges = 1 << 13
-
-// BuildParallel is Build with the sort and index construction fanned out
-// over `workers` goroutines (0 selects GOMAXPROCS). The resulting graph is
-// bit-identical to Build's: same EdgeID assignment, same index layout. Like
-// Build, it consumes the Builder, which must not be reused afterwards.
-func (b *Builder) BuildParallel(workers int) *Graph {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m := len(b.edges)
-	if workers == 1 || m < minParallelBuildEdges {
-		return b.Build()
-	}
-	src := make([]NodeID, m)
-	dst := make([]NodeID, m)
-	ts := make([]Timestamp, m)
-	parallelRanges(m, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := b.edges[i]
-			src[i], dst[i], ts[i] = e.From, e.To, e.Time
-		}
-	})
-	return buildColumns(src, dst, ts, int(b.maxNode)+1, b.selfLoops, workers) // m > 0 here
-}
+// The one CSR core: every Graph except Extend's delta merge and a decoded
+// snapshot is finalised here from input-order edge columns — by
+// Builder.Build (FromEdges, the subgraphs, internal/gen), by Rebuild, and by
+// the text loader at its worker count. After a stable timestamp sort
+// (skipped for chronological input; sorted segments merged left-to-right)
+// every stage is linear in the edges whatever the degree skew: a
+// counting-sort CSR scatter with per-(worker, node) bases, and the per-pair
+// index by groupByTransposition per destination-node range. The result does
+// not depend on the worker count. Each stage is a top-level function over
+// the Rebuilder that holds the build's storage, run by parallelRanges, so a
+// one-worker build runs inline and a reused Rebuilder allocates nothing.
 
 // buildColumns finalises a Graph from input-order edge columns. src/dst/ts
-// are consumed (reordered into the graph). numNodes and selfLoops follow
-// Builder semantics: numNodes is maxNode+1 over the kept edges (0 for an
-// empty graph), selfLoops the count dropped upstream.
+// are consumed (they may become the graph's columns). numNodes and
+// selfLoops follow Builder semantics: numNodes is maxNode+1 over the kept
+// edges (0 for an empty graph), selfLoops the count dropped upstream.
+// Inputs below 8192 edges build on one goroutine, which costs less than the
+// fan-out there.
 func buildColumns(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops, workers int) *Graph {
-	m := len(ts)
-	if workers <= 1 || m < minParallelBuildEdges {
-		return buildColumnsSeq(src, dst, ts, numNodes, selfLoops)
-	}
-	if workers > m/4096 {
-		workers = max(m/4096, 1)
-	}
-	return buildColumnsParallel(src, dst, ts, numNodes, selfLoops, workers)
+	return buildColumnsParallel(src, dst, ts, numNodes, selfLoops, min(workers, max(len(ts)/4096, 1)))
 }
 
-// buildColumnsParallel is the parallel core, with no sequential shortcut —
-// the tests drive it directly on small inputs.
+// buildColumnsParallel is buildColumns into fresh storage without the
+// worker cap — the tests drive it directly on small inputs.
 func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops, workers int) *Graph {
-	m := len(ts)
-	n := numNodes
-	g := &Graph{numNodes: n, selfLoops: selfLoops}
+	return new(Rebuilder).fromColumns(src, dst, ts, numNodes, selfLoops, max(workers, 1))
+}
+
+// fromColumns is the core behind buildColumns and Rebuild: it builds rb's
+// graph from the columns, reusing rb's storage wherever capacities allow.
+func (rb *Rebuilder) fromColumns(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops, workers int) *Graph {
+	if rb.g == nil {
+		rb.g = &Graph{}
+	}
+	g := rb.g
+	g.numNodes, g.selfLoops = numNodes, selfLoops
+	g.edgesAoS.Store(nil) // invalidate a reused graph's lazy row-major cache
+	m, n := len(ts), numNodes
+	rb.workers = workers
 
 	// EdgeID order is the stable sort by timestamp: chronological input, as
-	// every dataset file of the paper is, keeps its columns as they are.
-	g.src, g.dst, g.ts = src, dst, ts
-	if !slices.IsSorted(ts) {
-		perm := sortedPermByTime(ts, workers)
-		g.src = make([]NodeID, m)
-		g.dst = make([]NodeID, m)
-		g.ts = make([]Timestamp, m)
-		parallelRanges(m, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := perm[i]
-				g.src[i], g.dst[i], g.ts[i] = src[p], dst[p], ts[p]
-			}
-		})
+	// every dataset file of the paper is, becomes the graph's columns as it
+	// is. Otherwise it is permuted into the previous graph's columns. The
+	// set of columns left over is the spare the next Rebuild fills.
+	if slices.IsSorted(ts) {
+		rb.spare = Builder{src: g.src, dst: g.dst, ts: g.ts}
+		g.src, g.dst, g.ts = src, dst, ts
+	} else {
+		rb.spare = Builder{src: src, dst: dst, ts: ts}
+		rb.sortByTime()
+		g.src, g.dst, g.ts = grow(g.src, m), grow(g.dst, m), grow(g.ts, m)
+		parallelRanges(rb, m, workers, permuteEdges)
 	}
 
 	// CSR incident index as a parallel counting sort: per-(worker, node)
@@ -91,53 +69,182 @@ func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops
 	// keep it proportional to the edge storage itself on sparse graphs
 	// (where n approaches m); the stage is bandwidth bound, so the extra
 	// workers buy little there anyway.
-	cw := workers
-	if n > 0 && cw > m/n {
-		cw = max(m/n, 1)
+	rb.cw = workers
+	if n > 0 && rb.cw > m/n {
+		rb.cw = max(m/n, 1)
 	}
-	h := 2 * m
-	ebounds := make([]int, cw+1)
-	for w := 0; w <= cw; w++ {
-		ebounds[w] = w * m / cw
-	}
-	cnt := make([]int, cw*n)
-	runConcurrently(cw, func(w int) {
-		c := cnt[w*n : (w+1)*n]
-		for i := ebounds[w]; i < ebounds[w+1]; i++ {
-			c[g.src[i]]++
-			c[g.dst[i]]++
-		}
-	})
-	g.incOff = make([]int, n+1)
-	parallelRanges(n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			t := 0
-			for w := 0; w < cw; w++ {
-				t += cnt[w*n+u]
-			}
-			g.incOff[u+1] = t
-		}
-	})
+	rb.cnt = grow(rb.cnt, rb.cw*n)
+	clear(rb.cnt)
+	parallelRanges(rb, rb.cw, rb.cw, countIncident)
+	g.incOff = grow(g.incOff, n+1)
+	g.incOff[0] = 0
+	parallelRanges(rb, n, workers, sumCounts)
 	for u := 0; u < n; u++ {
 		g.incOff[u+1] += g.incOff[u]
 	}
-	parallelRanges(n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			run := g.incOff[u]
-			for w := 0; w < cw; w++ {
-				c := cnt[w*n+u]
-				cnt[w*n+u] = run
-				run += c
-			}
+	parallelRanges(rb, n, workers, workerBases)
+	h := 2 * m
+	g.incID = grow(g.incID, h)
+	g.incTime = grow(g.incTime, h)
+	g.incOther = grow(g.incOther, h)
+	g.incOut = grow(g.incOut, h)
+	parallelRanges(rb, rb.cw, rb.cw, scatterIncident)
+
+	// Grouped per-pair index by transposition, partitioned by destination:
+	// each worker owns a node range balanced by half-edge count, scans the
+	// whole incident index and writes only its own nodes' spans and cursors,
+	// so a hub costs its owner O(d), not a sort. The incident stage's
+	// scratch is dead by now and serves as the cursors.
+	rb.nodes = nodeRangesByWeight(rb.nodes[:0], g.incOff, workers)
+	ranges := len(rb.nodes) - 1
+	g.grpID = grow(g.grpID, h)
+	g.grpTime = grow(g.grpTime, h)
+	g.grpOther = grow(g.grpOther, h)
+	g.grpOut = grow(g.grpOut, h)
+	g.nbrOff = grow(g.nbrOff, n+1)
+	g.nbrOff[0] = 0
+	parallelRanges(rb, ranges, ranges, groupNodes)
+	for u := 0; u < n; u++ {
+		g.nbrOff[u+1] += g.nbrOff[u]
+	}
+	nk := g.nbrOff[n]
+	g.nbrKey = grow(g.nbrKey, nk)
+	g.grpOff = grow(g.grpOff, nk+1)
+	parallelRanges(rb, ranges, ranges, groupBounds)
+	g.grpOff[nk] = h
+	return g
+}
+
+// sortByTime sets rb.perm to the stable sort of the input edges (rb.spare)
+// by timestamp: rb.workers contiguous segments sorted concurrently by
+// (time, input index) — a total order, so the faster non-stable sort is
+// safe — then merged in pairs level by level. A left segment holds only
+// smaller input indices than its right neighbour, so taking the left
+// element on timestamp ties keeps the merge stable. One segment needs no
+// merge and no merge buffer.
+func (rb *Rebuilder) sortByTime() {
+	m, k := len(rb.spare.ts), rb.workers
+	rb.perm = grow(rb.perm, m)
+	rb.bounds = grow(rb.bounds, k+1)
+	for w := range rb.bounds {
+		rb.bounds[w] = w * m / k
+	}
+	parallelRanges(rb, k, k, sortSegments)
+	if k > 1 {
+		rb.tmp = grow(rb.tmp, m)
+	}
+	for b := rb.bounds; len(b) > 2; b = rb.bounds {
+		pairs := (len(b) - 1) / 2
+		parallelRanges(rb, pairs, pairs, mergePairs)
+		last := len(b) - 1
+		if last%2 == 1 { // odd segment count: carry the last as is
+			copy(rb.tmp[b[last-1]:], rb.perm[b[last-1]:])
 		}
-	})
-	g.incID = make([]EdgeID, h)
-	g.incTime = make([]Timestamp, h)
-	g.incOther = make([]NodeID, h)
-	g.incOut = make([]bool, h)
-	runConcurrently(cw, func(w int) {
-		base := cnt[w*n : (w+1)*n]
-		for i := ebounds[w]; i < ebounds[w+1]; i++ {
+		// Pair p now spans b[2p]:b[2p+2]; compact the bounds in place.
+		for p := 1; 2*p <= last; p++ {
+			b[p] = b[2*p]
+		}
+		if last%2 == 1 {
+			b[pairs+1] = b[last]
+		}
+		rb.bounds = b[:(last+1)/2+1]
+		rb.perm, rb.tmp = rb.tmp, rb.perm
+	}
+}
+
+func sortSegments(rb *Rebuilder, lo, hi int) {
+	ts := rb.spare.ts
+	for w := lo; w < hi; w++ {
+		base := rb.bounds[w]
+		seg := rb.perm[base:rb.bounds[w+1]]
+		for i := range seg {
+			seg[i] = int32(base + i)
+		}
+		slices.SortFunc(seg, func(a, b int32) int {
+			if ts[a] != ts[b] { // cmp.Or would evaluate the tie-break on every call
+				return cmp.Compare(ts[a], ts[b])
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+}
+
+func mergePairs(rb *Rebuilder, lo, hi int) {
+	perm, tmp, ts := rb.perm, rb.tmp, rb.spare.ts
+	for p := lo; p < hi; p++ {
+		l, mid, r := rb.bounds[2*p], rb.bounds[2*p+1], rb.bounds[2*p+2]
+		i, j, k := l, mid, l
+		for i < mid && j < r {
+			a, b := perm[i], perm[j]
+			if ts[a] <= ts[b] { // tie → left, preserving input order
+				tmp[k] = a
+				i++
+			} else {
+				tmp[k] = b
+				j++
+			}
+			k++
+		}
+		copy(tmp[k:r], perm[i:mid])
+		copy(tmp[k+(mid-i):r], perm[j:r])
+	}
+}
+
+func permuteEdges(rb *Rebuilder, lo, hi int) {
+	g, in := rb.g, &rb.spare
+	for i := lo; i < hi; i++ {
+		p := rb.perm[i]
+		g.src[i], g.dst[i], g.ts[i] = in.src[p], in.dst[p], in.ts[p]
+	}
+}
+
+// edgeRange is worker w's contiguous EdgeID range in the incident stages.
+func (rb *Rebuilder) edgeRange(w int) (lo, hi int) {
+	m := len(rb.g.ts)
+	return w * m / rb.cw, (w + 1) * m / rb.cw
+}
+
+func countIncident(rb *Rebuilder, lo, hi int) {
+	g, n := rb.g, rb.g.numNodes
+	for w := lo; w < hi; w++ {
+		c := rb.cnt[w*n : (w+1)*n]
+		elo, ehi := rb.edgeRange(w)
+		for i := elo; i < ehi; i++ {
+			c[g.src[i]]++
+			c[g.dst[i]]++
+		}
+	}
+}
+
+func sumCounts(rb *Rebuilder, lo, hi int) {
+	n := rb.g.numNodes
+	for u := lo; u < hi; u++ {
+		t := 0
+		for w := 0; w < rb.cw; w++ {
+			t += rb.cnt[w*n+u]
+		}
+		rb.g.incOff[u+1] = t
+	}
+}
+
+func workerBases(rb *Rebuilder, lo, hi int) {
+	n := rb.g.numNodes
+	for u := lo; u < hi; u++ {
+		run := rb.g.incOff[u]
+		for w := 0; w < rb.cw; w++ {
+			c := rb.cnt[w*n+u]
+			rb.cnt[w*n+u] = run
+			run += c
+		}
+	}
+}
+
+func scatterIncident(rb *Rebuilder, lo, hi int) {
+	g, n := rb.g, rb.g.numNodes
+	for w := lo; w < hi; w++ {
+		base := rb.cnt[w*n : (w+1)*n]
+		elo, ehi := rb.edgeRange(w)
+		for i := elo; i < ehi; i++ {
 			id := EdgeID(i)
 			u, v, t := g.src[i], g.dst[i], g.ts[i]
 			p := base[u]
@@ -147,143 +254,79 @@ func buildColumnsParallel(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops
 			base[v]++
 			g.incID[p], g.incTime[p], g.incOther[p], g.incOut[p] = id, t, u, false
 		}
-	})
+	}
+}
 
-	// Grouped per-pair index by transposition, partitioned by destination:
-	// each worker owns a node range balanced by half-edge count, scans the
-	// whole incident index and writes only its own nodes' spans and cursors,
-	// so a hub costs its owner O(d), not a sort. The incident stage's
-	// scratch is dead by now and serves as the cursors.
-	nbounds := nodeRangesByWeight(g.incOff, workers)
-	nranges := len(nbounds) - 1
-	g.grpID = make([]EdgeID, h)
-	g.grpTime = make([]Timestamp, h)
-	g.grpOther = make([]NodeID, h)
-	g.grpOut = make([]bool, h)
-	g.nbrOff = make([]int, n+1)
-	runConcurrently(nranges, func(r int) {
-		g.groupByTransposition(cnt[:n], nbounds[r], nbounds[r+1])
-		for u := nbounds[r]; u < nbounds[r+1]; u++ {
-			lo, hi := g.incOff[u], g.incOff[u+1]
+// groupNodes fills the grouped spans of node ranges [lo, hi) and counts
+// each node's groups into nbrOff[u+1].
+func groupNodes(rb *Rebuilder, lo, hi int) {
+	g := rb.g
+	for r := lo; r < hi; r++ {
+		g.groupByTransposition(rb.cnt[:g.numNodes], rb.nodes[r], rb.nodes[r+1])
+		for u := rb.nodes[r]; u < rb.nodes[r+1]; u++ {
 			k := 0
-			for j := lo; j < hi; j++ {
-				if j == lo || g.grpOther[j] != g.grpOther[j-1] {
+			for j := g.incOff[u]; j < g.incOff[u+1]; j++ {
+				if j == g.incOff[u] || g.grpOther[j] != g.grpOther[j-1] {
 					k++
 				}
 			}
 			g.nbrOff[u+1] = k
 		}
-	})
-	for u := 0; u < n; u++ {
-		g.nbrOff[u+1] += g.nbrOff[u]
 	}
-	nk := g.nbrOff[n]
-	g.nbrKey = make([]NodeID, nk)
-	g.grpOff = make([]int, nk+1)
-	runConcurrently(nranges, func(r int) {
-		for u := nbounds[r]; u < nbounds[r+1]; u++ {
-			k := g.nbrOff[u]
-			lo, hi := g.incOff[u], g.incOff[u+1]
-			for j := lo; j < hi; j++ {
-				if j == lo || g.grpOther[j] != g.grpOther[j-1] {
-					g.nbrKey[k] = g.grpOther[j]
-					g.grpOff[k] = j
-					k++
-				}
-			}
-		}
-	})
-	g.grpOff[nk] = h
-	return g
 }
 
-// sortedPermByTime returns the stable sort of [0, len(ts)) by timestamp:
-// contiguous segments sorted concurrently by (time, input index) — a total
-// order, so the faster non-stable sort is safe — then merged in pairs level
-// by level. A left segment holds only smaller input indices than its right
-// neighbour, so taking the left element on timestamp ties keeps the merge
-// stable.
-func sortedPermByTime(ts []Timestamp, workers int) []int32 {
-	m := len(ts)
-	perm := make([]int32, m)
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * m / workers
-	}
-	runConcurrently(workers, func(w int) {
-		seg := perm[bounds[w]:bounds[w+1]]
-		for i := range seg {
-			seg[i] = int32(bounds[w] + i)
-		}
-		slices.SortFunc(seg, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(ts[a], ts[b]), cmp.Compare(a, b))
-		})
-	})
-	tmp := make([]int32, m)
-	for len(bounds) > 2 {
-		pairs := (len(bounds) - 1) / 2
-		nb := make([]int, 0, pairs+2)
-		nb = append(nb, 0)
-		runConcurrently(pairs, func(p int) {
-			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				a, b := perm[i], perm[j]
-				if ts[a] <= ts[b] { // tie → left, preserving input order
-					tmp[k] = a
-					i++
-				} else {
-					tmp[k] = b
-					j++
-				}
+// groupBounds records the groups of node ranges [lo, hi) as (neighbor key,
+// offset) pairs.
+func groupBounds(rb *Rebuilder, lo, hi int) {
+	g := rb.g
+	for u := rb.nodes[lo]; u < rb.nodes[hi]; u++ {
+		k := g.nbrOff[u]
+		for j := g.incOff[u]; j < g.incOff[u+1]; j++ {
+			if j == g.incOff[u] || g.grpOther[j] != g.grpOther[j-1] {
+				g.nbrKey[k] = g.grpOther[j]
+				g.grpOff[k] = j
 				k++
 			}
-			copy(tmp[k:hi], perm[i:mid])
-			copy(tmp[k+(mid-i):hi], perm[j:hi])
-		})
-		for p := 0; p < pairs; p++ {
-			nb = append(nb, bounds[2*p+2])
 		}
-		if len(bounds)%2 == 0 { // odd segment count: carry the last as is
-			copy(tmp[bounds[len(bounds)-2]:], perm[bounds[len(bounds)-2]:])
-			nb = append(nb, bounds[len(bounds)-1])
-		}
-		perm, tmp = tmp, perm
-		bounds = nb
 	}
-	return perm
 }
 
-// buildColumnsSeq is buildColumns through Builder.Build's sequential core,
-// the reference the parallel path must match.
-func buildColumnsSeq(src, dst []NodeID, ts []Timestamp, numNodes, selfLoops int) *Graph {
-	edges := make([]Edge, len(ts))
-	for i := range ts {
-		edges[i] = Edge{From: src[i], To: dst[i], Time: ts[i]}
+// groupByTransposition fills the grp columns of nodes [lo, hi) from the
+// incident index: the one routine behind every builder's grouped per-pair
+// index. It is a sparse-matrix transposition (Gustavson 1978): visiting
+// nodes v in ascending order and S_v in EdgeID order, each half-edge
+// (v, other=u) is appended at u's cursor as (u, other=v), direction flipped.
+// u's span so fills grouped by neighbor ascending and EdgeID-sorted inside
+// each group, in O(h) with no comparison, whatever the degree skew. A call
+// writes only cur[lo:hi] (scratch) and the spans of [lo, hi), so calls on
+// disjoint ranges may run concurrently, with a scheduling-independent result.
+func (g *Graph) groupByTransposition(cur []int, lo, hi int) {
+	copy(cur[lo:hi], g.incOff[lo:hi])
+	for v := 0; v < g.numNodes; v++ {
+		for j := g.incOff[v]; j < g.incOff[v+1]; j++ {
+			u := int(g.incOther[j])
+			if u < lo || u >= hi {
+				continue
+			}
+			p := cur[u]
+			cur[u]++
+			g.grpID[p], g.grpTime[p], g.grpOther[p], g.grpOut[p] = g.incID[j], g.incTime[j], NodeID(v), !g.incOut[j]
+		}
 	}
-	var rb Rebuilder
-	return rb.build(edges, selfLoops, NodeID(max(numNodes-1, 0)))
 }
 
-// nodeRangesByWeight splits [0, n) into up to `workers` contiguous ranges
-// of roughly equal half-edge count, using the CSR offsets as weights.
-func nodeRangesByWeight(incOff []int, workers int) []int {
+// nodeRangesByWeight appends to bounds[:0] the split of [0, n) into up to
+// `workers` contiguous ranges of roughly equal half-edge count, using the
+// CSR offsets as weights.
+func nodeRangesByWeight(bounds, incOff []int, workers int) []int {
 	n := len(incOff) - 1
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	bounds := []int{0}
+	workers = max(min(workers, n), 1)
+	bounds = append(bounds[:0], 0)
 	h := incOff[n]
 	for w := 1; w < workers; w++ {
 		target := w * h / workers
 		// first node whose span starts at or after the target weight
-		u := sort.SearchInts(incOff, target)
-		if u > n {
-			u = n
-		}
+		u := min(sort.SearchInts(incOff, target), n)
 		if u <= bounds[len(bounds)-1] {
 			continue
 		}
@@ -295,43 +338,31 @@ func nodeRangesByWeight(incOff []int, workers int) []int {
 	return bounds
 }
 
-// parallelRanges splits [0, n) into contiguous pieces and runs fn on each
-// concurrently.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
+// parallelRanges runs stage(s, lo, hi) on k contiguous pieces of [0, n)
+// concurrently and waits; with one piece it runs inline. Stages are
+// top-level functions over explicit state, so no closure escapes per call.
+func parallelRanges[S any](s S, n, k int, stage func(s S, lo, hi int)) {
+	k = min(k, n)
+	if k <= 1 {
+		stage(s, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
+	wg.Add(k)
+	for w := 0; w < k; w++ {
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			stage(s, lo, hi)
+		}(w*n/k, (w+1)*n/k)
 	}
 	wg.Wait()
 }
 
-// runConcurrently runs fn(0..k-1) on k goroutines and waits.
-func runConcurrently(k int, fn func(i int)) {
-	if k <= 1 {
-		if k == 1 {
-			fn(0)
-		}
-		return
+// grow returns s resized to n elements, reusing its backing array when the
+// capacity allows. Contents are unspecified; callers overwrite or clear.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
+	return make([]T, n)
 }

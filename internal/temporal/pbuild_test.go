@@ -77,12 +77,16 @@ func TestBuildParallelEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := FromEdges(tc.edges)
-		for _, w := range []int{2, 3, 8} {
+		// FromEdges runs the same core: hold it to references sharing no
+		// code with it.
+		checkCSRInvariants(t, want, tc.edges)
+		checkGroupedIndex(t, tc.name, want)
+		for _, w := range []int{1, 2, 3, 8} {
 			b := NewBuilder(len(tc.edges))
 			for _, e := range tc.edges {
 				_ = b.AddEdge(e.From, e.To, e.Time)
 			}
-			got := b.BuildParallel(w)
+			got := buildColumns(b.src, b.dst, b.ts, b.numNodes(), b.selfLoops, w)
 			graphsEqual(t, tc.name, want, got)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
@@ -91,8 +95,9 @@ func TestBuildParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildColumnsParallelForced drives the parallel build core directly so
-// the minParallelBuildEdges shortcut cannot hide it on small inputs.
+// TestBuildColumnsParallelForced drives the build core directly so
+// buildColumns' worker cap cannot hide its concurrent stages on small
+// inputs.
 func TestBuildColumnsParallelForced(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -100,6 +105,7 @@ func TestBuildColumnsParallelForced(t *testing.T) {
 		m := rng.Intn(300)
 		var src, dst []NodeID
 		var ts []Timestamp
+		var edges []Edge
 		maxNode := NodeID(-1)
 		b := NewBuilder(m)
 		for i := 0; i < m; i++ {
@@ -112,6 +118,7 @@ func TestBuildColumnsParallelForced(t *testing.T) {
 			}
 			tt := Timestamp(rng.Intn(7))
 			src, dst, ts = append(src, u), append(dst, v), append(ts, tt)
+			edges = append(edges, Edge{From: u, To: v, Time: tt})
 			maxNode = max(maxNode, u, v)
 			_ = b.AddEdge(u, v, tt)
 		}
@@ -120,7 +127,9 @@ func TestBuildColumnsParallelForced(t *testing.T) {
 			numNodes = int(maxNode) + 1
 		}
 		want := b.Build()
-		for _, w := range []int{2, 5} {
+		checkCSRInvariants(t, want, edges)
+		checkGroupedIndex(t, "forced Build", want)
+		for _, w := range []int{1, 2, 5} {
 			s2 := slices.Clone(src)
 			d2 := slices.Clone(dst)
 			t2 := slices.Clone(ts)

@@ -6,13 +6,15 @@ import (
 	"runtime"
 )
 
-// Parallel edge-list ingestion: newline-aligned chunks parsed concurrently
-// by the byte-level fast path (parse.go), per-chunk relabel shards merged
-// deterministically in input order, and the CSR build parallelised
-// (pbuild.go). The result is bit-identical to the sequential loader — same
-// EdgeIDs, same relabel assignment, same self-loop accounting, and the
+// Edge-list ingestion, the one text path at every worker count:
+// newline-aligned chunks parsed concurrently by the byte-level fast path
+// (parse.go), per-chunk relabel shards merged deterministically in input
+// order, and the CSR build fanned out (pbuild.go). The result is
+// bit-identical to a line-by-line bufio.Scanner loader over ParseEdgeLine —
+// same EdgeIDs, same relabel assignment, same self-loop accounting, and the
 // same error on the same line number — which the equivalence tests in
-// ploader_test.go enforce over the fuzz corpus and randomized inputs.
+// ploader_test.go enforce against that reference (readEdgeListSeq, in
+// seqloader_test.go) over the fuzz corpus and randomized inputs.
 
 // loaderChunk is the loader-specific post-processing of a rawChunk, built
 // in the parsing worker: range checks applied, self-loops dropped, and in
@@ -30,12 +32,15 @@ type loaderChunk struct {
 
 	err     error // range error (non-relabel mode); rows stop before it
 	errLine int32 // 1-based line within the chunk of err
+
+	off     int    // input-order index of the first row, once accepted
+	maxNode NodeID // largest node id of the assembled rows
 }
 
 var errIDOutOfRange = fmt.Errorf("node id out of range (use Relabel)")
 
 // postLoaderChunk turns raw parsed rows into a loaderChunk, mirroring the
-// sequential loader's per-line order of operations exactly: relabel (or
+// reference loader's per-line order of operations exactly: relabel (or
 // range-check) both endpoints first, then drop self-loops.
 func postLoaderChunk(c *rawChunk, opts LoadOptions) {
 	lc := &loaderChunk{}
@@ -93,8 +98,7 @@ func postLoaderChunk(c *rawChunk, opts LoadOptions) {
 	c.aux = lc
 }
 
-// readEdgeListParallel is ReadEdgeList's parallel path over an arbitrary
-// chunk source.
+// readEdgeListParallel is ReadEdgeList over an arbitrary chunk source.
 func readEdgeListParallel(src chunkSource, opts LoadOptions, workers int) (*Graph, error) {
 	var (
 		accepted []*loaderChunk // chunks contributing rows, truncated in place
@@ -115,7 +119,7 @@ func readEdgeListParallel(src chunkSource, opts LoadOptions, workers int) (*Grap
 		if opts.Relabel && len(lc.newIDs) > 0 {
 			// Deterministic shard merge: within a chunk, first local
 			// appearance equals first appearance in the input scan, so
-			// walking shards in chunk order reproduces the sequential
+			// walking shards in chunk order reproduces the line-by-line
 			// assignment exactly.
 			lc.remap = make([]NodeID, len(lc.newIDs))
 			for i, raw := range lc.newIDs {
@@ -128,10 +132,11 @@ func readEdgeListParallel(src chunkSource, opts LoadOptions, workers int) (*Grap
 				lc.remap[i] = id
 			}
 		}
+		lc.off = kept
 		if opts.MaxEdges > 0 && kept+rows >= opts.MaxEdges {
-			// The sequential loader stops at the line holding the
-			// MaxEdges-th kept edge: later rows, later self-loops, and any
-			// error on a later line are never observed.
+			// Loading stops at the line holding the MaxEdges-th kept
+			// edge: later rows, later self-loops, and any error on a later
+			// line are never observed.
 			take := opts.MaxEdges - kept
 			lc.u, lc.v, lc.t = lc.u[:take], lc.v[:take], lc.t[:take]
 			loops += int(lc.loopsAt[take-1])
@@ -167,52 +172,51 @@ func readEdgeListParallel(src chunkSource, opts LoadOptions, workers int) (*Grap
 		return nil, finalErr
 	}
 
-	// Assemble the input-order edge columns from the accepted chunks in
-	// parallel, translating relabel-mode local indices through each shard's
-	// merged remap.
-	src32 := make([]NodeID, kept)
-	dst32 := make([]NodeID, kept)
-	ts := make([]Timestamp, kept)
-	offs := make([]int, len(accepted)+1)
-	for i, lc := range accepted {
-		offs[i+1] = offs[i] + len(lc.u)
+	a := assembly{chunks: accepted, relabel: opts.Relabel,
+		src: make([]NodeID, kept), dst: make([]NodeID, kept), ts: make([]Timestamp, kept)}
+	parallelRanges(a, len(accepted), workers, assembleChunks)
+	var maxNode NodeID = -1 // so an empty graph has 0 nodes
+	for _, lc := range accepted {
+		maxNode = max(maxNode, lc.maxNode)
 	}
-	maxPer := make([]NodeID, len(accepted))
-	parallelRanges(len(accepted), workers, func(clo, chi int) {
-		for ci := clo; ci < chi; ci++ {
-			lc := accepted[ci]
-			o := offs[ci]
-			var maxNode NodeID = -1
-			if opts.Relabel {
-				for i := range lc.u {
-					u, v := lc.remap[lc.u[i]], lc.remap[lc.v[i]]
-					src32[o+i], dst32[o+i] = u, v
-					maxNode = max(maxNode, u, v)
-				}
-			} else {
-				copy(src32[o:], lc.u)
-				copy(dst32[o:], lc.v)
-				for i := range lc.u {
-					maxNode = max(maxNode, lc.u[i], lc.v[i])
-				}
-			}
-			copy(ts[o:], lc.t)
-			maxPer[ci] = maxNode
-		}
-	})
-	var maxNode NodeID = -1
-	for _, mn := range maxPer {
-		maxNode = max(maxNode, mn)
-	}
-	n := 0
-	if kept > 0 {
-		n = int(maxNode) + 1
-	}
-	return buildColumns(src32, dst32, ts, n, loops, workers), nil
+	return buildColumns(a.src, a.dst, a.ts, int(maxNode)+1, loops, workers), nil
 }
 
-// loadWorkers resolves LoadOptions.Workers: 0 selects GOMAXPROCS, anything
-// below 2 means the sequential reference path.
+// assembly is the input-order edge columns being filled from the accepted
+// chunks.
+type assembly struct {
+	chunks   []*loaderChunk
+	relabel  bool
+	src, dst []NodeID
+	ts       []Timestamp
+}
+
+// assembleChunks copies chunks [lo, hi) into their rows of the columns,
+// translating relabel-mode local indices through each shard's merged remap.
+func assembleChunks(a assembly, lo, hi int) {
+	for _, lc := range a.chunks[lo:hi] {
+		o := lc.off
+		var maxNode NodeID = -1
+		if a.relabel {
+			for i := range lc.u {
+				u, v := lc.remap[lc.u[i]], lc.remap[lc.v[i]]
+				a.src[o+i], a.dst[o+i] = u, v
+				maxNode = max(maxNode, u, v)
+			}
+		} else {
+			copy(a.src[o:], lc.u)
+			copy(a.dst[o:], lc.v)
+			for i := range lc.u {
+				maxNode = max(maxNode, lc.u[i], lc.v[i])
+			}
+		}
+		copy(a.ts[o:], lc.t)
+		lc.maxNode = maxNode
+	}
+}
+
+// loadWorkers resolves LoadOptions.Workers: 0 selects GOMAXPROCS, and
+// anything below 1 means one parse goroutine.
 func (o LoadOptions) loadWorkers() int {
 	w := o.Workers
 	if w == 0 {

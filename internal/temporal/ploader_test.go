@@ -49,13 +49,14 @@ func (r *failingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// checkLoaderEquivalence runs the sequential reference loader and every
-// parallel configuration over the same input and requires bit-identical
-// outcomes: equal graphs on success, equal error strings on failure.
+// checkLoaderEquivalence runs the sequential reference loader and the chunk
+// pipeline at every worker count over the same input and requires
+// bit-identical outcomes: equal graphs on success, equal error strings on
+// failure.
 func checkLoaderEquivalence(t *testing.T, ctx, input string, opts LoadOptions) {
 	t.Helper()
 	want, wantErr := readEdgeListSeq(strings.NewReader(input), opts)
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		for _, chunkSize := range []int{37, 512, defaultChunkSize} {
 			mem, memErr := readEdgeListParallel(
 				newMemSource([]byte(input), chunkSize), opts, workers)
@@ -217,7 +218,7 @@ func TestParallelLoaderReadError(t *testing.T) {
 	boom := errors.New("disk on fire")
 	data := []byte("0 1 1\n1 2 2\n2 3 3\n4 5")
 	want, wantErr := readEdgeListSeq(&failingReader{data: data, err: boom}, LoadOptions{})
-	for _, workers := range []int{2, 5} {
+	for _, workers := range []int{1, 2, 5} {
 		got, gotErr := readEdgeListParallel(
 			newStreamSource(&failingReader{data: data, err: boom}, 37, workers),
 			LoadOptions{}, workers)
@@ -228,7 +229,7 @@ func TestParallelLoaderReadError(t *testing.T) {
 	}
 	// A read error past the MaxEdges stop line is never observed, exactly
 	// like the sequential loader which stops scanning.
-	for _, workers := range []int{2, 5} {
+	for _, workers := range []int{1, 2, 5} {
 		g, err := readEdgeListParallel(
 			newStreamSource(&failingReader{data: data, err: boom}, 8, workers),
 			LoadOptions{MaxEdges: 2}, workers)

@@ -1,7 +1,9 @@
 package temporal
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -75,14 +77,19 @@ func TestRebuilderMatchesFromEdges(t *testing.T) {
 		span := 1 + int64(r.Intn(50)) // dense ties stress the stable sort
 		edges := randomEdgeSlice(r, nodes, count, span, 0.05)
 		want := FromEdges(edges)
-		// Rebuild reorders its input; hand it a scratch copy like a sampler
-		// would.
 		buf := append([]Edge(nil), edges...)
 		got := rb.Rebuild(buf)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("trial %d: rebuilt graph invalid: %v", trial, err)
 		}
+		if !slices.Equal(buf, edges) {
+			t.Fatalf("trial %d: Rebuild modified its input", trial)
+		}
 		graphsIdentical(t, got, want)
+		// Both run the same core: hold it to references sharing no code
+		// with it.
+		checkCSRInvariants(t, got, edges)
+		checkGroupedIndex(t, fmt.Sprintf("trial %d", trial), got)
 	}
 }
 
