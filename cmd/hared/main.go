@@ -212,8 +212,9 @@ func main() {
 	switch *role {
 	case "worker":
 		// A worker serves the shard wire protocol next to the public API,
-		// counting with the same in-process backend a single node uses.
-		w := &shard.Worker{Graphs: srv, Backend: hare.LocalBackend(), Version: buildinfo.Version()}
+		// sharing its registry, and counts each range with the kernels a
+		// single node's backend runs.
+		w := &shard.Worker{Graphs: srv, Version: buildinfo.Version()}
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
 		mux.Handle(shard.PathCompute, w.Handler())

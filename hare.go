@@ -226,7 +226,7 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 	start := time.Now()
 	var res Result
 	var counts *motif.Counts
-	if workers == 1 && c.schedule == engine.ScheduleDynamic && c.thrd == 0 {
+	if eo.Sequential() {
 		counts = sequential(g, delta, doStar, doTri)
 	} else {
 		// Resolve the auto heuristic once, up front: the run uses the
@@ -250,17 +250,8 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 	res.Matrix = counts.ToMatrix()
 	res.Elapsed = time.Since(start)
 	res.Workers = workers
-	if !c.hasOnly {
-		return res, nil
-	}
-	// Zero out non-requested categories for the restricted modes.
-	for _, l := range motif.AllLabels() {
-		keep := l.Category() == c.only ||
-			(c.only == CategoryPair && l.Category() == CategoryStar) ||
-			(c.only == CategoryStar && l.Category() == CategoryPair)
-		if !keep {
-			res.Matrix.Set(l, 0)
-		}
+	if c.hasOnly {
+		res.Matrix.KeepCategory(c.only)
 	}
 	return res, nil
 }

@@ -90,7 +90,7 @@ type PlanKernel struct{ Plan *query.Plan }
 func (PlanKernel) Cells() int { return 1 }
 
 // Domain implements Kernel.
-func (k PlanKernel) Domain(g *temporal.Graph) int { return k.Plan.Domain(g) }
+func (k PlanKernel) Domain(g *temporal.Graph) int { return k.Plan.PivotDomain(g) }
 
 // Weight implements Kernel.
 func (k PlanKernel) Weight(g *temporal.Graph, id int) float64 {

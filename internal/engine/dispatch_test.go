@@ -58,18 +58,35 @@ func goroutineID() string {
 
 // Sweep is the one scheduler every two-stage count rides on, so its
 // delivery contract is checked directly, apart from any kernel: over random
-// graphs and sub-ranges and the whole option matrix, every non-skipped
-// pivot is delivered exactly once — as one light call or as heavy slices
-// that partition [0, degree) — skipped pivots never, worker ids stay in
-// [0, workers), and one worker means ascending order on the caller's
-// goroutine with no heavy stage.
+// graphs and incidence-position sub-ranges and the whole option matrix,
+// every non-skipped pivot's share of the range is delivered exactly once — a
+// whole edge span as one light call or as heavy slices that partition
+// [0, degree), a span a bound cuts as heavy slices that partition its share
+// — skipped pivots never, worker ids stay in [0, workers), and one worker
+// means ascending order on the caller's goroutine with heavy calls only for
+// the cut spans.
 func TestSweepDeliversEachPivotOnce(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	type slice struct{ from, to int }
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		g := skewedGraph(r, 25+r.Intn(40), 200+r.Intn(600), 100)
-		lo := r.Intn(g.NumNodes())
-		hi := lo + r.Intn(g.NumNodes()-lo+1)
+		total := g.NumIncidences()
+		lo := r.Intn(total + 1)
+		hi := lo + r.Intn(total-lo+1)
+		switch trial {
+		case 0:
+			lo, hi = 0, total
+		case 1: // one position into the first span, one short of the end
+			lo, hi = 1, total-1
+		case 2: // one position past the start of the last span of two or more
+			lo = 0
+			for u, start := 0, 0; u < g.NumNodes(); u++ {
+				if g.Degree(temporal.NodeID(u)) >= 2 {
+					hi = start + 1
+				}
+				start += g.Degree(temporal.NodeID(u))
+			}
+		}
 		degree := func(id int) int {
 			if d := g.Degree(temporal.NodeID(id)); d >= 2 {
 				return d
@@ -116,33 +133,41 @@ func TestSweepDeliversEachPivotOnce(t *testing.T) {
 						if workers == 1 && !sort.IntsAreSorted(order) {
 							t.Fatalf("%s: one worker delivered out of order: %v", name, order)
 						}
+						start := 0 // the pivot's first incidence position, by a prefix sum
 						for id := 0; id < g.NumNodes(); id++ {
-							d := degree(id)
-							want := 0
-							if id >= lo && id < hi && d >= 0 {
-								want = 1
-							}
-							if len(slices[id]) == 0 {
-								if lightCalls[id] != want {
-									t.Fatalf("%s: pivot %d (degree %d) delivered %d times, want %d",
-										name, id, d, lightCalls[id], want)
+							d := g.Degree(temporal.NodeID(id))
+							// The pivot's share of [lo, hi), as offsets into its span.
+							from, to := max(lo-start, 0), min(hi-start, d)
+							start += d
+							if degree(id) < 0 || from >= to {
+								if lightCalls[id] != 0 || len(slices[id]) != 0 {
+									t.Fatalf("%s: pivot %d (degree %d) outside the range or skipped, got %d light calls and slices %v",
+										name, id, d, lightCalls[id], slices[id])
 								}
 								continue
 							}
-							if want == 0 || lightCalls[id] != 0 || workers == 1 {
+							whole := from == 0 && to == d
+							if len(slices[id]) == 0 {
+								if !whole || lightCalls[id] != 1 {
+									t.Fatalf("%s: pivot %d (degree %d, share [%d,%d)) delivered %d times as light",
+										name, id, d, from, to, lightCalls[id])
+								}
+								continue
+							}
+							if lightCalls[id] != 0 || (workers == 1 && (whole || len(slices[id]) != 1)) {
 								t.Fatalf("%s: pivot %d (degree %d) got %d light calls and slices %v",
 									name, id, d, lightCalls[id], slices[id])
 							}
 							sort.Slice(slices[id], func(a, b int) bool { return slices[id][a].from < slices[id][b].from })
-							next := 0
+							next := from
 							for _, s := range slices[id] {
 								if s.from != next || s.to <= s.from {
-									t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
+									t.Fatalf("%s: pivot %d slices %v do not partition [%d,%d)", name, id, slices[id], from, to)
 								}
 								next = s.to
 							}
-							if next != d {
-								t.Fatalf("%s: pivot %d slices %v do not partition [0,%d)", name, id, slices[id], d)
+							if next != to {
+								t.Fatalf("%s: pivot %d slices %v do not partition [%d,%d)", name, id, slices[id], from, to)
 							}
 						}
 					}
@@ -167,7 +192,7 @@ func TestSweepHeavyStage(t *testing.T) {
 		}
 	}
 	var lightN, slicedN atomic.Int64
-	engine.Sweep(g, opts, 0, g.NumNodes(), degree,
+	engine.Sweep(g, opts, 0, g.NumIncidences(), degree,
 		func(w, id int) { lightN.Add(1) },
 		func(w, id, from, to int) { slicedN.Add(int64(to - from)) })
 	if wantSliced == 0 || lightN.Load() != wantLight || slicedN.Load() != wantSliced {

@@ -12,9 +12,13 @@
 //
 // Sweep is the only two-stage schedule in the repository and Options the
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
-// motifs, below) and higher.CountStar4Range: the node pivots, whose cost
-// grows with the degree, so one hub can outweigh whole chunks of others; a
-// change to how work is scheduled is an edit to Sweep. Dispatch, the flat
+// motifs, below, whole or as CountRange) and higher.CountStar4Range: the node
+// pivots, whose cost grows with the degree, so one hub can outweigh whole
+// chunks of others. Their ranges are incidence positions, not node IDs, so a
+// range boundary may fall inside a hub, and the hub's two shares then go to
+// the two ranges: the intra-node split of the paper, lifted to ranges (and
+// through them to the shard tier's processes). A change to how work is
+// scheduled is an edit to Sweep. Dispatch, the flat
 // chunked loop underneath, is exported for the loops that have no heavy
 // stage (higher.SweepEdgesRange and through it path4 and query's edge plans,
 // whose per-edge cost is linear in the endpoints' δ-windows;
@@ -85,6 +89,15 @@ func (o Options) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Sequential reports whether the options leave nothing to schedule: one
+// worker, the dynamic schedule and the automatic threshold. hare.Count runs
+// its sequential FAST reference for these, not Sweep, and reports no
+// threshold; a count assembled elsewhere for the same request (the shard
+// tier's merge) reports what hare.Count would.
+func (o Options) Sequential() bool {
+	return o.EffectiveWorkers() == 1 && o.Schedule == ScheduleDynamic && o.DegreeThreshold == 0
+}
+
 // Chunk resolves Options.ChunkSize to the pivots per dynamic work unit a run
 // actually uses (<= 0 selects 64).
 func (o Options) Chunk() int {
@@ -96,18 +109,29 @@ func (o Options) Chunk() int {
 
 // Count runs HARE over all 36 motifs and returns the merged counters.
 func Count(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return run(g, delta, opts, true, true)
+	return run(g, delta, opts, 0, g.NumIncidences(), true, true)
+}
+
+// CountRange runs HARE over all 36 motifs for the incidence positions
+// [lo, hi) only (see Sweep) and returns the raw counters: each star and pair
+// triple is found at its center by its last edge, each triangle at its owner
+// by its first, so the counters of any partition of [0, g.NumIncidences())
+// sum — cell by cell, in any order — to Count's. They are summed before
+// ToMatrix, which halves the pair cells: matrices of parts do not add up.
+// It is the shard tier's count unit.
+func CountRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) *motif.Counts {
+	return run(g, delta, opts, lo, hi, true, true)
 }
 
 // CountStarPair runs HARE for star and pair motifs only ("HARE-Pair" reports
 // the pair subset of this run).
 func CountStarPair(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return run(g, delta, opts, true, false)
+	return run(g, delta, opts, 0, g.NumIncidences(), true, false)
 }
 
 // CountTri runs HARE for triangle motifs only ("HARE-Tri").
 func CountTri(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return run(g, delta, opts, false, true)
+	return run(g, delta, opts, 0, g.NumIncidences(), false, true)
 }
 
 // EffectiveDegreeThreshold reports the thrd a run with opts uses to split
@@ -169,36 +193,65 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 	wg.Wait()
 }
 
-// Sweep is HARE's two-stage schedule over the pivot IDs [lo, hi): the one
-// place the repository decides which worker runs which pivot.
+// Sweep is HARE's two-stage schedule over the incidence positions [lo, hi)
+// of g (clamped to [0, g.NumIncidences())): the one place the repository
+// decides which worker runs which pivot. Position p is one (center, edge)
+// pair of the CSR incident index (temporal.Graph.Incidence), so a range cut
+// at equal positions holds about equal work however the degrees are skewed,
+// where a cut at equal node IDs does not: the shard tier's ranges are these
+// positions.
 //
 // degree(id) classifies a pivot: negative means it cannot host an instance
 // and is never delivered; above thrd (EffectiveDegreeThreshold) it is
-// heavy; otherwise light.
+// heavy; otherwise light. It returns g.Degree(id) for every pivot it does not
+// skip.
 //
-// Stage 1 walks [lo, hi) in chunks of Options.ChunkSize pulled from a shared
-// cursor (ScheduleStatic: one contiguous block per worker instead) and calls
-// light(worker, id) for every light pivot, setting the heavy ones aside.
+// Stage 1 walks the centers whose whole edge range lies inside [lo, hi), in
+// chunks of Options.ChunkSize pulled from a shared cursor (ScheduleStatic:
+// one contiguous block per worker instead), and calls light(worker, id) for
+// every light pivot, setting the heavy ones aside.
 //
 // Stage 2 runs after every light pivot has finished. Heavy pivots go one at
 // a time, each split into small dynamic slices: heavy(worker, id, from, to)
 // is called with slices that partition [0, degree(id)) — the edge range of a
 // center node, which each kernel reads as its own loop's index (first edges
-// for FAST-Tri, last edges for the star/pair sweep).
+// for FAST-Tri, last edges for the star/pair sweep). The center a bound falls
+// strictly inside is delivered the same way, its slices partitioning only
+// its share of [lo, hi); the other share is the neighbouring range's.
 //
-// Every non-skipped pivot is delivered exactly once, which is what keeps
-// per-pivot integer tallies bit-identical at any setting. Callbacks run
-// concurrently with themselves; worker ids lie in
-// [0, opts.EffectiveWorkers()). One worker has nobody to split a hub with,
-// so it has no heavy stage: every pivot goes to light, on the caller's
-// goroutine, in ascending ID order — the sequential sweep is this code, not
-// a second loop.
+// Every non-skipped (center, edge) position in the range is delivered exactly
+// once, which is what keeps per-pivot integer tallies bit-identical at any
+// setting and any partition of the positions. Callbacks run concurrently
+// with themselves; worker ids lie in [0, opts.EffectiveWorkers()). One
+// worker has nobody to split a hub with, so every whole pivot goes to light,
+// on the caller's goroutine, in ascending ID order, and only a center cut by
+// a bound gets a heavy call (one, after the light ones) — the sequential
+// sweep is this code, not a second loop.
 func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 	light func(worker, id int), heavy func(worker, id, from, to int)) {
-	n := hi - lo
-	if n <= 0 {
+	lo, hi = max(lo, 0), min(hi, g.NumIncidences())
+	if lo >= hi {
 		return
 	}
+	type slice struct{ id, from, to int }
+	var hubs []slice
+	// The centers wholly inside the range are the IDs [first, end); a center
+	// holding a bound at a non-zero offset is cut, and sliced in stage 2.
+	u, off := g.Incidence(lo)
+	v, offHi := g.Incidence(hi)
+	first, end := int(u), int(v)
+	if first == end { // both bounds inside one center
+		hubs = append(hubs, slice{first, off, offHi})
+	} else {
+		if off > 0 {
+			hubs = append(hubs, slice{first, off, g.Degree(u)})
+			first++
+		}
+		if offHi > 0 {
+			hubs = append(hubs, slice{end, 0, offHi})
+		}
+	}
+	n := end - first
 	workers := opts.EffectiveWorkers()
 	thrd := math.MaxInt
 	if workers > 1 {
@@ -211,33 +264,37 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 		chunk = (n + workers - 1) / workers
 	}
 	deferred := make([][]int, workers)
-	Dispatch(workers, chunk, n, func(w, start, end int) {
-		hubs := deferred[w] // written back once per chunk: the headers share cache lines
-		for id := lo + start; id < lo+end; id++ {
+	Dispatch(workers, chunk, n, func(w, a, b int) {
+		ids := deferred[w] // written back once per chunk: the headers share cache lines
+		for id := first + a; id < first+b; id++ {
 			switch d := degree(id); {
 			case d < 0:
 			case d > thrd:
-				hubs = append(hubs, id)
+				ids = append(ids, id)
 			default:
 				light(w, id)
 			}
 		}
-		deferred[w] = hubs
+		deferred[w] = ids
 	})
-	var hubs []int
 	for _, ids := range deferred {
-		hubs = append(hubs, ids...)
+		for _, id := range ids {
+			hubs = append(hubs, slice{id, 0, degree(id)})
+		}
 	}
-	for _, id := range hubs {
+	for _, h := range hubs {
+		if degree(h.id) < 0 {
+			continue // a skipped center cut by a bound
+		}
 		// Slices cost unevenly (FAST-Tri's first edges scan windows of
 		// different lengths; a sweep slice replays the window before it), so
 		// use small dynamic slices rather than a static split.
-		d := degree(id)
-		Dispatch(workers, d/(workers*8)+1, d, func(w, from, to int) { heavy(w, id, from, to) })
+		d := h.to - h.from
+		Dispatch(workers, d/(workers*8)+1, d, func(w, from, to int) { heavy(w, h.id, h.from+from, h.from+to) })
 	}
 }
 
-func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTri bool) *motif.Counts {
+func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, doStar, doTri bool) *motif.Counts {
 	workers := opts.EffectiveWorkers()
 	perWorker := make([]motif.Counts, workers)
 	scratch := make([]*fast.Scratch, workers) // stars and pairs only; stays nil for CountTri
@@ -263,7 +320,7 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, doStar, doTr
 			fast.CountTriRange(g, temporal.NodeID(u), delta, &perWorker[w].Tri, true, from, to)
 		}
 	}
-	Sweep(g, opts, 0, g.NumNodes(),
+	Sweep(g, opts, lo, hi,
 		func(u int) int {
 			if d := g.Degree(temporal.NodeID(u)); d >= minDegree {
 				return d

@@ -42,23 +42,25 @@ func (o Options) EffectiveWorkers() int { return o.engine().EffectiveWorkers() }
 // CountStar4 counts the 4-node, 3-edge star motifs over every center; see
 // CountStar4Range.
 func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4Counter {
-	s4, _ := CountStar4Range(g, delta, opts, 0, g.NumNodes())
+	s4, _ := CountStar4Range(g, delta, opts, 0, g.NumIncidences())
 	return s4
 }
 
-// CountStar4Range counts the 4-node stars whose center node lies in the
-// half-open ID range [lo, hi) (clamped to [0, NumNodes)) and returns them
-// with the FAST-Star counters they are derived from — the 3-node stars and
-// pairs at the same centers: CountNode's pair, summed over the range. A star
-// of either size has a unique center, and a pair instance is recorded once
-// at each endpoint, in complementary cells, so any partition of the node
-// IDs yields partial counters that sum — in any order, the cells are exact
-// uint64 tallies — to the full ones: the per-shard work unit of the
-// scatter/gather serving path (internal/shard).
+// CountStar4Range counts the 4-node stars found at the incidence positions
+// [lo, hi) of g (clamped to [0, NumIncidences); see engine.Sweep): each star
+// at its center, by its last edge. It returns them with the FAST-Star
+// counters they are derived from — the 3-node stars and pairs found at the
+// same positions: CountNode's pair, summed over the range. A star of either
+// size has a unique center and last edge, and a pair instance is recorded
+// once at each endpoint, in complementary cells, so any partition of the
+// positions — boundaries inside a hub included — yields partial counters
+// that sum (in any order: the cells are exact uint64 tallies) to the full
+// ones: the per-shard work unit of the scatter/gather serving path
+// (internal/shard).
 //
 // It is a caller of engine.Sweep: light centers are pulled in dynamic
-// chunks, heavy centers (degree > thrd) go one at a time with their
-// last-edge range split across workers, each slice one
+// chunks, heavy centers (degree > thrd) and the centers a bound cuts go one
+// at a time with their last-edge range split across workers, each slice one
 // fast.SweepStarPairRange call that yields the star, pair and all-triples
 // tallies together. Each worker sums them over whatever it is handed and the
 // complement is applied once, after the partials merge. Counts are
@@ -78,7 +80,7 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		p := &parts[w]
 		fast.SweepStarPairRange(g.Seq(temporal.NodeID(u)), delta, &p.counts, &p.all, p.scratch, from, to)
 	}
-	engine.Sweep(g, eo, max(lo, 0), min(hi, g.NumNodes()),
+	engine.Sweep(g, eo, lo, hi,
 		func(u int) int {
 			if d := g.Degree(temporal.NodeID(u)); d >= 3 {
 				return d

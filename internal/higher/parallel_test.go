@@ -203,10 +203,10 @@ func BenchmarkCountPath4(b *testing.B) {
 }
 
 // Range counters are the shard workers' unit of work: any partition of the
-// node IDs (stars, with the FAST-Star counters beside them) or middle-edge
-// IDs (paths) must sum — partial counter by partial counter — to the full
-// count, at every scheduling regime, and out-of-bounds ranges must clamp
-// rather than panic.
+// incidence positions (stars, with the FAST-Star counters beside them) or
+// middle-edge IDs (paths) must sum — partial counter by partial counter — to
+// the full count, at every scheduling regime, and out-of-bounds ranges must
+// clamp rather than panic.
 func TestCountRangePartitionsSumToFull(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	scratch := fast.NewScratch()
@@ -238,7 +238,7 @@ func TestCountRangePartitionsSumToFull(t *testing.T) {
 			}
 			var gotS Star4Counter
 			var gotC motif.Counts
-			for cuts, i := cut(g.NumNodes()), 0; i+1 < len(cuts); i++ {
+			for cuts, i := cut(g.NumIncidences()), 0; i+1 < len(cuts); i++ {
 				part, c := CountStar4Range(g, delta, opts, cuts[i], cuts[i+1])
 				gotS.Add(&part)
 				gotC.Add(&c)
@@ -261,7 +261,7 @@ func TestCountRangePartitionsSumToFull(t *testing.T) {
 	}
 	// Clamping: negative lo, overlong hi, and empty/inverted ranges.
 	g := hubGraph(r, 8, 60, 40, 20)
-	if got, _ := CountStar4Range(g, 10, Options{Workers: 1}, -5, g.NumNodes()+7); got != CountStar4(g, 10, Options{Workers: 1}) {
+	if got, _ := CountStar4Range(g, 10, Options{Workers: 1}, -5, g.NumIncidences()+7); got != CountStar4(g, 10, Options{Workers: 1}) {
 		t.Errorf("clamped star4 range differs from full count")
 	}
 	if got, c := CountStar4Range(g, 10, Options{}, 3, 3); got.Total() != 0 || c != (motif.Counts{}) {

@@ -146,9 +146,9 @@ func (c *TriCounter) Total() uint64 {
 // cells its counting center sees (package fast gives each triangle to its
 // lowest-(temporal degree, ID) vertex); ToMatrix sums the three.
 type Counts struct {
-	Pair PairCounter
-	Star StarCounter
-	Tri  TriCounter
+	Pair PairCounter `json:"pair"`
+	Star StarCounter `json:"star"`
+	Tri  TriCounter  `json:"tri"`
 }
 
 // Add accumulates another Counts.

@@ -42,6 +42,18 @@ func (m *Matrix) CategoryTotal(c Category) uint64 {
 	return s
 }
 
+// KeepCategory zeroes every cell outside category c, pair and star counting
+// as one category here: FAST-Star finds both in one pass, so a count
+// restricted to either has both. It is the motif= restriction of a count,
+// wherever the count ran (hare.Count's WithOnly, the shard tier's merge).
+func (m *Matrix) KeepCategory(c Category) {
+	for _, l := range AllLabels() {
+		if k := l.Category(); k != c && (k == CategoryTri || c == CategoryTri) {
+			m.Set(l, 0)
+		}
+	}
+}
+
 // Equal reports whether two matrices are identical.
 func (m *Matrix) Equal(o *Matrix) bool { return *m == *o }
 

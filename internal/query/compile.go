@@ -19,11 +19,12 @@ const (
 	// PlanCenter pivots on center nodes: the spec has a variable incident
 	// to every edge (a 4-node or 3-node star, or a 2-node pair spec), and
 	// the plan reads one cell of the per-center counters CountStar4Range
-	// returns. The range domain is node IDs.
+	// returns. The pivot IDs are node IDs, the range domain the incidence
+	// positions.
 	PlanCenter PlanKind = iota
 	// PlanEdge pivots on graph edges bound to one spec edge, the other two
 	// read from the pivot's endpoints by the pair sweep (4-node paths and
-	// triangles). The range domain is edge IDs.
+	// triangles). Pivot IDs and the range domain are both edge IDs.
 	PlanEdge
 )
 
@@ -47,9 +48,10 @@ type legSweep struct {
 
 // Plan is a compiled counting plan. Plans are immutable and safe for
 // concurrent use; obtain one from Compile. Both pivot families partition
-// the count over a contiguous ID domain (nodes or edges), so any plan is
-// range-splittable for the scatter/gather tier: partials from a partition
-// of [0, Domain(g)) sum — exactly, in any order — to Execute's total.
+// the count over a contiguous range domain (incidence positions or edges),
+// so any plan is range-splittable for the scatter/gather tier: partials from
+// a partition of [0, RangeDomain(g)) sum — exactly, in any order — to
+// Execute's total.
 type Plan struct {
 	spec *Spec
 	kind PlanKind

@@ -7,13 +7,25 @@ import (
 	"hare/internal/temporal"
 )
 
-// Domain returns the size of the plan's pivot range domain on g: NumNodes
-// for center plans, NumEdges for edge plans. ExecuteRange over any
-// partition of [0, Domain(g)) sums exactly to Execute — the contract the
-// shard tier's scatter/gather rides on.
-func (p *Plan) Domain(g *temporal.Graph) int {
+// PivotDomain returns the size of the plan's pivot ID space on g, the ids
+// PivotCount takes: NumNodes for center plans, NumEdges for edge plans.
+// Samplers (internal/approx) draw from it.
+func (p *Plan) PivotDomain(g *temporal.Graph) int {
 	if p.kind == PlanCenter {
 		return g.NumNodes()
+	}
+	return g.NumEdges()
+}
+
+// RangeDomain returns the size of the plan's range domain on g, the bounds
+// ExecuteRange takes: the incidence positions NumIncidences for center plans
+// (engine.Sweep), whose equal ranges hold about equal work however skewed
+// the degrees are, and edge IDs NumEdges for edge plans. ExecuteRange over
+// any partition of [0, RangeDomain(g)) sums exactly to Execute — the contract
+// the shard tier's scatter/gather rides on.
+func (p *Plan) RangeDomain(g *temporal.Graph) int {
+	if p.kind == PlanCenter {
+		return g.NumIncidences()
 	}
 	return g.NumEdges()
 }
@@ -22,7 +34,7 @@ func (p *Plan) Domain(g *temporal.Graph) int {
 // same worker/degree-threshold/chunking machinery as the hand-tuned
 // counters. The result is exact and bit-identical at any worker count.
 func (p *Plan) Execute(g *temporal.Graph, delta temporal.Timestamp, opts Options) uint64 {
-	return p.ExecuteRange(g, delta, opts, 0, p.Domain(g))
+	return p.ExecuteRange(g, delta, opts, 0, p.RangeDomain(g))
 }
 
 // PivotCount counts the instances bound to one pivot ID: the per-center
@@ -41,12 +53,13 @@ func (p *Plan) PivotCount(g *temporal.Graph, delta temporal.Timestamp, id int, s
 	return p.sweep.cell(&diff, &same)
 }
 
-// ExecuteRange counts the instances whose pivot ID (center node for
-// PlanCenter, pivot-slot graph edge for PlanEdge) lies in the half-open
-// range [lo, hi), clamped to [0, Domain(g)). Either way the compiled plan
-// *is* the hand-tuned machinery plus a cell read: the star counter's range
-// form for a center plan, and for an edge plan the pair sweep, of which
-// only the one role order the slots select is run.
+// ExecuteRange counts the instances found in the half-open range [lo, hi)
+// of the plan's range domain, clamped to [0, RangeDomain(g)): the incidence
+// positions of the star counter's range form for a center plan (an instance
+// at its center, by its last edge), the pivot-slot graph edge IDs of the pair
+// sweep for an edge plan, of which only the one role order the slots select
+// is run. Either way the compiled plan *is* the hand-tuned machinery plus a
+// cell read.
 func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) uint64 {
 	if p.kind == PlanCenter {
 		s4, counts := higher.CountStar4Range(g, delta, opts, lo, hi)

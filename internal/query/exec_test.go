@@ -241,9 +241,9 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 					t.Fatalf("trial %d spec %q opts %+v: count %d, brute %d", trial, s, opts, got, want)
 				}
 			}
-			// Partition the pivot domain three ways: partials must sum
+			// Partition the range domain three ways: partials must sum
 			// exactly (the shard tier's scatter/gather contract).
-			n := p.Domain(g)
+			n := p.RangeDomain(g)
 			opts := Options{Workers: 2}
 			var sum uint64
 			for _, cut := range [][2]int{{-3, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n + 5}} {
@@ -281,7 +281,7 @@ func TestPivotCountSumsToExecute(t *testing.T) {
 			t.Fatalf("spec %q compiled to %v, want %v", s, p.Kind(), tc.kind)
 		}
 		var sum uint64
-		for id := 0; id < p.Domain(g); id++ {
+		for id := 0; id < p.PivotDomain(g); id++ {
 			sum += p.PivotCount(g, 15, id, scratch)
 		}
 		want := p.Execute(g, 15, Options{Workers: 2})

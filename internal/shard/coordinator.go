@@ -20,11 +20,12 @@ import (
 // coordinator-side — workers only ever see already-deduplicated,
 // already-admitted sub-requests.
 //
-// Every partition rides a uniqueness argument (unique star center, unique
-// path middle edge, index-derived sample seed) so the merged answer is
-// bit-identical to the in-process library backend at any fleet size.
-// /v1/count is routed whole to the worker that rendezvous hashing assigns
-// the dataset: a placement choice, not a limit of the kernel.
+// Every partition rides a uniqueness argument (a star or pair at its center
+// by its last edge, a triangle at its owner by its first, a path at its
+// middle edge, an index-derived sample seed) so the merged answer is
+// bit-identical to the in-process library backend at any fleet size. Every
+// kind scatters one range per peer; the node-pivot kinds range over
+// incidence positions, so equal ranges hold about equal work.
 type Coordinator struct {
 	client *Client
 }
@@ -70,25 +71,25 @@ func (c *Coordinator) rangeTasks(req server.Request, g *temporal.Graph, n int) [
 	return tasks
 }
 
-// Count routes the whole query to the worker rendezvous hashing assigns
-// the dataset. The 2/3-node kernel would split exactly by center range
-// (engine.run does so in process, and the sweep within a center); routing
-// it whole is a placement choice, so distinct datasets spread across the
-// fleet and stay resident where they land.
+// Count scatters equal ranges of the incidence positions — a hub a
+// boundary falls inside is swept in part by each of two workers — and
+// merges the raw counters in shard order (MergeCount).
 func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	home := PickShard(req.Dataset, len(c.client.peers))
-	tasks := []task{{sub: sub(req, g, 0, 1, 0, 0), home: home}}
-	gather, err := c.client.scatter(ctx, tasks)
-	if err != nil {
-		return server.CountAnswer{}, err
+	tasks := c.rangeTasks(req, g, g.NumIncidences())
+	gather := NewGather(server.KindCount, 0) // an edgeless graph: the zero answer
+	if len(tasks) > 0 {
+		var err error
+		if gather, err = c.client.scatter(ctx, tasks); err != nil {
+			return server.CountAnswer{}, err
+		}
 	}
-	return gather.MergeCount()
+	return gather.MergeCount(g, req)
 }
 
-// Star4 scatters center-node ID ranges and sums the partial counters in
-// shard order.
+// Star4 scatters incidence-position ranges and sums the partial counters
+// in shard order.
 func (c *Coordinator) Star4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.Star4Counter, error) {
-	tasks := c.rangeTasks(req, g, g.NumNodes())
+	tasks := c.rangeTasks(req, g, g.NumIncidences())
 	if len(tasks) == 0 {
 		return higher.Star4Counter{}, nil
 	}
@@ -114,14 +115,14 @@ func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.R
 }
 
 // Query compiles the (already canonical) spec and scatters ranges of the
-// plan's pivot domain — center-node IDs for center plans, pivot-edge IDs
-// for edge plans — summing the partial counts in shard order.
+// plan's range domain — incidence positions for center plans, pivot-edge
+// IDs for edge plans — summing the partial counts in shard order.
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
 	spec, err := query.ParseSpec(req.Spec)
 	if err != nil {
 		return 0, err
 	}
-	tasks := c.rangeTasks(req, g, query.Compile(spec).Domain(g))
+	tasks := c.rangeTasks(req, g, query.Compile(spec).RangeDomain(g))
 	if len(tasks) == 0 {
 		return 0, nil
 	}

@@ -9,7 +9,9 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,11 +19,9 @@ import (
 	"testing"
 	"time"
 
-	"hare/internal/approx"
 	"hare/internal/engine"
 	"hare/internal/higher"
 	"hare/internal/motif"
-	"hare/internal/nullmodel"
 	"hare/internal/server"
 	"hare/internal/temporal"
 )
@@ -43,50 +43,10 @@ func (f *fakeSource) Datasets() []server.DatasetInfo {
 	return []server.DatasetInfo{{Name: f.name, Loaded: true}}
 }
 
-// countBackend is the minimal count implementation a test worker needs.
-type countBackend struct{}
-
-func (countBackend) Count(_ context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	eo := engine.Options{Workers: req.Workers}
-	return server.CountAnswer{
-		Matrix:          engine.Count(g, temporal.Timestamp(req.Delta), eo).ToMatrix(),
-		Workers:         req.Workers,
-		DegreeThreshold: engine.EffectiveDegreeThreshold(g, eo),
-	}, nil
-}
-
-func (countBackend) Star4(context.Context, *temporal.Graph, server.Request) (higher.Star4Counter, error) {
-	return higher.Star4Counter{}, errors.New("unused")
-}
-
-func (countBackend) Path4(context.Context, *temporal.Graph, server.Request) (higher.PathCounter, error) {
-	return higher.PathCounter{}, errors.New("unused")
-}
-
-func (countBackend) Significance(context.Context, *temporal.Graph, server.Request) (*nullmodel.Report, error) {
-	return nil, errors.New("unused")
-}
-
-func (countBackend) Query(context.Context, *temporal.Graph, server.Request) (uint64, error) {
-	return 0, errors.New("unused")
-}
-
-func (countBackend) Star4Approx(context.Context, *temporal.Graph, server.Request) (*approx.Result, error) {
-	return nil, errors.New("unused")
-}
-
-func (countBackend) Path4Approx(context.Context, *temporal.Graph, server.Request) (*approx.Result, error) {
-	return nil, errors.New("unused")
-}
-
-func (countBackend) QueryApprox(context.Context, *temporal.Graph, server.Request) (*approx.Result, error) {
-	return nil, errors.New("unused")
-}
-
 // liveWorker boots a real shard worker over g.
 func liveWorker(t *testing.T, g *temporal.Graph) *httptest.Server {
 	t.Helper()
-	w := &Worker{Graphs: &fakeSource{name: "d", g: g}, Backend: countBackend{}, Version: "test"}
+	w := &Worker{Graphs: &fakeSource{name: "d", g: g}, Version: "test"}
 	hs := httptest.NewServer(w.Handler())
 	t.Cleanup(hs.Close)
 	return hs
@@ -278,6 +238,30 @@ func TestPermanentRejectionsFailFast(t *testing.T) {
 				t.Errorf("permanent rejection consumed %d retries", after-before)
 			}
 		})
+	}
+}
+
+// TestV1SubRequestIsRefused: a version-1 coordinator ranges node pivots
+// by node ID and expects a count matrix, so this worker must answer its
+// sub-request 426, naming the version it speaks, rather than read the
+// bounds as incidence positions.
+func TestV1SubRequestIsRefused(t *testing.T) {
+	g := shardTestGraph(t)
+	live := liveWorker(t, g)
+	body := fmt.Sprintf(`{"proto":1,"kind":"count","dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":0,"nodes":%d,"edges":%d}`,
+		g.NumNodes(), g.NumEdges())
+	resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var we wireError
+	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUpgradeRequired || we.Proto != ProtoVersion || ProtoVersion < 2 {
+		t.Fatalf("v1 sub-request: HTTP %d, error body proto %d (%s); want 426 naming proto %d ≥ 2",
+			resp.StatusCode, we.Proto, we.Error, ProtoVersion)
 	}
 }
 

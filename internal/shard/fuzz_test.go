@@ -1,0 +1,144 @@
+package shard
+
+// Fuzzers for the two wire decoders: the worker's SubRequest decode plus
+// validate, and the coordinator's Partial decode plus gather and merge.
+// Arbitrary bytes must be rejected with an error, never a panic, and what
+// is accepted must satisfy the invariants the other side relies on.
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"hare/internal/approx"
+	"hare/internal/engine"
+	"hare/internal/higher"
+	"hare/internal/motif"
+	"hare/internal/nullmodel"
+	"hare/internal/server"
+	"hare/internal/temporal"
+)
+
+// fuzzGraph is a small graph with stars, pairs and triangles at δ = 5.
+func fuzzGraph() *temporal.Graph {
+	return temporal.FromEdges([]temporal.Edge{
+		{From: 0, To: 1, Time: 1}, {From: 1, To: 0, Time: 2}, {From: 0, To: 2, Time: 3},
+		{From: 2, To: 1, Time: 4}, {From: 3, To: 0, Time: 5}, {From: 0, To: 1, Time: 6},
+		{From: 1, To: 2, Time: 7}, {From: 2, To: 0, Time: 8},
+	})
+}
+
+func FuzzSubRequest(f *testing.F) {
+	g := fuzzGraph()
+	for _, kind := range []server.Kind{server.KindCount, server.KindStar4, server.KindPath4, server.KindSig,
+		server.KindQuery, KindStar4Approx, KindPath4Approx, KindQueryApprox} {
+		s := sub(server.Request{Kind: kind, Dataset: "d", Delta: 5, Workers: 2, Motif: "M26",
+			Spec: "a->b; b->c; c->a", Model: "timeshuffle", Seed: 3}, g, 1, 3, 4, 9)
+		data, err := json.Marshal(&s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"proto":1,"kind":"count","dataset":"d","shard":0,"shards":1}`))
+	f.Add([]byte(`{"proto":2,"kind":"star4","dataset":"d","shard":0,"shards":1,"lo":5,"hi":2}`))
+	f.Add([]byte(`{"proto":2,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s SubRequest
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&s) != nil { // the worker's decode
+			return
+		}
+		if s.validate() != nil {
+			return
+		}
+		if s.Proto != ProtoVersion || s.Dataset == "" || s.Delta < 0 || s.Shard < 0 || s.Shard >= s.Shards {
+			t.Fatalf("validate accepted %+v", s)
+		}
+		if s.Lo < 0 || s.Hi < s.Lo {
+			t.Fatalf("validate accepted the range [%d, %d) of a %s sub-request", s.Lo, s.Hi, s.Kind)
+		}
+		// What the worker accepts, the coordinator's encoding reproduces.
+		out, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back SubRequest
+		if err := json.Unmarshal(out, &back); err != nil || back != s {
+			t.Fatalf("round trip changed %+v into %+v (%v)", s, back, err)
+		}
+	})
+}
+
+func FuzzPartial(f *testing.F) {
+	g := fuzzGraph()
+	const delta = 5
+	plan, err := approx.NewPlan(g, approx.StarKernel{}, approx.Options{Epsilon: 0.2, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	star4, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 1}, 0, g.NumIncidences())
+	path4 := higher.CountPath4(g, delta, higher.Options{Workers: 1})
+	query := uint64(7)
+	for _, p := range []Partial{
+		{Kind: server.KindCount, Count: engine.CountRange(g, delta, engine.Options{Workers: 1}, 0, 9)},
+		{Kind: server.KindStar4, Star4: &star4},
+		{Kind: server.KindPath4, Path4: &path4},
+		{Kind: server.KindQuery, Query: &query},
+		{Kind: server.KindSig, Sig: []motif.Matrix{{}, {{1, 2}}}},
+		{Kind: KindStar4Approx, Approx: approx.EstimateStrata(g, approx.StarKernel{}, delta, plan, 1, 0, len(plan.Strata))},
+	} {
+		p.Proto = ProtoVersion
+		data, err := json.Marshal(&p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"proto":2,"kind":"count","shard":0,"count":{"pair":[1],"tri":null}}`))
+	f.Add([]byte(`{"proto":2,"kind":"star4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Partial
+		if json.Unmarshal(data, &p) != nil { // the coordinator's decode
+			return
+		}
+		// The gather must accept the partial for its own shard of a
+		// one-shard plan of its kind, or refuse it with an error.
+		gather := NewGather(p.Kind, 1)
+		if gather.Add(&p) != nil {
+			return
+		}
+		if p.Shard != 0 || !gather.Complete() {
+			t.Fatalf("gather accepted shard %d into a one-shard plan", p.Shard)
+		}
+		var err error
+		switch p.Kind {
+		case server.KindCount:
+			_, err = gather.MergeCount(g, server.Request{Kind: server.KindCount, Delta: delta, Workers: 2, Motif: "M26"})
+		case server.KindStar4:
+			_, err = gather.MergeStar4()
+		case server.KindPath4:
+			_, err = gather.MergePath4()
+		case server.KindQuery:
+			_, err = gather.MergeQuery()
+		case server.KindSig:
+			_, err = gather.MergeSig(nullmodel.TimeShuffle, motif.Matrix{}, 1)
+		case KindStar4Approx, KindPath4Approx, KindQueryApprox:
+			_, _ = gather.MergeApprox(plan) // moments that do not fit the plan are an error
+		default:
+			t.Fatalf("gather accepted a partial of unknown kind %q", p.Kind)
+		}
+		if err != nil {
+			t.Fatalf("complete %s gather failed to merge: %v", p.Kind, err)
+		}
+		// An accepted partial survives the worker's encoding unchanged.
+		out, err := json.Marshal(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Partial
+		if err := json.Unmarshal(out, &back); err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed %+v into %+v (%v)", p, back, err)
+		}
+	})
+}

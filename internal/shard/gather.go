@@ -5,10 +5,12 @@ import (
 	"sync"
 
 	"hare/internal/approx"
+	"hare/internal/engine"
 	"hare/internal/higher"
 	"hare/internal/motif"
 	"hare/internal/nullmodel"
 	"hare/internal/server"
+	"hare/internal/temporal"
 )
 
 // Gather accumulates partial answers for one scatter plan, keyed by shard
@@ -54,11 +56,11 @@ func (g *Gather) Add(p *Partial) error {
 	case server.KindPath4:
 		ok = p.Path4 != nil
 	case server.KindSig:
-		ok = p.Sig != nil
+		ok = len(p.Sig) > 0 // an empty list is omitted on the wire: no payload
 	case server.KindQuery:
 		ok = p.Query != nil
 	case KindStar4Approx, KindPath4Approx, KindQueryApprox:
-		ok = p.Approx != nil
+		ok = len(p.Approx) > 0
 	}
 	if !ok {
 		return fmt.Errorf("shard: partial for shard %d carries no %s payload", p.Shard, g.kind)
@@ -98,8 +100,8 @@ func (g *Gather) incomplete() error {
 }
 
 // MergeStar4 sums the per-range Star4Counters in shard order. The cells
-// are exact uint64 tallies over disjoint center ranges, so the sum equals
-// the single-node counter bit for bit.
+// are exact uint64 tallies over disjoint incidence ranges, so the sum
+// equals the single-node counter bit for bit.
 func (g *Gather) MergeStar4() (higher.Star4Counter, error) {
 	var total higher.Star4Counter
 	if !g.Complete() {
@@ -124,20 +126,41 @@ func (g *Gather) MergePath4() (higher.PathCounter, error) {
 	return total, nil
 }
 
-// MergeCount returns the single count partial as a server.CountAnswer (a
-// count plan always has exactly one shard).
-func (g *Gather) MergeCount() (server.CountAnswer, error) {
+// MergeCount sums the raw count partials in shard order — counters over a
+// partition of g's incidence positions, which add up cell by cell to the
+// whole graph's — and converts the sum once with ToMatrix (which halves the
+// pair cells, so per-shard matrices would not add up). It then answers as
+// the library path does for the same request: the motif= restriction is
+// hare.Count's (motif.Matrix.KeepCategory), and the workers and threshold
+// echo are what hare.Count reports for req's hints on g.
+func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.CountAnswer, error) {
 	if !g.Complete() {
 		return server.CountAnswer{}, g.incomplete()
 	}
-	c := g.parts[0].Count
-	return server.CountAnswer{Matrix: c.Matrix, Workers: c.Workers, DegreeThreshold: c.DegreeThreshold}, nil
+	var total motif.Counts
+	for _, p := range g.parts {
+		total.Add(p.Count)
+	}
+	m := total.ToMatrix()
+	if req.Motif != "" {
+		l, err := motif.ParseLabel(req.Motif)
+		if err != nil {
+			return server.CountAnswer{}, err
+		}
+		m.KeepCategory(l.Category())
+	}
+	eo := schedule(SubRequest{Workers: req.Workers, Thrd: req.Thrd, ThrdSet: req.ThrdSet})
+	thrd := 0
+	if !eo.Sequential() {
+		thrd = engine.EffectiveDegreeThreshold(gr, eo)
+	}
+	return server.CountAnswer{Matrix: m, Workers: eo.EffectiveWorkers(), DegreeThreshold: thrd}, nil
 }
 
 // MergeQuery sums the per-range spec counts in shard order. Each instance
-// has a unique pivot ID (center node or pivot edge), so partial counts
-// over disjoint ranges sum — exactly, as uint64 tallies — to the
-// single-node answer.
+// has a unique place in the range domain (its center and last edge, or its
+// pivot edge), so partial counts over disjoint ranges sum — exactly, as
+// uint64 tallies — to the single-node answer.
 func (g *Gather) MergeQuery() (uint64, error) {
 	if !g.Complete() {
 		return 0, g.incomplete()

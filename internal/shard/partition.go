@@ -1,7 +1,5 @@
 package shard
 
-import "hash/fnv"
-
 // Range is one half-open work slice [Lo, Hi).
 type Range struct{ Lo, Hi int }
 
@@ -28,30 +26,4 @@ func Ranges(n, k int) []Range {
 		lo = hi
 	}
 	return out
-}
-
-// PickShard maps a dataset name onto one of n workers by rendezvous
-// (highest-random-weight) hashing: each worker scores FNV-1a(name, index)
-// and the highest score wins. Unlike modulo placement, adding or removing
-// one worker only moves the datasets that scored highest on it — the rest
-// of the fleet keeps its (warm, resident) assignments.
-func PickShard(dataset string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	best, bestScore := 0, uint64(0)
-	var buf [8]byte
-	for i := 0; i < n; i++ {
-		h := fnv.New64a()
-		h.Write([]byte(dataset))
-		buf[0] = 0xff // separator: "ab"+1 must not collide with "a"+b1
-		for b, v := 1, uint64(i); b < 8; b, v = b+1, v>>8 {
-			buf[b] = byte(v)
-		}
-		h.Write(buf[:])
-		if score := h.Sum64(); i == 0 || score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
 }

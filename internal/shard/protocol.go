@@ -6,18 +6,17 @@
 // The partitions ride the same associativity every in-process parallel
 // path already uses, lifted across processes:
 //
-//   - /v1/star4 splits by center-node ID range — every 4-node star has a
-//     unique center, so per-range Star4Counters sum exactly;
-//   - /v1/path4 splits by middle-edge ID range — every 4-node path has a
-//     unique structural-middle edge;
+//   - /v1/count, /v1/star4 and center-plan /v1/query split by incidence
+//     position, the (center, edge) pairs of the graph's CSR incident index
+//     (temporal.Graph.Incidence): each star or pair instance is found at its
+//     center by its last edge and each triangle at its owner by its first,
+//     so per-range counters sum exactly, and a hub a boundary falls inside is
+//     split between two workers instead of weighing on one;
+//   - /v1/path4 and edge-plan /v1/query split by pivot-edge ID range — every
+//     4-node path has a unique structural-middle edge;
 //   - /v1/sig splits by sample-index range — per-sample seeds are
 //     index-derived, and the coordinator re-folds the raw sample count
-//     matrices through the same fixed-chunk Welford tree as a local run;
-//   - /v1/count is routed whole to one worker picked by rendezvous
-//     hashing of the dataset name. The kernel splits exactly by center
-//     range in process (engine.run); routing it whole is a placement
-//     choice, so distinct datasets spread across the fleet and each stays
-//     resident where it lands.
+//     matrices through the same fixed-chunk Welford tree as a local run.
 //
 // Merged in deterministic shard order, the gathered answer is
 // bit-identical to the single-node one at any worker count. The wire
@@ -37,8 +36,11 @@ import (
 // ProtoVersion is the scatter/gather wire-protocol version. A worker
 // refuses (HTTP 426) sub-requests whose proto field it does not speak;
 // versions are totally ordered and bumped on any incompatible change to
-// the message shapes or merge semantics below.
-const ProtoVersion = 1
+// the message shapes or merge semantics below. Version 2 moved the
+// node-pivot ranges from node IDs to incidence positions and made the
+// count partial raw counters: a version-1 worker would read the new bounds
+// as node IDs and return a silently wrong partial.
+const ProtoVersion = 2
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.
@@ -52,8 +54,8 @@ const (
 // wire and scatters contiguous ranges of *stratum indices* (not pivot
 // IDs); each worker samples its strata with the plan's per-stratum seeded
 // streams and returns raw moments, so the gathered finish is bit-identical
-// to a local run. Additive within ProtoVersion 1: an older worker answers
-// 400 unknown kind, never a wrong partial.
+// to a local run. They were added within version 1 (an older worker answers
+// 400 unknown kind, never a wrong partial).
 const (
 	KindStar4Approx server.Kind = "star4approx"
 	KindPath4Approx server.Kind = "path4approx"
@@ -61,9 +63,9 @@ const (
 )
 
 // SubRequest is one shard's slice of a query: the kind plus the work
-// range it owns. Lo/Hi are half-open and kind-relative — center-node IDs
-// for star4, middle-edge IDs for path4, sample indices for sig, unused
-// for count (a count sub always covers the whole dataset).
+// range it owns. Lo/Hi are half-open and kind-relative — incidence
+// positions for count and star4, middle-edge IDs for path4, sample indices
+// for sig.
 //
 // Nodes/Edges carry the coordinator's view of the dataset shape; a worker
 // whose resident graph disagrees answers 409 rather than silently
@@ -93,16 +95,15 @@ type SubRequest struct {
 	Thrd    int  `json:"thrd,omitempty"`
 	ThrdSet bool `json:"thrd_set,omitempty"`
 
-	// Motif restricts a count sub to one motif category (count kind only).
+	// Motif is the count query's motif= restriction. Workers return every
+	// cell of their range; the coordinator's merge applies it.
 	Motif string `json:"motif,omitempty"`
 	// Model and Seed configure null sampling (sig kind only).
 	Model string `json:"model,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
 	// Spec is the canonical motif spec text (query kind only). Lo/Hi then
-	// range over the compiled plan's pivot domain: center-node IDs for
-	// center plans, pivot-edge IDs for edge plans. Adding the query kind
-	// was additive — older workers answer 400 unknown kind, not a wrong
-	// partial — so ProtoVersion stayed at 1.
+	// range over the compiled plan's range domain: incidence positions for
+	// center plans, pivot-edge IDs for edge plans.
 	Spec string `json:"spec,omitempty"`
 	// Epsilon, Conf and Samples are the estimator knobs of the approx
 	// kinds; with Seed (shared with sig) they determine the sampling plan
@@ -113,18 +114,11 @@ type SubRequest struct {
 	Samples int     `json:"samples,omitempty"`
 }
 
-// CountPartial is a count sub-request's answer: the full (possibly
-// category-restricted) matrix plus the scheduling the worker applied,
-// mirroring server.CountAnswer on the wire.
-type CountPartial struct {
-	Matrix          motif.Matrix `json:"matrix"`
-	Workers         int          `json:"workers"`
-	DegreeThreshold int          `json:"degree_threshold"`
-}
-
 // Partial is one shard's partial answer. Exactly one of the kind fields
 // is set. All counters are exact integers, so JSON round-trips them
-// bit-identically; Sig carries the raw per-sample count matrices (sample
+// bit-identically. Count carries the range's raw FAST counters, not a
+// matrix: ToMatrix halves the pair cells, so only the summed counters
+// convert exactly. Sig carries the raw per-sample count matrices (sample
 // lo up to hi, in index order) — the coordinator folds them through the
 // deterministic Welford chunk tree itself, because floating-point merge
 // order must not depend on the cluster layout.
@@ -133,7 +127,7 @@ type Partial struct {
 	Kind  server.Kind `json:"kind"`
 	Shard int         `json:"shard"`
 
-	Count *CountPartial        `json:"count,omitempty"`
+	Count *motif.Counts        `json:"count,omitempty"`
 	Star4 *higher.Star4Counter `json:"star4,omitempty"`
 	Path4 *higher.PathCounter  `json:"path4,omitempty"`
 	Sig   []motif.Matrix       `json:"sig,omitempty"`
@@ -177,7 +171,6 @@ func (s *SubRequest) validate() error {
 		return fmt.Errorf("shard: shard %d/%d out of range", s.Shard, s.Shards)
 	}
 	switch s.Kind {
-	case server.KindCount:
 	case server.KindQuery, KindQueryApprox:
 		if s.Spec == "" {
 			return fmt.Errorf("shard: query sub-request missing spec")
@@ -185,7 +178,7 @@ func (s *SubRequest) validate() error {
 		if s.Lo < 0 || s.Hi < s.Lo {
 			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
 		}
-	case server.KindStar4, server.KindPath4, server.KindSig, KindStar4Approx, KindPath4Approx:
+	case server.KindCount, server.KindStar4, server.KindPath4, server.KindSig, KindStar4Approx, KindPath4Approx:
 		if s.Lo < 0 || s.Hi < s.Lo {
 			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
 		}

@@ -1,20 +1,19 @@
 package shard
 
 // Unit tests for the scatter/gather building blocks: the deterministic
-// partitioner, the rendezvous dataset router, and the idempotent gather —
+// partitioner and the idempotent gather —
 // including the delivery anomalies the retry/hedge layer can produce
 // (reordering, duplicates) and the loud-incomplete contract.
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"hare"
 	"hare/internal/engine"
 	"hare/internal/gen"
 	"hare/internal/higher"
-	"hare/internal/motif"
 	"hare/internal/nullmodel"
 	"hare/internal/server"
 	"hare/internal/temporal"
@@ -67,37 +66,6 @@ func TestRangesProperties(t *testing.T) {
 	}
 }
 
-func TestPickShardRendezvous(t *testing.T) {
-	const names = 500
-	for _, n := range []int{1, 2, 4, 7} {
-		hits := make([]int, n)
-		for i := 0; i < names; i++ {
-			s := PickShard(fmt.Sprintf("dataset-%d", i), n)
-			if s < 0 || s >= n {
-				t.Fatalf("PickShard out of range: %d with n=%d", s, n)
-			}
-			if again := PickShard(fmt.Sprintf("dataset-%d", i), n); again != s {
-				t.Fatalf("PickShard not deterministic: %d then %d", s, again)
-			}
-			hits[s]++
-		}
-		for p, h := range hits {
-			if n <= 8 && h == 0 {
-				t.Errorf("n=%d: peer %d got no datasets out of %d", n, p, names)
-			}
-		}
-	}
-	// The rendezvous property: growing the fleet from n to n+1 only moves
-	// datasets onto the new peer — nothing shuffles between old peers.
-	for i := 0; i < names; i++ {
-		name := fmt.Sprintf("dataset-%d", i)
-		before, after := PickShard(name, 4), PickShard(name, 5)
-		if after != before && after != 4 {
-			t.Fatalf("%s moved %d -> %d when adding peer 4 (rendezvous violated)", name, before, after)
-		}
-	}
-}
-
 func shardTestGraph(t testing.TB) *temporal.Graph {
 	t.Helper()
 	cfg, err := gen.DatasetByName("collegemsg")
@@ -120,7 +88,7 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	const shards = 4
 	full := higher.CountStar4(g, delta, higher.Options{Workers: 2})
 
-	rs := Ranges(g.NumNodes(), shards)
+	rs := Ranges(g.NumIncidences(), shards)
 	parts := make([]*Partial, len(rs))
 	for i, r := range rs {
 		c, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 2}, r.Lo, r.Hi)
@@ -238,21 +206,47 @@ func TestGatherMergeSigBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGatherMergeCount round-trips a count partial.
+// TestGatherMergeCount merges raw count partials over incidence ranges,
+// delivered shuffled, into the library's answer for the same request: the
+// matrix (converted once, after the sum), the motif= restriction and the
+// workers/threshold echo.
 func TestGatherMergeCount(t *testing.T) {
-	var m motif.Matrix
-	m.Set(motif.Label{Row: 2, Col: 3}, 17)
-	gather := NewGather(server.KindCount, 1)
-	err := gather.Add(&Partial{Proto: ProtoVersion, Kind: server.KindCount, Shard: 0,
-		Count: &CountPartial{Matrix: m, Workers: 3, DegreeThreshold: 9}})
-	if err != nil {
-		t.Fatal(err)
+	g := shardTestGraph(t)
+	const delta = temporal.Timestamp(600)
+	rs := Ranges(g.NumIncidences(), 3)
+	parts := make([]*Partial, len(rs))
+	for i, r := range rs {
+		c := engine.CountRange(g, delta, engine.Options{Workers: 2}, r.Lo, r.Hi)
+		parts[i] = &Partial{Proto: ProtoVersion, Kind: server.KindCount, Shard: i, Count: c}
 	}
-	ans, err := gather.MergeCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Matrix != m || ans.Workers != 3 || ans.DegreeThreshold != 9 {
-		t.Fatalf("MergeCount = %+v", ans)
+	for _, tc := range []struct {
+		req  server.Request
+		opts []hare.Option
+	}{
+		{server.Request{Workers: 1}, []hare.Option{hare.WithWorkers(1)}},
+		{server.Request{Workers: 3}, []hare.Option{hare.WithWorkers(3)}},
+		{server.Request{Workers: 1, Thrd: 7, ThrdSet: true}, []hare.Option{hare.WithWorkers(1), hare.WithDegreeThreshold(7)}},
+		{server.Request{Workers: 2, Motif: "M26"}, []hare.Option{hare.WithWorkers(2), hare.WithOnly(hare.CategoryTri)}},
+		{server.Request{Workers: 2, Motif: "M11"}, []hare.Option{hare.WithWorkers(2), hare.WithOnly(hare.CategoryStar)}},
+	} {
+		want, err := hare.Count(g, delta, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gather := NewGather(server.KindCount, len(parts))
+		for _, i := range rand.New(rand.NewSource(5)).Perm(len(parts)) {
+			if err := gather.Add(parts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tc.req.Kind, tc.req.Delta = server.KindCount, int64(delta)
+		ans, err := gather.MergeCount(g, tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Matrix != want.Matrix || ans.Workers != want.Workers || ans.DegreeThreshold != want.DegreeThreshold {
+			t.Fatalf("%+v: merged workers %d thrd %d, library workers %d thrd %d (matrices equal: %v)",
+				tc.req, ans.Workers, ans.DegreeThreshold, want.Workers, want.DegreeThreshold, ans.Matrix == want.Matrix)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"hare/internal/approx"
+	"hare/internal/engine"
 	"hare/internal/higher"
 	"hare/internal/nullmodel"
 	"hare/internal/query"
@@ -25,14 +26,13 @@ type GraphSource interface {
 
 // Worker serves the shard side of the wire protocol: it resolves each
 // sub-request's dataset from Graphs, computes the partial for the range
-// it was handed, and answers with exact integer payloads. Count
-// sub-requests delegate to Backend so a routed count is computed by the
-// very same code path a single-node hared would use.
+// it was handed with the range kernel of its kind, and answers with exact
+// integer payloads.
 type Worker struct {
 	// Graphs resolves datasets (required).
 	Graphs GraphSource
-	// Backend computes count sub-requests (required) — wire the same
-	// in-process backend a single-node server uses.
+	// Backend is not consulted: every kind, count included, runs its range
+	// kernel directly. It is kept so existing wiring compiles.
 	Backend server.Backend
 	// Version is reported by /shard/v1/info.
 	Version string
@@ -98,25 +98,12 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 	delta := temporal.Timestamp(sub.Delta)
 	switch sub.Kind {
 	case server.KindCount:
-		ans, err := w.Backend.Count(r.Context(), g, server.Request{
-			Kind:    server.KindCount,
-			Dataset: sub.Dataset,
-			Delta:   sub.Delta,
-			Motif:   sub.Motif,
-			Workers: sub.Workers,
-			Thrd:    sub.Thrd,
-			ThrdSet: sub.ThrdSet,
-		})
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
-		}
-		p.Count = &CountPartial{Matrix: ans.Matrix, Workers: ans.Workers, DegreeThreshold: ans.DegreeThreshold}
+		p.Count = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi)
 	case server.KindStar4:
-		c, _ := higher.CountStar4Range(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)
+		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Star4 = &c
 	case server.KindPath4:
-		c := higher.CountPath4Range(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)
+		c := higher.CountPath4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Path4 = &c
 	case server.KindQuery:
 		spec, err := query.ParseSpec(sub.Spec)
@@ -124,7 +111,7 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
 			return
 		}
-		n := query.Compile(spec).ExecuteRange(g, delta, w.higherOpts(sub), sub.Lo, sub.Hi)
+		n := query.Compile(spec).ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Query = &n
 	case KindStar4Approx:
 		ms, err := approxMoments(g, delta, sub, approx.StarKernel{})
@@ -191,17 +178,24 @@ func approxMoments(g *temporal.Graph, delta temporal.Timestamp, sub SubRequest, 
 	return approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi), nil
 }
 
-// higherOpts maps a sub-request's scheduling hints onto the higher-order
-// counters' options, matching the single-node backend's interpretation
-// (an unset or zero threshold selects the automatic heuristic).
-func (w *Worker) higherOpts(sub SubRequest) higher.Options {
-	opts := higher.Options{Workers: sub.Workers}
+// schedule maps a sub-request's scheduling hints onto the scheduler's
+// options, matching the single-node backend's interpretation (an unset or
+// zero threshold selects the automatic heuristic). The coordinator's
+// count merge reads the same mapping to report the threshold.
+func schedule(sub SubRequest) engine.Options {
+	opts := engine.Options{Workers: sub.Workers}
 	// ThrdSet alone decides: normalize canonicalized thrd=0 to unset on the
 	// coordinator, and DegreeThreshold 0 means "auto" here anyway.
 	if sub.ThrdSet {
 		opts.DegreeThreshold = sub.Thrd
 	}
 	return opts
+}
+
+// higherOpts is schedule for the higher-order counters.
+func higherOpts(sub SubRequest) higher.Options {
+	eo := schedule(sub)
+	return higher.Options{Workers: eo.Workers, DegreeThreshold: eo.DegreeThreshold}
 }
 
 func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {

@@ -132,6 +132,25 @@ func (g *Graph) Degree(u NodeID) int {
 	return g.incOff[u+1] - g.incOff[u]
 }
 
+// NumIncidences returns the length of the CSR incident index, Σ_u Degree(u)
+// = 2·NumEdges: S_0, S_1, … laid end to end, so position p of the index is
+// one (center, edge) pair. It is the range domain the node-pivot counters
+// split, because a position costs about the same wherever it falls while a
+// node ID does not.
+func (g *Graph) NumIncidences() int { return len(g.incID) }
+
+// Incidence locates position p of the incident index: the node u whose
+// sequence S_u holds it, and its offset in S_u. Nodes without edges hold no
+// position. p = NumIncidences() yields (NumNodes(), 0), the end of the last
+// sequence.
+func (g *Graph) Incidence(p int) (u NodeID, off int) {
+	i := sort.Search(g.numNodes, func(i int) bool { return g.incOff[i+1] > p })
+	if i == g.numNodes {
+		return NodeID(i), p - len(g.incID)
+	}
+	return NodeID(i), p - g.incOff[i]
+}
+
 // Between returns E(v,w): every edge between v and w in either direction,
 // sorted by EdgeID, with Out recorded relative to v (Out == true means
 // v -> w). Returns an empty view when no edge exists.

@@ -220,3 +220,32 @@ func TestBetweenSymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Incidence inverts the layout of the incident index: walking the nodes in
+// ID order, position p of S_u's span is (u, p − start), nodes without edges
+// hold no position, and the end of the index is (NumNodes, 0).
+func TestIncidenceLocatesPositions(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	b := NewBuilder(0)
+	for i := 0; i < 60; i++ {
+		_ = b.AddEdge(NodeID(2*r.Intn(10)), NodeID(2*r.Intn(10)+1), Timestamp(i))
+	}
+	_ = b.AddEdge(30, 31, 60) // nodes 20-29 stay edgeless
+	for _, g := range []*Graph{b.Build(), FromEdges(nil)} {
+		if g.NumIncidences() != 2*g.NumEdges() {
+			t.Fatalf("NumIncidences %d, want 2·%d", g.NumIncidences(), g.NumEdges())
+		}
+		p := 0
+		for u := 0; u < g.NumNodes(); u++ {
+			for off := 0; off < g.Degree(NodeID(u)); off++ {
+				if gu, goff := g.Incidence(p); gu != NodeID(u) || goff != off {
+					t.Fatalf("Incidence(%d) = (%d, %d), want (%d, %d)", p, gu, goff, u, off)
+				}
+				p++
+			}
+		}
+		if u, off := g.Incidence(p); p != g.NumIncidences() || u != NodeID(g.NumNodes()) || off != 0 {
+			t.Fatalf("Incidence(%d) = (%d, %d) at the end of %d positions", p, u, off, g.NumIncidences())
+		}
+	}
+}

@@ -98,10 +98,9 @@ func NewServer(opts ServerOptions) (*Server, error) {
 }
 
 // LocalBackend returns the in-process counting backend NewServer installs
-// when ServerOptions.Backend is nil. A shard worker (internal/shard)
-// plugs it in so routed count sub-requests run the exact code path a
-// single-node hared uses; a coordinator replaces it with the
-// scatter/gather backend instead.
+// when ServerOptions.Backend is nil. A shard coordinator replaces it with
+// the scatter/gather backend, whose workers run the range kernels under
+// these same counts.
 func LocalBackend() server.Backend { return libraryBackend{} }
 
 // libraryBackend adapts the public counting APIs to the server's Backend
