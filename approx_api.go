@@ -51,13 +51,13 @@ func (o ApproxOptions) internal() approx.Options {
 	}
 }
 
-// CountStar4Approx estimates the 4-node star counts by importance-sampled
-// stratified sampling over center nodes: the heaviest centers (by degree³)
-// land in saturated strata and are enumerated exactly, the tail is sampled
-// without replacement, and each cell gets an unbiased estimate with a
-// confidence interval. Result.Cells holds the 8 direction patterns in
-// Star4Counter order; Result.Total is the all-pattern sum. Estimates are
-// deterministic: bit-identical for the same options at any worker count.
+// CountStar4Approx answers an approximate 4-node star request with the
+// exact count: the star/pair sweep behind CountStar4 is linear in each
+// center's degree and measured no slower than a sample of centers, so
+// sampling would buy nothing. Result.Cells holds the 8 direction patterns in
+// Star4Counter order, each a zero-width interval; Result.Total is their sum;
+// Result.Exact is set. The options are validated and echoed as for a
+// sampled count.
 func CountStar4Approx(g *Graph, delta Timestamp, o ApproxOptions) (*ApproxResult, error) {
 	if g == nil {
 		return nil, errNilGraph
@@ -68,11 +68,14 @@ func CountStar4Approx(g *Graph, delta Timestamp, o ApproxOptions) (*ApproxResult
 	return approx.Star4(g, delta, o.internal())
 }
 
-// CountPath4Approx estimates the 4-node path counts by sampling
-// structural-middle edges, with the same stratification, determinism, and
-// interval guarantees as CountStar4Approx. Result.Cells holds the 48-slot
-// path counter (canonical labels carry the counts, as in Path4Counter);
-// Result.Total sums them.
+// CountPath4Approx estimates the 4-node path counts by importance-sampled
+// stratified sampling over structural-middle edges: the heaviest middles
+// (by d(src)·d(dst)) land in saturated strata and are enumerated exactly,
+// the tail is sampled without replacement, and each cell gets an unbiased
+// estimate with a confidence interval. Result.Cells holds the 48-slot path
+// counter (canonical labels carry the counts, as in Path4Counter);
+// Result.Total sums them. Estimates are deterministic: bit-identical for the
+// same options at any worker count.
 func CountPath4Approx(g *Graph, delta Timestamp, o ApproxOptions) (*ApproxResult, error) {
 	if g == nil {
 		return nil, errNilGraph
@@ -83,12 +86,13 @@ func CountPath4Approx(g *Graph, delta Timestamp, o ApproxOptions) (*ApproxResult
 	return approx.Path4(g, delta, o.internal())
 }
 
-// CountMotifApprox estimates a compiled motif spec's count by sampling the
-// plan's pivot domain (centers for star-shaped specs, pivot-slot edges
-// otherwise). Result.Total is the estimate; Result.Cells has the single
-// per-pivot series. Sparse specs whose exact count is a handful of
-// instances are better served by CountMotif — rare-event tallies are below
-// the calibrated regime (docs/APPROX.md).
+// CountMotifApprox estimates a compiled motif spec's count. A 4-node path
+// spec is sampled by its middle edge, as CountPath4Approx samples; every
+// other spec (stars, pairs, triangles) compiles to a node-pivot plan and is
+// counted exactly, as CountStar4Approx is. Result.Total is the answer;
+// Result.Cells has the single series. Sparse path specs whose exact count is
+// a handful of instances are better served by CountMotif — rare-event
+// tallies are below the calibrated regime (docs/APPROX.md).
 func CountMotifApprox(g *Graph, spec *MotifSpec, delta Timestamp, o ApproxOptions) (*ApproxResult, error) {
 	if g == nil {
 		return nil, errNilGraph

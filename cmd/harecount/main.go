@@ -17,7 +17,8 @@
 // -epsilon switches -query to the sampling estimator (docs/APPROX.md):
 // the output is an estimate with a confidence interval instead of the
 // exact count. -conf, -seed and -samples refine it and are only valid
-// alongside -epsilon.
+// alongside -epsilon. Only 4-node path specs are sampled; every other spec
+// is counted exactly, its interval zero wide.
 package main
 
 import (
@@ -150,10 +151,13 @@ func run(input string, delta int64, workers, thrd int, only string, spec *hare.M
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s ≈ %.1f [%.1f, %.1f] at %g%% confidence (%d draws, %d/%d strata exact, in %v)\n",
+			how := fmt.Sprintf("%d draws, %d/%d strata exact", res.Draws, res.ExactStrata, res.Strata)
+			if res.Exact {
+				how = fmt.Sprintf("exact count over %d nodes", res.Draws)
+			}
+			fmt.Printf("%s ≈ %.1f [%.1f, %.1f] at %g%% confidence (%s, in %v)\n",
 				spec.Canonical(), res.Total.Estimate, res.Total.Low, res.Total.High,
-				res.Confidence*100, res.Draws, res.ExactStrata, res.Strata,
-				time.Since(start).Round(time.Microsecond))
+				res.Confidence*100, how, time.Since(start).Round(time.Microsecond))
 			return nil
 		}
 		n, err := hare.CountMotif(g, spec, delta, opts...)

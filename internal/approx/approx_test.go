@@ -78,7 +78,7 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestBuildPlanProperties(t *testing.T) {
 	g := hubGraph(1)
-	k := StarKernel{}
+	k := PathKernel{}
 	weight := func(id int) float64 { return k.Weight(g, id) }
 	for _, o := range []Options{
 		{},
@@ -148,18 +148,14 @@ func kernelsFor(t *testing.T, g *temporal.Graph, delta temporal.Timestamp) map[s
 	k     Kernel
 	exact float64
 } {
-	star := higher.CountStar4(g, delta, higher.Options{Workers: 1})
 	path := higher.CountPath4(g, delta, higher.Options{Workers: 1})
-	tri := query.Compile(mustSpec(t, "a->b; b->c; c->a"))
-	star3 := query.Compile(mustSpec(t, "a->b; a->c; b->a")) // a center plan: node domain, d³ weight
+	chain := query.Compile(mustSpec(t, "a->b; b->c; c->d"))
 	return map[string]struct {
 		k     Kernel
 		exact float64
 	}{
-		"star4":        {StarKernel{}, float64(star.Total())},
-		"path4":        {PathKernel{}, float64(path.Total())},
-		"query":        {PlanKernel{Plan: tri}, float64(tri.Execute(g, delta, query.Options{Workers: 1}))},
-		"query-center": {PlanKernel{Plan: star3}, float64(star3.Execute(g, delta, query.Options{Workers: 1}))},
+		"path4": {PathKernel{}, float64(path.Total())},
+		"query": {PlanKernel{Plan: chain}, float64(chain.Execute(g, delta, query.Options{Workers: 1}))},
 	}
 }
 
@@ -181,16 +177,61 @@ func TestKernelsMatchExactOracles(t *testing.T) {
 			t.Errorf("%s saturated: %d/%d exact strata", name, res.ExactStrata, res.Strata)
 		}
 	}
-	// Star cells must match the exact counter cell-for-cell when saturated.
-	star := higher.CountStar4(g, delta, higher.Options{Workers: 1})
-	res, err := Star4(g, delta, Options{Samples: g.NumNodes()})
+	// Path cells must match the exact counter cell-for-cell when saturated.
+	path := higher.CountPath4(g, delta, higher.Options{Workers: 1})
+	res, err := Path4(g, delta, Options{Samples: g.NumEdges()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, iv := range res.Cells {
-		if iv.Estimate != float64(star[i]) {
-			t.Errorf("star cell %d: %v, want %v", i, iv.Estimate, star[i])
+		if iv.Estimate != float64(path[i]) {
+			t.Errorf("path cell %d: %v, want %v", i, iv.Estimate, path[i])
 		}
+	}
+}
+
+// The node-pivot families answer approximate requests with the exact count:
+// 4-node stars cell for cell, and center plans (a star, a pair and a
+// triangle spec) as one total, with zero-wide intervals, every node counted
+// and the Exact flag set, at any knobs and worker count.
+func TestNodePivotFamiliesAnswerExactly(t *testing.T) {
+	g := hubGraph(6)
+	const delta = 600
+	star := higher.CountStar4(g, delta, higher.Options{Workers: 1})
+	check := func(name string, res *Result, err error, cells []uint64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Cells) != len(cells) {
+			t.Fatalf("%s: %d cells, want %d", name, len(res.Cells), len(cells))
+		}
+		var total uint64
+		for i, c := range cells {
+			total += c
+			if iv := res.Cells[i]; iv.Estimate != float64(c) || iv.Low != iv.Estimate || iv.High != iv.Estimate {
+				t.Fatalf("%s cell %d: %+v, want exactly %d", name, i, iv, c)
+			}
+		}
+		exact := Interval{Estimate: float64(total), Low: float64(total), High: float64(total)}
+		if total == 0 || res.Total != exact || !res.Exact || res.Draws != g.NumNodes() || res.Strata != 0 {
+			t.Fatalf("%s: %+v, want the exact total %d over %d nodes", name, res, total, g.NumNodes())
+		}
+	}
+	for _, o := range []Options{{}, {Epsilon: 0.3, Confidence: 0.8, Seed: 9, Workers: 2}, {Samples: 10, Workers: 4}} {
+		res, err := Star4(g, delta, o)
+		check("star4", res, err, star[:])
+		for _, text := range []string{"c->x; y->c; c->z", "a->b; b->a; a->b", "a->b; b->c; c->a"} {
+			p := query.Compile(mustSpec(t, text))
+			res, err := Query(g, p, delta, o)
+			check(text, res, err, []uint64{p.Execute(g, delta, query.Options{Workers: 1})})
+		}
+	}
+	if res, err := Star4(g, delta, Options{Epsilon: 2}); err == nil {
+		t.Fatalf("invalid epsilon answered %+v", res)
+	}
+	if res, err := Query(g, query.Compile(mustSpec(t, "a->b; b->c; c->a")), delta, Options{Confidence: 1}); err == nil {
+		t.Fatalf("invalid confidence answered %+v", res)
 	}
 }
 
@@ -215,16 +256,16 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// The epsilon/conf road: auto-sized budgets must be deterministic too.
-	a, err := Star4(g, delta, Options{Epsilon: 0.1, Confidence: 0.9, Seed: 5, Workers: 2})
+	a, err := Path4(g, delta, Options{Epsilon: 0.1, Confidence: 0.9, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Star4(g, delta, Options{Epsilon: 0.1, Confidence: 0.9, Seed: 5, Workers: 4})
+	b, err := Path4(g, delta, Options{Epsilon: 0.1, Confidence: 0.9, Seed: 5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("auto-sized star4 differs across worker counts")
+		t.Errorf("auto-sized path4 differs across worker counts")
 	}
 }
 
@@ -235,16 +276,7 @@ func TestUnbiasedness(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := randomGraph(r, 200, 800, 3000)
 	const delta, seeds = 500, 150
-	kernels := kernelsFor(t, g, delta)
-	// The triangle spec is too sparse on this corpus for a 1% mean bound
-	// (the bound would be a fraction of one instance); unbiasedness of the
-	// edge-pivot road is checked on a denser spec.
-	chain := query.Compile(mustSpec(t, "a->b; b->c; c->d"))
-	kernels["query"] = struct {
-		k     Kernel
-		exact float64
-	}{PlanKernel{Plan: chain}, float64(chain.Execute(g, delta, query.Options{Workers: 1}))}
-	for name, tc := range kernels {
+	for name, tc := range kernelsFor(t, g, delta) {
 		if tc.exact == 0 {
 			t.Fatalf("%s: corpus graph has zero exact count; pick a denser corpus", name)
 		}
@@ -293,19 +325,7 @@ func TestCICalibration(t *testing.T) {
 	}
 	const seeds = 60
 	for gname, g := range graphs {
-		kernels := kernelsFor(t, g, delta)
-		// The triangle spec is ultra-sparse on these corpora (single-digit
-		// exact counts): with almost every per-pivot tally zero, a sampled
-		// stratum can observe nothing and report a zero-width interval —
-		// the documented sparse-count limitation (docs/APPROX.md), not a
-		// calibration defect. The coverage tally uses the denser chain
-		// spec; sparse specs belong in exact mode.
-		chain := query.Compile(mustSpec(t, "a->b; b->c; c->d"))
-		kernels["query"] = struct {
-			k     Kernel
-			exact float64
-		}{PlanKernel{Plan: chain}, float64(chain.Execute(g, delta, query.Options{Workers: 1}))}
-		for name, tc := range kernels {
+		for name, tc := range kernelsFor(t, g, delta) {
 			// Two sweeps per kernel: the serving default (epsilon=0.05,
 			// which saturates small domains — exact by construction), and
 			// a pinned budget of a third of the domain, which forces real
@@ -343,14 +363,14 @@ func TestCICalibration(t *testing.T) {
 
 func TestFinishRejectsMismatches(t *testing.T) {
 	g := hubGraph(4)
-	plan, err := NewPlan(g, StarKernel{}, Options{Samples: 64})
+	plan, err := NewPlan(g, PathKernel{}, Options{Samples: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Finish(plan, nil); err == nil {
 		t.Errorf("Finish must reject a moment/stratum count mismatch")
 	}
-	moments := EstimateStrata(g, StarKernel{}, 600, plan, 2, 0, len(plan.Strata))
+	moments := EstimateStrata(g, PathKernel{}, 600, plan, 2, 0, len(plan.Strata))
 	bad := make([]Moments, len(moments))
 	copy(bad, moments)
 	bad[0].Mean = bad[0].Mean[:1]

@@ -32,23 +32,6 @@ func benchHubGraph(r *rand.Rand, nodes, edges, hubEdges int, span int64) *tempor
 	return b.Build()
 }
 
-// BenchmarkApproxStar4 measures the full estimator pipeline (plan build +
-// stratified draws + finish) on the star family at the headline knobs.
-func BenchmarkApproxStar4(b *testing.B) {
-	r := rand.New(rand.NewSource(91))
-	g := benchHubGraph(r, 400, 30_000, 8_000, 200_000)
-	b.ResetTimer()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Star4(g, 5_000, Options{Epsilon: 0.05, Seed: 1, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkApproxPath4 measures the path-family estimator; the pinned CI
 // run pairs it with the exact BenchmarkCountPath4 in internal/higher so
 // the regression fence tracks both sides of the speedup.

@@ -8,6 +8,7 @@ import (
 
 	"hare/internal/engine"
 	"hare/internal/fast"
+	"hare/internal/higher"
 	"hare/internal/query"
 	"hare/internal/temporal"
 )
@@ -153,6 +154,30 @@ type Result struct {
 	ExactStrata int
 	Epsilon     float64
 	Confidence  float64
+	// Exact marks an answer the exact kernel gave (see Exact): no strata,
+	// every pivot counted, every interval zero wide.
+	Exact bool
+}
+
+// Exact finishes an exact count as a Result. The node-pivot families —
+// 4-node stars and the center plans of star, pair and triangle specs — are
+// answered this way in approximate mode: their exact range kernels (the
+// star/pair sweep, FAST-Tri) cost no more than a sample of them would. Each
+// interval is its cell's count, zero wide; Draws is the nodes counted, the
+// whole pivot domain; the knobs, which must be valid (Options.Validate), are
+// echoed as a sample's are.
+func Exact(cells []uint64, nodes int, o Options) *Result {
+	res := &Result{Cells: make([]Interval, len(cells)), Draws: nodes,
+		Epsilon: o.epsilon(), Confidence: o.confidence(), Exact: true}
+	var total uint64
+	for i, c := range cells {
+		v := float64(c)
+		res.Cells[i] = Interval{Estimate: v, Low: v, High: v}
+		total += c
+	}
+	t := float64(total)
+	res.Total = Interval{Estimate: t, Low: t, High: t}
+	return res
 }
 
 // Finish folds per-stratum moments into the estimate and CIs, iterating
@@ -280,9 +305,14 @@ func Estimate(g *temporal.Graph, k Kernel, delta temporal.Timestamp, o Options) 
 	return Finish(plan, moments)
 }
 
-// Star4 estimates the 8-cell star counter (cells in motif.PairDirs order).
+// Star4 answers the 8-cell star counter exactly (cells in motif.PairDirs
+// order; see Exact).
 func Star4(g *temporal.Graph, delta temporal.Timestamp, o Options) (*Result, error) {
-	return Estimate(g, StarKernel{}, delta, o)
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	s4 := higher.CountStar4(g, delta, higher.Options{Workers: o.Workers})
+	return Exact(s4[:], g.NumNodes(), o), nil
 }
 
 // Path4 estimates the 48-slot path counter (canonical labels carry the
@@ -291,7 +321,14 @@ func Path4(g *temporal.Graph, delta temporal.Timestamp, o Options) (*Result, err
 	return Estimate(g, PathKernel{}, delta, o)
 }
 
-// Query estimates a compiled plan's total count (one cell).
+// Query estimates a compiled plan's total count (one cell): a path plan by
+// sampling its middle edges, a center plan exactly (see Exact).
 func Query(g *temporal.Graph, p *query.Plan, delta temporal.Timestamp, o Options) (*Result, error) {
-	return Estimate(g, PlanKernel{Plan: p}, delta, o)
+	if p.Kind() == query.PlanEdge {
+		return Estimate(g, PlanKernel{Plan: p}, delta, o)
+	}
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	return Exact([]uint64{p.Execute(g, delta, query.Options{Workers: o.Workers})}, g.NumNodes(), o), nil
 }

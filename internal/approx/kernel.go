@@ -11,11 +11,13 @@ import (
 // per-pivot tallies sum to the exact count, a per-pivot cost/variance
 // proxy for stratum allocation, and the per-pivot evaluation itself. All
 // methods must be pure (safe for concurrent use with per-worker scratch).
+// Both kernels here pivot on edges: the node-pivot families are answered
+// exactly (see Exact).
 type Kernel interface {
-	// Cells is the number of counter cells Eval fills (8 star patterns,
-	// 48 path slots, 1 query total).
+	// Cells is the number of counter cells Eval fills (48 path slots, 1
+	// query total).
 	Cells() int
-	// Domain is the pivot-ID domain size on g (nodes or edges).
+	// Domain is the pivot-ID domain size on g.
 	Domain(g *temporal.Graph) int
 	// Weight is the nonnegative allocation proxy for pivot id — a cheap
 	// stand-in for the pivot's tally variance, typically a degree product.
@@ -24,33 +26,6 @@ type Kernel interface {
 	// overwriting every cell. scratch is a per-worker fast.Scratch grown
 	// to NumNodes.
 	Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64)
-}
-
-// StarKernel samples 4-node stars by center node. Weight is d³, the
-// all-triples count a center of temporal degree d can host: a proxy for the
-// tally's variance, not for the evaluation's cost, which the star/pair sweep
-// made linear in d.
-type StarKernel struct{}
-
-// Cells implements Kernel (the 8 direction-pattern star motifs).
-func (StarKernel) Cells() int { return 8 }
-
-// Domain implements Kernel: centers are nodes.
-func (StarKernel) Domain(g *temporal.Graph) int { return g.NumNodes() }
-
-// Weight implements Kernel.
-func (StarKernel) Weight(g *temporal.Graph, id int) float64 {
-	d := float64(g.Degree(temporal.NodeID(id)))
-	return d * d * d
-}
-
-// Eval implements Kernel via the exact per-center counter the parallel
-// star machinery schedules.
-func (StarKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64) {
-	s4, _ := higher.CountNode(g, temporal.NodeID(id), delta, scratch)
-	for i := range s4 {
-		out[i] = float64(s4[i])
-	}
 }
 
 // PathKernel samples 4-node paths by structural-middle edge. Weight is
@@ -81,24 +56,19 @@ func (PathKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scra
 	}
 }
 
-// PlanKernel samples a compiled query plan by its pivot family: center
-// nodes for PlanCenter (weight d³), pivot-slot edges for PlanEdge (weight
-// d(src)·d(dst)).
+// PlanKernel samples a compiled path plan (query.PlanEdge) by its
+// pivot-slot edge, with PathKernel's weight. Center plans are never sampled:
+// Query answers them exactly.
 type PlanKernel struct{ Plan *query.Plan }
 
 // Cells implements Kernel: one total per pivot.
 func (PlanKernel) Cells() int { return 1 }
 
-// Domain implements Kernel.
-func (k PlanKernel) Domain(g *temporal.Graph) int { return k.Plan.PivotDomain(g) }
+// Domain implements Kernel: pivots are edges.
+func (PlanKernel) Domain(g *temporal.Graph) int { return g.NumEdges() }
 
 // Weight implements Kernel.
-func (k PlanKernel) Weight(g *temporal.Graph, id int) float64 {
-	if k.Plan.Kind() == query.PlanCenter {
-		return StarKernel{}.Weight(g, id)
-	}
-	return PathKernel{}.Weight(g, id)
-}
+func (PlanKernel) Weight(g *temporal.Graph, id int) float64 { return PathKernel{}.Weight(g, id) }
 
 // Eval implements Kernel via the plan's exact per-pivot tally.
 func (k PlanKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64) {

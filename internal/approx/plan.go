@@ -1,15 +1,16 @@
-// Package approx estimates the higher-order motif counts (4-node stars,
-// 4-node paths, compiled query plans) by deterministic stratified
-// importance sampling, with per-cell normal confidence intervals derived
-// from across-stratum Welford variance.
+// Package approx estimates the 4-node path counts and the counts of
+// compiled path specs by deterministic stratified importance sampling, with
+// per-cell normal confidence intervals derived from across-stratum Welford
+// variance. The node-pivot families (4-node stars, and star, pair and
+// triangle specs) have exact kernels no slower than a sample of them, so
+// their approximate requests are answered exactly (Exact).
 //
 // The estimator rides the same structural fact as the exact parallel
-// counters and the shard tier: every motif instance has a unique pivot
-// (center node for stars and center plans, structural-middle / pivot-slot
-// edge for paths and edge plans), so the exact count is a sum of per-pivot
-// tallies over a contiguous ID domain. Instead of evaluating every pivot,
-// the plan splits the domain into contiguous strata, sizes each stratum's
-// draw budget by a degree-based cost proxy (largest-remainder allocation),
+// counters and the shard tier: every path instance has a unique pivot, its
+// structural-middle edge, so the exact count is a sum of per-pivot tallies
+// over a contiguous ID domain. Instead of evaluating every pivot, the plan
+// splits the domain into contiguous strata, sizes each stratum's draw
+// budget by a degree-based variance proxy (largest-remainder allocation),
 // and samples pivot IDs uniformly within each stratum with a per-stratum
 // seeded RNG. A stratum whose allocation reaches its size is enumerated
 // exactly (zero variance) — hubs that would dominate the variance are
@@ -131,7 +132,7 @@ type Stratum struct {
 type Plan struct {
 	// Domain is the pivot-ID domain size ([0, Domain) is partitioned).
 	Domain int
-	// Cells is the kernel's cell count (8 stars, 48 path slots, 1 query).
+	// Cells is the kernel's cell count (48 path slots, 1 query).
 	Cells int
 	// Budget is the requested total draw budget after clamping to
 	// [drawFloor, Domain]; saturation caps may realize fewer evaluations.

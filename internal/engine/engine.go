@@ -12,7 +12,9 @@
 //
 // Sweep is the only two-stage schedule in the repository and Options the
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
-// motifs, below, whole or as CountRange) and higher.CountStar4Range: the node
+// motifs, below, whole or as CountRange, and the triangles alone as
+// CountTriRange, which is also the query compiler's triangle plan) and
+// higher.CountStar4Range (4-node stars and the star and pair plans): the node
 // pivots, whose cost grows with the degree, so one hub can outweigh whole
 // chunks of others. Their ranges are incidence positions, not node IDs, so a
 // range boundary may fall inside a hub, and the hub's two shares then go to
@@ -20,7 +22,7 @@
 // through them to the shard tier's processes). A change to how work is
 // scheduled is an edit to Sweep. Dispatch, the flat
 // chunked loop underneath, is exported for the loops that have no heavy
-// stage (higher.SweepEdgesRange and through it path4 and query's edge plans,
+// stage (higher.SweepEdgesRange and through it path4 and query's path plans,
 // whose per-edge cost is linear in the endpoints' δ-windows;
 // nullmodel.SampleMatrices; approx.EstimateStrata).
 //
@@ -131,7 +133,15 @@ func CountStarPair(g *temporal.Graph, delta temporal.Timestamp, opts Options) *m
 
 // CountTri runs HARE for triangle motifs only ("HARE-Tri").
 func CountTri(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return run(g, delta, opts, 0, g.NumIncidences(), false, true)
+	return CountTriRange(g, delta, opts, 0, g.NumIncidences())
+}
+
+// CountTriRange is CountRange's triangle half: FAST-Tri's owner-mode cells
+// for the triangles whose owner and first edge lie in the incidence
+// positions [lo, hi). Partials over any partition of [0, g.NumIncidences())
+// sum to CountTri's. It is the query compiler's triangle plan.
+func CountTriRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) *motif.Counts {
+	return run(g, delta, opts, lo, hi, false, true)
 }
 
 // EffectiveDegreeThreshold reports the thrd a run with opts uses to split

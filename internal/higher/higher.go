@@ -24,7 +24,7 @@
 // intra-center split for hubs, and returns the FAST-Star counters beside the
 // 4-node ones, so the query compiler's center plans read any star or pair
 // cell from it. SweepEdgesRange sweeps edges — for CountPath4Range and for
-// the query compiler's edge plans — in the flat dynamic chunks of
+// the query compiler's path plans — in the flat dynamic chunks of
 // engine.Dispatch, because an edge pivot's cost is linear in its endpoints'
 // δ-windows (sweep.go). Options converts to engine.Options in one place and
 // resolves no default itself. Count and CountPaths stay plain sequential

@@ -29,15 +29,15 @@ type Options struct {
 	ChunkSize int
 }
 
-// engine converts to the scheduler's options: the one place the two structs
+// Engine converts to the scheduler's options: the one place the two structs
 // meet. Defaults are resolved there, by engine alone.
-func (o Options) engine() engine.Options {
+func (o Options) Engine() engine.Options {
 	return engine.Options{Workers: o.Workers, DegreeThreshold: o.DegreeThreshold, ChunkSize: o.ChunkSize}
 }
 
 // EffectiveWorkers resolves Workers to the goroutine count a run actually
 // uses (<= 0 selects GOMAXPROCS): the scheduler's own resolution.
-func (o Options) EffectiveWorkers() int { return o.engine().EffectiveWorkers() }
+func (o Options) EffectiveWorkers() int { return o.Engine().EffectiveWorkers() }
 
 // CountStar4 counts the 4-node, 3-edge star motifs over every center; see
 // CountStar4Range.
@@ -66,7 +66,7 @@ func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4
 // complement is applied once, after the partials merge. Counts are
 // bit-identical to the sequential Count at any setting.
 func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) (Star4Counter, motif.Counts) {
-	eo := opts.engine()
+	eo := opts.Engine()
 	parts := make([]struct {
 		all     [8]uint64
 		counts  motif.Counts
@@ -114,7 +114,7 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // scatter/gather serving path (internal/shard). The raw tallies of the pair
 // sweep (sweep.go) are merged first; the 24 labels are read off once.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
-	diff, _ := SweepEdgesRange(g, delta, opts, AllLegOrders, lo, hi)
+	diff := SweepEdgesRange(g, delta, opts, AllLegOrders, lo, hi)
 	var total PathCounter
 	total.addPaths(&diff)
 	return total
@@ -122,20 +122,21 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 
 // SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi)
 // (clamped to [0, NumEdges)) and the given role orders, each worker with a
-// pooled scratch and tallies of its own, and returns the merged tallies: leg
-// pairs with different far ends (4-node paths) and with the same one
-// (triangles). Cells are exact integers, so the sums do not depend on which
-// worker met which pivot. It is the range form of the sweep, for
-// CountPath4Range and the query compiler's path and triangle plans.
+// pooled scratch and tallies of its own, and returns the merged tallies of
+// leg pairs with different far ends: the 4-node paths. (The same-far-end
+// pairs, triangles, are counted by FAST-Tri everywhere but the stream.)
+// Cells are exact integers, so the sums do not depend on which worker met
+// which pivot. It is the range form of the sweep, for CountPath4Range and
+// the query compiler's path plans.
 //
 // The schedule is flat, dynamic chunks of Options.ChunkSize
 // (engine.Dispatch): an edge pivot costs the sum of its endpoints'
 // δ-windows, never a degree product, so a hub's edges need no stage of
 // their own and DegreeThreshold does not apply. With one worker the pivots
 // run on the caller's goroutine in ascending ID order.
-func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, orders LegOrders, lo, hi int) (diff, same LegPairs) {
+func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, orders LegOrders, lo, hi int) (diff LegPairs) {
 	lo, hi = max(lo, 0), min(hi, g.NumEdges())
-	eo := opts.engine()
+	eo := opts.Engine()
 	parts := make([]struct {
 		diff, same LegPairs
 		scratch    *fast.Scratch
@@ -153,7 +154,6 @@ func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 	})
 	for w := range parts {
 		diff.add(&parts[w].diff)
-		same.add(&parts[w].same)
 	}
-	return diff, same
+	return diff
 }

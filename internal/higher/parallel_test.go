@@ -144,19 +144,19 @@ func TestOptionsDefaults(t *testing.T) {
 	if (Options{Workers: 3}).EffectiveWorkers() != 3 {
 		t.Fatal("explicit workers ignored")
 	}
-	if (Options{}).engine() != (engine.Options{}) || (Options{ChunkSize: 7}).engine().ChunkSize != 7 {
+	if (Options{}).Engine() != (engine.Options{}) || (Options{ChunkSize: 7}).Engine().ChunkSize != 7 {
 		t.Fatal("chunk size must reach the scheduler as given (0 = its default of 64)")
 	}
 	// EffectiveWorkers is exported as the scheduler's resolution, so it
 	// must agree with the scheduler's own.
-	if (Options{}).EffectiveWorkers() != (Options{}).engine().EffectiveWorkers() {
+	if (Options{}).EffectiveWorkers() != (Options{}).Engine().EffectiveWorkers() {
 		t.Fatal("EffectiveWorkers diverges from the scheduler's resolution")
 	}
 	g := temporal.FromEdges([]temporal.Edge{{From: 0, To: 1, Time: 0}})
-	if engine.EffectiveDegreeThreshold(g, Options{DegreeThreshold: 5}.engine()) != 5 {
+	if engine.EffectiveDegreeThreshold(g, Options{DegreeThreshold: 5}.Engine()) != 5 {
 		t.Fatal("explicit threshold ignored")
 	}
-	if engine.EffectiveDegreeThreshold(g, Options{}.engine()) != 0 {
+	if engine.EffectiveDegreeThreshold(g, Options{}.Engine()) != 0 {
 		t.Fatal("tiny graph should have no heavy stage")
 	}
 }

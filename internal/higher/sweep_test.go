@@ -160,7 +160,7 @@ func checkSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
 	n := g.NumEdges()
 	scratch := fast.GetScratch(g.NumNodes())
 	defer fast.PutScratch(scratch)
-	var wantDiff, wantSame legCells
+	var wantDiff legCells
 	for id := 0; id < n; id++ {
 		e := temporal.EdgeID(id)
 		wd, ws := enumLegPairs(g, e, delta)
@@ -180,21 +180,19 @@ func checkSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
 			}
 		}
 		wantDiff.add(&wd)
-		wantSame.add(&ws)
 	}
 	for _, workers := range []int{1, 2, 4} {
 		opts := Options{Workers: workers, ChunkSize: 5}
-		diff, same := SweepEdgesRange(g, delta, opts, AllLegOrders, 0, n)
-		if cellsOf(&diff) != wantDiff || cellsOf(&same) != wantSame {
+		diff := SweepEdgesRange(g, delta, opts, AllLegOrders, 0, n)
+		if cellsOf(&diff) != wantDiff {
 			t.Fatalf("workers=%d: range sweep differs from the per-pivot enumeration", workers)
 		}
-		var pd, ps LegPairs
+		var pd LegPairs
 		for _, cut := range [][2]int{{-3, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n + 5}} {
-			d, s := SweepEdgesRange(g, delta, opts, AllLegOrders, cut[0], cut[1])
+			d := SweepEdgesRange(g, delta, opts, AllLegOrders, cut[0], cut[1])
 			pd.add(&d)
-			ps.add(&s)
 		}
-		if pd != diff || ps != same {
+		if pd != diff {
 			t.Fatalf("workers=%d: three-way partition does not sum to the full range", workers)
 		}
 	}

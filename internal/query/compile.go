@@ -16,15 +16,16 @@ type Options = higher.Options
 type PlanKind int
 
 const (
-	// PlanCenter pivots on center nodes: the spec has a variable incident
-	// to every edge (a 4-node or 3-node star, or a 2-node pair spec), and
-	// the plan reads one cell of the per-center counters CountStar4Range
-	// returns. The pivot IDs are node IDs, the range domain the incidence
-	// positions.
+	// PlanCenter pivots on nodes and reads the per-node counters of the
+	// paper's kernels over a range of incidence positions (engine.Sweep).
+	// A spec with a variable incident to every edge (a 4-node or 3-node
+	// star, or a 2-node pair spec) reads one cell of the per-center counters
+	// CountStar4Range returns; a triangle spec reads its label's three cells
+	// of FAST-Tri's owner-mode counter (engine.CountTriRange).
 	PlanCenter PlanKind = iota
-	// PlanEdge pivots on graph edges bound to one spec edge, the other two
-	// read from the pivot's endpoints by the pair sweep (4-node paths and
-	// triangles). Pivot IDs and the range domain are both edge IDs.
+	// PlanEdge pivots on graph edges bound to the middle of a 4-node path,
+	// the two legs read from the pivot's endpoints by the pair sweep. The
+	// range domain is the edge IDs.
 	PlanEdge
 )
 
@@ -36,14 +37,13 @@ func (k PlanKind) String() string {
 	return "edge"
 }
 
-// legSweep describes an edge plan as the pair sweep (higher.CountLegPairs)
+// legSweep describes a path plan as the pair sweep (higher.CountLegPairs)
 // sees it: one non-pivot edge f hangs off the pivot's source, the other, g,
-// off its destination, and both far ends lie off the pivot pair. The count is
-// one cell of the sweep's tallies.
+// off its destination, and the two far ends are distinct nodes off the pivot
+// pair. The count is one cell of the sweep's different-far-end tallies.
 type legSweep struct {
 	order      higher.LegOrder // temporal order of (f, pivot, g), from the slots
 	fOut, gOut bool            // f leaves the pivot's source; g leaves its destination
-	same       bool            // f and g share their far end (triangle) or not (4-node path)
 }
 
 // Plan is a compiled counting plan. Plans are immutable and safe for
@@ -56,9 +56,11 @@ type Plan struct {
 	spec *Spec
 	kind PlanKind
 
-	// PlanCenter: the index of the plan's cell in the per-center counter the
-	// spec's node count selects (see centerCount).
-	cell int
+	// PlanCenter: the cells of the per-node counter the spec's shape selects
+	// (see ExecuteRange) whose sum is the count — one cell of a star or pair
+	// counter, or a triangle label's three isomorphic FAST-Tri cells.
+	cells []int
+	tri   bool
 	// PlanEdge: the plan's cell of the pair sweep's tallies.
 	sweep legSweep
 }
@@ -70,19 +72,29 @@ func (p *Plan) Spec() *Spec { return p.spec }
 func (p *Plan) Kind() PlanKind { return p.kind }
 
 // Compile lowers a spec to a counting plan. Every spec accepted by
-// ParseSpec compiles, to one cell of a counter the repository already has.
-// A spec with a center variable becomes a PlanCenter reading FAST-Star's
-// counters (or the 4-node star complement of them); the rest — every 4-node
-// path and every triangle — a PlanEdge reading the pair sweep.
+// ParseSpec compiles, to cells of a counter the repository already has.
+// Every spec over at most three variables is one of the paper's 36 motifs
+// and, like a 4-node star, a PlanCenter reading the counters of a node-pivot
+// kernel (FAST-Star, FAST-Tri, or the 4-node star complement); the 4-node
+// paths are PlanEdge plans reading the pair sweep.
 func Compile(s *Spec) *Plan {
 	p := &Plan{spec: s}
-	if c, ok := s.center(); ok {
-		p.kind = PlanCenter
-		p.cell = centerCell(s, c)
+	if s.nodes < MaxNodes {
+		p.cells, p.tri = motifCells(s)
 		return p
 	}
-	// No center: the pivot shares a variable with both other edges, one at
-	// each of its endpoints, and neither far end is a pivot endpoint.
+	if c, ok := s.center(); ok {
+		var d [SpecEdges]motif.Dir
+		for i, e := range s.edges {
+			d[i] = motif.DirOf(e.Src == c)
+		}
+		// The leaf assignment is forced by temporal order, so the direction
+		// pattern relative to the center names the 4-node star.
+		p.cells = []int{motif.PairIndex(d[0], d[1], d[2])}
+		return p
+	}
+	// A 4-node path: the pivot shares a variable with both other edges, one
+	// at each of its endpoints, and neither far end is a pivot endpoint.
 	p.kind = PlanEdge
 	pivot := pickPivot(s)
 	pe := s.edges[pivot]
@@ -100,45 +112,40 @@ func Compile(s *Spec) *Plan {
 		order: higher.LegOrderOf(f, pivot, g),
 		fOut:  s.edges[f].Src == pe.Src,
 		gOut:  s.edges[g].Src == pe.Dst,
-		same:  s.nodes == 3,
 	}
 	return p
 }
 
-// centerCell names the counter cell a spec with center variable c reads. A
-// 4-node star's cell is its direction pattern relative to the center (the
-// leaf assignment is forced by temporal order). A spec over at most three
-// variables is one of the paper's 36 motifs: its own edges, read as an
-// instance, name the label, and FAST-Star records each instance of a star
+// motifCells names the counter cells a spec over at most three variables
+// reads. Such a spec is one of the paper's 36 motifs: its own edges, read as
+// an instance, name the label. FAST-Star records each instance of a star
 // label in one cell at its center, and of a pair label in two complementary
 // cells, one per endpoint — so reading the first counts each pair once.
-func centerCell(s *Spec, c int) int {
-	if s.nodes == MaxNodes {
-		var d [SpecEdges]motif.Dir
-		for i, e := range s.edges {
-			d[i] = motif.DirOf(e.Src == c)
-		}
-		return motif.PairIndex(d[0], d[1], d[2])
-	}
+// FAST-Tri records each triangle once, at its owner, in whichever of the
+// label's three isomorphic cells the owner's view gives: all three are read.
+func motifCells(s *Spec) (cells []int, tri bool) {
 	var es [SpecEdges]temporal.Edge
 	for i, e := range s.edges {
 		es[i] = temporal.Edge{From: temporal.NodeID(e.Src), To: temporal.NodeID(e.Dst), Time: temporal.Timestamp(i)}
 	}
 	// A valid spec is connected, so on two or three variables it is always
-	// one of the 36: a pair, or (having a center) a star.
+	// one of the 36.
 	label, _ := motif.Classify(es[0], es[1], es[2])
-	if s.nodes == 2 {
-		cells, _ := motif.PairCells(label)
-		return cells[0]
+	switch label.Category() {
+	case motif.CategoryTri:
+		c, _ := motif.TriCells(label)
+		return c[:], true
+	case motif.CategoryPair:
+		c, _ := motif.PairCells(label)
+		return c[:1], false
 	}
-	cell, _ := motif.StarCellOf(label)
-	return cell
+	c, _ := motif.StarCellOf(label)
+	return []int{c}, false
 }
 
 // pickPivot selects the spec edge sharing a variable with the most other
-// edges (ties to the lowest slot): the structural middle of a path, and the
-// first edge of a triangle, in which every edge shares a variable with both
-// others.
+// edges (ties to the lowest slot): the structural middle of a 4-node path,
+// the one edge that shares a variable with both others.
 func pickPivot(s *Spec) int {
 	best, bestScore := 0, -1
 	for i, e := range s.edges {

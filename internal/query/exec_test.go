@@ -256,32 +256,28 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 	}
 }
 
-// PivotCount is the per-pivot unit samplers (internal/approx) evaluate one
-// draw at a time: summed over the whole pivot domain it must be Execute,
-// for every counter family a plan reads a cell of.
+// PivotCount is the per-pivot unit the sampler (internal/approx) evaluates
+// one draw at a time: summed over every edge it must be Execute, for path
+// plans of different role orders and directions.
 func TestPivotCountSumsToExecute(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	g := hubGraph(r, 12, 120, 80, 30)
 	scratch := fast.NewScratch()
-	for _, tc := range []struct {
-		text string
-		kind PlanKind
-	}{
-		{"c->x; y->c; c->z", PlanCenter}, // 4-node star cell
-		{"a->b; a->c; b->a", PlanCenter}, // 3-node star cell
-		{"a->b; b->a; a->b", PlanCenter}, // pair cell, one of two complementary ones
-		{"a->b; b->c; c->a", PlanEdge},   // pair sweep
+	for _, text := range []string{
+		"a->b; b->c; c->d", // legs before and after the middle
+		"b->c; a->b; d->c", // middle first, a leg into each far end
+		"c->d; b->a; b->c", // both legs before the middle
 	} {
-		s, err := ParseSpec(tc.text)
+		s, err := ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := Compile(s)
-		if p.Kind() != tc.kind {
-			t.Fatalf("spec %q compiled to %v, want %v", s, p.Kind(), tc.kind)
+		if p.Kind() != PlanEdge {
+			t.Fatalf("spec %q compiled to %v, want edge", s, p.Kind())
 		}
 		var sum uint64
-		for id := 0; id < p.PivotDomain(g); id++ {
+		for id := 0; id < g.NumEdges(); id++ {
 			sum += p.PivotCount(g, 15, id, scratch)
 		}
 		want := p.Execute(g, 15, Options{Workers: 2})
@@ -365,11 +361,12 @@ func smallSpecs(t *testing.T) map[motif.Label]*Spec {
 }
 
 // The 36 motifs are specs, so the paper's kernel is a free oracle for the
-// executor: every spec over at most three variables must count exactly its
-// cell of the 6×6 matrix — the eight triangle specs (edge plans, the pair
-// sweep's same-far-end cells) against FAST-Tri, the 28 star and pair specs
-// (center plans, one FAST-Star cell) against the matrix fast.Count builds —
-// with no brute force, so on inputs brute force cannot reach.
+// executor: every spec over at most three variables is a center plan and
+// must count exactly its cell of the 6×6 matrix that Algorithm 1 and
+// FAST-Tri build sequentially (fast.Count) — the eight triangle specs from
+// the scheduled FAST-Tri's three cells, the 28 star and pair specs from one
+// cell of the star/pair sweep — with no brute force, so on inputs brute
+// force cannot reach.
 func TestSmallSpecsMatchMotifMatrix(t *testing.T) {
 	specs := smallSpecs(t)
 	college, err := gen.DatasetByName("collegemsg")
@@ -393,7 +390,7 @@ func TestSmallSpecsMatchMotifMatrix(t *testing.T) {
 		var tri uint64
 		for label, s := range specs {
 			p := Compile(s)
-			if (p.Kind() == PlanEdge) != (label.Category() == motif.CategoryTri) {
+			if p.Kind() != PlanCenter {
 				t.Fatalf("%s: spec %q (%v) compiled to %v", in.name, s, label, p.Kind())
 			}
 			for _, workers := range []int{1, 2} {

@@ -87,8 +87,9 @@ func TestEndToEndApprox(t *testing.T) {
 			Low      float64 `json:"low"`
 			High     float64 `json:"high"`
 		} `json:"intervals"`
-		Total  uint64 `json:"total"`
-		Cached bool   `json:"cached"`
+		Total       uint64 `json:"total"`
+		Cached      bool   `json:"cached"`
+		ApproxExact bool   `json:"approx_exact"`
 	}
 	fetch := func(path string) (approxBody, []byte) {
 		t.Helper()
@@ -127,6 +128,10 @@ func TestEndToEndApprox(t *testing.T) {
 	}
 	if got, want := float64(exact.Total()), 0.0; *body.CILow > got+want || *body.CIHigh < got {
 		t.Errorf("interval [%v, %v] misses exact count %v", *body.CILow, *body.CIHigh, exact.Total())
+	}
+	// star4 is a node-pivot family: its approx answer is the exact count.
+	if !body.ApproxExact || *body.CILow != *body.CIHigh || body.Total != exact.Total() {
+		t.Errorf("star4 approx answer %+v is not the exact count %d", body, exact.Total())
 	}
 	if len(body.Intervals) != 8 {
 		t.Fatalf("star4 intervals = %d cells, want 8", len(body.Intervals))
@@ -167,6 +172,9 @@ func TestEndToEndApprox(t *testing.T) {
 	if qBody.Estimate == nil || *qBody.Estimate != qDirect.Total.Estimate ||
 		*qBody.CILow != qDirect.Total.Low || *qBody.CIHigh != qDirect.Total.High {
 		t.Errorf("served query interval %+v != direct %+v", qBody, qDirect.Total)
+	}
+	if qBody.ApproxExact {
+		t.Errorf("a sampled path-spec answer is flagged exact: %+v", qBody)
 	}
 }
 

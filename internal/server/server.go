@@ -54,9 +54,11 @@ type Backend interface {
 	Query(ctx context.Context, g *temporal.Graph, req Request) (uint64, error)
 	// Star4Approx, Path4Approx and QueryApprox serve the same three kinds
 	// in approximate mode (req.EpsilonSet): a sampled estimate with
-	// confidence intervals instead of the exact count. Determinism still
-	// holds — the result is a pure function of (g, δ, epsilon, conf, seed,
-	// samples), never of req.Workers (docs/APPROX.md).
+	// confidence intervals for path4 and path specs, and for star4 and the
+	// other specs, whose exact node-pivot kernels cost no more than a
+	// sample, the exact count as zero-width intervals (approx.Exact).
+	// Determinism still holds — the result is a pure function of (g, δ,
+	// epsilon, conf, seed, samples), never of req.Workers (docs/APPROX.md).
 	Star4Approx(ctx context.Context, g *temporal.Graph, req Request) (*approx.Result, error)
 	Path4Approx(ctx context.Context, g *temporal.Graph, req Request) (*approx.Result, error)
 	QueryApprox(ctx context.Context, g *temporal.Graph, req Request) (*approx.Result, error)
@@ -398,8 +400,10 @@ type queryResponse struct {
 	// Estimate/CILow/CIHigh carry the total count's interval; Intervals
 	// holds the per-cell intervals under the same keys Patterns/Paths use;
 	// Total rounds the estimate for clients that only read the exact field.
-	// Every approx field is omitted from exact responses, which stay
-	// byte-for-byte what they were before the approx tier existed.
+	// ApproxExact marks an answer the exact kernel gave (zero-width
+	// intervals, no strata). Every approx field is omitted from exact
+	// responses, which stay byte-for-byte what they were before the approx
+	// tier existed.
 	Approx            bool                       `json:"approx,omitempty"`
 	Epsilon           float64                    `json:"epsilon,omitempty"`
 	Confidence        float64                    `json:"confidence,omitempty"`
@@ -410,6 +414,7 @@ type queryResponse struct {
 	ApproxSamples     int                        `json:"approx_samples,omitempty"`
 	ApproxStrata      int                        `json:"approx_strata,omitempty"`
 	ApproxExactStrata int                        `json:"approx_exact_strata,omitempty"`
+	ApproxExact       bool                       `json:"approx_exact,omitempty"`
 
 	Model   string     `json:"model,omitempty"`
 	Samples int        `json:"samples,omitempty"`
@@ -531,6 +536,7 @@ func (s *Server) renderApprox(out *queryResponse, req Request, a *approx.Result)
 	out.ApproxSamples = a.Draws
 	out.ApproxStrata = a.Strata
 	out.ApproxExactStrata = a.ExactStrata
+	out.ApproxExact = a.Exact
 	// Per-cell intervals render only when the backend returned the kind's
 	// full cell layout (8 star patterns, 48 path slots) — a backend serving
 	// totals only still gets a well-formed envelope.

@@ -750,8 +750,8 @@ func TestQueryEndpointSharesCanonicalCacheEntry(t *testing.T) {
 	if got := body["spec"].(string); got != "a->b; b->c; c->a" {
 		t.Fatalf("echoed spec = %q, want canonical form", got)
 	}
-	if got := body["pivot"].(string); got != "edge" {
-		t.Fatalf("pivot = %q, want edge", got)
+	if got := body["pivot"].(string); got != "center" {
+		t.Fatalf("pivot = %q, want center", got)
 	}
 	if body["cached"].(bool) {
 		t.Fatal("first query reported cached")
@@ -765,10 +765,15 @@ func TestQueryEndpointSharesCanonicalCacheEntry(t *testing.T) {
 	if got := fb.calls.Load(); got != 1 {
 		t.Fatalf("backend ran %d times, want 1", got)
 	}
-	// A star spec compiles to the center-pivot family.
+	// A star spec compiles to the center-pivot family too, a 4-node path to
+	// the edge-pivot one.
 	code, body = get(t, s, "/v1/query?dataset=tiny&delta=200&spec=q-%3Er,q-%3Es,q-%3Et")
 	if code != http.StatusOK || body["pivot"].(string) != "center" {
 		t.Fatalf("star query = %d %v, want pivot=center", code, body)
+	}
+	code, body = get(t, s, "/v1/query?dataset=tiny&delta=200&spec=a-%3Eb,b-%3Ec,c-%3Ed")
+	if code != http.StatusOK || body["pivot"].(string) != "edge" {
+		t.Fatalf("path query = %d %v, want pivot=edge", code, body)
 	}
 }
 
@@ -864,7 +869,7 @@ func TestApproxEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("exact star4 status = %d", code)
 	}
-	for _, k := range []string{"approx", "epsilon", "confidence", "estimate", "ci_low", "ci_high", "intervals", "approx_samples", "approx_strata", "approx_exact_strata"} {
+	for _, k := range []string{"approx", "epsilon", "confidence", "estimate", "ci_low", "ci_high", "intervals", "approx_samples", "approx_strata", "approx_exact_strata", "approx_exact"} {
 		if _, present := body[k]; present {
 			t.Errorf("exact response leaked approx field %q", k)
 		}
@@ -890,7 +895,7 @@ func TestApproxEndpoints(t *testing.T) {
 	if code != http.StatusOK || body["estimate"].(float64) != 500 {
 		t.Fatalf("approx query = %d %v", code, body)
 	}
-	if body["spec"].(string) != "a->b; b->c; c->a" || body["pivot"].(string) != "edge" {
+	if body["spec"].(string) != "a->b; b->c; c->a" || body["pivot"].(string) != "center" {
 		t.Fatalf("approx query spec echo = %v/%v", body["spec"], body["pivot"])
 	}
 	// Knob rejections surface as 400s at the endpoint.

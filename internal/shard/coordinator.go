@@ -115,8 +115,9 @@ func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.R
 }
 
 // Query compiles the (already canonical) spec and scatters ranges of the
-// plan's range domain — incidence positions for center plans, pivot-edge
-// IDs for edge plans — summing the partial counts in shard order.
+// plan's range domain — incidence positions for center plans (star, pair
+// and triangle specs), middle-edge IDs for path plans — summing the partial
+// counts in shard order.
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
 	spec, err := query.ParseSpec(req.Spec)
 	if err != nil {
@@ -133,19 +134,20 @@ func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.R
 	return gather.MergeQuery()
 }
 
-// approxScatter runs one approximate-mode query: build the sampling plan
-// locally, scatter contiguous stratum-index ranges across the fleet (one
-// range per peer, like every range kind), and finish the gathered moments
-// against the local plan. Workers rebuild the identical plan from the
-// knobs on the wire, so the finished result is bit-identical to the
+// approxOptions maps a normalized approx-mode request onto the estimator
+// knobs, as the in-process backend does; Workers is a scheduling hint only.
+func approxOptions(req server.Request) approx.Options {
+	return approx.Options{Epsilon: req.Epsilon, Confidence: req.Conf, Seed: req.Seed, Samples: req.Samples}
+}
+
+// approxScatter runs one sampled approximate-mode query: build the sampling
+// plan locally, scatter contiguous stratum-index ranges across the fleet
+// (one range per peer, like every range kind), and finish the gathered
+// moments against the local plan. Workers rebuild the identical plan from
+// the knobs on the wire, so the finished result is bit-identical to the
 // in-process backend at any fleet size (docs/APPROX.md).
 func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req server.Request, kind server.Kind, k approx.Kernel) (*approx.Result, error) {
-	plan, err := approx.NewPlan(g, k, approx.Options{
-		Epsilon:    req.Epsilon,
-		Confidence: req.Conf,
-		Seed:       req.Seed,
-		Samples:    req.Samples,
-	})
+	plan, err := approx.NewPlan(g, k, approxOptions(req))
 	if err != nil {
 		return nil, err
 	}
@@ -169,9 +171,14 @@ func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req 
 	return gather.MergeApprox(plan)
 }
 
-// Star4Approx scatters stratum ranges of the star sampling plan.
+// Star4Approx answers exactly, as the in-process backend does: the exact
+// star4 scatter, finished by approx.Exact.
 func (c *Coordinator) Star4Approx(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	return c.approxScatter(ctx, g, req, KindStar4Approx, approx.StarKernel{})
+	s4, err := c.Star4(ctx, g, req)
+	if err != nil {
+		return nil, err
+	}
+	return approx.Exact(s4[:], g.NumNodes(), approxOptions(req)), nil
 }
 
 // Path4Approx scatters stratum ranges of the path sampling plan.
@@ -179,14 +186,22 @@ func (c *Coordinator) Path4Approx(ctx context.Context, g *temporal.Graph, req se
 	return c.approxScatter(ctx, g, req, KindPath4Approx, approx.PathKernel{})
 }
 
-// QueryApprox compiles the (already canonical) spec and scatters stratum
-// ranges of its plan-kernel sampling plan.
+// QueryApprox compiles the (already canonical) spec. A path plan scatters
+// stratum ranges of its plan-kernel sampling plan; a center plan is answered
+// exactly, as in process: the exact query scatter, finished by approx.Exact.
 func (c *Coordinator) QueryApprox(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
 	spec, err := query.ParseSpec(req.Spec)
 	if err != nil {
 		return nil, err
 	}
-	return c.approxScatter(ctx, g, req, KindQueryApprox, approx.PlanKernel{Plan: query.Compile(spec)})
+	if plan := query.Compile(spec); plan.Kind() == query.PlanEdge {
+		return c.approxScatter(ctx, g, req, KindQueryApprox, approx.PlanKernel{Plan: plan})
+	}
+	n, err := c.Query(ctx, g, req)
+	if err != nil {
+		return nil, err
+	}
+	return approx.Exact([]uint64{n}, g.NumNodes(), approxOptions(req)), nil
 }
 
 // Significance counts the real graph locally (the coordinator holds a

@@ -114,19 +114,23 @@ var e2eQueries = []string{
 	"/v1/path4?dataset=college&delta=600",
 	"/v1/sig?dataset=college&delta=600&samples=6&seed=3",
 	// Both compiled-plan pivot families: star specs (4-node and 3-node)
-	// scatter center-node ranges, a triangle spec scatters pivot-edge
-	// ranges. (Comma is the spec separator here because raw semicolons are
-	// invalid in URL query strings; %3E is ">".)
+	// and a triangle spec scatter incidence-position ranges, a 4-node path
+	// spec scatters middle-edge ranges. (Comma is the spec separator here
+	// because raw semicolons are invalid in URL query strings; %3E is ">".)
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,a-%3Ec,a-%3Ed",
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,a-%3Ec,b-%3Ea",
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,b-%3Ec,c-%3Ea",
-	// Approximate mode: the coordinator scatters stratum-index ranges,
-	// workers rebuild the identical sampling plan from the wire knobs and
-	// return raw moments, and the gathered finish — estimate, intervals,
-	// telemetry — must byte-match the single node's (docs/APPROX.md).
+	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,b-%3Ec,c-%3Ed",
+	// Approximate mode: for path4 and path specs the coordinator scatters
+	// stratum-index ranges, workers rebuild the identical sampling plan from
+	// the wire knobs and return raw moments, and the gathered finish —
+	// estimate, intervals, telemetry — must byte-match the single node's
+	// (docs/APPROX.md). star4 and the triangle spec are node-pivot families,
+	// answered exactly through their exact scatters.
 	"/v1/star4?dataset=college&delta=600&epsilon=0.05&seed=7",
 	"/v1/path4?dataset=college&delta=600&epsilon=0.1&conf=0.99&seed=7",
 	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,b-%3Ec,c-%3Ed&epsilon=0.05&seed=7",
+	"/v1/query?dataset=college&delta=600&spec=a-%3Eb,b-%3Ec,c-%3Ea&epsilon=0.05&seed=7",
 }
 
 // TestClusterBitIdenticalAcrossWorkerCounts is the acceptance test: every

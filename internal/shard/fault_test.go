@@ -242,26 +242,53 @@ func TestPermanentRejectionsFailFast(t *testing.T) {
 }
 
 // TestV1SubRequestIsRefused: a version-1 coordinator ranges node pivots
-// by node ID and expects a count matrix, so this worker must answer its
-// sub-request 426, naming the version it speaks, rather than read the
+// by node ID and expects a count matrix, and a version-2 one ranges a
+// triangle query by pivot-edge ID, so this worker must answer their
+// sub-requests 426, naming the version it speaks, rather than read the
 // bounds as incidence positions.
 func TestV1SubRequestIsRefused(t *testing.T) {
 	g := shardTestGraph(t)
 	live := liveWorker(t, g)
-	body := fmt.Sprintf(`{"proto":1,"kind":"count","dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":0,"nodes":%d,"edges":%d}`,
-		g.NumNodes(), g.NumEdges())
-	resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		fmt.Sprintf(`{"proto":1,"kind":"count","dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":0,"nodes":%d,"edges":%d}`,
+			g.NumNodes(), g.NumEdges()),
+		fmt.Sprintf(`{"proto":2,"kind":"query","dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":%d,"nodes":%d,"edges":%d,"spec":"a->b; b->c; c->a"}`,
+			g.NumEdges(), g.NumNodes(), g.NumEdges()),
+	} {
+		resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUpgradeRequired || we.Proto != ProtoVersion || ProtoVersion < 3 {
+			t.Fatalf("%s: HTTP %d, error body proto %d (%s); want 426 naming proto %d ≥ 3",
+				body, resp.StatusCode, we.Proto, we.Error, ProtoVersion)
+		}
 	}
-	defer resp.Body.Close()
-	var we wireError
-	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusUpgradeRequired || we.Proto != ProtoVersion || ProtoVersion < 2 {
-		t.Fatalf("v1 sub-request: HTTP %d, error body proto %d (%s); want 426 naming proto %d ≥ 2",
-			resp.StatusCode, we.Proto, we.Error, ProtoVersion)
+}
+
+// TestWorkerRefusesUnsampledApprox: the node-pivot families are never
+// sampled, so a worker refuses the retired star4approx kind and a
+// queryapprox sub-request for a center plan with a 400, never a partial.
+func TestWorkerRefusesUnsampledApprox(t *testing.T) {
+	g := shardTestGraph(t)
+	live := liveWorker(t, g)
+	for _, kindSpec := range []string{`"kind":"star4approx"`, `"kind":"queryapprox","spec":"a->b; b->c; c->a"`} {
+		body := fmt.Sprintf(`{"proto":%d,%s,"dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":1,"nodes":%d,"edges":%d,"epsilon":0.05}`,
+			ProtoVersion, kindSpec, g.NumNodes(), g.NumEdges())
+		resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

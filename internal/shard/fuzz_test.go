@@ -32,9 +32,9 @@ func fuzzGraph() *temporal.Graph {
 func FuzzSubRequest(f *testing.F) {
 	g := fuzzGraph()
 	for _, kind := range []server.Kind{server.KindCount, server.KindStar4, server.KindPath4, server.KindSig,
-		server.KindQuery, KindStar4Approx, KindPath4Approx, KindQueryApprox} {
+		server.KindQuery, KindPath4Approx, KindQueryApprox} {
 		s := sub(server.Request{Kind: kind, Dataset: "d", Delta: 5, Workers: 2, Motif: "M26",
-			Spec: "a->b; b->c; c->a", Model: "timeshuffle", Seed: 3}, g, 1, 3, 4, 9)
+			Spec: "a->b; b->c; c->d", Model: "timeshuffle", Seed: 3}, g, 1, 3, 4, 9)
 		data, err := json.Marshal(&s)
 		if err != nil {
 			f.Fatal(err)
@@ -42,8 +42,10 @@ func FuzzSubRequest(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"proto":1,"kind":"count","dataset":"d","shard":0,"shards":1}`))
-	f.Add([]byte(`{"proto":2,"kind":"star4","dataset":"d","shard":0,"shards":1,"lo":5,"hi":2}`))
-	f.Add([]byte(`{"proto":2,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
+	f.Add([]byte(`{"proto":2,"kind":"query","dataset":"d","shard":0,"shards":1,"spec":"a->b; b->c; c->a"}`))
+	f.Add([]byte(`{"proto":3,"kind":"star4","dataset":"d","shard":0,"shards":1,"lo":5,"hi":2}`))
+	f.Add([]byte(`{"proto":3,"kind":"star4approx","dataset":"d","shard":0,"shards":1}`))
+	f.Add([]byte(`{"proto":3,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s SubRequest
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&s) != nil { // the worker's decode
@@ -73,7 +75,7 @@ func FuzzSubRequest(f *testing.F) {
 func FuzzPartial(f *testing.F) {
 	g := fuzzGraph()
 	const delta = 5
-	plan, err := approx.NewPlan(g, approx.StarKernel{}, approx.Options{Epsilon: 0.2, Seed: 1})
+	plan, err := approx.NewPlan(g, approx.PathKernel{}, approx.Options{Epsilon: 0.2, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func FuzzPartial(f *testing.F) {
 		{Kind: server.KindPath4, Path4: &path4},
 		{Kind: server.KindQuery, Query: &query},
 		{Kind: server.KindSig, Sig: []motif.Matrix{{}, {{1, 2}}}},
-		{Kind: KindStar4Approx, Approx: approx.EstimateStrata(g, approx.StarKernel{}, delta, plan, 1, 0, len(plan.Strata))},
+		{Kind: KindPath4Approx, Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata))},
 	} {
 		p.Proto = ProtoVersion
 		data, err := json.Marshal(&p)
@@ -95,8 +97,8 @@ func FuzzPartial(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"proto":2,"kind":"count","shard":0,"count":{"pair":[1],"tri":null}}`))
-	f.Add([]byte(`{"proto":2,"kind":"star4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
+	f.Add([]byte(`{"proto":3,"kind":"count","shard":0,"count":{"pair":[1],"tri":null}}`))
+	f.Add([]byte(`{"proto":3,"kind":"path4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Partial
 		if json.Unmarshal(data, &p) != nil { // the coordinator's decode
@@ -123,7 +125,7 @@ func FuzzPartial(f *testing.F) {
 			_, err = gather.MergeQuery()
 		case server.KindSig:
 			_, err = gather.MergeSig(nullmodel.TimeShuffle, motif.Matrix{}, 1)
-		case KindStar4Approx, KindPath4Approx, KindQueryApprox:
+		case KindPath4Approx, KindQueryApprox:
 			_, _ = gather.MergeApprox(plan) // moments that do not fit the plan are an error
 		default:
 			t.Fatalf("gather accepted a partial of unknown kind %q", p.Kind)

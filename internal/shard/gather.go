@@ -59,7 +59,7 @@ func (g *Gather) Add(p *Partial) error {
 		ok = len(p.Sig) > 0 // an empty list is omitted on the wire: no payload
 	case server.KindQuery:
 		ok = p.Query != nil
-	case KindStar4Approx, KindPath4Approx, KindQueryApprox:
+	case KindPath4Approx, KindQueryApprox:
 		ok = len(p.Approx) > 0
 	}
 	if !ok {

@@ -2,8 +2,9 @@ package shard
 
 // The incidence-position split behind count, star4 and center-plan query
 // scatters, held to references that share no code with the star/pair
-// sweep: Algorithm 1 (fast.Count) for the 36 motifs and the brute-force
-// triple scan (brute.CountSpec) for the 4-node stars and the center plans.
+// sweep or the scheduled FAST-Tri: Algorithm 1 (fast.Count) for the 36
+// motifs and the brute-force triple scan (brute.CountSpec) for the 4-node
+// stars and the center plans, the triangle plan included.
 
 import (
 	"fmt"
@@ -111,6 +112,7 @@ func TestIncidencePartitionSumsToReferences(t *testing.T) {
 		"c->x; y->c; c->z", // 4-node star cell
 		"a->b; a->c; b->a", // 3-node star cell
 		"a->b; b->a; a->b", // pair cell
+		"a->b; b->c; c->a", // triangle: FAST-Tri's three cells of M26's label
 	}
 	r := rand.New(rand.NewSource(30))
 	for _, tc := range partitionCorpus() {

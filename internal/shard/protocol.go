@@ -6,13 +6,14 @@
 // The partitions ride the same associativity every in-process parallel
 // path already uses, lifted across processes:
 //
-//   - /v1/count, /v1/star4 and center-plan /v1/query split by incidence
-//     position, the (center, edge) pairs of the graph's CSR incident index
-//     (temporal.Graph.Incidence): each star or pair instance is found at its
-//     center by its last edge and each triangle at its owner by its first,
-//     so per-range counters sum exactly, and a hub a boundary falls inside is
-//     split between two workers instead of weighing on one;
-//   - /v1/path4 and edge-plan /v1/query split by pivot-edge ID range — every
+//   - /v1/count, /v1/star4 and center-plan /v1/query (star, pair and
+//     triangle specs) split by incidence position, the (center, edge) pairs
+//     of the graph's CSR incident index (temporal.Graph.Incidence): each star
+//     or pair instance is found at its center by its last edge and each
+//     triangle at its owner by its first, so per-range counters sum exactly,
+//     and a hub a boundary falls inside is split between two workers instead
+//     of weighing on one;
+//   - /v1/path4 and path-plan /v1/query split by middle-edge ID range — every
 //     4-node path has a unique structural-middle edge;
 //   - /v1/sig splits by sample-index range — per-sample seeds are
 //     index-derived, and the coordinator re-folds the raw sample count
@@ -39,8 +40,10 @@ import (
 // the message shapes or merge semantics below. Version 2 moved the
 // node-pivot ranges from node IDs to incidence positions and made the
 // count partial raw counters: a version-1 worker would read the new bounds
-// as node IDs and return a silently wrong partial.
-const ProtoVersion = 2
+// as node IDs and return a silently wrong partial. Version 3 made triangle
+// specs center plans, whose query ranges are incidence positions where a
+// version-2 end reads pivot-edge IDs, and retired the star4approx kind.
+const ProtoVersion = 3
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.
@@ -49,15 +52,15 @@ const (
 	PathInfo    = "/shard/v1/info"
 )
 
-// Wire-only kinds for approximate-mode scatter (docs/APPROX.md). The
-// coordinator rebuilds the sampling plan worker-side from the knobs on the
-// wire and scatters contiguous ranges of *stratum indices* (not pivot
-// IDs); each worker samples its strata with the plan's per-stratum seeded
-// streams and returns raw moments, so the gathered finish is bit-identical
-// to a local run. They were added within version 1 (an older worker answers
-// 400 unknown kind, never a wrong partial).
+// Wire-only kinds for sampled approximate-mode scatter (docs/APPROX.md):
+// path4 and path-spec queries, the edge-pivot families. The coordinator
+// rebuilds the sampling plan worker-side from the knobs on the wire and
+// scatters contiguous ranges of *stratum indices* (not pivot IDs); each
+// worker samples its strata with the plan's per-stratum seeded streams and
+// returns raw moments, so the gathered finish is bit-identical to a local
+// run. The node-pivot families answer approximate requests exactly, so
+// their approx requests scatter as the exact kinds.
 const (
-	KindStar4Approx server.Kind = "star4approx"
 	KindPath4Approx server.Kind = "path4approx"
 	KindQueryApprox server.Kind = "queryapprox"
 )
@@ -65,7 +68,7 @@ const (
 // SubRequest is one shard's slice of a query: the kind plus the work
 // range it owns. Lo/Hi are half-open and kind-relative — incidence
 // positions for count and star4, middle-edge IDs for path4, sample indices
-// for sig.
+// for sig, stratum indices for the approx kinds.
 //
 // Nodes/Edges carry the coordinator's view of the dataset shape; a worker
 // whose resident graph disagrees answers 409 rather than silently
@@ -103,7 +106,7 @@ type SubRequest struct {
 	Seed  int64  `json:"seed,omitempty"`
 	// Spec is the canonical motif spec text (query kind only). Lo/Hi then
 	// range over the compiled plan's range domain: incidence positions for
-	// center plans, pivot-edge IDs for edge plans.
+	// center plans, middle-edge IDs for path plans.
 	Spec string `json:"spec,omitempty"`
 	// Epsilon, Conf and Samples are the estimator knobs of the approx
 	// kinds; with Seed (shared with sig) they determine the sampling plan
@@ -178,7 +181,7 @@ func (s *SubRequest) validate() error {
 		if s.Lo < 0 || s.Hi < s.Lo {
 			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
 		}
-	case server.KindCount, server.KindStar4, server.KindPath4, server.KindSig, KindStar4Approx, KindPath4Approx:
+	case server.KindCount, server.KindStar4, server.KindPath4, server.KindSig, KindPath4Approx:
 		if s.Lo < 0 || s.Hi < s.Lo {
 			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
 		}

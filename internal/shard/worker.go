@@ -113,13 +113,6 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		}
 		n := query.Compile(spec).ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Query = &n
-	case KindStar4Approx:
-		ms, err := approxMoments(g, delta, sub, approx.StarKernel{})
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
-		}
-		p.Approx = ms
 	case KindPath4Approx:
 		ms, err := approxMoments(g, delta, sub, approx.PathKernel{})
 		if err != nil {
@@ -133,7 +126,14 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
 			return
 		}
-		ms, err := approxMoments(g, delta, sub, approx.PlanKernel{Plan: query.Compile(spec)})
+		plan := query.Compile(spec)
+		if plan.Kind() != query.PlanEdge {
+			// Only path plans are sampled; a coordinator answers the rest
+			// exactly, through the query kind.
+			writeWireError(rw, http.StatusBadRequest, fmt.Errorf("shard: spec %q has no sampled plan", sub.Spec), ProtoVersion)
+			return
+		}
+		ms, err := approxMoments(g, delta, sub, approx.PlanKernel{Plan: plan})
 		if err != nil {
 			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
 			return

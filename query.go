@@ -32,13 +32,13 @@ const QueryMotif = server.KindQuery
 // CountMotif exactly counts the instances of a compiled motif spec in g
 // within δ: the generalized form of CountStar4/CountPath4 that serves any
 // 3-edge shape — temporal triangles, cycles, ping-pong multi-edges —
-// without per-shape code. The spec compiles to one cell of a counter the
-// package already has (a spec with a center — a 4-node or 3-node star, or a
-// 2-node pair spec — reads the star counter behind CountStar4 and the
-// FAST-Star counters it is built from; a 4-node path or a triangle reads the
-// pair sweep behind CountPath4), and scheduling follows the shared knobs:
-// WithWorkers applies, WithDegreeThreshold to center specs only, and the
-// count is bit-identical at any setting.
+// without per-shape code. The spec compiles to cells of a counter the
+// package already has (a 4-node star, 3-node star or 2-node pair spec reads
+// the star counter behind CountStar4 and the FAST-Star counters it is built
+// from, a triangle the FAST-Tri counter behind Count's triangle motifs, a
+// 4-node path the pair sweep behind CountPath4), and scheduling follows the
+// shared knobs: WithWorkers applies, WithDegreeThreshold to all but path
+// specs, and the count is bit-identical at any setting.
 func CountMotif(g *Graph, spec *MotifSpec, delta Timestamp, opts ...Option) (uint64, error) {
 	if g == nil {
 		return 0, errNilGraph
