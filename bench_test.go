@@ -184,7 +184,7 @@ func BenchmarkFig11HAREPair(b *testing.B) {
 	for _, th := range []int{1, 4, 16} {
 		b.Run(threadName(th), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				engine.CountStarPair(g, benchDelta, engine.Options{Workers: th})
+				engine.CountCategoryRange(g, benchDelta, engine.Options{Workers: th}, 0, g.NumIncidences(), motif.CategoryPair)
 			}
 		})
 	}

@@ -128,8 +128,9 @@ func main() {
 		Version:         buildinfo.Version(),
 		Role:            *role,
 	}
-	// The coordinator swaps the in-process counting backend for the
-	// scatter/gather client; caching and admission stay on this side.
+	// A single node counts with the one-range in-process coordinator
+	// (hare.NewServer's default); a coordinator gives it the fleet to
+	// scatter across. Caching and admission stay on this side either way.
 	var shardClient *shard.Client
 	if *role == "coordinator" {
 		pol := shard.Policy{
@@ -212,8 +213,8 @@ func main() {
 	switch *role {
 	case "worker":
 		// A worker serves the shard wire protocol next to the public API,
-		// sharing its registry, and counts each range with the kernels a
-		// single node's backend runs.
+		// sharing its registry, and computes each range as a single node
+		// computes its one range.
 		w := &shard.Worker{Graphs: srv, Version: buildinfo.Version()}
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)

@@ -237,13 +237,10 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 		if eff != 0 {
 			eo.DegreeThreshold = eff
 		}
-		switch {
-		case doStar && doTri:
+		if c.hasOnly {
+			counts = engine.CountCategoryRange(g, delta, eo, 0, g.NumIncidences(), c.only)
+		} else {
 			counts = engine.Count(g, delta, eo)
-		case doStar:
-			counts = engine.CountStarPair(g, delta, eo)
-		default:
-			counts = engine.CountTri(g, delta, eo)
 		}
 		res.DegreeThreshold = eff
 	}

@@ -320,7 +320,9 @@ func Fig11(opts Options) error {
 		for _, th := range threads {
 			tHARE := timeIt(func() { engine.Count(g, delta, engine.Options{Workers: th}) })
 			tEX := timeIt(func() { exact.CountParallel(g, delta, th) })
-			tHP := timeIt(func() { engine.CountStarPair(g, delta, engine.Options{Workers: th}) })
+			tHP := timeIt(func() {
+				engine.CountCategoryRange(g, delta, engine.Options{Workers: th}, 0, g.NumIncidences(), motif.CategoryPair)
+			})
 			tBTS := timeIt(func() { bts.EstimatePairs(g, delta, bts.Options{Q: 0.3, Seed: 1, Workers: th}) })
 			fmt.Fprintf(w, "%8d %10.3f %10.3f %12.3f %12.3f\n",
 				th, secs(tHARE), secs(tEX), secs(tHP), secs(tBTS))

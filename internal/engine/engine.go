@@ -12,8 +12,9 @@
 //
 // Sweep is the only two-stage schedule in the repository and Options the
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
-// motifs, below, whole or as CountRange, and the triangles alone as
-// CountTriRange, which is also the query compiler's triangle plan) and
+// motifs, below, whole or as CountRange, and one category's kernel as
+// CountCategoryRange, whose triangle half is also the query compiler's
+// triangle plan) and
 // higher.CountStar4Range (4-node stars and the star and pair plans): the node
 // pivots, whose cost grows with the degree, so one hub can outweigh whole
 // chunks of others. Their ranges are incidence positions, not node IDs, so a
@@ -125,23 +126,16 @@ func CountRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, h
 	return run(g, delta, opts, lo, hi, true, true)
 }
 
-// CountStarPair runs HARE for star and pair motifs only ("HARE-Pair" reports
-// the pair subset of this run).
-func CountStarPair(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return run(g, delta, opts, 0, g.NumIncidences(), true, false)
-}
-
-// CountTri runs HARE for triangle motifs only ("HARE-Tri").
-func CountTri(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
-	return CountTriRange(g, delta, opts, 0, g.NumIncidences())
-}
-
-// CountTriRange is CountRange's triangle half: FAST-Tri's owner-mode cells
-// for the triangles whose owner and first edge lie in the incidence
-// positions [lo, hi). Partials over any partition of [0, g.NumIncidences())
-// sum to CountTri's. It is the query compiler's triangle plan.
-func CountTriRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) *motif.Counts {
-	return run(g, delta, opts, lo, hi, false, true)
+// CountCategoryRange is CountRange restricted to one category's kernel: the
+// star/pair sweep for CategoryPair and CategoryStar (one kernel finds both;
+// "HARE-Pair" reports the pair subset of it), FAST-Tri's owner-mode cells for
+// CategoryTri ("HARE-Tri"); the other cells stay zero. Partials over any
+// partition of [0, g.NumIncidences()) sum to the full range's, as
+// CountRange's do. It is a motif= count's unit and the query compiler's
+// triangle plan.
+func CountCategoryRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, cat motif.Category) *motif.Counts {
+	tri := cat == motif.CategoryTri
+	return run(g, delta, opts, lo, hi, !tri, tri)
 }
 
 // EffectiveDegreeThreshold reports the thrd a run with opts uses to split
@@ -307,7 +301,7 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, doStar, doTri bool) *motif.Counts {
 	workers := opts.EffectiveWorkers()
 	perWorker := make([]motif.Counts, workers)
-	scratch := make([]*fast.Scratch, workers) // stars and pairs only; stays nil for CountTri
+	scratch := make([]*fast.Scratch, workers) // stars and pairs only; stays nil for triangles alone
 	if doStar {
 		for w := range scratch {
 			scratch[w] = fast.NewScratch()

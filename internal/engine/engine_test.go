@@ -96,7 +96,7 @@ func TestCountStarPairOnly(t *testing.T) {
 	g := randomGraph(r, 12, 300, 60)
 	delta := int64(20)
 	want := fast.CountStarPair(g, delta)
-	got := engine.CountStarPair(g, delta, engine.Options{Workers: 4})
+	got := engine.CountCategoryRange(g, delta, engine.Options{Workers: 4}, 0, g.NumIncidences(), motif.CategoryStar)
 	if got.Star != want.Star || got.Pair != want.Pair {
 		t.Fatal("star/pair-only parallel run differs from sequential")
 	}
@@ -110,7 +110,7 @@ func TestCountTriOnly(t *testing.T) {
 	g := randomGraph(r, 12, 300, 60)
 	delta := int64(20)
 	wantM := fast.Count(g, delta).ToMatrix()
-	got := engine.CountTri(g, delta, engine.Options{Workers: 4}).ToMatrix()
+	got := engine.CountCategoryRange(g, delta, engine.Options{Workers: 4}, 0, g.NumIncidences(), motif.CategoryTri).ToMatrix()
 	for _, l := range motif.TriLabels() {
 		if got.At(l) != wantM.At(l) {
 			t.Fatalf("%v = %d, want %d", l, got.At(l), wantM.At(l))

@@ -25,6 +25,12 @@ const aggChunk = 4
 // Options.Trials, in a served sig request and at the shard coordinator.
 const DefaultSamples = 20
 
+// MaxSamples bounds an ensemble — here, in Options.Trials, in a served sig
+// request and in a shard sub-request's sample range. The sample matrices are
+// held in memory until they are folded (288 B each), so an unbounded count
+// would let one request exhaust it.
+const MaxSamples = 10000
+
 // Ensemble generates and counts N null samples concurrently (see
 // SampleMatrices): sample t draws from seed Seed + t·7919 regardless of
 // which worker runs it, so the ensemble is a pure function of
@@ -32,7 +38,8 @@ const DefaultSamples = 20
 type Ensemble struct {
 	// Model is the null model (default TimeShuffle).
 	Model Model
-	// Samples is the number of null samples (default DefaultSamples).
+	// Samples is the number of null samples (default DefaultSamples, at most
+	// MaxSamples).
 	Samples int
 	// Seed feeds the per-sample deterministic RNG chain.
 	Seed int64
@@ -113,12 +120,8 @@ func (e *Ensemble) Run(g *temporal.Graph, delta temporal.Timestamp) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	opts := engine.Options{Workers: e.Workers}
-	real := engine.Count(g, delta, opts).ToMatrix()
-	// Reported parallelism is clamped to the aggregation chunks: the
-	// granularity at which the statistics could be folded concurrently.
-	workers := min(opts.EffectiveWorkers(), (samples+aggChunk-1)/aggChunk)
-	return ReportFromSamples(e.Model, real, mats, workers)
+	real := engine.Count(g, delta, engine.Options{Workers: e.Workers}).ToMatrix()
+	return ReportFromSamples(e.Model, real, mats, e.Workers)
 }
 
 // finishReport merges the per-chunk moment states in index order — the
@@ -162,6 +165,9 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 	}
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("nullmodel: invalid sample range [%d, %d)", lo, hi)
+	}
+	if hi > MaxSamples {
+		return nil, fmt.Errorf("nullmodel: sample range [%d, %d) exceeds the %d-sample limit", lo, hi, MaxSamples)
 	}
 	n := hi - lo
 	out := make([]motif.Matrix, n)
@@ -212,14 +218,17 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 // in chunk-index order, so the floating-point statistics depend only on
 // the model, seed chain and sample count, never on who counted what — the
 // gather half of the scatter/gather significance path, and of Ensemble.Run.
-// workers is recorded verbatim in Report.Workers (informational).
-// len(samples) must be >= 1.
+// workers is the ensemble's parallelism (<= 0 = all CPUs); Report.Workers
+// records it clamped to the aggregation chunks, the granularity at which the
+// statistics could be folded concurrently (informational). len(samples) must
+// be >= 1.
 func ReportFromSamples(model Model, real motif.Matrix, samples []motif.Matrix, workers int) (*Report, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("nullmodel: no sample matrices")
 	}
-	rep := &Report{Model: model, Trials: len(samples), Workers: workers, Real: real}
 	chunkStats := make([]moments, (len(samples)+aggChunk-1)/aggChunk)
+	workers = min(engine.Options{Workers: workers}.EffectiveWorkers(), len(chunkStats))
+	rep := &Report{Model: model, Trials: len(samples), Workers: workers, Real: real}
 	for t := range samples {
 		chunkStats[t/aggChunk].observe(&samples[t], &rep.Real)
 	}

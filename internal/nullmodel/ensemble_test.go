@@ -268,6 +268,17 @@ func TestSampleMatricesErrors(t *testing.T) {
 	if _, err := SampleMatrices(g, 10, Model(99), 1, 0, 2, 1); err == nil {
 		t.Error("unknown model accepted")
 	}
+	// Past the sample limit is an error before anything is allocated: a
+	// range this size would exhaust memory.
+	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, 0, 10_000_000_000, 1); err == nil {
+		t.Error("range past MaxSamples accepted")
+	}
+	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples, MaxSamples+1, 1); err == nil {
+		t.Error("sample index MaxSamples accepted")
+	}
+	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples-1, MaxSamples, 1); err != nil || len(out) != 1 {
+		t.Errorf("last sample index: %v, %d matrices", err, len(out))
+	}
 	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, 5, 5, 1); err != nil || len(out) != 0 {
 		t.Errorf("empty range: %v, %d matrices", err, len(out))
 	}

@@ -121,7 +121,8 @@ func Sample(g *temporal.Graph, model Model, seed int64) (*temporal.Graph, error)
 type Options struct {
 	// Model is the null model (default TimeShuffle).
 	Model Model
-	// Trials is the number of null samples (default DefaultSamples).
+	// Trials is the number of null samples (default DefaultSamples, at most
+	// MaxSamples).
 	Trials int
 	// Seed feeds the deterministic RNG chain: sample t draws from seed
 	// Seed + t·7919, so results do not depend on scheduling.

@@ -21,7 +21,7 @@ const (
 	// A spec with a variable incident to every edge (a 4-node or 3-node
 	// star, or a 2-node pair spec) reads one cell of the per-center counters
 	// CountStar4Range returns; a triangle spec reads its label's three cells
-	// of FAST-Tri's owner-mode counter (engine.CountTriRange).
+	// of FAST-Tri's owner-mode counter (engine.CountCategoryRange).
 	PlanCenter PlanKind = iota
 	// PlanEdge pivots on graph edges bound to the middle of a 4-node path,
 	// the two legs read from the pivot's endpoints by the pair sweep. The

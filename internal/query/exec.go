@@ -4,6 +4,7 @@ import (
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/higher"
+	"hare/internal/motif"
 	"hare/internal/temporal"
 )
 
@@ -54,7 +55,7 @@ func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Op
 	}
 	var cells []uint64
 	if p.tri {
-		cells = engine.CountTriRange(g, delta, opts.Engine(), lo, hi).Tri[:]
+		cells = engine.CountCategoryRange(g, delta, opts.Engine(), lo, hi, motif.CategoryTri).Tri[:]
 	} else {
 		s4, counts := higher.CountStar4Range(g, delta, opts, lo, hi)
 		switch p.spec.nodes {

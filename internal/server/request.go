@@ -161,8 +161,8 @@ func (r *Request) normalize() (motif.Label, error) {
 		if r.Samples == 0 {
 			r.Samples = nullmodel.DefaultSamples
 		}
-		if r.Samples < 1 {
-			return motif.Label{}, fmt.Errorf("samples must be >= 1 (got %d)", r.Samples)
+		if r.Samples < 1 || r.Samples > nullmodel.MaxSamples {
+			return motif.Label{}, fmt.Errorf("samples must be in [1, %d] (got %d)", nullmodel.MaxSamples, r.Samples)
 		}
 	}
 	return label, nil

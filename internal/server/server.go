@@ -10,9 +10,10 @@
 //   - an Admission controller — a weighted FIFO semaphore — bounding the
 //     total worker budget of concurrently running counting jobs.
 //
-// The actual counting is injected through the Backend interface: the root
-// hare package (which this package must not import) wires its public
-// Count/CountStar4/CountPath4/Ensemble APIs in, so served answers are the
+// The actual counting is injected through the Backend interface, which
+// internal/shard's Coordinator implements (this package imports neither it
+// nor the root hare package). The root package installs its single-node
+// form, a coordinator over one in-process range, whose answers are the
 // same bits a direct library call returns.
 package server
 
@@ -39,11 +40,13 @@ import (
 // Backend performs the counting for the five query kinds — count, star4,
 // path4, sig and query — three of which (star4, path4 and query) also have
 // an approximate mode. Implementations must be safe for concurrent use and
-// exact: the answer may not depend on req.Workers or req.Thrd. ctx is the
-// job's flight context (canceled only when every request waiting on the
-// job has gone): the in-process library backend may ignore it, a
-// distributed backend (the internal/shard coordinator) threads it through
-// its scatter RPCs.
+// exact: the answer may not depend on req.Workers or req.Thrd. The one
+// implementation is internal/shard's Coordinator: over a worker fleet, or
+// over one range computed in process (shard.Local, the single-node
+// backend). ctx is the job's flight context (canceled only when every
+// request waiting on the job has gone): a scatter threads it through its
+// RPCs; the in-process range ignores it (admission already handled
+// cancellation before compute starts).
 type Backend interface {
 	Count(ctx context.Context, g *temporal.Graph, req Request) (CountAnswer, error)
 	Star4(ctx context.Context, g *temporal.Graph, req Request) (higher.Star4Counter, error)

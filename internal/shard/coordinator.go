@@ -13,21 +13,24 @@ import (
 	"hare/internal/temporal"
 )
 
-// Coordinator implements server.Backend by scattering each query across
-// the client's worker fleet and gathering the partials into the exact
-// single-node answer. Plug it into server.Options.Backend: the serving
-// layer's cache, singleflight and admission control then all sit
-// coordinator-side — workers only ever see already-deduplicated,
-// already-admitted sub-requests.
+// Coordinator is hared's server.Backend: it plans each query as ranges of
+// its kind's work domain, delivers one sub-request per range, and merges the
+// partials in shard order into the exact answer. NewCoordinator scatters one
+// range per peer of a client's worker fleet over HTTP; Local plans one range
+// per query and computes it in process, on the coordinator's own graph, with
+// the range kernels a worker runs (compute) — a single node is a one-range
+// coordinator. Plug it into server.Options.Backend: the serving layer's
+// cache, singleflight and admission control then all sit coordinator-side —
+// workers only ever see already-deduplicated, already-admitted sub-requests.
 //
 // Every partition rides a uniqueness argument (a star or pair at its center
 // by its last edge, a triangle at its owner by its first, a path at its
 // middle edge, an index-derived sample seed) so the merged answer is
-// bit-identical to the in-process library backend at any fleet size. Every
-// kind scatters one range per peer; the node-pivot kinds range over
-// incidence positions, so equal ranges hold about equal work.
+// bit-identical at any fleet size, one included, to the library's answer
+// for the same request. The node-pivot kinds range over incidence
+// positions, so equal ranges hold about equal work.
 type Coordinator struct {
-	client *Client
+	client *Client // nil: Local, one range computed in process
 }
 
 // NewCoordinator returns a scatter/gather backend over the client's
@@ -36,9 +39,15 @@ func NewCoordinator(client *Client) *Coordinator {
 	return &Coordinator{client: client}
 }
 
-// sub builds the plan-invariant fields of a sub-request for one query.
+// Local returns the single-node backend: a coordinator that plans one range
+// per query and computes it in process, with no HTTP. It is what hared and
+// hare.NewServer count with unless a coordinator's fleet replaces it.
+func Local() *Coordinator { return &Coordinator{} }
+
+// sub builds one shard's sub-request for a query. The estimator knobs ride
+// along in approximate mode only.
 func sub(req server.Request, g *temporal.Graph, shard, shards, lo, hi int) SubRequest {
-	return SubRequest{
+	s := SubRequest{
 		Proto:   ProtoVersion,
 		Kind:    req.Kind,
 		Dataset: req.Dataset,
@@ -57,31 +66,52 @@ func sub(req server.Request, g *temporal.Graph, shard, shards, lo, hi int) SubRe
 		Seed:    req.Seed,
 		Spec:    req.Spec,
 	}
+	if req.EpsilonSet {
+		s.Epsilon, s.Conf, s.Samples = req.Epsilon, req.Conf, req.Samples
+	}
+	return s
 }
 
-// rangeTasks plans one task per contiguous range of [0, n), home peer i
-// for shard i (ranges and peers are both position-indexed, so shard i's
-// work lands on worker i unless retries or hedges move it).
-func (c *Coordinator) rangeTasks(req server.Request, g *temporal.Graph, n int) []task {
+// scatter plans req as contiguous ranges of [0, n) and gathers their
+// partials. A fleet gets one range per peer, shard i homed on peer i (ranges
+// and peers are both position-indexed, so shard i's work lands on worker i
+// unless retries or hedges move it). Local computes its one range here on g;
+// plan is the coordinator's sampling plan for an approx kind (nil
+// otherwise), which the in-process path reuses instead of building it a
+// second time. An empty domain is an empty, complete gather: every merge's
+// zero answer.
+func (c *Coordinator) scatter(ctx context.Context, g *temporal.Graph, req server.Request, n int, plan *approx.Plan) (*Gather, error) {
+	if n <= 0 {
+		return NewGather(req.Kind, 0), nil
+	}
+	if c.client == nil {
+		p, err := compute(g, sub(req, g, 0, 1, 0, n), plan)
+		if err != nil {
+			return nil, err
+		}
+		gather := NewGather(req.Kind, 1)
+		return gather, gather.Add(p)
+	}
 	ranges := Ranges(n, len(c.client.peers))
 	tasks := make([]task, len(ranges))
 	for i, r := range ranges {
 		tasks[i] = task{sub: sub(req, g, i, len(ranges), r.Lo, r.Hi), home: i}
 	}
-	return tasks
+	return c.client.scatter(ctx, tasks)
 }
 
 // Count scatters equal ranges of the incidence positions — a hub a
 // boundary falls inside is swept in part by each of two workers — and
-// merges the raw counters in shard order (MergeCount).
+// merges the raw counters in shard order (MergeCount). It resolves the
+// automatic degree threshold once: every range runs with it and the merge
+// echoes it, with no second top-k degree scan.
 func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	tasks := c.rangeTasks(req, g, g.NumIncidences())
-	gather := NewGather(server.KindCount, 0) // an edgeless graph: the zero answer
-	if len(tasks) > 0 {
-		var err error
-		if gather, err = c.client.scatter(ctx, tasks); err != nil {
-			return server.CountAnswer{}, err
-		}
+	if eo := (engine.Options{Workers: req.Workers}); !req.ThrdSet && !eo.Sequential() {
+		req.Thrd, req.ThrdSet = engine.EffectiveDegreeThreshold(g, eo), true
+	}
+	gather, err := c.scatter(ctx, g, req, g.NumIncidences(), nil)
+	if err != nil {
+		return server.CountAnswer{}, err
 	}
 	return gather.MergeCount(g, req)
 }
@@ -89,11 +119,7 @@ func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.R
 // Star4 scatters incidence-position ranges and sums the partial counters
 // in shard order.
 func (c *Coordinator) Star4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.Star4Counter, error) {
-	tasks := c.rangeTasks(req, g, g.NumIncidences())
-	if len(tasks) == 0 {
-		return higher.Star4Counter{}, nil
-	}
-	gather, err := c.client.scatter(ctx, tasks)
+	gather, err := c.scatter(ctx, g, req, g.NumIncidences(), nil)
 	if err != nil {
 		return higher.Star4Counter{}, err
 	}
@@ -103,11 +129,7 @@ func (c *Coordinator) Star4(ctx context.Context, g *temporal.Graph, req server.R
 // Path4 scatters middle-edge ID ranges and sums the partial counters in
 // shard order.
 func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.PathCounter, error) {
-	tasks := c.rangeTasks(req, g, g.NumEdges())
-	if len(tasks) == 0 {
-		return higher.PathCounter{}, nil
-	}
-	gather, err := c.client.scatter(ctx, tasks)
+	gather, err := c.scatter(ctx, g, req, g.NumEdges(), nil)
 	if err != nil {
 		return higher.PathCounter{}, err
 	}
@@ -119,15 +141,11 @@ func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.R
 // and triangle specs), middle-edge IDs for path plans — summing the partial
 // counts in shard order.
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
-	spec, err := query.ParseSpec(req.Spec)
+	qp, err := compile(req.Spec)
 	if err != nil {
 		return 0, err
 	}
-	tasks := c.rangeTasks(req, g, query.Compile(spec).RangeDomain(g))
-	if len(tasks) == 0 {
-		return 0, nil
-	}
-	gather, err := c.client.scatter(ctx, tasks)
+	gather, err := c.scatter(ctx, g, req, qp.RangeDomain(g), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -135,43 +153,31 @@ func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.R
 }
 
 // approxOptions maps a normalized approx-mode request onto the estimator
-// knobs, as the in-process backend does; Workers is a scheduling hint only.
+// knobs, as hare.ApproxOptions does; Workers is a scheduling hint only.
 func approxOptions(req server.Request) approx.Options {
 	return approx.Options{Epsilon: req.Epsilon, Confidence: req.Conf, Seed: req.Seed, Samples: req.Samples}
 }
 
-// approxScatter runs one sampled approximate-mode query: build the sampling
-// plan locally, scatter contiguous stratum-index ranges across the fleet
-// (one range per peer, like every range kind), and finish the gathered
-// moments against the local plan. Workers rebuild the identical plan from
-// the knobs on the wire, so the finished result is bit-identical to the
-// in-process backend at any fleet size (docs/APPROX.md).
+// approxScatter runs one sampled approximate-mode query as the wire kind:
+// build the sampling plan locally, scatter contiguous stratum-index ranges
+// like every range kind, and finish the gathered moments against the local
+// plan. Remote workers rebuild the identical plan from the knobs on the
+// wire; in process the plan is reused. The finished result is bit-identical
+// to the library's at any fleet size (docs/APPROX.md).
 func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req server.Request, kind server.Kind, k approx.Kernel) (*approx.Result, error) {
 	plan, err := approx.NewPlan(g, k, approxOptions(req))
 	if err != nil {
 		return nil, err
 	}
-	ranges := Ranges(len(plan.Strata), len(c.client.peers))
-	tasks := make([]task, len(ranges))
-	for i, r := range ranges {
-		s := sub(req, g, i, len(ranges), r.Lo, r.Hi)
-		s.Kind = kind
-		s.Epsilon, s.Conf, s.Samples = req.Epsilon, req.Conf, req.Samples
-		tasks[i] = task{sub: s, home: i}
-	}
-	if len(tasks) == 0 {
-		// Empty domain: the plan has no strata and the finish is the
-		// all-zero estimate, same as a local run on the empty graph.
-		return approx.Finish(plan, nil)
-	}
-	gather, err := c.client.scatter(ctx, tasks)
+	req.Kind = kind
+	gather, err := c.scatter(ctx, g, req, len(plan.Strata), plan)
 	if err != nil {
 		return nil, err
 	}
 	return gather.MergeApprox(plan)
 }
 
-// Star4Approx answers exactly, as the in-process backend does: the exact
+// Star4Approx answers exactly, as hare.CountStar4Approx does: the exact
 // star4 scatter, finished by approx.Exact.
 func (c *Coordinator) Star4Approx(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
 	s4, err := c.Star4(ctx, g, req)
@@ -188,14 +194,15 @@ func (c *Coordinator) Path4Approx(ctx context.Context, g *temporal.Graph, req se
 
 // QueryApprox compiles the (already canonical) spec. A path plan scatters
 // stratum ranges of its plan-kernel sampling plan; a center plan is answered
-// exactly, as in process: the exact query scatter, finished by approx.Exact.
+// exactly, as hare.CountMotifApprox does: the exact query scatter, finished
+// by approx.Exact.
 func (c *Coordinator) QueryApprox(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	spec, err := query.ParseSpec(req.Spec)
+	qp, err := compile(req.Spec)
 	if err != nil {
 		return nil, err
 	}
-	if plan := query.Compile(spec); plan.Kind() == query.PlanEdge {
-		return c.approxScatter(ctx, g, req, KindQueryApprox, approx.PlanKernel{Plan: plan})
+	if qp.Kind() == query.PlanEdge {
+		return c.approxScatter(ctx, g, req, KindQueryApprox, approx.PlanKernel{Plan: qp})
 	}
 	n, err := c.Query(ctx, g, req)
 	if err != nil {
@@ -220,8 +227,7 @@ func (c *Coordinator) Significance(ctx context.Context, g *temporal.Graph, req s
 		samples = nullmodel.DefaultSamples
 	}
 	real := engine.Count(g, temporal.Timestamp(req.Delta), engine.Options{Workers: req.Workers}).ToMatrix()
-	tasks := c.rangeTasks(req, g, samples)
-	gather, err := c.client.scatter(ctx, tasks)
+	gather, err := c.scatter(ctx, g, req, samples, nil)
 	if err != nil {
 		return nil, err
 	}

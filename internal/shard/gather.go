@@ -132,7 +132,8 @@ func (g *Gather) MergePath4() (higher.PathCounter, error) {
 // pair cells, so per-shard matrices would not add up). It then answers as
 // the library path does for the same request: the motif= restriction is
 // hare.Count's (motif.Matrix.KeepCategory), and the workers and threshold
-// echo are what hare.Count reports for req's hints on g.
+// echo are what hare.Count reports for req's hints on g — read off req with
+// no degree scan when req carries a threshold, as Coordinator.Count's does.
 func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.CountAnswer, error) {
 	if !g.Complete() {
 		return server.CountAnswer{}, g.incomplete()

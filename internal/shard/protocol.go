@@ -91,15 +91,17 @@ type SubRequest struct {
 	Edges int `json:"edges"`
 
 	// Workers bounds the worker's local parallelism for this sub-request
-	// (0 = all CPUs). Never changes the partial.
+	// (0 = all CPUs; a worker clamps larger values to its CPUs). Never
+	// changes the partial.
 	Workers int `json:"workers,omitempty"`
 	// Thrd overrides the degree threshold when ThrdSet. Never changes the
 	// partial.
 	Thrd    int  `json:"thrd,omitempty"`
 	ThrdSet bool `json:"thrd_set,omitempty"`
 
-	// Motif is the count query's motif= restriction. Workers return every
-	// cell of their range; the coordinator's merge applies it.
+	// Motif is the count query's motif= restriction. A worker counts only
+	// its category's kernel (the other cells are zero); the coordinator's
+	// merge applies it.
 	Motif string `json:"motif,omitempty"`
 	// Model and Seed configure null sampling (sig kind only).
 	Model string `json:"model,omitempty"`

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 
 	"hare/internal/approx"
 	"hare/internal/engine"
 	"hare/internal/higher"
+	"hare/internal/motif"
 	"hare/internal/nullmodel"
 	"hare/internal/query"
 	"hare/internal/server"
@@ -94,11 +96,41 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p := Partial{Proto: ProtoVersion, Kind: sub.Kind, Shard: sub.Shard}
+	p, err := compute(g, sub, nil)
+	if err != nil {
+		writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
+		return
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(rw).Encode(p)
+}
+
+// compute runs the range kernel of sub's kind over sub's range of g and
+// returns the partial: the HTTP worker's answer to a sub-request and, under a
+// Local coordinator, the whole answer's one range. plan is the coordinator's
+// sampling plan for an approx kind; nil rebuilds it from the knobs on the
+// wire — the plan is a pure function of (graph, knobs), so a remote worker's
+// plan is byte-identical to the coordinator's. An error is the sub-request's
+// fault (a worker answers 400).
+func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, error) {
+	// The hint never changes the partial, and no request may size per-worker
+	// state past the CPUs: admission clamps a public request the same way.
+	sub.Workers = min(sub.Workers, runtime.GOMAXPROCS(0))
+	p := &Partial{Proto: ProtoVersion, Kind: sub.Kind, Shard: sub.Shard}
 	delta := temporal.Timestamp(sub.Delta)
 	switch sub.Kind {
 	case server.KindCount:
-		p.Count = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi)
+		if sub.Motif == "" {
+			p.Count = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi)
+			break
+		}
+		// A motif= count runs its category's kernel only; the merge keeps
+		// that category's cells.
+		l, err := motif.ParseLabel(sub.Motif)
+		if err != nil {
+			return nil, err
+		}
+		p.Count = engine.CountCategoryRange(g, delta, schedule(sub), sub.Lo, sub.Hi, l.Category())
 	case server.KindStar4:
 		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Star4 = &c
@@ -106,82 +138,64 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		c := higher.CountPath4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Path4 = &c
 	case server.KindQuery:
-		spec, err := query.ParseSpec(sub.Spec)
+		qp, err := compile(sub.Spec)
 		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
+			return nil, err
 		}
-		n := query.Compile(spec).ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
+		n := qp.ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
 		p.Query = &n
-	case KindPath4Approx:
-		ms, err := approxMoments(g, delta, sub, approx.PathKernel{})
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
+	case KindPath4Approx, KindQueryApprox:
+		var k approx.Kernel = approx.PathKernel{}
+		if sub.Kind == KindQueryApprox {
+			qp, err := compile(sub.Spec)
+			if err != nil {
+				return nil, err
+			}
+			if qp.Kind() != query.PlanEdge {
+				// Only path plans are sampled; a coordinator answers the
+				// rest exactly, through the query kind.
+				return nil, fmt.Errorf("shard: spec %q has no sampled plan", sub.Spec)
+			}
+			k = approx.PlanKernel{Plan: qp}
 		}
-		p.Approx = ms
-	case KindQueryApprox:
-		spec, err := query.ParseSpec(sub.Spec)
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
+		if plan == nil {
+			var err error
+			plan, err = approx.NewPlan(g, k, approx.Options{Epsilon: sub.Epsilon, Confidence: sub.Conf, Seed: sub.Seed, Samples: sub.Samples})
+			if err != nil {
+				return nil, err
+			}
 		}
-		plan := query.Compile(spec)
-		if plan.Kind() != query.PlanEdge {
-			// Only path plans are sampled; a coordinator answers the rest
-			// exactly, through the query kind.
-			writeWireError(rw, http.StatusBadRequest, fmt.Errorf("shard: spec %q has no sampled plan", sub.Spec), ProtoVersion)
-			return
+		if sub.Hi > len(plan.Strata) {
+			return nil, fmt.Errorf("shard: stratum range [%d, %d) exceeds plan's %d strata (plan drift)",
+				sub.Lo, sub.Hi, len(plan.Strata))
 		}
-		ms, err := approxMoments(g, delta, sub, approx.PlanKernel{Plan: plan})
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
-		}
-		p.Approx = ms
+		// The raw moments go back; only the coordinator finishes.
+		p.Approx = approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi)
 	case server.KindSig:
 		model, err := nullmodel.ParseModel(sub.Model)
 		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
+			return nil, err
 		}
-		ms, err := nullmodel.SampleMatrices(g, delta, model, sub.Seed, sub.Lo, sub.Hi, sub.Workers)
-		if err != nil {
-			writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
-			return
+		if p.Sig, err = nullmodel.SampleMatrices(g, delta, model, sub.Seed, sub.Lo, sub.Hi, sub.Workers); err != nil {
+			return nil, err
 		}
-		p.Sig = ms
 	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(&p)
+	return p, nil
 }
 
-// approxMoments rebuilds the sampling plan from the wire knobs — the plan
-// is a pure function of (graph, knobs), so this worker's plan is
-// byte-identical to the coordinator's — and samples the stratum range the
-// sub-request owns. The raw moments go back over the wire; only the
-// coordinator finishes.
-func approxMoments(g *temporal.Graph, delta temporal.Timestamp, sub SubRequest, k approx.Kernel) ([]approx.Moments, error) {
-	plan, err := approx.NewPlan(g, k, approx.Options{
-		Epsilon:    sub.Epsilon,
-		Confidence: sub.Conf,
-		Seed:       sub.Seed,
-		Samples:    sub.Samples,
-	})
+// compile parses a sub-request's canonical spec and compiles its plan.
+func compile(spec string) (*query.Plan, error) {
+	s, err := query.ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	if sub.Hi > len(plan.Strata) {
-		return nil, fmt.Errorf("shard: stratum range [%d, %d) exceeds plan's %d strata (plan drift)",
-			sub.Lo, sub.Hi, len(plan.Strata))
-	}
-	return approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi), nil
+	return query.Compile(s), nil
 }
 
 // schedule maps a sub-request's scheduling hints onto the scheduler's
-// options, matching the single-node backend's interpretation (an unset or
-// zero threshold selects the automatic heuristic). The coordinator's
-// count merge reads the same mapping to report the threshold.
+// options, as hare.Count maps its options (an unset or zero threshold
+// selects the automatic heuristic). The coordinator's count merge reads the
+// same mapping to report the threshold.
 func schedule(sub SubRequest) engine.Options {
 	opts := engine.Options{Workers: sub.Workers}
 	// ThrdSet alone decides: normalize canonicalized thrd=0 to unset on the

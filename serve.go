@@ -1,15 +1,9 @@
 package hare
 
 import (
-	"context"
-	"fmt"
-
-	"hare/internal/approx"
-	"hare/internal/higher"
 	"hare/internal/live"
-	"hare/internal/nullmodel"
 	"hare/internal/server"
-	"hare/internal/temporal"
+	"hare/internal/shard"
 )
 
 // Server is the hared concurrent query service: a graph registry (each
@@ -26,9 +20,9 @@ import (
 //	http.ListenAndServe(":8315", srv.Handler())
 type Server = server.Server
 
-// ServerOptions configures NewServer. Leave Backend nil to count with this
-// package's Count/CountStar4/CountPath4/Significance — the default and
-// normally the only sensible choice.
+// ServerOptions configures NewServer. Leave Backend nil to count in process
+// (LocalBackend), the default; a cluster coordinator sets a shard
+// coordinator over its worker fleet instead.
 type ServerOptions = server.Options
 
 // QueryRequest is the canonical form of one service query; the HTTP
@@ -88,113 +82,19 @@ func FileLoader(path string, opts LoadOptions, logf func(format string, args ...
 	return server.FileLoader(path, opts, logf)
 }
 
-// NewServer returns a query service counting with this package's public
-// APIs. Datasets are registered afterwards via Register/RegisterGraph.
+// NewServer returns a query service. Datasets are registered afterwards via
+// Register/RegisterGraph. A nil ServerOptions.Backend selects LocalBackend.
 func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.Backend == nil {
-		opts.Backend = libraryBackend{}
+		opts.Backend = LocalBackend()
 	}
 	return server.New(opts)
 }
 
-// LocalBackend returns the in-process counting backend NewServer installs
-// when ServerOptions.Backend is nil. A shard coordinator replaces it with
-// the scatter/gather backend, whose workers run the range kernels under
-// these same counts.
-func LocalBackend() server.Backend { return libraryBackend{} }
-
-// libraryBackend adapts the public counting APIs to the server's Backend
-// seam, so served answers are bit-identical to direct library calls. It
-// computes in-process and ignores the flight context (the admission
-// semaphore already handled cancellation before compute starts).
-type libraryBackend struct{}
-
-func (libraryBackend) options(req server.Request) []Option {
-	opts := []Option{WithWorkers(req.Workers)}
-	// normalize canonicalizes an explicit thrd=0 to unset (both mean
-	// "auto"), so ThrdSet alone decides — no Thrd != 0 special case that
-	// could make the response's DegreeThreshold echo disagree with the
-	// request.
-	if req.ThrdSet {
-		opts = append(opts, WithDegreeThreshold(req.Thrd))
-	}
-	return opts
-}
-
-func (b libraryBackend) Count(_ context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	opts := b.options(req)
-	if req.Motif != "" {
-		l, err := ParseLabel(req.Motif)
-		if err != nil {
-			return server.CountAnswer{}, err
-		}
-		opts = append(opts, WithOnly(l.Category()))
-	}
-	res, err := Count(g, Timestamp(req.Delta), opts...)
-	if err != nil {
-		return server.CountAnswer{}, err
-	}
-	return server.CountAnswer{
-		Matrix:          res.Matrix,
-		Workers:         res.Workers,
-		DegreeThreshold: res.DegreeThreshold,
-	}, nil
-}
-
-func (b libraryBackend) Star4(_ context.Context, g *temporal.Graph, req server.Request) (higher.Star4Counter, error) {
-	return CountStar4(g, Timestamp(req.Delta), b.options(req)...)
-}
-
-func (b libraryBackend) Path4(_ context.Context, g *temporal.Graph, req server.Request) (higher.PathCounter, error) {
-	return CountPath4(g, Timestamp(req.Delta), b.options(req)...)
-}
-
-func (b libraryBackend) Query(_ context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
-	spec, err := ParseSpec(req.Spec) // canonical after normalize; reparse is cheap
-	if err != nil {
-		return 0, err
-	}
-	return CountMotif(g, spec, Timestamp(req.Delta), b.options(req)...)
-}
-
-// approxOptions maps a normalized approx-mode request onto the estimator
-// knobs. Workers is the admission weight the server resolved — a resource
-// hint only, never part of the answer.
-func approxOptions(req server.Request) ApproxOptions {
-	return ApproxOptions{
-		Epsilon:    req.Epsilon,
-		Confidence: req.Conf,
-		Seed:       req.Seed,
-		Samples:    req.Samples,
-		Workers:    req.Workers,
-	}
-}
-
-func (b libraryBackend) Star4Approx(_ context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	return CountStar4Approx(g, Timestamp(req.Delta), approxOptions(req))
-}
-
-func (b libraryBackend) Path4Approx(_ context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	return CountPath4Approx(g, Timestamp(req.Delta), approxOptions(req))
-}
-
-func (b libraryBackend) QueryApprox(_ context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	spec, err := ParseSpec(req.Spec) // canonical after normalize; reparse is cheap
-	if err != nil {
-		return nil, err
-	}
-	return CountMotifApprox(g, spec, Timestamp(req.Delta), approxOptions(req))
-}
-
-func (b libraryBackend) Significance(_ context.Context, g *temporal.Graph, req server.Request) (*nullmodel.Report, error) {
-	model, err := ParseNullModel(req.Model)
-	if err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
-	return Significance(g, Timestamp(req.Delta), SignificanceOptions{
-		Model:   model,
-		Trials:  req.Samples,
-		Seed:    req.Seed,
-		Workers: req.Workers,
-	})
-}
+// LocalBackend returns the single-node counting backend: a shard coordinator
+// that plans one range per query and computes it in process, with the range
+// kernels a shard worker runs, so one node and a cluster of any size serve
+// the same bits. Its answers are those of this package's Count, CountStar4,
+// CountPath4, CountMotif, Significance and approximate counters for the
+// same request.
+func LocalBackend() server.Backend { return shard.Local() }
