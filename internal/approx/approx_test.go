@@ -124,6 +124,14 @@ func TestBuildPlanProperties(t *testing.T) {
 			t.Fatalf("BuildPlan is not deterministic for %+v", o)
 		}
 	}
+	// The tightest accuracies size past the domain: exact enumeration, not
+	// an int overflow clamped up to the draw floor.
+	for _, eps := range []float64{1e-10, 1e-300} {
+		p, err := BuildPlan(k.Domain(g), k.Cells(), weight, Options{Epsilon: eps})
+		if err != nil || p.Budget != p.Domain {
+			t.Fatalf("epsilon %g: budget %d of domain %d (err %v), want exact enumeration", eps, p.Budget, p.Domain, err)
+		}
+	}
 	if _, err := BuildPlan(10, 1, func(int) float64 { return 1 }, Options{Epsilon: 2}); err == nil {
 		t.Fatalf("invalid epsilon must fail BuildPlan")
 	}

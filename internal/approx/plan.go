@@ -182,10 +182,14 @@ func BuildPlan(domain, cells int, weight func(id int) float64, o Options) (*Plan
 
 	// Draw budget: explicit override, else the CLT sizing ceil((z/eps)^2),
 	// clamped to [2, domain] — a budget at the domain size degenerates to
-	// exact enumeration (every stratum saturates).
+	// exact enumeration (every stratum saturates). The sizing is clamped in
+	// float: for a tiny epsilon it exceeds any int.
 	budget := o.Samples
 	if budget <= 0 {
-		budget = int(math.Ceil((z / eps) * (z / eps)))
+		budget = domain
+		if b := math.Ceil((z / eps) * (z / eps)); b < float64(domain) {
+			budget = int(b)
+		}
 	}
 	if budget < drawFloor {
 		budget = drawFloor

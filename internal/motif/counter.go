@@ -1,6 +1,9 @@
 package motif
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PairCounter is the paper's triple counter Pair[dir1, dir2, dir3] for pair
 // temporal motifs: 8 cells indexed by the directions of the three edges
@@ -149,6 +152,25 @@ type Counts struct {
 	Pair PairCounter `json:"pair"`
 	Star StarCounter `json:"star"`
 	Tri  TriCounter  `json:"tri"`
+}
+
+// NumCells is the width of Counts.Cells: 8 pair, 24 star and 24 tri cells.
+const NumCells = len(PairCounter{}) + len(StarCounter{}) + len(TriCounter{})
+
+// Cells flattens the three counters into one slice of NumCells raw cells,
+// pair then star then tri: the form the shard wire carries, where partials
+// over disjoint ranges sum cell by cell.
+func (c *Counts) Cells() []uint64 {
+	return slices.Concat(c.Pair[:], c.Star[:], c.Tri[:])
+}
+
+// CountsFromCells inverts Cells; cells must hold NumCells values.
+func CountsFromCells(cells []uint64) Counts {
+	var c Counts
+	n := copy(c.Pair[:], cells)
+	n += copy(c.Star[:], cells[n:])
+	copy(c.Tri[:], cells[n:])
+	return c
 }
 
 // Add accumulates another Counts.

@@ -212,3 +212,22 @@ func TestCounterAt(t *testing.T) {
 		t.Fatal("TriCounter.At wrong")
 	}
 }
+
+// TestCountsCells pins the wire order of the raw cells (pair, star, tri)
+// and checks CountsFromCells inverts Cells.
+func TestCountsCells(t *testing.T) {
+	var c Counts
+	c.Pair[7] = 1
+	c.Star[0] = 2
+	c.Tri[23] = 3
+	cells := c.Cells()
+	if len(cells) != NumCells || NumCells != 56 {
+		t.Fatalf("%d cells, NumCells %d, want 56", len(cells), NumCells)
+	}
+	if cells[7] != 1 || cells[8] != 2 || cells[55] != 3 {
+		t.Fatalf("cells out of pair/star/tri order: %v", cells)
+	}
+	if back := CountsFromCells(cells); back != c {
+		t.Fatalf("round trip changed %+v into %+v", c, back)
+	}
+}

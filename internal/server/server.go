@@ -213,27 +213,6 @@ type httpError struct {
 func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
 
-// jobResult is what the cache stores: one computed answer plus the
-// scheduling metadata of the job that produced it and the graph shape it
-// ran against — carried here so that serving a cached result never needs
-// the graph to be resident (a hit on an LRU-evicted dataset must not
-// trigger a multi-second reload just to render metadata).
-type jobResult struct {
-	kind    Kind
-	elapsed time.Duration
-	workers int
-	nodes   int
-	edges   int
-
-	count  *CountAnswer
-	star4  *higher.Star4Counter
-	path4  *higher.PathCounter
-	sig    *nullmodel.Report
-	motifs *uint64        // query kind: the compiled-spec count
-	approx *approx.Result // approx mode of star4/path4/query (req.EpsilonSet)
-	pivot  string         // query kind: the compiled plan's pivot family
-}
-
 // query returns the handler for one query kind.
 func (s *Server) query(kind Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -278,14 +257,18 @@ func (s *Server) query(kind Kind) http.HandlerFunc {
 			writeError(w, status, err)
 			return
 		}
-		res := val.(*jobResult)
-		writeJSON(w, s.response(req, label, res, hit, shared))
+		writeJSON(w, stamp(val.(*queryResponse), req, label, hit, shared))
 	}
 }
 
-// compute resolves the dataset and runs one counting job under admission
-// control. It executes inside the cache's singleflight: concurrent
-// identical requests run it once.
+// compute resolves the dataset, runs one counting job under admission
+// control and renders its response body as soon as the backend returns.
+// The body is what the cache stores: it carries the scheduling metadata of
+// the job and the graph shape it ran against, so serving a hit never needs
+// the graph to be resident (a hit on an LRU-evicted dataset must not
+// trigger a multi-second reload) and never renders the answer again. It
+// executes inside the cache's singleflight: concurrent identical requests
+// run it once.
 func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 	g, err := s.registry.Get(req.Dataset)
 	if err != nil {
@@ -300,73 +283,87 @@ func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 	// exactly as wide as the budget units it holds.
 	req.Workers = weight
 	start := time.Now()
-	res := &jobResult{kind: req.Kind, workers: weight, nodes: g.NumNodes(), edges: g.NumEdges()}
+	out := &queryResponse{
+		Dataset:      req.Dataset,
+		DeltaSeconds: req.Delta,
+		Nodes:        g.NumNodes(),
+		Edges:        g.NumEdges(),
+		Spec:         req.Spec, // query kind only, like pivot; omitted for the rest
+		Workers:      weight,
+	}
+	// Approx mode of star4/path4/query (req.EpsilonSet): the estimate, and
+	// the names of its per-cell intervals.
+	var a *approx.Result
+	var cellKeys []string
 	switch req.Kind {
 	case KindCount:
-		ans, err := s.backend.Count(ctx, g, req)
-		if err != nil {
-			return nil, err
+		var ans CountAnswer
+		if ans, err = s.backend.Count(ctx, g, req); err == nil {
+			out.Matrix = make(map[string]uint64, 36)
+			for _, l := range motif.AllLabels() {
+				out.Matrix[l.String()] = ans.Matrix.At(l)
+			}
+			out.Total = ans.Matrix.Total()
+			out.DegreeThreshold = &ans.DegreeThreshold
 		}
-		res.count = &ans
 	case KindStar4:
 		if req.EpsilonSet {
-			a, err := s.backend.Star4Approx(ctx, g, req)
-			if err != nil {
-				return nil, err
-			}
-			res.approx = a
+			a, err = s.backend.Star4Approx(ctx, g, req)
+			cellKeys = star4Keys[:]
 			break
 		}
-		c, err := s.backend.Star4(ctx, g, req)
-		if err != nil {
-			return nil, err
+		var c higher.Star4Counter
+		if c, err = s.backend.Star4(ctx, g, req); err == nil {
+			out.Patterns = make(map[string]uint64, len(c))
+			for i, v := range c {
+				out.Patterns[star4Keys[i]] = v
+			}
+			out.Total = c.Total()
 		}
-		res.star4 = &c
 	case KindPath4:
 		if req.EpsilonSet {
-			a, err := s.backend.Path4Approx(ctx, g, req)
-			if err != nil {
-				return nil, err
-			}
-			res.approx = a
+			a, err = s.backend.Path4Approx(ctx, g, req)
+			cellKeys = pathKeys[:]
 			break
 		}
-		c, err := s.backend.Path4(ctx, g, req)
-		if err != nil {
-			return nil, err
+		var c higher.PathCounter
+		if c, err = s.backend.Path4(ctx, g, req); err == nil {
+			out.Paths = make(map[string]uint64, 24)
+			for i, v := range c {
+				if v > 0 {
+					out.Paths[pathKeys[i]] = v
+				}
+			}
+			out.Total = c.Total()
 		}
-		res.path4 = &c
 	case KindSig:
-		rep, err := s.backend.Significance(ctx, g, req)
-		if err != nil {
-			return nil, err
+		var rep *nullmodel.Report
+		if rep, err = s.backend.Significance(ctx, g, req); err == nil {
+			renderSig(out, req, rep)
 		}
-		res.sig = rep
 	case KindQuery:
 		// The pivot is a pure function of the canonical spec, set here
-		// rather than by the backend so a shard coordinator's answer
-		// renders identically to the local backend's.
+		// rather than by the backend so every backend's answer renders
+		// identically.
 		if sp, err := query.ParseSpec(req.Spec); err == nil {
-			res.pivot = query.Compile(sp).Kind().String()
+			out.Pivot = query.Compile(sp).Kind().String()
 		}
 		if req.EpsilonSet {
-			a, err := s.backend.QueryApprox(ctx, g, req)
-			if err != nil {
-				return nil, err
-			}
-			res.approx = a
+			a, err = s.backend.QueryApprox(ctx, g, req)
 			break
 		}
-		n, err := s.backend.Query(ctx, g, req)
-		if err != nil {
-			return nil, err
-		}
-		res.motifs = &n
+		out.Total, err = s.backend.Query(ctx, g, req)
 	default:
 		return nil, fmt.Errorf("unknown kind %q", req.Kind)
 	}
-	res.elapsed = time.Since(start)
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	if a != nil {
+		renderApprox(out, req, a, cellKeys)
+	}
+	out.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
+	return out, nil
 }
 
 // jobWeight resolves a request's admission weight: its workers hint, or
@@ -379,7 +376,8 @@ func (s *Server) jobWeight(req Request) int {
 }
 
 // queryResponse is the JSON envelope shared by all /v1 query endpoints.
-// Exactly one of Matrix, Patterns, Paths, Motifs is set, per kind.
+// Exactly one of Matrix, Patterns, Paths, Motifs is set, per kind. compute
+// renders one per job and the cache stores it; stamp serves copies.
 type queryResponse struct {
 	Dataset      string `json:"dataset"`
 	DeltaSeconds int64  `json:"delta_seconds"`
@@ -445,91 +443,71 @@ type sigMotif struct {
 	PLower float64  `json:"p_lower"`
 }
 
-// response renders a cached or fresh jobResult for one concrete request.
-// The same cached matrix serves every motif restriction in its category;
-// the requested cell is extracted here, per request.
-func (s *Server) response(req Request, label motif.Label, res *jobResult, hit, shared bool) *queryResponse {
-	out := &queryResponse{
-		Dataset:      req.Dataset,
-		DeltaSeconds: req.Delta,
-		Nodes:        res.nodes,
-		Edges:        res.edges,
-		Spec:         req.Spec, // query kind only, like pivot; omitted for the rest
-		Pivot:        res.pivot,
-		Workers:      res.workers,
-		ElapsedMS:    float64(res.elapsed.Nanoseconds()) / 1e6,
-		Cached:       hit,
-		Coalesced:    shared,
+// stamp serves a stored response body to one concrete request: a copy
+// carrying the request's cache flags and, for a motif= count, the requested
+// cell read off the stored matrix — the same cached matrix serves every
+// motif restriction in its category. The stored body is never written.
+func stamp(body *queryResponse, req Request, label motif.Label, hit, shared bool) *queryResponse {
+	out := *body
+	out.Cached, out.Coalesced = hit, shared
+	if req.Motif != "" {
+		out.Motif = label.String()
+		c := out.Matrix[out.Motif]
+		out.Count = &c
 	}
-	if res.approx != nil {
-		s.renderApprox(out, req, res.approx)
-		return out
+	return &out
+}
+
+// star4Keys names the star4 counter's cells as responses key them
+// ("out,in,out"), and pathKeys the path4 counter's slots (a canonical
+// label's slot carries its name; the other slots are never populated):
+// the keys of the exact patterns and paths and of the approx intervals
+// alike.
+var star4Keys, pathKeys = func() (star [8]string, path [48]string) {
+	for i := range star {
+		d1, d2, d3 := motif.PairDirs(i)
+		star[i] = fmt.Sprintf("%s,%s,%s", d1, d2, d3)
 	}
-	switch req.Kind {
-	case KindCount:
-		m := res.count.Matrix
-		out.Matrix = make(map[string]uint64, 36)
-		for _, l := range motif.AllLabels() {
-			out.Matrix[l.String()] = m.At(l)
-		}
-		out.Total = m.Total()
-		thrd := res.count.DegreeThreshold
-		out.DegreeThreshold = &thrd
-		if req.Motif != "" {
-			out.Motif = label.String()
-			c := m.At(label)
-			out.Count = &c
-		}
-	case KindStar4:
-		out.Patterns = make(map[string]uint64, 8)
-		for i, v := range res.star4 {
-			d1, d2, d3 := motif.PairDirs(i)
-			out.Patterns[fmt.Sprintf("%s,%s,%s", d1, d2, d3)] = v
-		}
-		out.Total = res.star4.Total()
-	case KindPath4:
-		out.Paths = make(map[string]uint64, 24)
-		for _, lc := range res.path4.Labels() {
-			out.Paths[lc.Label.String()] = lc.Count
-		}
-		out.Total = res.path4.Total()
-	case KindQuery:
-		out.Total = *res.motifs
-	case KindSig:
-		rep := res.sig
-		out.Model = rep.Model.String()
-		out.Samples = rep.Trials
-		seed := req.Seed
-		out.Seed = &seed
-		out.Total = rep.Real.Total()
-		out.Motifs = make([]sigMotif, 0, 36)
-		for _, l := range motif.AllLabels() {
-			sm := sigMotif{
-				Label:  l.String(),
-				Real:   rep.Real.At(l),
-				Mean:   rep.MeanAt(l),
-				Std:    rep.StdAt(l),
-				PUpper: rep.PUpperAt(l),
-				PLower: rep.PLowerAt(l),
-			}
-			switch z := rep.ZScore(l); {
-			case math.IsInf(z, 1):
-				sm.ZInf = "+"
-			case math.IsInf(z, -1):
-				sm.ZInf = "-"
-			default:
-				sm.Z = &z
-			}
-			out.Motifs = append(out.Motifs, sm)
-		}
+	for _, l := range higher.AllPathLabels() {
+		path[l] = l.String()
 	}
-	return out
+	return star, path
+}()
+
+// renderSig fills the significance response fields from a report.
+func renderSig(out *queryResponse, req Request, rep *nullmodel.Report) {
+	out.Model = rep.Model.String()
+	out.Samples = rep.Trials
+	seed := req.Seed
+	out.Seed = &seed
+	out.Total = rep.Real.Total()
+	out.Motifs = make([]sigMotif, 0, 36)
+	for _, l := range motif.AllLabels() {
+		sm := sigMotif{
+			Label:  l.String(),
+			Real:   rep.Real.At(l),
+			Mean:   rep.MeanAt(l),
+			Std:    rep.StdAt(l),
+			PUpper: rep.PUpperAt(l),
+			PLower: rep.PLowerAt(l),
+		}
+		switch z := rep.ZScore(l); {
+		case math.IsInf(z, 1):
+			sm.ZInf = "+"
+		case math.IsInf(z, -1):
+			sm.ZInf = "-"
+		default:
+			sm.Z = &z
+		}
+		out.Motifs = append(out.Motifs, sm)
+	}
 }
 
 // renderApprox fills the approx-mode response fields from a finished
-// estimate. Per-cell intervals reuse the exact endpoints' cell names, so a
-// client can line an estimate up against the exact answer key-for-key.
-func (s *Server) renderApprox(out *queryResponse, req Request, a *approx.Result) {
+// estimate. Per-cell intervals reuse the exact endpoints' cell names
+// (cellKeys, indexed by cell; nil for a kind with none), so a client can
+// line an estimate up against the exact answer key-for-key.
+func renderApprox(out *queryResponse, req Request, a *approx.Result, cellKeys []string) {
 	out.Approx = true
 	out.Epsilon = req.Epsilon
 	out.Confidence = req.Conf
@@ -543,24 +521,13 @@ func (s *Server) renderApprox(out *queryResponse, req Request, a *approx.Result)
 	// Per-cell intervals render only when the backend returned the kind's
 	// full cell layout (8 star patterns, 48 path slots) — a backend serving
 	// totals only still gets a well-formed envelope.
-	switch req.Kind {
-	case KindStar4:
-		if len(a.Cells) < 8 {
-			return
-		}
-		out.Intervals = make(map[string]approx.Interval, 8)
-		for i := 0; i < 8; i++ {
-			d1, d2, d3 := motif.PairDirs(i)
-			out.Intervals[fmt.Sprintf("%s,%s,%s", d1, d2, d3)] = a.Cells[i]
-		}
-	case KindPath4:
-		labels := higher.AllPathLabels()
-		if len(a.Cells) < 48 {
-			return
-		}
-		out.Intervals = make(map[string]approx.Interval, len(labels))
-		for _, l := range labels {
-			out.Intervals[l.String()] = a.Cells[int(l)]
+	if len(cellKeys) == 0 || len(a.Cells) < len(cellKeys) {
+		return
+	}
+	out.Intervals = make(map[string]approx.Interval, len(cellKeys))
+	for i, k := range cellKeys {
+		if k != "" {
+			out.Intervals[k] = a.Cells[i]
 		}
 	}
 }

@@ -710,6 +710,35 @@ func TestQueryEndpoints(t *testing.T) {
 	if got := body["count"].(float64); got != 300 {
 		t.Fatalf("motif count = %v, want 300", got)
 	}
+	// Every hit stamps its own copy of the stored body: two triangle motifs
+	// on one cache key each get their own cell, in turn and interleaved,
+	// and a hit on the unrestricted key carries neither field.
+	want := map[string]any{"M26": 300.0, "M15": 0.0}
+	for _, m := range []string{"M26", "M15", "M26"} {
+		code, body = get(t, s, "/v1/count?dataset=tiny&delta=300&motif="+m)
+		if code != http.StatusOK || !body["cached"].(bool) || body["motif"] != m || body["count"] != want[m] {
+			t.Fatalf("motif=%s: %d %v", m, code, body)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		m := []string{"M26", "M15"}[i%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/count?dataset=tiny&delta=300&motif="+m, nil))
+			var body map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["motif"] != m || body["count"] != want[m] {
+				t.Errorf("interleaved motif=%s: %d %s", m, rec.Code, rec.Body)
+			}
+		}()
+	}
+	wg.Wait()
+	code, body = get(t, s, "/v1/count?dataset=tiny&delta=300")
+	if _, ok := body["motif"]; ok || body["count"] != nil || !body["cached"].(bool) {
+		t.Fatalf("unrestricted hit: %d %v", code, body)
+	}
 
 	code, body = get(t, s, "/v1/star4?dataset=tiny&delta=100")
 	if code != http.StatusOK || body["total"].(float64) != 200 {
@@ -1018,5 +1047,27 @@ func TestDatasetsHealthzMetrics(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("want error for missing backend")
+	}
+}
+
+// TestCachedCountHitAllocs fences the hit path's allocations: a cached
+// /v1/count hit copies the stored response body and encodes it, rendering
+// no answer again. Routing, parsing and encoding make the rest.
+func TestCachedCountHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	s, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/count?dataset=tiny&delta=300", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the key
+	if n := testing.AllocsPerRun(200, serve); n > 125 {
+		t.Fatalf("a cached count hit makes %.0f allocations, want at most 125", n)
 	}
 }

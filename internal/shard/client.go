@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hare/internal/server"
 )
 
 // Policy bounds one sub-request's delivery: per-attempt timeout, how many
@@ -250,8 +252,9 @@ func (c *Client) attempt(ctx context.Context, peer int, sub SubRequest) (*Partia
 
 // post performs the raw HTTP exchange with one peer and classifies the
 // failure modes: transport errors and 5xx are retryable, other non-2xx
-// are permanent, and a proto/shard mismatch in an otherwise-OK body is
-// permanent (the fleet is misconfigured, not flaky).
+// are permanent, and a proto/shard mismatch or a sig partial whose sample
+// count is not its range's in an otherwise-OK body is permanent (the fleet
+// is misconfigured or faulty, not flaky).
 func (c *Client) post(ctx context.Context, peer int, sub SubRequest) (*Partial, error) {
 	body, err := json.Marshal(&sub)
 	if err != nil {
@@ -294,6 +297,12 @@ func (c *Client) post(ctx context.Context, peer int, sub SubRequest) (*Partial, 
 	}
 	if p.Shard != sub.Shard {
 		return nil, &PermanentError{Status: 0, Msg: fmt.Sprintf("peer %s answered shard %d, want %d", c.peers[peer], p.Shard, sub.Shard)}
+	}
+	if sub.Kind == server.KindSig && len(p.Sig) != sub.Hi-sub.Lo {
+		// Each sample is one draw of the ensemble: a missing or repeated
+		// one would be averaged in as if the fleet had run another count.
+		return nil, &PermanentError{Status: 0, Msg: fmt.Sprintf("peer %s answered %d null samples for range [%d, %d), want %d",
+			c.peers[peer], len(p.Sig), sub.Lo, sub.Hi, sub.Hi-sub.Lo)}
 	}
 	return &p, nil
 }

@@ -100,6 +100,15 @@ func (c *Coordinator) scatter(ctx context.Context, g *temporal.Graph, req server
 	return c.client.scatter(ctx, tasks)
 }
 
+// sum scatters req over [0, n) and sums the partials' raw cells (Sum).
+func (c *Coordinator) sum(ctx context.Context, g *temporal.Graph, req server.Request, n int) ([]uint64, error) {
+	gather, err := c.scatter(ctx, g, req, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return gather.Sum()
+}
+
 // Count scatters equal ranges of the incidence positions — a hub a
 // boundary falls inside is swept in part by each of two workers — and
 // merges the raw counters in shard order (MergeCount). It resolves the
@@ -116,40 +125,37 @@ func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.R
 	return gather.MergeCount(g, req)
 }
 
-// Star4 scatters incidence-position ranges and sums the partial counters
-// in shard order.
+// Star4 sums the partial counters of incidence-position ranges.
 func (c *Coordinator) Star4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.Star4Counter, error) {
-	gather, err := c.scatter(ctx, g, req, g.NumIncidences(), nil)
+	cells, err := c.sum(ctx, g, req, g.NumIncidences())
 	if err != nil {
 		return higher.Star4Counter{}, err
 	}
-	return gather.MergeStar4()
+	return higher.Star4Counter(cells), nil
 }
 
-// Path4 scatters middle-edge ID ranges and sums the partial counters in
-// shard order.
+// Path4 sums the partial counters of middle-edge ID ranges.
 func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.PathCounter, error) {
-	gather, err := c.scatter(ctx, g, req, g.NumEdges(), nil)
+	cells, err := c.sum(ctx, g, req, g.NumEdges())
 	if err != nil {
 		return higher.PathCounter{}, err
 	}
-	return gather.MergePath4()
+	return higher.PathCounter(cells), nil
 }
 
-// Query compiles the (already canonical) spec and scatters ranges of the
-// plan's range domain — incidence positions for center plans (star, pair
-// and triangle specs), middle-edge IDs for path plans — summing the partial
-// counts in shard order.
+// Query compiles the (already canonical) spec and sums the partial counts
+// of ranges of the plan's range domain — incidence positions for center
+// plans (star, pair and triangle specs), middle-edge IDs for path plans.
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
 	qp, err := compile(req.Spec)
 	if err != nil {
 		return 0, err
 	}
-	gather, err := c.scatter(ctx, g, req, qp.RangeDomain(g), nil)
+	cells, err := c.sum(ctx, g, req, qp.RangeDomain(g))
 	if err != nil {
 		return 0, err
 	}
-	return gather.MergeQuery()
+	return cells[0], nil
 }
 
 // approxOptions maps a normalized approx-mode request onto the estimator

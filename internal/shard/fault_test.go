@@ -22,6 +22,7 @@ import (
 	"hare/internal/engine"
 	"hare/internal/higher"
 	"hare/internal/motif"
+	"hare/internal/nullmodel"
 	"hare/internal/server"
 	"hare/internal/temporal"
 )
@@ -328,4 +329,58 @@ func TestWorkerComputeMatchesLibrary(t *testing.T) {
 		t.Error("count matrix diverges")
 	}
 	var _ motif.Matrix = ans.Matrix
+}
+
+// tamperWorker boots a real shard worker over g behind a proxy that
+// rewrites every partial it answers with.
+func tamperWorker(t *testing.T, g *temporal.Graph, tamper func(*Partial)) *httptest.Server {
+	t.Helper()
+	w := &Worker{Graphs: &fakeSource{name: "d", g: g}, Version: "test"}
+	hs := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, r)
+		var p Partial
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &p) != nil {
+			http.Error(rw, rec.Body.String(), http.StatusInternalServerError)
+			return
+		}
+		tamper(&p)
+		json.NewEncoder(rw).Encode(&p)
+	}))
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// TestSigSampleCountMismatchIsLoud: a worker that answers a sample range
+// with one matrix too few or one too many is rejected as a permanent
+// failure, so the scatter degrades loudly instead of folding a wrong
+// number of null draws into the report.
+func TestSigSampleCountMismatchIsLoud(t *testing.T) {
+	g := shardTestGraph(t)
+	live := liveWorker(t, g)
+	req := server.Request{Kind: server.KindSig, Dataset: "d", Delta: 600, Workers: 1,
+		Model: nullmodel.TimeShuffle.String(), Samples: 8, Seed: 3}
+	for name, tamper := range map[string]func(*Partial){
+		"truncating":  func(p *Partial) { p.Sig = p.Sig[:len(p.Sig)-1] },
+		"duplicating": func(p *Partial) { p.Sig = append(p.Sig, p.Sig[0]) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := NewMetrics()
+			client, err := NewClient([]string{live.URL, tamperWorker(t, g, tamper).URL},
+				Policy{Timeout: 10 * time.Second, Retries: 2, Backoff: time.Millisecond}, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := NewCoordinator(client).Significance(context.Background(), g, req)
+			if err == nil {
+				t.Fatalf("scatter answered with %d trials of %d", rep.Trials, req.Samples)
+			}
+			if !strings.Contains(err.Error(), "null samples") {
+				t.Errorf("error %q does not name the sample count", err)
+			}
+			if retries, _, failures := m.Snapshot(); retries != 0 || failures == 0 {
+				t.Errorf("retries %d, failures %d: want a permanent failure, counted", retries, failures)
+			}
+		})
+	}
 }

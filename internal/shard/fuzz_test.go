@@ -81,12 +81,11 @@ func FuzzPartial(f *testing.F) {
 	}
 	star4, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 1}, 0, g.NumIncidences())
 	path4 := higher.CountPath4(g, delta, higher.Options{Workers: 1})
-	query := uint64(7)
 	for _, p := range []Partial{
-		{Kind: server.KindCount, Count: engine.CountRange(g, delta, engine.Options{Workers: 1}, 0, 9)},
-		{Kind: server.KindStar4, Star4: &star4},
-		{Kind: server.KindPath4, Path4: &path4},
-		{Kind: server.KindQuery, Query: &query},
+		{Kind: server.KindCount, Cells: engine.CountRange(g, delta, engine.Options{Workers: 1}, 0, 9).Cells()},
+		{Kind: server.KindStar4, Cells: star4[:]},
+		{Kind: server.KindPath4, Cells: path4[:]},
+		{Kind: server.KindQuery, Cells: []uint64{7}},
 		{Kind: server.KindSig, Sig: []motif.Matrix{{}, {{1, 2}}}},
 		{Kind: KindPath4Approx, Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata))},
 	} {
@@ -97,7 +96,7 @@ func FuzzPartial(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"proto":3,"kind":"count","shard":0,"count":{"pair":[1],"tri":null}}`))
+	f.Add([]byte(`{"proto":4,"kind":"count","shard":0,"cells":[1]}`))
 	f.Add([]byte(`{"proto":3,"kind":"path4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Partial
@@ -113,16 +112,15 @@ func FuzzPartial(f *testing.F) {
 		if p.Shard != 0 || !gather.Complete() {
 			t.Fatalf("gather accepted shard %d into a one-shard plan", p.Shard)
 		}
+		if w, sums := cellWidth[p.Kind]; sums && len(p.Cells) != w {
+			t.Fatalf("gather accepted %d cells for a %s partial of width %d", len(p.Cells), p.Kind, w)
+		}
 		var err error
 		switch p.Kind {
 		case server.KindCount:
 			_, err = gather.MergeCount(g, server.Request{Kind: server.KindCount, Delta: delta, Workers: 2, Motif: "M26"})
-		case server.KindStar4:
-			_, err = gather.MergeStar4()
-		case server.KindPath4:
-			_, err = gather.MergePath4()
-		case server.KindQuery:
-			_, err = gather.MergeQuery()
+		case server.KindStar4, server.KindPath4, server.KindQuery:
+			_, err = gather.Sum()
 		case server.KindSig:
 			_, err = gather.MergeSig(nullmodel.TimeShuffle, motif.Matrix{}, 1)
 		case KindPath4Approx, KindQueryApprox:

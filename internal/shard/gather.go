@@ -33,10 +33,20 @@ func NewGather(kind server.Kind, shards int) *Gather {
 	return &Gather{kind: kind, parts: make([]*Partial, shards)}
 }
 
+// cellWidth is the raw-cell width of each summing kind's partial
+// (Partial.Cells); the other kinds carry their own payloads.
+var cellWidth = map[server.Kind]int{
+	server.KindCount: motif.NumCells,
+	server.KindStar4: len(higher.Star4Counter{}),
+	server.KindPath4: len(higher.PathCounter{}),
+	server.KindQuery: 1,
+}
+
 // Add offers one partial. Duplicates for an already-filled shard index
 // are silently dropped (idempotent delivery); a partial that cannot
 // belong to the plan — wrong kind, shard index out of range, or missing
-// its kind's payload — is an error.
+// its kind's payload (for a summing kind: not exactly its width of cells)
+// — is an error.
 func (g *Gather) Add(p *Partial) error {
 	if p == nil {
 		return fmt.Errorf("shard: nil partial")
@@ -47,18 +57,13 @@ func (g *Gather) Add(p *Partial) error {
 	if p.Shard < 0 || p.Shard >= len(g.parts) {
 		return fmt.Errorf("shard: partial for shard %d, plan has %d", p.Shard, len(g.parts))
 	}
-	var ok bool
+	width, ok := cellWidth[g.kind]
+	if ok && len(p.Cells) != width {
+		return fmt.Errorf("shard: %s partial for shard %d carries %d cells, want %d", g.kind, p.Shard, len(p.Cells), width)
+	}
 	switch g.kind {
-	case server.KindCount:
-		ok = p.Count != nil
-	case server.KindStar4:
-		ok = p.Star4 != nil
-	case server.KindPath4:
-		ok = p.Path4 != nil
 	case server.KindSig:
 		ok = len(p.Sig) > 0 // an empty list is omitted on the wire: no payload
-	case server.KindQuery:
-		ok = p.Query != nil
 	case KindPath4Approx, KindQueryApprox:
 		ok = len(p.Approx) > 0
 	}
@@ -99,49 +104,37 @@ func (g *Gather) incomplete() error {
 	return fmt.Errorf("shard: %s gather incomplete: missing shards %v", g.kind, g.Missing())
 }
 
-// MergeStar4 sums the per-range Star4Counters in shard order. The cells
-// are exact uint64 tallies over disjoint incidence ranges, so the sum
-// equals the single-node counter bit for bit.
-func (g *Gather) MergeStar4() (higher.Star4Counter, error) {
-	var total higher.Star4Counter
+// Sum adds the summing kind's raw cells (Partial.Cells) in shard order.
+// They are exact uint64 tallies over disjoint ranges of the kind's domain —
+// each instance has one place in it: a star or pair at its center by its
+// last edge, a triangle at its owner by its first, a path at its middle
+// edge — so the sum equals the single-node counters bit for bit.
+func (g *Gather) Sum() ([]uint64, error) {
 	if !g.Complete() {
-		return total, g.incomplete()
+		return nil, g.incomplete()
 	}
+	total := make([]uint64, cellWidth[g.kind])
 	for _, p := range g.parts {
-		total.Add(p.Star4)
+		for i, v := range p.Cells {
+			total[i] += v
+		}
 	}
 	return total, nil
 }
 
-// MergePath4 sums the per-range PathCounters in shard order; exact for
-// the same reason as MergeStar4 (disjoint middle-edge ranges).
-func (g *Gather) MergePath4() (higher.PathCounter, error) {
-	var total higher.PathCounter
-	if !g.Complete() {
-		return total, g.incomplete()
-	}
-	for _, p := range g.parts {
-		total.Add(p.Path4)
-	}
-	return total, nil
-}
-
-// MergeCount sums the raw count partials in shard order — counters over a
-// partition of g's incidence positions, which add up cell by cell to the
-// whole graph's — and converts the sum once with ToMatrix (which halves the
-// pair cells, so per-shard matrices would not add up). It then answers as
-// the library path does for the same request: the motif= restriction is
-// hare.Count's (motif.Matrix.KeepCategory), and the workers and threshold
-// echo are what hare.Count reports for req's hints on g — read off req with
-// no degree scan when req carries a threshold, as Coordinator.Count's does.
+// MergeCount sums the raw count partials (Sum) and converts the sum once
+// with ToMatrix (which halves the pair cells, so per-shard matrices would
+// not add up). It then answers as the library path does for the same
+// request: the motif= restriction is hare.Count's (motif.Matrix.KeepCategory),
+// and the workers and threshold echo are what hare.Count reports for req's
+// hints on g — read off req with no degree scan when req carries a
+// threshold, as Coordinator.Count's does.
 func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	if !g.Complete() {
-		return server.CountAnswer{}, g.incomplete()
+	cells, err := g.Sum()
+	if err != nil {
+		return server.CountAnswer{}, err
 	}
-	var total motif.Counts
-	for _, p := range g.parts {
-		total.Add(p.Count)
-	}
+	total := motif.CountsFromCells(cells)
 	m := total.ToMatrix()
 	if req.Motif != "" {
 		l, err := motif.ParseLabel(req.Motif)
@@ -156,21 +149,6 @@ func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.Coun
 		thrd = engine.EffectiveDegreeThreshold(gr, eo)
 	}
 	return server.CountAnswer{Matrix: m, Workers: eo.EffectiveWorkers(), DegreeThreshold: thrd}, nil
-}
-
-// MergeQuery sums the per-range spec counts in shard order. Each instance
-// has a unique place in the range domain (its center and last edge, or its
-// pivot edge), so partial counts over disjoint ranges sum — exactly, as
-// uint64 tallies — to the single-node answer.
-func (g *Gather) MergeQuery() (uint64, error) {
-	if !g.Complete() {
-		return 0, g.incomplete()
-	}
-	var total uint64
-	for _, p := range g.parts {
-		total += *p.Query
-	}
-	return total, nil
 }
 
 // MergeApprox concatenates the per-stratum moments in shard order —

@@ -40,7 +40,7 @@ func TestGatherMergeCount(t *testing.T) {
 	parts := make([]*shard.Partial, len(rs))
 	for i, r := range rs {
 		c := engine.CountRange(g, delta, engine.Options{Workers: 2}, r.Lo, r.Hi)
-		parts[i] = &shard.Partial{Proto: shard.ProtoVersion, Kind: server.KindCount, Shard: i, Count: c}
+		parts[i] = &shard.Partial{Proto: shard.ProtoVersion, Kind: server.KindCount, Shard: i, Cells: c.Cells()}
 	}
 	for _, tc := range []struct {
 		req  server.Request

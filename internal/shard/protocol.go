@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"hare/internal/approx"
-	"hare/internal/higher"
 	"hare/internal/motif"
 	"hare/internal/server"
 )
@@ -43,7 +42,9 @@ import (
 // as node IDs and return a silently wrong partial. Version 3 made triangle
 // specs center plans, whose query ranges are incidence positions where a
 // version-2 end reads pivot-edge IDs, and retired the star4approx kind.
-const ProtoVersion = 3
+// Version 4 moved the summing kinds' counters into one raw-cell list
+// (Partial.Cells), which a version-3 end neither sends nor reads.
+const ProtoVersion = 4
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.
@@ -119,24 +120,28 @@ type SubRequest struct {
 	Samples int     `json:"samples,omitempty"`
 }
 
-// Partial is one shard's partial answer. Exactly one of the kind fields
-// is set. All counters are exact integers, so JSON round-trips them
-// bit-identically. Count carries the range's raw FAST counters, not a
-// matrix: ToMatrix halves the pair cells, so only the summed counters
-// convert exactly. Sig carries the raw per-sample count matrices (sample
-// lo up to hi, in index order) — the coordinator folds them through the
-// deterministic Welford chunk tree itself, because floating-point merge
-// order must not depend on the cluster layout.
+// Partial is one shard's partial answer. Exactly one payload is set.
+//
+// The summing kinds — count, star4, path4 and query — carry Cells, the
+// range's raw counters as exact integers, so JSON round-trips them
+// bit-identically and partials over disjoint ranges add up cell by cell
+// (Gather.Sum). The width is fixed per kind (cellWidth): 56 for count, the
+// FAST counters in motif.Counts.Cells order (8 pair, 24 star, 24 tri cells;
+// raw, not a matrix: ToMatrix halves the pair cells, so only the summed
+// counters convert exactly); 8 for star4 and 48 for path4, their counters'
+// cells; 1 for query, the spec count.
+//
+// Sig carries the raw per-sample count matrices (sample lo up to hi, in
+// index order) — the coordinator folds them through the deterministic
+// Welford chunk tree itself, because floating-point merge order must not
+// depend on the cluster layout.
 type Partial struct {
 	Proto int         `json:"proto"`
 	Kind  server.Kind `json:"kind"`
 	Shard int         `json:"shard"`
 
-	Count *motif.Counts        `json:"count,omitempty"`
-	Star4 *higher.Star4Counter `json:"star4,omitempty"`
-	Path4 *higher.PathCounter  `json:"path4,omitempty"`
-	Sig   []motif.Matrix       `json:"sig,omitempty"`
-	Query *uint64              `json:"query,omitempty"`
+	Cells []uint64       `json:"cells,omitempty"`
+	Sig   []motif.Matrix `json:"sig,omitempty"`
 	// Approx carries the per-stratum moments for strata [lo, hi), in
 	// stratum order. Floats round-trip JSON exactly (shortest-repr
 	// encoding), so a remote finish equals a local one bit for bit.

@@ -7,6 +7,7 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	parts := make([]*Partial, len(rs))
 	for i, r := range rs {
 		c, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 2}, r.Lo, r.Hi)
-		parts[i] = &Partial{Proto: ProtoVersion, Kind: server.KindStar4, Shard: i, Star4: &c}
+		parts[i] = &Partial{Proto: ProtoVersion, Kind: server.KindStar4, Shard: i, Cells: c[:]}
 	}
 
 	// Delivery order: shuffled, with every partial delivered twice and a
@@ -107,9 +108,9 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	for _, i := range order {
 		p := parts[i]
 		if seen[i] {
-			bad := *parts[i].Star4
+			bad := slices.Clone(parts[i].Cells)
 			bad[0] += 999 // a poisoned late duplicate must be dropped
-			p = &Partial{Proto: ProtoVersion, Kind: server.KindStar4, Shard: i, Star4: &bad}
+			p = &Partial{Proto: ProtoVersion, Kind: server.KindStar4, Shard: i, Cells: bad}
 		}
 		seen[i] = true
 		if err := gather.Add(p); err != nil {
@@ -119,11 +120,11 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	if !gather.Complete() {
 		t.Fatalf("gather incomplete, missing %v", gather.Missing())
 	}
-	got, err := gather.MergeStar4()
+	cells, err := gather.Sum()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != full {
+	if got := higher.Star4Counter(cells); got != full {
 		t.Fatalf("merged star4 counter diverges from full-range count:\n got %v\nwant %v", got, full)
 	}
 
@@ -140,6 +141,15 @@ func TestGatherIdempotentStar4(t *testing.T) {
 	if err := gather.Add(&Partial{Kind: server.KindStar4, Shard: 0}); err == nil {
 		t.Error("payload-less partial accepted")
 	}
+	if err := gather.Add(&Partial{Kind: server.KindStar4, Shard: 0, Cells: make([]uint64, 7)}); err == nil {
+		t.Error("short cells accepted")
+	}
+	if err := gather.Add(&Partial{Kind: server.KindStar4, Shard: 0, Cells: make([]uint64, 9)}); err == nil {
+		t.Error("long cells accepted")
+	}
+	if err := NewGather(server.KindSig, 1).Add(&Partial{Kind: server.KindSig, Shard: 0, Cells: make([]uint64, 8)}); err == nil {
+		t.Error("cells accepted by a sig gather")
+	}
 }
 
 // TestGatherIncompleteIsLoud checks a merge with missing shards fails by
@@ -147,10 +157,10 @@ func TestGatherIdempotentStar4(t *testing.T) {
 func TestGatherIncompleteIsLoud(t *testing.T) {
 	gather := NewGather(server.KindPath4, 3)
 	var c higher.PathCounter
-	if err := gather.Add(&Partial{Proto: ProtoVersion, Kind: server.KindPath4, Shard: 1, Path4: &c}); err != nil {
+	if err := gather.Add(&Partial{Proto: ProtoVersion, Kind: server.KindPath4, Shard: 1, Cells: c[:]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gather.MergePath4(); err == nil {
+	if _, err := gather.Sum(); err == nil {
 		t.Fatal("incomplete merge succeeded")
 	} else if want := "missing shards [0 2]"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the holes (%q)", err, want)

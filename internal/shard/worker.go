@@ -121,7 +121,7 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 	switch sub.Kind {
 	case server.KindCount:
 		if sub.Motif == "" {
-			p.Count = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi)
+			p.Cells = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi).Cells()
 			break
 		}
 		// A motif= count runs its category's kernel only; the merge keeps
@@ -130,20 +130,19 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 		if err != nil {
 			return nil, err
 		}
-		p.Count = engine.CountCategoryRange(g, delta, schedule(sub), sub.Lo, sub.Hi, l.Category())
+		p.Cells = engine.CountCategoryRange(g, delta, schedule(sub), sub.Lo, sub.Hi, l.Category()).Cells()
 	case server.KindStar4:
 		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
-		p.Star4 = &c
+		p.Cells = c[:]
 	case server.KindPath4:
 		c := higher.CountPath4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
-		p.Path4 = &c
+		p.Cells = c[:]
 	case server.KindQuery:
 		qp, err := compile(sub.Spec)
 		if err != nil {
 			return nil, err
 		}
-		n := qp.ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
-		p.Query = &n
+		p.Cells = []uint64{qp.ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)}
 	case KindPath4Approx, KindQueryApprox:
 		var k approx.Kernel = approx.PathKernel{}
 		if sub.Kind == KindQueryApprox {
