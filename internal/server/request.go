@@ -28,37 +28,38 @@ const (
 // Request is the canonical form of one query. The CLI, the HTTP handlers
 // and the result cache all speak this type: handlers parse URL queries into
 // it, the cache keys on its Key(), and the daemon's load generator builds
-// the same URLs from it.
+// the same URLs from it. Its JSON form is the request half of a shard
+// sub-request (docs/SHARDING.md).
 //
 // Workers and Thrd are scheduling hints: every counting algorithm in hare
 // is exact and bit-identical at any worker count or degree threshold, so
 // they steer resource use but never the answer — and therefore do not
 // participate in the cache key.
 type Request struct {
-	Kind    Kind
-	Dataset string
+	Kind    Kind   `json:"kind"`
+	Dataset string `json:"dataset"`
 	// Delta is the motif window δ in the dataset's time units. The library
 	// accepts δ=0 (only simultaneous edges form motifs), so an explicit
 	// delta=0 is honored; only an *absent* delta defaults to 600 — DeltaSet
 	// records which was meant.
-	Delta    int64
-	DeltaSet bool
+	Delta    int64 `json:"delta"`
+	DeltaSet bool  `json:"delta_set,omitempty"`
 	// Motif restricts a count query to one motif's category and names the
 	// cell to surface as the scalar "count" field (count kind only).
-	Motif string
+	Motif string `json:"motif,omitempty"`
 	// Workers is the per-job parallelism hint (0 = the server's job width).
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Thrd overrides HARE's degree threshold when ThrdSet (0 = auto).
-	Thrd    int
-	ThrdSet bool
+	Thrd    int  `json:"thrd,omitempty"`
+	ThrdSet bool `json:"thrd_set,omitempty"`
 	// Significance options (sig kind only).
-	Model   string
-	Samples int
-	Seed    int64
+	Model   string `json:"model,omitempty"`
+	Samples int    `json:"samples,omitempty"`
+	Seed    int64  `json:"seed,omitempty"`
 	// Spec is the motif spec of a query-kind request, in the compact text
-	// form or the JSON form (docs/QUERY.md). normalize rewrites it to the
+	// form or the JSON form (docs/QUERY.md). Normalize rewrites it to the
 	// canonical text, so isomorphic specs share one cache key.
-	Spec string
+	Spec string `json:"spec,omitempty"`
 	// Approximate-mode knobs (star4, path4 and query kinds; docs/APPROX.md).
 	// An epsilon parameter switches the request to the sampling estimator;
 	// EpsilonSet records that the switch happened (epsilon, confidence, seed
@@ -66,17 +67,28 @@ type Request struct {
 	// requests leave every approx field zero and their keys byte-unchanged.
 	// Samples and Seed are shared with the sig kind: samples pins the draw
 	// budget (overriding epsilon sizing), seed fixes the streams.
-	Epsilon    float64
-	EpsilonSet bool
-	Conf       float64
-	ConfSet    bool
+	Epsilon    float64 `json:"epsilon,omitempty"`
+	EpsilonSet bool    `json:"epsilon_set,omitempty"`
+	Conf       float64 `json:"conf,omitempty"`
+	ConfSet    bool    `json:"conf_set,omitempty"`
 }
 
-// normalize applies defaults and validates the request. It returns the
+// Normalize applies defaults and validates the request; the public
+// endpoints run it on every parsed query and a shard worker on every
+// sub-request, so both ends accept exactly the same requests. It is
+// idempotent: a normalized request normalizes to itself. It returns the
 // parsed motif label (zero when unrestricted).
-func (r *Request) normalize() (motif.Label, error) {
+func (r *Request) Normalize() (motif.Label, error) {
 	if r.Dataset == "" {
 		return motif.Label{}, fmt.Errorf("missing dataset")
+	}
+	var approxMode bool // the kinds with an approximate mode
+	switch r.Kind {
+	case KindStar4, KindPath4, KindQuery:
+		approxMode = true
+	case KindCount, KindSig:
+	default:
+		return motif.Label{}, fmt.Errorf("unknown kind %q", r.Kind)
 	}
 	if !r.DeltaSet && r.Delta == 0 {
 		r.Delta = 600
@@ -94,18 +106,38 @@ func (r *Request) normalize() (motif.Label, error) {
 		// consumer (backend options, shard scatter, response echo) agrees.
 		r.ThrdSet = false
 	}
+	// A kind reads only its own parameters: one it would ignore is an
+	// error, never a silent no-op. The scheduling hints (workers, thrd)
+	// never change an answer, so every kind accepts them. The estimator
+	// knobs (knob) are read in approximate mode, and samples and seed by
+	// sig too.
+	seeded := r.Kind == KindSig || r.EpsilonSet
+	for _, p := range []struct {
+		name            string
+		set, read, knob bool
+	}{
+		{"motif", r.Motif != "", r.Kind == KindCount, false},
+		{"spec", r.Spec != "", r.Kind == KindQuery, false},
+		{"model", r.Model != "", r.Kind == KindSig, false},
+		{"epsilon", r.EpsilonSet, approxMode, false},
+		{"conf", r.ConfSet, r.EpsilonSet, true},
+		{"samples", r.Samples != 0, seeded, true},
+		{"seed", r.Seed != 0, seeded, true},
+	} {
+		if !p.set || p.read {
+			continue
+		}
+		if approxMode && p.knob {
+			return motif.Label{}, fmt.Errorf("%s does not apply to %s requests without epsilon", p.name, r.Kind)
+		}
+		return motif.Label{}, fmt.Errorf("%s does not apply to %s requests", p.name, r.Kind)
+	}
 	var label motif.Label
 	if r.Motif != "" {
-		if r.Kind != KindCount {
-			return motif.Label{}, fmt.Errorf("motif applies only to count queries")
-		}
 		var err error
 		if label, err = motif.ParseLabel(r.Motif); err != nil {
 			return motif.Label{}, err
 		}
-	}
-	if r.Spec != "" && r.Kind != KindQuery {
-		return motif.Label{}, fmt.Errorf("spec applies only to query requests")
 	}
 	if r.Kind == KindQuery {
 		if r.Spec == "" {
@@ -120,15 +152,7 @@ func (r *Request) normalize() (motif.Label, error) {
 		// unchanged for the query kind.
 		r.Spec = s.Canonical()
 	}
-	if r.ConfSet && !r.EpsilonSet {
-		return motif.Label{}, fmt.Errorf("conf applies only with epsilon")
-	}
 	if r.EpsilonSet {
-		switch r.Kind {
-		case KindStar4, KindPath4, KindQuery:
-		default:
-			return motif.Label{}, fmt.Errorf("epsilon applies only to star4, path4 and query requests")
-		}
 		if !(r.Epsilon > 0 && r.Epsilon < 1) {
 			return motif.Label{}, fmt.Errorf("epsilon must be in (0, 1) (got %v)", r.Epsilon)
 		}
@@ -142,13 +166,6 @@ func (r *Request) normalize() (motif.Label, error) {
 		}
 		if r.Samples < 0 {
 			return motif.Label{}, fmt.Errorf("samples must be >= 0 (got %d)", r.Samples)
-		}
-	} else if r.Kind == KindStar4 || r.Kind == KindPath4 {
-		if r.Samples != 0 {
-			return motif.Label{}, fmt.Errorf("samples applies only with epsilon or to sig requests")
-		}
-		if r.Seed != 0 {
-			return motif.Label{}, fmt.Errorf("seed applies only with epsilon or to sig requests")
 		}
 	}
 	if r.Kind == KindSig {
@@ -178,7 +195,7 @@ func categoryKey(m string) string {
 	}
 	l, err := motif.ParseLabel(m)
 	if err != nil {
-		// normalize guarantees validity; swallowing the error here would
+		// Normalize guarantees validity; swallowing the error here would
 		// silently poison the unrestricted "all" cache entry with a
 		// category-restricted matrix. Fail loudly instead.
 		panic(fmt.Sprintf("server: categoryKey(%q) on unvalidated motif: %v", m, err))
@@ -203,7 +220,7 @@ func (r *Request) Key() string {
 	case KindCount:
 		return fmt.Sprintf("count|%s|%d|%s", r.Dataset, r.Delta, categoryKey(r.Motif))
 	case KindQuery:
-		// r.Spec is canonical after normalize, so every isomorphic spelling
+		// r.Spec is canonical after Normalize, so every isomorphic spelling
 		// of a motif shares one cache entry.
 		return fmt.Sprintf("query|%s|%d|%s", r.Dataset, r.Delta, r.Spec) + r.approxKey()
 	default:
@@ -277,7 +294,7 @@ func ParseRequest(kind Kind, q url.Values) (Request, motif.Label, error) {
 		}
 		r.ConfSet = true
 	}
-	label, err := r.normalize()
+	label, err := r.Normalize()
 	return r, label, err
 }
 

@@ -52,7 +52,7 @@ type Backend interface {
 	Star4(ctx context.Context, g *temporal.Graph, req Request) (higher.Star4Counter, error)
 	Path4(ctx context.Context, g *temporal.Graph, req Request) (higher.PathCounter, error)
 	Significance(ctx context.Context, g *temporal.Graph, req Request) (*nullmodel.Report, error)
-	// Query counts the instances of req.Spec (canonical after normalize,
+	// Query counts the instances of req.Spec (canonical after Normalize,
 	// guaranteed to parse) within δ — the compiled-plan kind (/v1/query).
 	Query(ctx context.Context, g *temporal.Graph, req Request) (uint64, error)
 	// Star4Approx, Path4Approx and QueryApprox serve the same three kinds

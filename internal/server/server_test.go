@@ -927,12 +927,21 @@ func TestApproxEndpoints(t *testing.T) {
 	if body["spec"].(string) != "a->b; b->c; c->a" || body["pivot"].(string) != "center" {
 		t.Fatalf("approx query spec echo = %v/%v", body["spec"], body["pivot"])
 	}
-	// Knob rejections surface as 400s at the endpoint.
+	// Knob rejections surface as 400s at the endpoint, and so does any
+	// parameter the kind does not read.
 	for _, path := range []string{
 		"/v1/count?dataset=tiny&epsilon=0.05",
 		"/v1/sig?dataset=tiny&epsilon=0.05",
 		"/v1/star4?dataset=tiny&conf=0.95",
 		"/v1/star4?dataset=tiny&epsilon=2",
+		"/v1/star4?dataset=tiny&samples=5",
+		"/v1/path4?dataset=tiny&seed=5",
+		"/v1/count?dataset=tiny&samples=5",
+		"/v1/count?dataset=tiny&seed=5",
+		"/v1/count?dataset=tiny&model=bogus",
+		"/v1/query?dataset=tiny&spec=a-%3Eb,b-%3Ec,c-%3Ea&seed=5",
+		"/v1/query?dataset=tiny&spec=a-%3Eb,b-%3Ec,c-%3Ea&samples=5",
+		"/v1/path4?dataset=tiny&model=bogus",
 	} {
 		if code, body := get(t, s, path); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400 (%v)", path, code, body)

@@ -131,7 +131,7 @@ type task struct {
 // It returns a loud error naming the failed shards if any task exhausts
 // its attempts — partial answers are never silently served as whole ones.
 func (c *Client) scatter(ctx context.Context, tasks []task) (*Gather, error) {
-	g := NewGather(tasks[0].sub.Kind, len(tasks))
+	g := gatherFor(tasks[0].sub.Request, len(tasks))
 	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
 	for i := range tasks {

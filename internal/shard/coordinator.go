@@ -8,7 +8,6 @@ import (
 	"hare/internal/engine"
 	"hare/internal/higher"
 	"hare/internal/nullmodel"
-	"hare/internal/query"
 	"hare/internal/server"
 	"hare/internal/temporal"
 )
@@ -44,32 +43,11 @@ func NewCoordinator(client *Client) *Coordinator {
 // hare.NewServer count with unless a coordinator's fleet replaces it.
 func Local() *Coordinator { return &Coordinator{} }
 
-// sub builds one shard's sub-request for a query. The estimator knobs ride
-// along in approximate mode only.
+// sub builds one shard's sub-request for a query: the request plus the
+// range.
 func sub(req server.Request, g *temporal.Graph, shard, shards, lo, hi int) SubRequest {
-	s := SubRequest{
-		Proto:   ProtoVersion,
-		Kind:    req.Kind,
-		Dataset: req.Dataset,
-		Delta:   req.Delta,
-		Shard:   shard,
-		Shards:  shards,
-		Lo:      lo,
-		Hi:      hi,
-		Nodes:   g.NumNodes(),
-		Edges:   g.NumEdges(),
-		Workers: req.Workers,
-		Thrd:    req.Thrd,
-		ThrdSet: req.ThrdSet,
-		Motif:   req.Motif,
-		Model:   req.Model,
-		Seed:    req.Seed,
-		Spec:    req.Spec,
-	}
-	if req.EpsilonSet {
-		s.Epsilon, s.Conf, s.Samples = req.Epsilon, req.Conf, req.Samples
-	}
-	return s
+	return SubRequest{Proto: ProtoVersion, Request: req, Shard: shard, Shards: shards, Lo: lo, Hi: hi,
+		Nodes: g.NumNodes(), Edges: g.NumEdges()}
 }
 
 // scatter plans req as contiguous ranges of [0, n) and gathers their
@@ -82,14 +60,14 @@ func sub(req server.Request, g *temporal.Graph, shard, shards, lo, hi int) SubRe
 // zero answer.
 func (c *Coordinator) scatter(ctx context.Context, g *temporal.Graph, req server.Request, n int, plan *approx.Plan) (*Gather, error) {
 	if n <= 0 {
-		return NewGather(req.Kind, 0), nil
+		return gatherFor(req, 0), nil
 	}
 	if c.client == nil {
 		p, err := compute(g, sub(req, g, 0, 1, 0, n), plan)
 		if err != nil {
 			return nil, err
 		}
-		gather := NewGather(req.Kind, 1)
+		gather := gatherFor(req, 1)
 		return gather, gather.Add(p)
 	}
 	ranges := Ranges(n, len(c.client.peers))
@@ -164,18 +142,24 @@ func approxOptions(req server.Request) approx.Options {
 	return approx.Options{Epsilon: req.Epsilon, Confidence: req.Conf, Seed: req.Seed, Samples: req.Samples}
 }
 
-// approxScatter runs one sampled approximate-mode query as the wire kind:
-// build the sampling plan locally, scatter contiguous stratum-index ranges
-// like every range kind, and finish the gathered moments against the local
-// plan. Remote workers rebuild the identical plan from the knobs on the
-// wire; in process the plan is reused. The finished result is bit-identical
-// to the library's at any fleet size (docs/APPROX.md).
-func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req server.Request, kind server.Kind, k approx.Kernel) (*approx.Result, error) {
+// exact is req with its estimator knobs cleared: the exact request whose
+// scatter answers an approximate request for a node-pivot family.
+func exact(req server.Request) server.Request {
+	req.Epsilon, req.EpsilonSet, req.Conf, req.ConfSet, req.Seed, req.Samples = 0, false, 0, false, 0, 0
+	return req
+}
+
+// approxScatter runs one sampled request: build the sampling plan locally,
+// scatter contiguous stratum-index ranges like every range kind, and finish
+// the gathered moments against the local plan. Remote workers rebuild the
+// identical plan from the knobs on the wire; in process the plan is
+// reused. The finished result is bit-identical to the library's at any
+// fleet size (docs/APPROX.md).
+func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req server.Request, k approx.Kernel) (*approx.Result, error) {
 	plan, err := approx.NewPlan(g, k, approxOptions(req))
 	if err != nil {
 		return nil, err
 	}
-	req.Kind = kind
 	gather, err := c.scatter(ctx, g, req, len(plan.Strata), plan)
 	if err != nil {
 		return nil, err
@@ -186,7 +170,7 @@ func (c *Coordinator) approxScatter(ctx context.Context, g *temporal.Graph, req 
 // Star4Approx answers exactly, as hare.CountStar4Approx does: the exact
 // star4 scatter, finished by approx.Exact.
 func (c *Coordinator) Star4Approx(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	s4, err := c.Star4(ctx, g, req)
+	s4, err := c.Star4(ctx, g, exact(req))
 	if err != nil {
 		return nil, err
 	}
@@ -195,22 +179,22 @@ func (c *Coordinator) Star4Approx(ctx context.Context, g *temporal.Graph, req se
 
 // Path4Approx scatters stratum ranges of the path sampling plan.
 func (c *Coordinator) Path4Approx(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	return c.approxScatter(ctx, g, req, KindPath4Approx, approx.PathKernel{})
+	return c.approxScatter(ctx, g, req, approx.PathKernel{})
 }
 
-// QueryApprox compiles the (already canonical) spec. A path plan scatters
-// stratum ranges of its plan-kernel sampling plan; a center plan is answered
-// exactly, as hare.CountMotifApprox does: the exact query scatter, finished
-// by approx.Exact.
+// QueryApprox reads the (already canonical) spec's sampling kernel. A path
+// plan scatters stratum ranges of its plan-kernel sampling plan; a center
+// plan is answered exactly, as hare.CountMotifApprox does: the exact query
+// scatter, finished by approx.Exact.
 func (c *Coordinator) QueryApprox(ctx context.Context, g *temporal.Graph, req server.Request) (*approx.Result, error) {
-	qp, err := compile(req.Spec)
+	k, err := kernel(req)
 	if err != nil {
 		return nil, err
 	}
-	if qp.Kind() == query.PlanEdge {
-		return c.approxScatter(ctx, g, req, KindQueryApprox, approx.PlanKernel{Plan: qp})
+	if k != nil {
+		return c.approxScatter(ctx, g, req, k)
 	}
-	n, err := c.Query(ctx, g, req)
+	n, err := c.Query(ctx, g, exact(req))
 	if err != nil {
 		return nil, err
 	}

@@ -208,9 +208,9 @@ func TestPermanentRejectionsFailFast(t *testing.T) {
 	}
 
 	base := SubRequest{
-		Proto: ProtoVersion, Kind: server.KindStar4, Dataset: "d", Delta: 600,
+		Proto: ProtoVersion, Request: server.Request{Kind: server.KindStar4, Dataset: "d", Delta: 600, Workers: 1},
 		Shard: 0, Shards: 1, Lo: 0, Hi: g.NumNodes(),
-		Nodes: g.NumNodes(), Edges: g.NumEdges(), Workers: 1,
+		Nodes: g.NumNodes(), Edges: g.NumEdges(),
 	}
 	cases := []struct {
 		name   string
@@ -274,21 +274,31 @@ func TestV1SubRequestIsRefused(t *testing.T) {
 }
 
 // TestWorkerRefusesUnsampledApprox: the node-pivot families are never
-// sampled, so a worker refuses the retired star4approx kind and a
-// queryapprox sub-request for a center plan with a 400, never a partial.
+// sampled — the coordinator answers their approximate requests through
+// exact sub-requests — so a worker refuses a star4 or a center-plan query
+// sub-request with epsilon_set with a 400, never a partial. The version-4
+// approx kinds (and the version-2 star4approx) are unknown kinds, also 400.
 func TestWorkerRefusesUnsampledApprox(t *testing.T) {
 	g := shardTestGraph(t)
 	live := liveWorker(t, g)
-	for _, kindSpec := range []string{`"kind":"star4approx"`, `"kind":"queryapprox","spec":"a->b; b->c; c->a"`} {
-		body := fmt.Sprintf(`{"proto":%d,%s,"dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":1,"nodes":%d,"edges":%d,"epsilon":0.05}`,
+	for _, kindSpec := range []string{
+		`"kind":"star4","epsilon":0.05,"epsilon_set":true`,
+		`"kind":"query","spec":"a->b; b->c; c->a","epsilon":0.05,"epsilon_set":true`,
+		`"kind":"star4approx","epsilon":0.05`,
+		`"kind":"path4approx","epsilon":0.05`,
+		`"kind":"queryapprox","spec":"a->b; b->c; c->d","epsilon":0.05`,
+	} {
+		body := fmt.Sprintf(`{"proto":%d,%s,"dataset":"d","delta":600,"shard":0,"shards":1,"lo":0,"hi":1,"nodes":%d,"edges":%d}`,
 			ProtoVersion, kindSpec, g.NumNodes(), g.NumEdges())
 		resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: HTTP %d, want 400", body, resp.StatusCode)
+		if err != nil || resp.StatusCode != http.StatusBadRequest || we.Error == "" {
+			t.Fatalf("%s: HTTP %d (%q, %v), want 400 with a wire error", body, resp.StatusCode, we.Error, err)
 		}
 	}
 }

@@ -31,10 +31,20 @@ func fuzzGraph() *temporal.Graph {
 
 func FuzzSubRequest(f *testing.F) {
 	g := fuzzGraph()
-	for _, kind := range []server.Kind{server.KindCount, server.KindStar4, server.KindPath4, server.KindSig,
-		server.KindQuery, KindPath4Approx, KindQueryApprox} {
-		s := sub(server.Request{Kind: kind, Dataset: "d", Delta: 5, Workers: 2, Motif: "M26",
-			Spec: "a->b; b->c; c->d", Model: "timeshuffle", Seed: 3}, g, 1, 3, 4, 9)
+	for _, req := range []server.Request{
+		{Kind: server.KindCount, Motif: "M26", Thrd: 4, ThrdSet: true},
+		{Kind: server.KindStar4},
+		{Kind: server.KindPath4},
+		{Kind: server.KindSig, Model: "timeshuffle", Samples: 9, Seed: 3},
+		{Kind: server.KindQuery, Spec: "a->b; b->c; c->d"},
+		// One sampled request per family with an approximate mode (a
+		// worker refuses the star4 one when it computes, not here).
+		{Kind: server.KindStar4, Epsilon: 0.1, EpsilonSet: true, Seed: 3},
+		{Kind: server.KindPath4, Epsilon: 0.1, EpsilonSet: true, Conf: 0.9, ConfSet: true, Seed: 3},
+		{Kind: server.KindQuery, Spec: "a->b; b->c; c->d", Epsilon: 0.2, EpsilonSet: true, Samples: 7},
+	} {
+		req.Dataset, req.Delta, req.DeltaSet, req.Workers = "d", 5, true, 2
+		s := sub(req, g, 1, 3, 4, 9)
 		data, err := json.Marshal(&s)
 		if err != nil {
 			f.Fatal(err)
@@ -44,8 +54,9 @@ func FuzzSubRequest(f *testing.F) {
 	f.Add([]byte(`{"proto":1,"kind":"count","dataset":"d","shard":0,"shards":1}`))
 	f.Add([]byte(`{"proto":2,"kind":"query","dataset":"d","shard":0,"shards":1,"spec":"a->b; b->c; c->a"}`))
 	f.Add([]byte(`{"proto":3,"kind":"star4","dataset":"d","shard":0,"shards":1,"lo":5,"hi":2}`))
-	f.Add([]byte(`{"proto":3,"kind":"star4approx","dataset":"d","shard":0,"shards":1}`))
-	f.Add([]byte(`{"proto":3,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
+	f.Add([]byte(`{"proto":4,"kind":"path4approx","dataset":"d","shard":0,"shards":1,"epsilon":0.1}`))
+	f.Add([]byte(`{"proto":5,"kind":"count","dataset":"d","shard":0,"shards":1,"seed":4}`))
+	f.Add([]byte(`{"proto":5,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s SubRequest
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&s) != nil { // the worker's decode
@@ -54,11 +65,17 @@ func FuzzSubRequest(f *testing.F) {
 		if s.validate() != nil {
 			return
 		}
-		if s.Proto != ProtoVersion || s.Dataset == "" || s.Delta < 0 || s.Shard < 0 || s.Shard >= s.Shards {
+		if s.Proto != ProtoVersion || s.Dataset == "" || s.Delta < 0 || !s.DeltaSet || s.Shard < 0 || s.Shard >= s.Shards {
 			t.Fatalf("validate accepted %+v", s)
 		}
 		if s.Lo < 0 || s.Hi < s.Lo {
 			t.Fatalf("validate accepted the range [%d, %d) of a %s sub-request", s.Lo, s.Hi, s.Kind)
+		}
+		// Normalize is idempotent: an accepted sub-request is a fixed point
+		// of validate.
+		again := s
+		if err := again.validate(); err != nil || again != s {
+			t.Fatalf("validating %+v again gave %+v (%v)", s, again, err)
 		}
 		// What the worker accepts, the coordinator's encoding reproduces.
 		out, err := json.Marshal(&s)
@@ -79,6 +96,16 @@ func FuzzPartial(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A sampled partial merges through a sampled gather.
+	sampled := Partial{Proto: ProtoVersion, Kind: server.KindPath4,
+		Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata))}
+	gather := gatherFor(server.Request{Kind: server.KindPath4, EpsilonSet: true}, 1)
+	if err := gather.Add(&sampled); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := gather.MergeApprox(plan); err != nil {
+		f.Fatal(err)
+	}
 	star4, _ := higher.CountStar4Range(g, delta, higher.Options{Workers: 1}, 0, g.NumIncidences())
 	path4 := higher.CountPath4(g, delta, higher.Options{Workers: 1})
 	for _, p := range []Partial{
@@ -87,7 +114,7 @@ func FuzzPartial(f *testing.F) {
 		{Kind: server.KindPath4, Cells: path4[:]},
 		{Kind: server.KindQuery, Cells: []uint64{7}},
 		{Kind: server.KindSig, Sig: []motif.Matrix{{}, {{1, 2}}}},
-		{Kind: KindPath4Approx, Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata))},
+		sampled,
 	} {
 		p.Proto = ProtoVersion
 		data, err := json.Marshal(&p)
@@ -96,40 +123,49 @@ func FuzzPartial(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"proto":4,"kind":"count","shard":0,"cells":[1]}`))
-	f.Add([]byte(`{"proto":3,"kind":"path4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
+	f.Add([]byte(`{"proto":5,"kind":"count","shard":0,"cells":[1]}`))
+	f.Add([]byte(`{"proto":4,"kind":"path4approx","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
+	f.Add([]byte(`{"proto":5,"kind":"query","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Partial
 		if json.Unmarshal(data, &p) != nil { // the coordinator's decode
 			return
 		}
-		// The gather must accept the partial for its own shard of a
-		// one-shard plan of its kind, or refuse it with an error.
-		gather := NewGather(p.Kind, 1)
-		if gather.Add(&p) != nil {
+		// An exact and a sampled gather of a one-shard plan of its kind
+		// must each accept the partial for its own shard, or refuse it
+		// with an error.
+		accepted := false
+		for _, sampled := range []bool{false, true} {
+			gather := gatherFor(server.Request{Kind: p.Kind, EpsilonSet: sampled}, 1)
+			if gather.Add(&p) != nil {
+				continue
+			}
+			accepted = true
+			if p.Shard != 0 || !gather.Complete() {
+				t.Fatalf("gather accepted shard %d into a one-shard plan", p.Shard)
+			}
+			if w, sums := cellWidth[p.Kind]; sums && !sampled && len(p.Cells) != w {
+				t.Fatalf("gather accepted %d cells for a %s partial of width %d", len(p.Cells), p.Kind, w)
+			}
+			var err error
+			switch {
+			case sampled:
+				_, _ = gather.MergeApprox(plan) // moments that do not fit the plan are an error
+			case p.Kind == server.KindCount:
+				_, err = gather.MergeCount(g, server.Request{Kind: server.KindCount, Delta: delta, Workers: 2, Motif: "M26"})
+			case p.Kind == server.KindStar4, p.Kind == server.KindPath4, p.Kind == server.KindQuery:
+				_, err = gather.Sum()
+			case p.Kind == server.KindSig:
+				_, err = gather.MergeSig(nullmodel.TimeShuffle, motif.Matrix{}, 1)
+			default:
+				t.Fatalf("gather accepted a partial of unknown kind %q", p.Kind)
+			}
+			if err != nil {
+				t.Fatalf("complete %s gather failed to merge: %v", p.Kind, err)
+			}
+		}
+		if !accepted {
 			return
-		}
-		if p.Shard != 0 || !gather.Complete() {
-			t.Fatalf("gather accepted shard %d into a one-shard plan", p.Shard)
-		}
-		if w, sums := cellWidth[p.Kind]; sums && len(p.Cells) != w {
-			t.Fatalf("gather accepted %d cells for a %s partial of width %d", len(p.Cells), p.Kind, w)
-		}
-		var err error
-		switch p.Kind {
-		case server.KindCount:
-			_, err = gather.MergeCount(g, server.Request{Kind: server.KindCount, Delta: delta, Workers: 2, Motif: "M26"})
-		case server.KindStar4, server.KindPath4, server.KindQuery:
-			_, err = gather.Sum()
-		case server.KindSig:
-			_, err = gather.MergeSig(nullmodel.TimeShuffle, motif.Matrix{}, 1)
-		case KindPath4Approx, KindQueryApprox:
-			_, _ = gather.MergeApprox(plan) // moments that do not fit the plan are an error
-		default:
-			t.Fatalf("gather accepted a partial of unknown kind %q", p.Kind)
-		}
-		if err != nil {
-			t.Fatalf("complete %s gather failed to merge: %v", p.Kind, err)
 		}
 		// An accepted partial survives the worker's encoding unchanged.
 		out, err := json.Marshal(&p)

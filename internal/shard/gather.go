@@ -25,12 +25,22 @@ type Gather struct {
 	kind  server.Kind
 	parts []*Partial
 	have  int
+	// sampled marks a sampled request's gather: its partials carry
+	// per-stratum moments (Partial.Approx), not cells.
+	sampled bool
 }
 
 // NewGather returns an empty gather for a plan of `shards` partials of
 // one kind.
 func NewGather(kind server.Kind, shards int) *Gather {
 	return &Gather{kind: kind, parts: make([]*Partial, shards)}
+}
+
+// gatherFor returns the gather for a plan of `shards` sub-requests of req.
+func gatherFor(req server.Request, shards int) *Gather {
+	g := NewGather(req.Kind, shards)
+	g.sampled = req.EpsilonSet
+	return g
 }
 
 // cellWidth is the raw-cell width of each summing kind's partial
@@ -45,8 +55,8 @@ var cellWidth = map[server.Kind]int{
 // Add offers one partial. Duplicates for an already-filled shard index
 // are silently dropped (idempotent delivery); a partial that cannot
 // belong to the plan — wrong kind, shard index out of range, or missing
-// its kind's payload (for a summing kind: not exactly its width of cells)
-// — is an error.
+// its payload (for a sampled gather: no moments; for a summing kind: not
+// exactly its width of cells) — is an error.
 func (g *Gather) Add(p *Partial) error {
 	if p == nil {
 		return fmt.Errorf("shard: nil partial")
@@ -58,14 +68,13 @@ func (g *Gather) Add(p *Partial) error {
 		return fmt.Errorf("shard: partial for shard %d, plan has %d", p.Shard, len(g.parts))
 	}
 	width, ok := cellWidth[g.kind]
-	if ok && len(p.Cells) != width {
-		return fmt.Errorf("shard: %s partial for shard %d carries %d cells, want %d", g.kind, p.Shard, len(p.Cells), width)
-	}
-	switch g.kind {
-	case server.KindSig:
-		ok = len(p.Sig) > 0 // an empty list is omitted on the wire: no payload
-	case KindPath4Approx, KindQueryApprox:
+	switch {
+	case g.sampled:
 		ok = len(p.Approx) > 0
+	case g.kind == server.KindSig:
+		ok = len(p.Sig) > 0 // an empty list is omitted on the wire: no payload
+	case ok && len(p.Cells) != width:
+		return fmt.Errorf("shard: %s partial for shard %d carries %d cells, want %d", g.kind, p.Shard, len(p.Cells), width)
 	}
 	if !ok {
 		return fmt.Errorf("shard: partial for shard %d carries no %s payload", p.Shard, g.kind)
@@ -143,7 +152,7 @@ func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.Coun
 		}
 		m.KeepCategory(l.Category())
 	}
-	eo := schedule(SubRequest{Workers: req.Workers, Thrd: req.Thrd, ThrdSet: req.ThrdSet})
+	eo := schedule(req)
 	thrd := 0
 	if !eo.Sequential() {
 		thrd = engine.EffectiveDegreeThreshold(gr, eo)

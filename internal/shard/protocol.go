@@ -43,8 +43,11 @@ import (
 // specs center plans, whose query ranges are incidence positions where a
 // version-2 end reads pivot-edge IDs, and retired the star4approx kind.
 // Version 4 moved the summing kinds' counters into one raw-cell list
-// (Partial.Cells), which a version-3 end neither sends nor reads.
-const ProtoVersion = 4
+// (Partial.Cells), which a version-3 end neither sends nor reads. Version 5
+// made the sub-request the normalized server.Request plus its range: a
+// sampled sub-request is its family's kind with epsilon_set, where a
+// version-4 end sends the path4approx and queryapprox kinds.
+const ProtoVersion = 5
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.
@@ -53,32 +56,20 @@ const (
 	PathInfo    = "/shard/v1/info"
 )
 
-// Wire-only kinds for sampled approximate-mode scatter (docs/APPROX.md):
-// path4 and path-spec queries, the edge-pivot families. The coordinator
-// rebuilds the sampling plan worker-side from the knobs on the wire and
-// scatters contiguous ranges of *stratum indices* (not pivot IDs); each
-// worker samples its strata with the plan's per-stratum seeded streams and
-// returns raw moments, so the gathered finish is bit-identical to a local
-// run. The node-pivot families answer approximate requests exactly, so
-// their approx requests scatter as the exact kinds.
-const (
-	KindPath4Approx server.Kind = "path4approx"
-	KindQueryApprox server.Kind = "queryapprox"
-)
-
-// SubRequest is one shard's slice of a query: the kind plus the work
-// range it owns. Lo/Hi are half-open and kind-relative — incidence
-// positions for count and star4, middle-edge IDs for path4, sample indices
-// for sig, stratum indices for the approx kinds.
+// SubRequest is one shard's slice of a query: the coordinator's normalized
+// request plus the work range it owns. Lo/Hi are half-open and
+// kind-relative — incidence positions for count, star4 and center-plan
+// queries, middle-edge IDs for path4 and path-plan queries, sample indices
+// for sig. A sampled request (EpsilonSet, path4 or a path-plan query)
+// ranges over the sampling plan's stratum indices instead: every end
+// rebuilds the identical plan from the knobs on the wire (docs/APPROX.md).
 //
 // Nodes/Edges carry the coordinator's view of the dataset shape; a worker
 // whose resident graph disagrees answers 409 rather than silently
 // contributing partials from a different graph.
 type SubRequest struct {
-	Proto   int         `json:"proto"`
-	Kind    server.Kind `json:"kind"`
-	Dataset string      `json:"dataset"`
-	Delta   int64       `json:"delta"`
+	Proto int `json:"proto"`
+	server.Request
 
 	// Shard and Shards locate this slice in the scatter plan; the worker
 	// echoes Shard back so the gather can key partials idempotently.
@@ -90,34 +81,6 @@ type SubRequest struct {
 	// Nodes and Edges are the coordinator's graph shape (consistency check).
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-
-	// Workers bounds the worker's local parallelism for this sub-request
-	// (0 = all CPUs; a worker clamps larger values to its CPUs). Never
-	// changes the partial.
-	Workers int `json:"workers,omitempty"`
-	// Thrd overrides the degree threshold when ThrdSet. Never changes the
-	// partial.
-	Thrd    int  `json:"thrd,omitempty"`
-	ThrdSet bool `json:"thrd_set,omitempty"`
-
-	// Motif is the count query's motif= restriction. A worker counts only
-	// its category's kernel (the other cells are zero); the coordinator's
-	// merge applies it.
-	Motif string `json:"motif,omitempty"`
-	// Model and Seed configure null sampling (sig kind only).
-	Model string `json:"model,omitempty"`
-	Seed  int64  `json:"seed,omitempty"`
-	// Spec is the canonical motif spec text (query kind only). Lo/Hi then
-	// range over the compiled plan's range domain: incidence positions for
-	// center plans, middle-edge IDs for path plans.
-	Spec string `json:"spec,omitempty"`
-	// Epsilon, Conf and Samples are the estimator knobs of the approx
-	// kinds; with Seed (shared with sig) they determine the sampling plan
-	// every end rebuilds identically. Lo/Hi then range over stratum
-	// indices. Spec rides along for queryapprox.
-	Epsilon float64 `json:"epsilon,omitempty"`
-	Conf    float64 `json:"conf,omitempty"`
-	Samples int     `json:"samples,omitempty"`
 }
 
 // Partial is one shard's partial answer. Exactly one payload is set.
@@ -142,8 +105,8 @@ type Partial struct {
 
 	Cells []uint64       `json:"cells,omitempty"`
 	Sig   []motif.Matrix `json:"sig,omitempty"`
-	// Approx carries the per-stratum moments for strata [lo, hi), in
-	// stratum order. Floats round-trip JSON exactly (shortest-repr
+	// Approx is a sampled request's payload in place of Cells: the
+	// per-stratum moments for strata [lo, hi), in stratum order. Floats round-trip JSON exactly (shortest-repr
 	// encoding), so a remote finish equals a local one bit for bit.
 	Approx []approx.Moments `json:"approx,omitempty"`
 }
@@ -165,35 +128,21 @@ type wireError struct {
 	Proto int `json:"proto,omitempty"`
 }
 
-// validate checks the fields every kind requires; kind-specific range
-// checks happen against the resolved graph.
+// validate checks the sub-request's protocol version, shard index and
+// range, then normalizes its request exactly as the public endpoints do.
+// Range checks against the graph happen once it is resolved.
 func (s *SubRequest) validate() error {
 	if s.Proto != ProtoVersion {
 		return fmt.Errorf("shard: protocol version %d not supported (this end speaks %d)", s.Proto, ProtoVersion)
 	}
-	if s.Dataset == "" {
-		return fmt.Errorf("shard: missing dataset")
-	}
-	if s.Delta < 0 {
-		return fmt.Errorf("shard: negative delta %d", s.Delta)
-	}
 	if s.Shards < 1 || s.Shard < 0 || s.Shard >= s.Shards {
 		return fmt.Errorf("shard: shard %d/%d out of range", s.Shard, s.Shards)
 	}
-	switch s.Kind {
-	case server.KindQuery, KindQueryApprox:
-		if s.Spec == "" {
-			return fmt.Errorf("shard: query sub-request missing spec")
-		}
-		if s.Lo < 0 || s.Hi < s.Lo {
-			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
-		}
-	case server.KindCount, server.KindStar4, server.KindPath4, server.KindSig, KindPath4Approx:
-		if s.Lo < 0 || s.Hi < s.Lo {
-			return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
-		}
-	default:
-		return fmt.Errorf("shard: unknown kind %q", s.Kind)
+	if s.Lo < 0 || s.Hi < s.Lo {
+		return fmt.Errorf("shard: invalid range [%d, %d)", s.Lo, s.Hi)
+	}
+	if _, err := s.Normalize(); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	return nil
 }

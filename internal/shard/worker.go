@@ -40,6 +40,12 @@ type Worker struct {
 	Version string
 }
 
+// maxSubRequestBytes bounds a sub-request body the worker decodes. A real
+// one is well under a kilobyte; a body past the limit is refused (413)
+// before it is buffered, so a hostile one cannot size an allocation or an
+// error echo.
+const maxSubRequestBytes = 1 << 20
+
 // Handler returns the handler serving PathCompute and PathInfo. Mount it
 // at the server root (it matches only the /shard/ paths).
 func (w *Worker) Handler() http.Handler {
@@ -61,19 +67,23 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sub SubRequest
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		writeWireError(rw, http.StatusBadRequest, fmt.Errorf("decoding sub-request: %w", err), 0)
-		return
-	}
-	if sub.Proto != ProtoVersion {
-		// 426 Upgrade Required: version negotiation is explicit, never a
-		// silent best-effort answer from mismatched merge semantics.
-		writeWireError(rw, http.StatusUpgradeRequired,
-			fmt.Errorf("protocol version %d not supported (this worker speaks %d)", sub.Proto, ProtoVersion), ProtoVersion)
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxSubRequestBytes)).Decode(&sub); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeWireError(rw, status, fmt.Errorf("decoding sub-request: %w", err), 0)
 		return
 	}
 	if err := sub.validate(); err != nil {
-		writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
+		status := http.StatusBadRequest
+		if sub.Proto != ProtoVersion {
+			// 426 Upgrade Required: version negotiation is explicit, never
+			// a silent best-effort answer from mismatched merge semantics.
+			status = http.StatusUpgradeRequired
+		}
+		writeWireError(rw, status, err, ProtoVersion)
 		return
 	}
 	g, err := w.Graphs.Preload(sub.Dataset)
@@ -108,7 +118,7 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 // compute runs the range kernel of sub's kind over sub's range of g and
 // returns the partial: the HTTP worker's answer to a sub-request and, under a
 // Local coordinator, the whole answer's one range. plan is the coordinator's
-// sampling plan for an approx kind; nil rebuilds it from the knobs on the
+// sampling plan for a sampled request; nil rebuilds it from the knobs on the
 // wire — the plan is a pure function of (graph, knobs), so a remote worker's
 // plan is byte-identical to the coordinator's. An error is the sub-request's
 // fault (a worker answers 400).
@@ -118,49 +128,18 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 	sub.Workers = min(sub.Workers, runtime.GOMAXPROCS(0))
 	p := &Partial{Proto: ProtoVersion, Kind: sub.Kind, Shard: sub.Shard}
 	delta := temporal.Timestamp(sub.Delta)
-	switch sub.Kind {
-	case server.KindCount:
-		if sub.Motif == "" {
-			p.Cells = engine.CountRange(g, delta, schedule(sub), sub.Lo, sub.Hi).Cells()
-			break
-		}
-		// A motif= count runs its category's kernel only; the merge keeps
-		// that category's cells.
-		l, err := motif.ParseLabel(sub.Motif)
+	if sub.EpsilonSet {
+		k, err := kernel(sub.Request)
 		if err != nil {
 			return nil, err
 		}
-		p.Cells = engine.CountCategoryRange(g, delta, schedule(sub), sub.Lo, sub.Hi, l.Category()).Cells()
-	case server.KindStar4:
-		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
-		p.Cells = c[:]
-	case server.KindPath4:
-		c := higher.CountPath4Range(g, delta, higherOpts(sub), sub.Lo, sub.Hi)
-		p.Cells = c[:]
-	case server.KindQuery:
-		qp, err := compile(sub.Spec)
-		if err != nil {
-			return nil, err
-		}
-		p.Cells = []uint64{qp.ExecuteRange(g, delta, higherOpts(sub), sub.Lo, sub.Hi)}
-	case KindPath4Approx, KindQueryApprox:
-		var k approx.Kernel = approx.PathKernel{}
-		if sub.Kind == KindQueryApprox {
-			qp, err := compile(sub.Spec)
-			if err != nil {
-				return nil, err
-			}
-			if qp.Kind() != query.PlanEdge {
-				// Only path plans are sampled; a coordinator answers the
-				// rest exactly, through the query kind.
-				return nil, fmt.Errorf("shard: spec %q has no sampled plan", sub.Spec)
-			}
-			k = approx.PlanKernel{Plan: qp}
+		if k == nil {
+			// The coordinator answers the node-pivot families exactly,
+			// through an exact sub-request.
+			return nil, fmt.Errorf("shard: a sampled %s sub-request has no sampling plan", sub.Kind)
 		}
 		if plan == nil {
-			var err error
-			plan, err = approx.NewPlan(g, k, approx.Options{Epsilon: sub.Epsilon, Confidence: sub.Conf, Seed: sub.Seed, Samples: sub.Samples})
-			if err != nil {
+			if plan, err = approx.NewPlan(g, k, approxOptions(sub.Request)); err != nil {
 				return nil, err
 			}
 		}
@@ -170,6 +149,33 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 		}
 		// The raw moments go back; only the coordinator finishes.
 		p.Approx = approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi)
+		return p, nil
+	}
+	switch sub.Kind {
+	case server.KindCount:
+		if sub.Motif == "" {
+			p.Cells = engine.CountRange(g, delta, schedule(sub.Request), sub.Lo, sub.Hi).Cells()
+			break
+		}
+		// A motif= count runs its category's kernel only; the merge keeps
+		// that category's cells.
+		l, err := motif.ParseLabel(sub.Motif)
+		if err != nil {
+			return nil, err
+		}
+		p.Cells = engine.CountCategoryRange(g, delta, schedule(sub.Request), sub.Lo, sub.Hi, l.Category()).Cells()
+	case server.KindStar4:
+		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)
+		p.Cells = c[:]
+	case server.KindPath4:
+		c := higher.CountPath4Range(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)
+		p.Cells = c[:]
+	case server.KindQuery:
+		qp, err := compile(sub.Spec)
+		if err != nil {
+			return nil, err
+		}
+		p.Cells = []uint64{qp.ExecuteRange(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)}
 	case server.KindSig:
 		model, err := nullmodel.ParseModel(sub.Model)
 		if err != nil {
@@ -182,7 +188,25 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 	return p, nil
 }
 
-// compile parses a sub-request's canonical spec and compiles its plan.
+// kernel returns the sampling kernel of a request's family: path4's, or a
+// path-plan query's. It is nil for star4 and the other specs, node-pivot
+// families whose exact kernels cost no more than a sample, so approximate
+// requests for them are answered exactly (docs/APPROX.md).
+func kernel(req server.Request) (approx.Kernel, error) {
+	switch req.Kind {
+	case server.KindPath4:
+		return approx.PathKernel{}, nil
+	case server.KindQuery:
+		qp, err := compile(req.Spec)
+		if err != nil || qp.Kind() != query.PlanEdge {
+			return nil, err
+		}
+		return approx.PlanKernel{Plan: qp}, nil
+	}
+	return nil, nil
+}
+
+// compile parses a request's canonical spec and compiles its plan.
 func compile(spec string) (*query.Plan, error) {
 	s, err := query.ParseSpec(spec)
 	if err != nil {
@@ -191,23 +215,23 @@ func compile(spec string) (*query.Plan, error) {
 	return query.Compile(s), nil
 }
 
-// schedule maps a sub-request's scheduling hints onto the scheduler's
-// options, as hare.Count maps its options (an unset or zero threshold
-// selects the automatic heuristic). The coordinator's count merge reads the
-// same mapping to report the threshold.
-func schedule(sub SubRequest) engine.Options {
-	opts := engine.Options{Workers: sub.Workers}
-	// ThrdSet alone decides: normalize canonicalized thrd=0 to unset on the
-	// coordinator, and DegreeThreshold 0 means "auto" here anyway.
-	if sub.ThrdSet {
-		opts.DegreeThreshold = sub.Thrd
+// schedule maps a request's scheduling hints onto the scheduler's options,
+// as hare.Count maps its options (an unset or zero threshold selects the
+// automatic heuristic). The coordinator's count merge reads the same
+// mapping to report the threshold.
+func schedule(req server.Request) engine.Options {
+	opts := engine.Options{Workers: req.Workers}
+	// ThrdSet alone decides: Normalize canonicalized thrd=0 to unset, and
+	// DegreeThreshold 0 means "auto" here anyway.
+	if req.ThrdSet {
+		opts.DegreeThreshold = req.Thrd
 	}
 	return opts
 }
 
 // higherOpts is schedule for the higher-order counters.
-func higherOpts(sub SubRequest) higher.Options {
-	eo := schedule(sub)
+func higherOpts(req server.Request) higher.Options {
+	eo := schedule(req)
 	return higher.Options{Workers: eo.Workers, DegreeThreshold: eo.DegreeThreshold}
 }
 

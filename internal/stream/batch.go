@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
+	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -154,34 +154,25 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 }
 
 // scanPhase fans the per-edge scans of recs out over workers with private
-// counters and pooled scratches, then merges them into the counter's tallies
-// (retire selects the retirement scans and the retired accumulator).
+// counters and pooled scratches (engine.Dispatch's chunked cursor), then
+// merges them into the counter's tallies (retire selects the retirement
+// scans and the retired accumulator).
 func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 	perWorker := make([]motif.Counts, workers)
-	var cursor atomic.Int64
-	c.parallel(workers, func(w int) {
-		counts := &perWorker[w]
-		s := fast.GetScratch(c.nodes)
-		defer fast.PutScratch(s)
-		for {
-			end := cursor.Add(batchChunk)
-			start := end - batchChunk
-			if start >= int64(len(recs)) {
-				return
-			}
-			if end > int64(len(recs)) {
-				end = int64(len(recs))
-			}
-			for _, r := range recs[start:end] {
-				if retire {
-					uw := c.peek(r.u).after(r.id, r.t+c.opts.Delta)
-					vw := c.peek(r.v).after(r.id, r.t+c.opts.Delta)
-					countRetire(counts, uw, vw, r.u, r.v, r.t, c.opts.Delta, s)
-				} else {
-					uw := c.peek(r.u).before(r.t-c.opts.Delta, r.id)
-					vw := c.peek(r.v).before(r.t-c.opts.Delta, r.id)
-					countArrival(counts, uw, vw, r.u, r.v, c.opts.Delta, s)
-				}
+	scratch := make([]*fast.Scratch, workers)
+	delta := c.opts.Delta
+	engine.Dispatch(workers, batchChunk, len(recs), func(w, start, end int) {
+		if scratch[w] == nil {
+			scratch[w] = fast.GetScratch(c.nodes)
+		}
+		counts, s := &perWorker[w], scratch[w]
+		for _, r := range recs[start:end] {
+			if retire {
+				uw, vw := c.peek(r.u).after(r.id, r.t+delta), c.peek(r.v).after(r.id, r.t+delta)
+				countRetire(counts, uw, vw, r.u, r.v, r.t, delta, s)
+			} else {
+				uw, vw := c.peek(r.u).before(r.t-delta, r.id), c.peek(r.v).before(r.t-delta, r.id)
+				countArrival(counts, uw, vw, r.u, r.v, delta, s)
 			}
 		}
 	})
@@ -191,6 +182,9 @@ func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 	}
 	for w := range perWorker {
 		total.Add(&perWorker[w])
+		if scratch[w] != nil {
+			fast.PutScratch(scratch[w])
+		}
 	}
 }
 
