@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 
 	"hare/internal/temporal"
 )
@@ -12,7 +11,7 @@ import (
 // IngestText parses a whitespace-separated "u v t" edge list from r (the
 // grammar of temporal.ParseEdgeLine: blank and '#'/'%' comment lines are
 // skipped) and ingests it as one atomic batch. Validation failures —
-// malformed lines, out-of-range node ids, out-of-order timestamps —
+// malformed lines, node ids outside [0, MaxNodes), out-of-order timestamps —
 // reject the whole batch with the stream tier's line-numbered error
 // naming the exact input line, and not one edge has been ingested.
 func (d *Dataset) IngestText(r io.Reader) (IngestResult, error) {
@@ -33,7 +32,7 @@ func (d *Dataset) IngestText(r io.Reader) (IngestResult, error) {
 		if skip {
 			continue
 		}
-		if el.U < 0 || el.V < 0 || el.U > math.MaxInt32 || el.V > math.MaxInt32 {
+		if el.U < 0 || el.V < 0 || el.U >= MaxNodes || el.V >= MaxNodes {
 			d.reject()
 			return IngestResult{}, fmt.Errorf("live: line %d: node id out of range (%d,%d)", lineNo, el.U, el.V)
 		}

@@ -51,6 +51,13 @@ const (
 	subscriberBuffer = 32
 )
 
+// MaxNodes bounds a live dataset's node IDs: an ingest naming an ID at or
+// above it is rejected whole, with no state change. The counting scratch,
+// the stream's window table and the snapshot's CSR are all sized by the
+// largest ID ingested, so this cap is what bounds the memory one ingest
+// line can claim (docs/LIVE.md gives the measured worst case).
+const MaxNodes = 1 << 24
+
 // Options configures a live Dataset. The zero value of everything but
 // Delta is usable.
 type Options struct {
@@ -268,12 +275,19 @@ func (d *Dataset) WindowMatrix() motif.Matrix {
 }
 
 // Ingest appends one batch of timestamp-ordered edges. The batch is
-// validated and rejected atomically by the stream tier: on error, no edge
-// has been ingested and the version is unchanged. Errors carry the batch
-// index of the offending edge; IngestText carries input line numbers.
+// validated (node ids below MaxNodes here, the rest by the stream tier) and
+// rejected atomically: on error, no edge has been ingested and the version
+// is unchanged. Errors carry the batch index of the offending edge;
+// IngestText carries input line numbers.
 func (d *Dataset) Ingest(edges []temporal.Edge) (IngestResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for i, e := range edges {
+		if e.From >= MaxNodes || e.To >= MaxNodes {
+			d.rejected++
+			return IngestResult{}, fmt.Errorf("live: batch edge %d: node id out of range (%d,%d)", i, e.From, e.To)
+		}
+	}
 	if err := d.ctr.AddBatch(edges); err != nil {
 		d.rejected++
 		return IngestResult{}, err

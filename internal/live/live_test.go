@@ -82,6 +82,18 @@ func TestVersioningAndAtomicReject(t *testing.T) {
 	if st := d.Stats(); st.Rejected != 1 || st.Ingests != 1 || st.Edges != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
+
+	// A node id at MaxNodes is rejected the same way, before the counter
+	// sizes anything by it.
+	_, err = d.Ingest([]temporal.Edge{
+		{From: 2, To: 3, Time: 30}, {From: 3, To: MaxNodes, Time: 40},
+	})
+	if err == nil || !strings.Contains(err.Error(), "batch edge 1: node id out of range") {
+		t.Fatalf("MaxNodes batch error = %v, want batch-indexed rejection", err)
+	}
+	if after := d.Matrix(); d.Version() != 2 || d.Edges() != 2 || !after.Equal(&before) {
+		t.Fatal("MaxNodes batch mutated the dataset")
+	}
 }
 
 func TestIngestTextLineNumberedErrors(t *testing.T) {
@@ -90,6 +102,8 @@ func TestIngestTextLineNumberedErrors(t *testing.T) {
 	}{
 		{"malformed", "0 1 10\nnot an edge\n", "line 2"},
 		{"out-of-range", "0 1 10\n99999999999 1 20\n", "line 2: node id out of range"},
+		{"above-max-nodes", "0 1 1\n1 33554431 2\n", "line 2: node id out of range"},
+		{"at-max-nodes", fmt.Sprintf("0 1 10\n# c\n%d 1 20\n", MaxNodes), "line 3: node id out of range"},
 		{"out-of-order", "# comment\n0 1 10\n1 2 5\n", "line 3: out-of-order edge at t=5 (last 10)"},
 	}
 	for _, tc := range cases {
@@ -104,6 +118,9 @@ func TestIngestTextLineNumberedErrors(t *testing.T) {
 			}
 			if st := d.Stats(); st.Rejected != 1 {
 				t.Fatalf("rejected = %d, want 1", st.Rejected)
+			}
+			if m, w := d.Matrix(), d.WindowMatrix(); d.Edges() != 0 || m.Total() != 0 || w.Total() != 0 {
+				t.Fatalf("rejected text batch moved state: edges %d, totals %d/%d", d.Edges(), m.Total(), w.Total())
 			}
 		})
 	}

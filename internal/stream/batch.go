@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hare/internal/engine"
 	"hare/internal/fast"
@@ -22,22 +21,18 @@ const MinParallelBatch = 256
 const batchChunk = 256
 
 // AddBatch ingests a batch of edges, equivalent to calling Add for each in
-// order but fanned out over the counter's workers: windows are appended
-// shard-parallel, then every batch edge's arrival scan (and, in sliding
-// mode, every expiry's retirement scan) runs concurrently into per-worker
-// private counters that are merged at the end. Because each edge's scans
-// are bounded by explicit (EdgeID, time) predicates rather than by mutable
-// window state, the merged tallies are bit-identical to sequential Add.
+// order but with the scans fanned out over the counter's workers: the
+// windows are appended on the caller's goroutine, then every batch edge's
+// arrival scan (and, in sliding mode, every expiry's retirement scan) runs
+// under engine.Dispatch into per-worker private counters that are merged at
+// the end. Because each edge's scans are bounded by explicit (EdgeID, time)
+// predicates rather than by mutable window state, the merged tallies are
+// bit-identical to sequential Add.
 //
 // The batch is validated up front and rejected atomically: on error no edge
 // of the batch has been ingested. Self-loops are counted and dropped, as in
 // Add.
 func (c *Counter) AddBatch(edges []temporal.Edge) error {
-	if len(edges) >= 1<<30 {
-		// The phase bucketing packs rec indices into int32s (index<<1|side);
-		// larger batches would overflow them silently. Split at the caller.
-		return fmt.Errorf("stream: batch of %d edges exceeds the %d limit; split it", len(edges), 1<<30-1)
-	}
 	last, started, nodes := c.lastT, c.started, c.nodes
 	nonLoops := 0
 	for i, e := range edges {
@@ -61,11 +56,7 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		return nil
 	}
 	c.nodes = nodes
-	workers := c.opts.Workers
-	if workers > len(edges)/(MinParallelBatch/4) {
-		workers = len(edges) / (MinParallelBatch / 4)
-	}
-	if workers <= 1 || len(edges) < MinParallelBatch {
+	if c.opts.Workers < 2 || len(edges) < MinParallelBatch {
 		s := fast.GetScratch(c.nodes)
 		for _, e := range edges {
 			c.addValidated(e.From, e.To, e.Time, s)
@@ -94,70 +85,48 @@ func (c *Counter) AddBatch(edges []temporal.Edge) error {
 		return c.Advance(last)
 	}
 
-	// Bucket the batch's half-edges by owning worker in one O(n) pass: each
-	// worker owns a fixed subset of shards, and a bucket entry names a rec
-	// index plus which endpoint's half belongs to that worker. Buckets are
-	// filled in batch order, so per-node append order (= EdgeID order) in
-	// the phases below is deterministic.
-	buckets := make([][]int32, workers)
-	for i, r := range recs {
-		gu := int(shardOf(r.u, c.shardBits)) % workers
-		buckets[gu] = append(buckets[gu], int32(i)<<1)
-		gv := int(shardOf(r.v, c.shardBits)) % workers
-		buckets[gv] = append(buckets[gv], int32(i)<<1|1)
+	// Append both half-edges of every batch edge in batch order, so each
+	// node's window stays in EdgeID order.
+	for _, r := range recs {
+		c.window(r.u).push(r.id, r.t, r.v, true)
+		c.window(r.v).push(r.id, r.t, r.u, false)
 	}
 
-	// Phase 1: append both half-edges of every batch edge, shard-parallel.
-	c.parallel(workers, func(w int) {
-		for _, ref := range buckets[w] {
-			r := recs[ref>>1]
-			if ref&1 == 0 {
-				c.window(r.u).push(r.id, r.t, r.v, true)
-			} else {
-				c.window(r.v).push(r.id, r.t, r.u, false)
-			}
-		}
-	})
-
-	// Phase 2: arrival scans over the batch, worker-private counters. The
+	// Arrival scans over the batch, worker-private counters. The
 	// (ID < id, Time >= t-δ) window predicate reconstructs each edge's
-	// exact as-of-arrival state from the already-appended arrays, so scan
+	// exact as-of-arrival state from the already-appended windows, so scan
 	// order across workers cannot change the sums.
-	c.scanPhase(workers, recs, false)
+	c.scanPhase(recs, false)
 
-	// Phase 3 (sliding): queue the batch, pop everything now expired, and
-	// run the retirement scans concurrently too — each expiring edge's
-	// companions are fixed by the (ID > id, Time <= t+δ) predicate.
+	// Sliding: queue the batch, pop everything now expired, and run the
+	// retirement scans concurrently too — each expiring edge's companions
+	// are fixed by the (ID > id, Time <= t+δ) predicate.
 	if c.opts.Mode == Sliding {
 		for _, r := range recs {
 			c.fifo.push(r)
 		}
 		if popped := c.fifo.popExpired(cutoff); len(popped) > 0 {
-			c.scanPhase(workers, popped, true)
+			c.scanPhase(popped, true)
 		}
 		c.fifo.compact()
 	}
 
-	// Phase 4: reclaim expired window prefixes, shard-parallel. Purely a
-	// memory operation: the scans above never look behind the cutoff.
-	c.parallel(workers, func(w int) {
-		for _, ref := range buckets[w] {
-			r := recs[ref>>1]
-			if ref&1 == 0 {
-				c.peek(r.u).trim(cutoff)
-			} else {
-				c.peek(r.v).trim(cutoff)
-			}
-		}
-	})
+	// Reclaim expired window prefixes. Purely a memory operation: the scans
+	// above never look behind the cutoff.
+	for _, r := range recs {
+		c.windows[r.u].trim(cutoff)
+		c.windows[r.v].trim(cutoff)
+	}
 	return nil
 }
 
-// scanPhase fans the per-edge scans of recs out over workers with private
-// counters and pooled scratches (engine.Dispatch's chunked cursor), then
-// merges them into the counter's tallies (retire selects the retirement
-// scans and the retired accumulator).
-func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
+// scanPhase fans the per-edge scans of recs out over up to one worker per
+// batchChunk edges, with private counters and pooled scratches
+// (engine.Dispatch's chunked cursor), then merges them into the counter's
+// tallies (retire selects the retirement scans and the retired
+// accumulator).
+func (c *Counter) scanPhase(recs []edgeRec, retire bool) {
+	workers := min(c.opts.Workers, (len(recs)+batchChunk-1)/batchChunk)
 	perWorker := make([]motif.Counts, workers)
 	scratch := make([]*fast.Scratch, workers)
 	delta := c.opts.Delta
@@ -186,16 +155,4 @@ func (c *Counter) scanPhase(workers int, recs []edgeRec, retire bool) {
 			fast.PutScratch(scratch[w])
 		}
 	}
-}
-
-func (c *Counter) parallel(workers int, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }

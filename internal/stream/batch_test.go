@@ -23,11 +23,12 @@ func trials(t *testing.T, n int) int {
 	return n
 }
 
-// feedBatches ingests edges through AddBatch in slices of size batch.
-func feedBatches(t *testing.T, c *Counter, edges []temporal.Edge, batch int) {
+// feedBatches ingests edges through AddBatch in slices whose sizes cycle
+// through sizes.
+func feedBatches(t *testing.T, c *Counter, edges []temporal.Edge, sizes ...int) {
 	t.Helper()
-	for len(edges) > 0 {
-		n := min(batch, len(edges))
+	for i := 0; len(edges) > 0; i++ {
+		n := min(sizes[i%len(sizes)], len(edges))
 		if err := c.AddBatch(edges[:n]); err != nil {
 			t.Fatal(err)
 		}
@@ -48,18 +49,30 @@ func liveSubset(edges []temporal.Edge, lastT, delta temporal.Timestamp) []tempor
 }
 
 // TestAddBatchMatchesSequential is the core equivalence property of the
-// parallel ingest path: for random streams, arbitrary batch splits, worker
-// counts, and both modes, AddBatch's matrices are bit-identical to
+// parallel ingest path: for random streams over a few to a few thousand
+// node IDs, batch splits on both sides of MinParallelBatch, worker counts,
+// and both modes, AddBatch's matrices are bit-identical to
 // sequential Add's and to the batch FAST oracle.
 func TestAddBatchMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < trials(t, 30); trial++ {
 		nodes := 2 + r.Intn(20)
-		edges := sortedRandomEdges(r, nodes, 50+r.Intn(900), 1+int64(r.Intn(80)))
+		if trial%2 == 1 {
+			nodes = 2 + r.Intn(3000) // sparse: the window table spans thousands of IDs
+		}
+		edges := sortedRandomEdges(r, nodes, 2*MinParallelBatch+r.Intn(1500), 1+int64(r.Intn(80)))
 		delta := int64(r.Intn(40))
-		batch := 1 + r.Intn(len(edges))
-		workers := 1 + r.Intn(8)
+		// Batch sizes alternate below and at or above MinParallelBatch, and
+		// workers >= 2, so every trial runs both the sequential fallback and
+		// the phased path on one counter.
+		small := 1 + r.Intn(MinParallelBatch-1)
+		large := MinParallelBatch + r.Intn(len(edges)-MinParallelBatch+1)
+		workers := 2 + r.Intn(7)
 		mode := Mode(r.Intn(2))
+		// Mid-way through the first large batch, an edge names an ID above
+		// every earlier one, so the window table grows inside a phased batch.
+		grow := small + (min(small+large, len(edges))-small)/2
+		edges[grow].To = temporal.NodeID(nodes + r.Intn(nodes))
 
 		seq, err := NewCounter(Options{Delta: delta, Mode: mode})
 		if err != nil {
@@ -71,10 +84,10 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedBatches(t, par, edges, batch)
+		feedBatches(t, par, edges, small, large)
 
-		label := fmt.Sprintf("trial %d (δ=%d, %d edges, batch=%d, workers=%d, mode=%d)",
-			trial, delta, len(edges), batch, workers, mode)
+		label := fmt.Sprintf("trial %d (δ=%d, %d nodes, %d edges, batches=%d/%d, workers=%d, mode=%d)",
+			trial, delta, nodes, len(edges), small, large, workers, mode)
 		want := seq.Matrix()
 		got := par.Matrix()
 		if !got.Equal(&want) {

@@ -17,20 +17,18 @@
 // instance leaving the window, so fast.CountAfter (Algorithm 1's loop for
 // one first edge) and the sweep's forward orders retire them exactly.
 //
-// Per-node window state is sharded by node hash, and AddBatch fans a batch
-// of edges out over worker goroutines with private per-worker counters
-// merged at the end (the engine package's reduction discipline), so ingest
-// throughput and state maintenance both scale across cores while results
-// stay bit-identical to sequential Add and to batch hare.Count. The scans'
-// per-neighbour counters live on a pooled fast.Scratch covering every node ID
-// up to the largest ingested, 20 bytes each: the memory model of batch
-// counting.
+// Per-node window state is one dense table indexed by node ID, 8 bytes a
+// slot up to the largest ID ingested, beside the scans' pooled fast.Scratch
+// at 20 bytes a slot: the memory model of batch counting. AddBatch appends
+// and trims those windows on the caller's goroutine and fans the arrival
+// and retirement scans out under engine.Dispatch, with private per-worker
+// counters merged at the end (the engine package's reduction discipline),
+// so results stay bit-identical to sequential Add and to batch hare.Count.
 package stream
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 
 	"hare/internal/fast"
@@ -53,27 +51,22 @@ const (
 )
 
 // Options configures a Counter. The zero value of everything but Delta is
-// usable: cumulative mode, GOMAXPROCS batch workers, automatic shard count.
+// usable: cumulative mode, GOMAXPROCS batch workers.
 type Options struct {
 	// Delta is the motif window δ (>= 0).
 	Delta temporal.Timestamp
 	// Mode selects cumulative-only or sliding-window counting.
 	Mode Mode
-	// Workers is the goroutine count for AddBatch fan-out. <= 0 selects
+	// Workers is the goroutine count for AddBatch's scans. <= 0 selects
 	// runtime.GOMAXPROCS(0). Sequential Add ignores it.
 	Workers int
-	// Shards is the number of node-window shards (rounded up to a power of
-	// two). <= 0 derives it from Workers. More shards than workers keeps
-	// the per-shard append loops balanced under skewed node hashes.
-	Shards int
 }
 
 // Counter is an exact online motif counter. The zero value is not usable;
 // call New or NewCounter.
 type Counter struct {
-	opts      Options
-	shardBits uint
-	shards    []windowShard
+	opts    Options
+	windows []*nodeWindow // indexed by node ID; nil until the node is seen
 
 	counts  motif.Counts // completed instances (cumulative)
 	retired motif.Counts // expired instances (sliding mode only)
@@ -107,22 +100,7 @@ func NewCounter(opts Options) (*Counter, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 4 * opts.Workers
-	}
-	bitsN := uint(bits.Len(uint(opts.Shards - 1)))
-	if bitsN == 0 {
-		bitsN = 1 // at least two shards so shardOf's shift stays in range
-	}
-	c := &Counter{
-		opts:      opts,
-		shardBits: bitsN,
-		shards:    make([]windowShard, 1<<bitsN),
-	}
-	for i := range c.shards {
-		c.shards[i].windows = make(map[temporal.NodeID]*nodeWindow)
-	}
-	return c, nil
+	return &Counter{opts: opts}, nil
 }
 
 // Delta returns the counter's window.
@@ -154,14 +132,24 @@ func (c *Counter) WindowMatrix() (motif.Matrix, error) {
 	return live.ToMatrix(), nil
 }
 
-// window returns node u's window, creating it if needed.
+// window returns node u's window, growing the table and creating the
+// window if needed.
 func (c *Counter) window(u temporal.NodeID) *nodeWindow {
-	return c.shards[shardOf(u, c.shardBits)].window(u)
+	if int(u) >= len(c.windows) {
+		c.windows = append(c.windows, make([]*nodeWindow, int(u)+1-len(c.windows))...)
+	}
+	if c.windows[u] == nil {
+		c.windows[u] = &nodeWindow{}
+	}
+	return c.windows[u]
 }
 
 // peek returns node u's window or nil, without creating it.
 func (c *Counter) peek(u temporal.NodeID) *nodeWindow {
-	return c.shards[shardOf(u, c.shardBits)].windows[u]
+	if int(u) >= len(c.windows) {
+		return nil
+	}
+	return c.windows[u]
 }
 
 // Add ingests the directed edge u -> v at time t. Times must be

@@ -90,28 +90,6 @@ func (w *nodeWindow) after(id temporal.EdgeID, maxTime temporal.Timestamp) tempo
 	return live.Slice(lo, hi)
 }
 
-// windowShard owns the δ-windows of the nodes hashing to it. Shards
-// partition per-node state so that the batched ingest path can append and
-// trim concurrently, one goroutine per shard group, with no locking.
-type windowShard struct {
-	windows map[temporal.NodeID]*nodeWindow
-}
-
-func (s *windowShard) window(u temporal.NodeID) *nodeWindow {
-	w := s.windows[u]
-	if w == nil {
-		w = &nodeWindow{}
-		s.windows[u] = w
-	}
-	return w
-}
-
-// shardOf hashes a node to its shard with Fibonacci multiplicative hashing;
-// shards is always a power of two.
-func shardOf(u temporal.NodeID, shardBits uint) uint32 {
-	return (uint32(u) * 0x9E3779B9) >> (32 - shardBits)
-}
-
 // edgeRec is one live edge queued for expiry in sliding-window mode.
 type edgeRec struct {
 	id   temporal.EdgeID

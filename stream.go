@@ -27,7 +27,10 @@ const (
 )
 
 // StreamOptions configures NewStreamCounter: window δ, mode, and the
-// worker/shard fan-out of the batched ingest path.
+// worker count of the batched ingest path's scans. A counter keeps one
+// dense window table indexed by node ID; AddBatch appends to it in batch
+// order and fans the arrival and retirement scans out under
+// engine.Dispatch.
 type StreamOptions = stream.Options
 
 // StreamFeedOptions configures StreamCounter.Feed (batch size and the
