@@ -99,6 +99,16 @@ func (c *Cache) lookup(key string) *cacheEntry {
 	return el.Value.(*cacheEntry)
 }
 
+// peek returns key's stored value without marking it used, or nil.
+func (c *Cache) peek(key string) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*cacheEntry).val
+	}
+	return nil
+}
+
 // store inserts a computed value and evicts beyond capacity.
 func (c *Cache) store(key string, val any) {
 	if c.cap <= 0 {

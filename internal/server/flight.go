@@ -6,12 +6,13 @@ import (
 	"sync"
 )
 
-// group is a minimal context-aware singleflight shared by the result
-// cache and the graph registry: concurrent calls for one key run fn once,
-// and fn receives a context that is canceled only when every caller
-// joined on the key has gone — one client disconnecting never fails the
-// other members of its flight, while a flight nobody is waiting for
-// anymore is shed (its queued admission wait aborts with the context).
+// group is a minimal context-aware singleflight, used by Cache (and
+// through it by the result cache and the registry's resident graphs):
+// concurrent calls for one key run fn once, and fn receives a context
+// that is canceled only when every caller joined on the key has gone —
+// one client disconnecting never fails the other members of its flight,
+// while a flight nobody is waiting for anymore is shed (its queued
+// admission wait aborts with the context).
 //
 // fn runs in its own goroutine; a panic inside it resolves the flight
 // with an error for every caller instead of wedging the key forever.

@@ -9,7 +9,6 @@ import (
 
 	"hare/internal/live"
 	"hare/internal/motif"
-	"hare/internal/temporal"
 )
 
 // maxIngestBody bounds one /v1/ingest request body. At ~20 bytes per text
@@ -18,41 +17,12 @@ import (
 const maxIngestBody = 64 << 20
 
 // RegisterLive adds a mutable dataset fed by /v1/ingest and watched by
-// /v1/watch. The dataset joins the registry as a volatile entry — query
-// endpoints resolve its graph through the same Registry.Get path as
-// immutable datasets, but per version and exempt from LRU eviction — and
-// its version joins the result-cache key, so cached answers die naturally
-// the moment an ingest advances the dataset.
+// /v1/watch. It is a registry entry like any other — query endpoints
+// resolve its graph through Registry.Get, per version and exempt from LRU
+// eviction — and its version joins the result-cache key, so cached answers
+// die naturally the moment an ingest advances the dataset.
 func (s *Server) RegisterLive(d *live.Dataset, desc string) error {
-	name := d.Name()
-	if err := s.registry.RegisterVolatile(name, desc, "live", func() (*temporal.Graph, error) {
-		return d.Graph(), nil
-	}); err != nil {
-		return err
-	}
-	s.liveMu.Lock()
-	s.live[name] = d
-	s.liveMu.Unlock()
-	return nil
-}
-
-// Live returns the named live dataset, or nil when the name is unknown or
-// names an immutable dataset.
-func (s *Server) Live(name string) *live.Dataset {
-	s.liveMu.RLock()
-	defer s.liveMu.RUnlock()
-	return s.live[name]
-}
-
-// liveDatasets snapshots the registered live datasets for metrics.
-func (s *Server) liveDatasets() []*live.Dataset {
-	s.liveMu.RLock()
-	defer s.liveMu.RUnlock()
-	out := make([]*live.Dataset, 0, len(s.live))
-	for _, d := range s.live {
-		out = append(out, d)
-	}
-	return out
+	return s.registry.RegisterLive(d, desc)
 }
 
 // cacheKey is a request's result-cache key: the canonical Request.Key(),
@@ -61,8 +31,8 @@ func (s *Server) liveDatasets() []*live.Dataset {
 // a racing ingest can only make a fresher answer land under the old key,
 // never a stale answer under the new one.
 func (s *Server) cacheKey(req Request) string {
-	if d := s.Live(req.Dataset); d != nil {
-		return fmt.Sprintf("%s|v%d", req.Key(), d.Version())
+	if e := s.registry.lookup(req.Dataset); e != nil && e.live != nil {
+		return fmt.Sprintf("%s|v%d", req.Key(), e.live.Version())
 	}
 	return req.Key()
 }
@@ -87,20 +57,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
-	name := r.URL.Query().Get("dataset")
-	if name == "" {
+	d, he := s.requireLive(r.URL.Query().Get("dataset"))
+	if he != nil {
 		failed = true
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing dataset"))
-		return
-	}
-	d, err := s.requireLive(name)
-	if err != nil {
-		failed = true
-		status := http.StatusBadRequest
-		if _, ok := err.(*UnknownDatasetError); ok {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		writeError(w, he.status, he.err)
 		return
 	}
 	res, err := d.IngestText(http.MaxBytesReader(w, r.Body, maxIngestBody))
@@ -110,7 +70,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ingestResponse{
-		Dataset:   name,
+		Dataset:   d.Name(),
 		Accepted:  res.Accepted,
 		Version:   res.Version,
 		Watermark: int64(res.Watermark),
@@ -118,19 +78,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// requireLive resolves a name to its live dataset, distinguishing "not
-// registered at all" (404) from "registered but immutable" (400).
-func (s *Server) requireLive(name string) (*live.Dataset, error) {
-	if d := s.Live(name); d != nil {
-		return d, nil
+// requireLive resolves a dataset parameter to its live dataset, or to the
+// error to answer: 400 when it is missing or names an immutable dataset,
+// 404 when nothing by that name is registered.
+func (s *Server) requireLive(name string) (*live.Dataset, *httpError) {
+	if name == "" {
+		return nil, &httpError{status: http.StatusBadRequest, err: fmt.Errorf("missing dataset")}
 	}
-	s.registry.mu.Lock()
-	_, registered := s.registry.entries[name]
-	s.registry.mu.Unlock()
-	if !registered {
-		return nil, &UnknownDatasetError{Name: name}
+	e := s.registry.lookup(name)
+	switch {
+	case e == nil:
+		return nil, &httpError{status: http.StatusNotFound, err: &UnknownDatasetError{Name: name}}
+	case e.live == nil:
+		return nil, &httpError{status: http.StatusBadRequest, err: fmt.Errorf("dataset %q is not live", name)}
 	}
-	return nil, fmt.Errorf("dataset %q is not live", name)
+	return e.live, nil
 }
 
 // handleWatch serves GET /v1/watch?dataset=<name>: a Server-Sent Events
@@ -149,20 +111,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	name := q.Get("dataset")
-	if name == "" {
+	d, he := s.requireLive(q.Get("dataset"))
+	if he != nil {
 		failed = true
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing dataset"))
-		return
-	}
-	d, err := s.requireLive(name)
-	if err != nil {
-		failed = true
-		status := http.StatusBadRequest
-		if _, ok := err.(*UnknownDatasetError); ok {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		writeError(w, he.status, he.err)
 		return
 	}
 	var only string
@@ -177,8 +129,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	minZ := math.Inf(-1)
 	if v := q.Get("z"); v != "" {
-		minZ, err = strconv.ParseFloat(v, 64)
-		if err != nil {
+		var err error
+		if minZ, err = strconv.ParseFloat(v, 64); err != nil {
 			failed = true
 			writeError(w, http.StatusBadRequest, fmt.Errorf("z: %v", err))
 			return
@@ -199,7 +151,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := d.Subscribe()
 	defer cancel()
 	fmt.Fprintf(w, "event: hello\ndata: {\"dataset\":%q,\"version\":%d,\"delta_seconds\":%d}\n\n",
-		name, d.Version(), int64(d.Delta()))
+		d.Name(), d.Version(), int64(d.Delta()))
 	flusher.Flush()
 
 	for {

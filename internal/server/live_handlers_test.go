@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"hare/internal/live"
@@ -74,44 +73,45 @@ func TestCategoryKeyPanicsOnInvalidMotif(t *testing.T) {
 	categoryKey("M99")
 }
 
-// --- Registry: volatile (live) entries --------------------------------------
+// --- Registry: live entries ------------------------------------------------
 
 func TestRegistryVolatileNeverEvicted(t *testing.T) {
 	r := NewRegistry(1) // one resident immutable graph max
-	var liveLoads atomic.Int64
-	g := tinyGraph()
-	if err := r.RegisterVolatile("live", "", "live", func() (*temporal.Graph, error) {
-		liveLoads.Add(1)
-		return g, nil
-	}); err != nil {
+	d, err := live.New("live", live.Options{Delta: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Ingest([]temporal.Edge{{From: 0, To: 1, Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterLive(d, ""); err != nil {
 		t.Fatal(err)
 	}
 	r.Register("a", "", func() (*temporal.Graph, error) { return tinyGraph(), nil })
 	r.Register("b", "", func() (*temporal.Graph, error) { return tinyGraph(), nil })
 
-	// Interleave: volatile resolves between immutable loads that evict each
-	// other. The volatile entry never joins the LRU, so churn among the
-	// immutables can never evict it, and every Get re-resolves its loader.
-	for i := 0; i < 3; i++ {
-		if _, err := r.Get("live"); err != nil {
-			t.Fatal(err)
+	// Interleave: the live dataset resolves between immutable loads that
+	// evict each other. Its entry never joins the LRU, so churn among the
+	// immutables can never evict it, and every Get returns its snapshot.
+	getLive := func() {
+		t.Helper()
+		if g, err := r.Get("live"); err != nil || g != d.Graph() {
+			t.Fatalf("Get(live) = %p, %v; want the dataset's snapshot", g, err)
 		}
+	}
+	for i := 0; i < 3; i++ {
+		getLive()
 		if _, err := r.Get("a"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Get("live"); err != nil {
-			t.Fatal(err)
-		}
+		getLive()
 		if _, err := r.Get("b"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := liveLoads.Load(); got != 6 {
-		t.Fatalf("volatile loader ran %d times, want 6 (once per Get)", got)
-	}
 	_, evictions, resident := r.Stats()
 	if resident != 1 {
-		t.Fatalf("resident = %d, want 1 (volatile never counts)", resident)
+		t.Fatalf("resident = %d, want 1 (live never counts)", resident)
 	}
 	if evictions != 5 {
 		t.Fatalf("evictions = %d, want 5 (a/b churn only)", evictions)
@@ -119,12 +119,83 @@ func TestRegistryVolatileNeverEvicted(t *testing.T) {
 	// List marks the entry live.
 	for _, info := range r.List() {
 		if info.Name == "live" && !info.Live {
-			t.Fatal("List did not mark the volatile entry live")
+			t.Fatal("List did not mark the live entry live")
 		}
 		if info.Name != "live" && info.Live {
 			t.Fatalf("immutable %q marked live", info.Name)
 		}
 	}
+}
+
+func TestRegistryListAcrossEviction(t *testing.T) {
+	r := NewRegistry(1)
+	for _, name := range []string{"a", "b"} {
+		if err := r.RegisterSourced(name, "", func() (*temporal.Graph, string, error) {
+			return tinyGraph(), "text " + name + ".txt", nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := live.New("live", live.Options{Delta: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterLive(d, ""); err != nil {
+		t.Fatal(err)
+	}
+	list := func() map[string]DatasetInfo {
+		t.Helper()
+		infos := r.List()
+		if len(infos) != 3 {
+			t.Fatalf("List has %d entries, want 3", len(infos))
+		}
+		byName := make(map[string]DatasetInfo, len(infos))
+		for _, info := range infos {
+			byName[info.Name] = info
+		}
+		return byName
+	}
+
+	for _, name := range []string{"a", "b"} { // loading b evicts a
+		if _, err := r.Get(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := tinyGraph()
+	infos := list()
+	a, b := infos["a"], infos["b"]
+	if a.Loaded || a.Source != "text a.txt" || a.Nodes != 0 || a.Edges != 0 {
+		t.Fatalf("evicted a = %+v, want its source kept, not loaded, no dimensions", a)
+	}
+	if body, _ := json.Marshal(a); strings.Contains(string(body), "nodes") || strings.Contains(string(body), "edges") {
+		t.Fatalf("evicted a renders %s, want nodes and edges omitted", body)
+	}
+	if !b.Loaded || b.Source != "text b.txt" || b.Nodes != g.NumNodes() || b.Edges != g.NumEdges() {
+		t.Fatalf("resident b = %+v, want loaded with its source and dimensions", b)
+	}
+
+	// A live entry reports its version always, its dimensions only once a
+	// snapshot for that version exists.
+	check := func(version uint64, loaded bool, nodes, edges int) {
+		t.Helper()
+		l := list()["live"]
+		if !l.Live || l.Source != "live" || l.Version != version || l.Loaded != loaded || l.Nodes != nodes || l.Edges != edges {
+			t.Fatalf("live = %+v, want version %d, loaded %v, %d nodes, %d edges", l, version, loaded, nodes, edges)
+		}
+	}
+	check(1, false, 0, 0)
+	if _, err := d.Ingest([]temporal.Edge{{From: 0, To: 1, Time: 1}, {From: 1, To: 2, Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	check(2, false, 0, 0)
+	if _, err := r.Get("live"); err != nil {
+		t.Fatal(err)
+	}
+	check(2, true, 3, 2)
+	if _, err := d.Ingest([]temporal.Edge{{From: 2, To: 0, Time: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check(3, false, 0, 0)
 }
 
 // --- Ingest/watch handlers ---------------------------------------------------

@@ -95,7 +95,7 @@ func (m *metrics) write(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP hared_dataset_evictions_total Dataset graphs evicted from the registry.\n# TYPE hared_dataset_evictions_total counter\nhared_dataset_evictions_total %d\n", devictions)
 	fmt.Fprintf(w, "# HELP hared_datasets_resident Dataset graphs currently loaded.\n# TYPE hared_datasets_resident gauge\nhared_datasets_resident %d\n", resident)
 
-	if lds := s.liveDatasets(); len(lds) > 0 {
+	if lds := s.registry.liveDatasets(); len(lds) > 0 {
 		type liveRow struct {
 			name  string
 			stats live.Stats

@@ -1,12 +1,13 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
+	"hare/internal/live"
 	"hare/internal/temporal"
 )
 
@@ -24,46 +25,42 @@ type LoadFunc func() (*temporal.Graph, error)
 // parse.
 type SourcedLoadFunc func() (*temporal.Graph, string, error)
 
-// Registry maps dataset names to immutable graphs, loading each one
-// lazily, exactly once per residency (concurrent first requests coalesce
-// onto a single load), and evicting the least recently used graph when
-// more than maxLoaded are resident. Registrations themselves are never
-// evicted — an evicted dataset transparently reloads on next use.
+// Registry maps dataset names to graphs. An immutable dataset loads lazily
+// into graphs, a Cache keyed by dataset name: concurrent first requests
+// coalesce onto one load, and beyond maxLoaded resident graphs the least
+// recently used one is evicted and transparently reloads on next use. A
+// live dataset resolves to its current snapshot on every Get and never
+// enters that LRU. Registrations themselves are never evicted.
+//
+// mu guards entries, each entry's source and loads. Nothing calls into a
+// live.Dataset (Version, SnapshotDims, Stats, Graph) while holding it:
+// those wait on the dataset's ingest, and /v1/datasets, /healthz, /metrics
+// and every query's cacheKey must not wait behind an AddBatch.
 type Registry struct {
-	mu        sync.Mutex
-	entries   map[string]*regEntry
-	lru       *list.List // front = most recently used resident graph
-	maxLoaded int
-	flights   group // coalesces concurrent first loads per dataset
-
-	loads     uint64
-	evictions uint64
+	mu      sync.Mutex
+	entries map[string]*regEntry
+	graphs  *Cache // resident immutable graphs, by dataset name
+	loads   uint64 // successful loads; graphs' misses also count failed ones
 }
 
+// regEntry is one registration. name, desc, load and live never change
+// after add, so they may be read without Registry.mu.
 type regEntry struct {
 	name string
-	load SourcedLoadFunc
 	desc string
+	load SourcedLoadFunc // immutable datasets
+	live *live.Dataset   // live datasets, whose load is nil
 
-	g      *temporal.Graph // nil when not resident
-	elem   *list.Element   // position in lru when resident
-	source string          // provenance of the last successful load ("" = never loaded)
-
-	// volatile entries (live datasets) re-resolve their graph on every Get
-	// and never join the LRU: they cannot be evicted, and their loader —
-	// which snapshots mutable state and must stay cheap — is the single
-	// source of truth for the current graph.
-	volatile bool
+	source string // provenance of the last successful load ("" = never loaded)
 }
 
 // NewRegistry returns a registry keeping at most maxLoaded graphs resident
 // (0 means unbounded).
 func NewRegistry(maxLoaded int) *Registry {
-	return &Registry{
-		entries:   make(map[string]*regEntry),
-		lru:       list.New(),
-		maxLoaded: maxLoaded,
+	if maxLoaded <= 0 {
+		maxLoaded = math.MaxInt // a Cache reads capacity <= 0 as "store nothing"
 	}
+	return &Registry{entries: make(map[string]*regEntry), graphs: NewCache(maxLoaded)}
 }
 
 // Register adds a named dataset backed by a loader with unknown
@@ -80,16 +77,7 @@ func (r *Registry) Register(name, desc string, load LoadFunc) error {
 // RegisterSourced adds a named dataset backed by a provenance-reporting
 // loader (see SourcedLoadFunc).
 func (r *Registry) RegisterSourced(name, desc string, load SourcedLoadFunc) error {
-	if name == "" {
-		return fmt.Errorf("server: empty dataset name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; ok {
-		return fmt.Errorf("server: dataset %q already registered", name)
-	}
-	r.entries[name] = &regEntry{name: name, load: load, desc: desc}
-	return nil
+	return r.add(&regEntry{name: name, desc: desc, load: load})
 }
 
 // RegisterGraph adds a pre-built resident graph. It never loads and, being
@@ -99,72 +87,58 @@ func (r *Registry) RegisterGraph(name, desc string, g *temporal.Graph) error {
 	return r.RegisterSourced(name, desc, func() (*temporal.Graph, string, error) { return g, "memory", nil })
 }
 
-// RegisterVolatile adds a dataset whose graph changes over time (a live
-// dataset): Get calls load on every request — load must therefore be cheap,
-// e.g. a version-cached snapshot — and the entry never enters the LRU, so
-// eviction pressure from immutable datasets can never touch it.
-func (r *Registry) RegisterVolatile(name, desc, source string, load LoadFunc) error {
-	if err := r.RegisterSourced(name, desc, func() (*temporal.Graph, string, error) {
-		g, err := load()
-		return g, source, err
-	}); err != nil {
-		return err
+// RegisterLive adds a live dataset under its name. Get returns its current
+// snapshot (live.Dataset.Graph, cached per version) and it never enters
+// the LRU, so eviction pressure from immutable datasets never touches it.
+func (r *Registry) RegisterLive(d *live.Dataset, desc string) error {
+	return r.add(&regEntry{name: d.Name(), desc: desc, live: d, source: "live"})
+}
+
+// add publishes a complete entry in one step: no Get sees it half built.
+func (r *Registry) add(e *regEntry) error {
+	if e.name == "" {
+		return fmt.Errorf("server: empty dataset name")
 	}
 	r.mu.Lock()
-	e := r.entries[name]
-	e.volatile = true
-	e.source = source
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[e.name]; ok {
+		return fmt.Errorf("server: dataset %q already registered", e.name)
+	}
+	r.entries[e.name] = e
 	return nil
+}
+
+// lookup returns name's entry, or nil when it is not registered.
+func (r *Registry) lookup(name string) *regEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.entries[name]
 }
 
 // Get returns the named graph, loading it if necessary. Concurrent callers
 // for the same dataset share one load (and a panicking loader resolves as
 // an error instead of wedging the dataset — see group).
 func (r *Registry) Get(name string) (*temporal.Graph, error) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	if !ok {
-		r.mu.Unlock()
+	e := r.lookup(name)
+	if e == nil {
 		return nil, &UnknownDatasetError{Name: name}
 	}
-	if e.volatile {
-		r.mu.Unlock()
-		// No flight, no residency, no LRU: the loader snapshots live state
-		// (cheaply, cached per version downstream) and two concurrent Gets
-		// may legitimately see different versions.
-		g, _, err := e.load()
-		return g, err
+	if e.live != nil {
+		// Two concurrent Gets may legitimately see different versions.
+		return e.live.Graph(), nil
 	}
-	if g := r.resident(e); g != nil {
-		r.mu.Unlock()
-		return g, nil
-	}
-	r.mu.Unlock()
-
 	// Loads always run to completion once started — a graph is durable
 	// state worth keeping even if the requesters gave up — hence the
-	// Background context.
-	v, _, err := r.flights.do(context.Background(), name, func(context.Context) (any, error) {
-		// A flight for name may have resolved between the check above and
-		// this one starting: its graph is resident, so hand it out.
-		r.mu.Lock()
-		g := r.resident(e)
-		r.mu.Unlock()
-		if g != nil {
-			return g, nil
-		}
+	// Background context. Graphs handed out before an eviction stay valid:
+	// they are immutable and collected once the last request drops them.
+	v, _, _, err := r.graphs.Do(context.Background(), name, func(context.Context) (any, error) {
 		g, source, err := e.load()
 		if err != nil {
 			return nil, err
 		}
 		r.mu.Lock()
-		// Store before the flight resolves so a Get racing its completion
-		// finds the resident graph instead of starting a second flight.
 		r.loads++
-		e.g, e.source = g, source
-		e.elem = r.lru.PushFront(e)
-		r.evictOverflow()
+		e.source = source
 		r.mu.Unlock()
 		return g, nil
 	})
@@ -172,30 +146,6 @@ func (r *Registry) Get(name string) (*temporal.Graph, error) {
 		return nil, err
 	}
 	return v.(*temporal.Graph), nil
-}
-
-// resident returns e's graph, marking it most recently used, or nil when it
-// is not loaded. Callers hold r.mu.
-func (r *Registry) resident(e *regEntry) *temporal.Graph {
-	if e.g != nil {
-		r.lru.MoveToFront(e.elem)
-	}
-	return e.g
-}
-
-// evictOverflow drops least-recently-used resident graphs beyond the
-// budget. Callers hold r.mu. Graphs handed out earlier stay valid — they
-// are immutable and garbage collected once the last request drops them.
-func (r *Registry) evictOverflow() {
-	if r.maxLoaded <= 0 {
-		return
-	}
-	for r.lru.Len() > r.maxLoaded {
-		back := r.lru.Back()
-		e := r.lru.Remove(back).(*regEntry)
-		e.g, e.elem = nil, nil
-		r.evictions++
-	}
 }
 
 // UnknownDatasetError reports a request for an unregistered dataset.
@@ -219,8 +169,8 @@ type DatasetInfo struct {
 	Edges  int    `json:"edges,omitempty"`
 	// Live datasets (mutable, fed by /v1/ingest) additionally report their
 	// current version; immutable datasets are implicitly version 1 and omit
-	// both fields. The server fills these in — the registry only knows the
-	// entry is volatile.
+	// both fields. A live dataset is Loaded, with its dimensions, once a
+	// graph snapshot for its current version is materialized.
 	Live    bool   `json:"live,omitempty"`
 	Version uint64 `json:"version,omitempty"`
 }
@@ -228,24 +178,47 @@ type DatasetInfo struct {
 // List describes the registered datasets, sorted by name.
 func (r *Registry) List() []DatasetInfo {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	es := make([]*regEntry, 0, len(r.entries))
 	out := make([]DatasetInfo, 0, len(r.entries))
 	for _, e := range r.entries {
-		info := DatasetInfo{Name: e.name, Desc: e.desc, Loaded: e.g != nil, Source: e.source, Live: e.volatile}
-		if e.g != nil {
-			info.Nodes = e.g.NumNodes()
-			info.Edges = e.g.NumEdges()
+		es = append(es, e)
+		out = append(out, DatasetInfo{Name: e.name, Desc: e.desc, Source: e.source, Live: e.live != nil})
+	}
+	r.mu.Unlock()
+
+	// Outside r.mu: a live dataset's accessors wait on its ingest.
+	for i, e := range es {
+		info := &out[i]
+		if e.live != nil {
+			info.Version = e.live.Version()
+			info.Nodes, info.Edges, info.Loaded = e.live.SnapshotDims()
+		} else if g, _ := r.graphs.peek(e.name).(*temporal.Graph); g != nil {
+			info.Loaded, info.Nodes, info.Edges = true, g.NumNodes(), g.NumEdges()
 		}
-		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// liveDatasets returns the registered live datasets, in no order.
+func (r *Registry) liveDatasets() []*live.Dataset {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*live.Dataset
+	for _, e := range r.entries {
+		if e.live != nil {
+			out = append(out, e.live)
+		}
+	}
 	return out
 }
 
 // Stats returns cumulative load and eviction counts and the resident set
 // size.
 func (r *Registry) Stats() (loads, evictions uint64, resident int) {
+	_, _, evictions, _ = r.graphs.Stats()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.loads, r.evictions, r.lru.Len()
+	loads = r.loads
+	r.mu.Unlock()
+	return loads, evictions, r.graphs.Len()
 }

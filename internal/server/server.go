@@ -1,9 +1,11 @@
 // Package server implements hared, the long-lived concurrent query service
 // over hare's counting engines. It is organized as three small layers:
 //
-//   - a graph Registry that loads each named dataset at most once (via the
-//     parallel loader), shares the immutable CSR graph across requests and
-//     LRU-evicts residents beyond a budget;
+//   - a Registry, one table of named datasets: an immutable dataset loads
+//     at most once per residency (via the parallel loader) into a Cache
+//     keyed by its name, which shares the CSR graph across requests and
+//     LRU-evicts residents beyond a budget; a live dataset resolves to the
+//     snapshot of its current version;
 //   - a result Cache keyed by canonicalized request with singleflight
 //     deduplication, so a thundering herd of identical queries computes
 //     each answer exactly once;
@@ -25,12 +27,10 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"hare/internal/approx"
 	"hare/internal/higher"
-	"hare/internal/live"
 	"hare/internal/motif"
 	"hare/internal/nullmodel"
 	"hare/internal/query"
@@ -108,9 +108,6 @@ type Server struct {
 	version   string
 	role      string
 	mux       *http.ServeMux
-
-	liveMu sync.RWMutex
-	live   map[string]*live.Dataset
 }
 
 // New returns a Server with no datasets registered.
@@ -134,7 +131,6 @@ func New(opts Options) (*Server, error) {
 		metrics:   newMetrics(),
 		version:   opts.Version,
 		role:      opts.Role,
-		live:      make(map[string]*live.Dataset),
 	}
 	if s.role == "" {
 		s.role = "single"
@@ -176,27 +172,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // returns its graph.
 func (s *Server) Preload(name string) (*temporal.Graph, error) { return s.registry.Get(name) }
 
-// Datasets lists the registered datasets, as /v1/datasets reports them.
-// Live datasets report their current version and dimensions; Loaded means
-// a graph snapshot for the current version is materialized.
-func (s *Server) Datasets() []DatasetInfo {
-	out := s.registry.List()
-	for i := range out {
-		if !out[i].Live {
-			continue
-		}
-		d := s.Live(out[i].Name)
-		if d == nil {
-			continue // registered volatile but not through RegisterLive
-		}
-		out[i].Version = d.Version()
-		if n, e, ok := d.SnapshotDims(); ok {
-			out[i].Loaded = true
-			out[i].Nodes, out[i].Edges = n, e
-		}
-	}
-	return out
-}
+// Datasets lists the registered datasets, as /v1/datasets reports them
+// (see DatasetInfo).
+func (s *Server) Datasets() []DatasetInfo { return s.registry.List() }
 
 // CacheStats exposes the result-cache counters (hits, misses, evictions,
 // coalesced in-flight joins) for tests and load reports.

@@ -614,7 +614,7 @@ func holdSecondJoiner(g *group) (checked, release chan struct{}) {
 
 func TestRegistryLateJoinerFindsResidentGraph(t *testing.T) {
 	r := NewRegistry(0)
-	checked, release := holdSecondJoiner(&r.flights)
+	checked, release := holdSecondJoiner(&r.graphs.flights)
 	var loads atomic.Int64
 	g := tinyGraph()
 	r.Register("a", "", func() (*temporal.Graph, error) {
