@@ -65,11 +65,12 @@ type Path4Label = higher.PathLabel
 
 // CountPath4 exactly counts the 4-node, 3-edge path motifs in g (edges
 // a–b, b–c, c–d over four distinct nodes within δ). Together with
-// CountStar4 this covers every connected 4-node 3-edge motif. Counting
-// parallelises over middle edges in plain dynamic chunks — WithWorkers
-// applies; WithDegreeThreshold steers node pivots only and has no effect
-// here (a middle edge costs the sum of its endpoints' δ-windows, so hubs need
-// no stage of their own).
+// CountStar4 this covers every connected 4-node 3-edge motif. It counts
+// every pair of legs at the two ends of each edge, in plain dynamic chunks
+// of edges, and subtracts the pairs whose legs meet, which close
+// δ-triangles counted by FAST-Tri on the HARE engine. WithWorkers applies
+// to both halves; WithDegreeThreshold steers the triangle half's hub stage.
+// The counts are bit-identical at any setting.
 func CountPath4(g *Graph, delta Timestamp, opts ...Option) (Path4Counter, error) {
 	if g == nil {
 		return Path4Counter{}, errNilGraph

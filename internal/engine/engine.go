@@ -14,7 +14,7 @@
 // only resolver of workers, thrd and chunk size. Its callers are run (the 36
 // motifs, below, whole or as CountRange, and one category's kernel as
 // CountCategoryRange, whose triangle half is also the query compiler's
-// triangle plan) and
+// triangle plan and higher.CountPath4Range's triangle correction) and
 // higher.CountStar4Range (4-node stars and the star and pair plans): the node
 // pivots, whose cost grows with the degree, so one hub can outweigh whole
 // chunks of others. Their ranges are incidence positions, not node IDs, so a
@@ -23,9 +23,10 @@
 // through them to the shard tier's processes). A change to how work is
 // scheduled is an edit to Sweep. Dispatch, the flat
 // chunked loop underneath, is exported for the loops that have no heavy
-// stage (higher.SweepEdgesRange and through it path4 and query's path plans,
-// whose per-edge cost is linear in the endpoints' δ-windows;
-// nullmodel.SampleMatrices; approx.EstimateStrata).
+// stage (higher.CountPath4Range's leg-pair merges and
+// higher.SweepEdgesRange under query's path plans, whose per-edge cost is
+// linear in the endpoints' δ-windows; nullmodel.SampleMatrices;
+// approx.EstimateStrata).
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable

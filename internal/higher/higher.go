@@ -19,17 +19,24 @@
 // nothing beyond the 3-node ones, and — like FAST — are embarrassingly
 // parallel over centers (each 4-node star has a unique center).
 //
+// The 4-node paths (path.go) are counted per edge as the structural middle.
+// The pair sweep (sweep.go) splits each middle edge's leg pairs by whether
+// their far ends differ (paths) or meet (triangles); CountPath4Range instead
+// counts all leg pairs without a per-neighbour counter and subtracts the
+// triangles FAST-Tri counts, through a constant map of its cells
+// (allpairs.go).
+//
 // The package has no scheduler of its own. CountStar4Range is a caller of
 // engine.Sweep, HARE's two-stage schedule: it sweeps center nodes with an
 // intra-center split for hubs, and returns the FAST-Star counters beside the
 // 4-node ones, so the query compiler's center plans read any star or pair
-// cell from it. SweepEdgesRange sweeps edges — for CountPath4Range and for
-// the query compiler's path plans — in the flat dynamic chunks of
-// engine.Dispatch, because an edge pivot's cost is linear in its endpoints'
-// δ-windows (sweep.go). Options converts to engine.Options in one place and
-// resolves no default itself. Count and CountPaths stay plain sequential
-// loops: the references the differential tests compare the scheduled
-// counters to.
+// cell from it. CountPath4Range and SweepEdgesRange (the query compiler's
+// path plans) sweep edges in the flat dynamic chunks of engine.Dispatch,
+// because an edge pivot's cost is linear in its endpoints' δ-windows;
+// CountPath4Range's triangles run on engine.Sweep like every FAST-Tri
+// count. Options converts to engine.Options in one place and resolves no
+// default itself. Count and CountPaths stay plain sequential loops: the
+// references the differential tests compare the scheduled counters to.
 package higher
 
 import (

@@ -21,8 +21,8 @@ type Options struct {
 	// engine does: centers with temporal degree strictly greater are
 	// scheduled with finer-grained parallelism. 0 selects the automatic
 	// top-20 heuristic; negative disables the heavy stage. It steers node
-	// pivots only (CountStar4Range, center plans): edge pivots have no heavy
-	// stage, see SweepEdgesRange.
+	// pivots only (CountStar4Range, center plans, CountPath4Range's
+	// triangles): edge pivots have no heavy stage, see SweepEdgesRange.
 	DegreeThreshold int
 	// ChunkSize is the number of light work items (centers, or edge pivots)
 	// per dynamic work unit (default 64).
@@ -100,34 +100,59 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 	return complement(&all, &counts), counts
 }
 
-// CountPath4 counts the 4-node, 3-edge path motifs in parallel over middle
-// edges; see CountPath4Range and, for the schedule, SweepEdgesRange.
-// Bit-identical to the sequential CountPaths at any worker count.
+// CountPath4 counts the 4-node, 3-edge path motifs in parallel; see
+// CountPath4Range. Bit-identical to the sequential CountPaths at any
+// setting.
 func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathCounter {
 	return CountPath4Range(g, delta, opts, 0, g.NumEdges())
 }
 
-// CountPath4Range counts the 4-node paths whose structural-middle edge ID
-// lies in [lo, hi) (clamped to [0, NumEdges)). Every path instance has a
-// unique middle edge, so partial counters over any partition of the edge
-// IDs sum to CountPath4's full counter — the per-shard work unit of the
-// scatter/gather serving path (internal/shard). The raw tallies of the pair
-// sweep (sweep.go) are merged first; the 24 labels are read off once.
+// CountPath4Range is the share of the 4-node path count that belongs to the
+// edge IDs [lo, hi) (clamped to [0, NumEdges)): every leg pair of the pivots
+// in that range, minus the triangle correction (allpairs.go) of FAST-Tri
+// over the incidence positions [2lo, 2hi). Every edge has exactly two
+// incidences (self-loops are dropped), so a partition of the edge IDs maps
+// to a partition of the incidences, and partial counters over any partition
+// sum to CountPath4's full counter — the per-shard work unit of the
+// scatter/gather serving path (internal/shard). Only such a sum means
+// anything: a partial's own cells may even have wrapped below zero, which
+// the uint64 sum undoes exactly.
+//
+// The pivots run in the flat dynamic chunks of engine.Dispatch, as
+// SweepEdgesRange's do, four scratch-free merges each; the triangles run on
+// engine.Sweep, whose DegreeThreshold slices the hubs. Counts are
+// bit-identical at any setting.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
-	diff := SweepEdgesRange(g, delta, opts, AllLegOrders, lo, hi)
-	var total PathCounter
-	total.addPaths(&diff)
-	return total
+	lo, hi = max(lo, 0), min(hi, g.NumEdges())
+	eo := opts.Engine()
+	parts := make([]struct {
+		all LegPairs
+		_   [64]byte // keeps neighbouring workers off each other's cache lines
+	}, eo.EffectiveWorkers())
+	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
+		for id := lo + start; id < lo+end; id++ {
+			addLegPairs(g, temporal.EdgeID(id), delta, &parts[w].all)
+		}
+	})
+	var all LegPairs
+	for w := range parts {
+		all.add(&parts[w].all)
+	}
+	var out PathCounter
+	out.addPaths(&all)
+	tri := engine.CountCategoryRange(g, delta, eo, 2*lo, 2*hi, motif.CategoryTri)
+	out.subTriangles(&tri.Tri)
+	return out
 }
 
 // SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi)
 // (clamped to [0, NumEdges)) and the given role orders, each worker with a
 // pooled scratch and tallies of its own, and returns the merged tallies of
-// leg pairs with different far ends: the 4-node paths. (The same-far-end
-// pairs, triangles, are counted by FAST-Tri everywhere but the stream.)
-// Cells are exact integers, so the sums do not depend on which worker met
-// which pivot. It is the range form of the sweep, for CountPath4Range and
-// the query compiler's path plans.
+// leg pairs with different far ends: the 4-node paths with their middle in
+// the range. Cells are exact integers, so the sums do not depend on which
+// worker met which pivot. It is the range form of the sweep, for the query
+// compiler's path plans, which read one role order: CountPath4Range, which
+// needs all six, counts them without the sweep.
 //
 // The schedule is flat, dynamic chunks of Options.ChunkSize
 // (engine.Dispatch): an edge pivot costs the sum of its endpoints'

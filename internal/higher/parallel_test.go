@@ -183,8 +183,9 @@ func BenchmarkCountPath4(b *testing.B) {
 			}
 		})
 	}
-	// On 400 nodes the dense per-node scratch sits in cache. The serving
-	// benchmark's traffic is wikitalk: 100k nodes, so every bump is a miss.
+	// On 400 nodes the whole graph sits in cache. The serving benchmark's
+	// traffic is wikitalk: 100k nodes, whose windows and FAST-Tri's degree
+	// reads miss.
 	cfg, err := gen.DatasetByName("wikitalk")
 	if err != nil {
 		b.Fatal(err)

@@ -12,11 +12,12 @@ import (
 // 4-node, 3-edge δ-temporal paths complete the 4-node 3-edge family next to
 // the stars: edges a–b, b–c, c–d over four distinct nodes. Every instance
 // has a unique *structural middle* edge (the one sharing a node with both
-// others), which is the pivot of the pair sweep (sweep.go) that counts them:
-// per middle edge, the legs at its two endpoints are counted against each
-// other, never paired up, and the different-far-end cells are the paths. The
-// temporal order of the three edges and their directions along the a→b→c→d
-// traversal define the motif.
+// others), the pivot they are counted at: per middle edge, the legs at its
+// two endpoints are counted against each other, never paired up. The pair
+// sweep (sweep.go) keeps the different-far-end cells, the paths;
+// CountPath4Range keeps all of them and takes the triangles off afterwards
+// (allpairs.go). The temporal order of the three edges and their directions
+// along the a→b→c→d traversal define the motif.
 //
 // Taxonomy: 6 temporal permutations of (first-leg, middle, last-leg) × 2³
 // directions = 48 raw patterns; path reversal (reading d,c,b,a) identifies
@@ -208,11 +209,12 @@ func CountPaths(g *temporal.Graph, delta temporal.Timestamp) PathCounter {
 }
 
 // CountPathMiddle adds to out every path instance whose structural middle
-// is the given edge — the same per-edge unit CountPath4Range schedules,
-// exposed so samplers (internal/approx) can evaluate a single pivot without
-// paying a full range dispatch per draw. Each instance has a unique middle,
-// so per-edge tallies sum without correction. scratch must cover the graph's
-// node IDs.
+// is the given edge — CountPaths' per-edge unit, exposed so samplers
+// (internal/approx) can evaluate a single pivot without paying a full range
+// dispatch per draw. Each instance has a unique middle, so per-edge tallies
+// sum without correction. CountPath4Range's per-edge tallies do not: they
+// hold the pivot's triangles too, which come off only in a whole range's
+// sum. scratch must cover the graph's node IDs.
 func CountPathMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp,
 	scratch *fast.Scratch, out *PathCounter) {
 	var diff, same LegPairs

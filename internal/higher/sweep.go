@@ -6,20 +6,25 @@ import (
 	"hare/internal/temporal"
 )
 
-// The pair sweep is the one way this repository counts a "leg at each
-// endpoint" shape: a pivot edge m = (b→c, t) with one more edge f at b and one
-// more edge g at c, the far ends of f and g off the pivot pair. Where the far
-// ends differ the three edges are a 4-node path with m its structural middle;
-// where they coincide, a triangle. Following the paper's argument for FAST
-// over EX, instances are counted from per-neighbour counters, never
-// enumerated: the δ-windows of S_b and S_c are split at the pivot's own
-// position into the legs before and after it, and each of the six temporal
-// role orders of (f, m, g) is one two-pointer sweep over two of those four
-// halves. As the inner cursor admits a leg it bumps a running per-direction
-// total and the per-neighbour m_in/m_out of a fast.Scratch (the paper's
-// triple counter); for each outer leg with far end x, m(x) is then the number
-// of admitted partners with the same far end and total − m(x) the number with
-// a different one. All 48 cells cost O(w_b + w_c) per pivot.
+// The pair sweep counts a "leg at each endpoint" shape one pivot at a time:
+// a pivot edge m = (b→c, t) with one more edge f at b and one more edge g at
+// c, the far ends of f and g off the pivot pair. Where the far ends differ the
+// three edges are a 4-node path with m its structural middle; where they
+// coincide, a triangle. It is what CountPaths, the samplers, the stream and
+// the query compiler's path plans count with; CountPath4Range, which needs
+// every order of every pivot and no per-pivot split, sums the two kinds
+// without a scratch and separates them afterwards (allpairs.go).
+//
+// Following the paper's argument for FAST over EX, instances are counted
+// from per-neighbour counters, never enumerated: the δ-windows of S_b and
+// S_c are split at the pivot's own position into the legs before and after
+// it, and each of the six temporal role orders of (f, m, g) is one
+// two-pointer sweep over two of those four halves. As the inner cursor
+// admits a leg it bumps a running per-direction total and the per-neighbour
+// m_in/m_out of a fast.Scratch (the paper's triple counter); for each outer
+// leg with far end x, m(x) is then the number of admitted partners with the
+// same far end and total − m(x) the number with a different one. All 48
+// cells cost O(w_b + w_c) per pivot.
 
 // LegOrder is the temporal order of the three roles f (leg at the pivot's
 // source), m (the pivot) and g (leg at its destination); the values index

@@ -4,10 +4,9 @@
 // the columnar CSR core with the counting routines and the scheduling of the
 // hand-tuned counters (a star or pair spec is a cell of CountStar4Range's
 // counters, a triangle spec three cells of FAST-Tri's, a path spec a cell of
-// the pair sweep behind CountPath4Range; see Compile), and the same
-// exactness bar: plans are
-// exact, bit-identical at any worker count, and range-splittable along their
-// pivot for the scatter/gather tier.
+// the pair sweep, higher.SweepEdgesRange; see Compile), and the same
+// exactness bar: plans are exact, bit-identical at any worker count, and
+// range-splittable along their pivot for the scatter/gather tier.
 //
 // A spec names the paper's δ-temporal motif semantics directly (Paranjape
 // et al., WSDM'17 Def. 1, as used throughout this repository): the i-th

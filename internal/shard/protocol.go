@@ -13,8 +13,12 @@
 //     triangle at its owner by its first, so per-range counters sum exactly,
 //     and a hub a boundary falls inside is split between two workers instead
 //     of weighing on one;
-//   - /v1/path4 and path-plan /v1/query split by middle-edge ID range — every
-//     4-node path has a unique structural-middle edge;
+//   - path-plan /v1/query splits by middle-edge ID range — every 4-node
+//     path has a unique structural-middle edge;
+//   - /v1/path4 splits by edge ID range too, but its partial is the range's
+//     leg pairs minus the triangle correction of incidence positions
+//     [2lo, 2hi) (higher.CountPath4Range): only the sum over a partition
+//     is a count;
 //   - /v1/sig splits by sample-index range — per-sample seeds are
 //     index-derived, and the coordinator re-folds the raw sample count
 //     matrices through the same fixed-chunk Welford tree as a local run.
@@ -46,8 +50,12 @@ import (
 // (Partial.Cells), which a version-3 end neither sends nor reads. Version 5
 // made the sub-request the normalized server.Request plus its range: a
 // sampled sub-request is its family's kind with epsilon_set, where a
-// version-4 end sends the path4approx and queryapprox kinds.
-const ProtoVersion = 5
+// version-4 end sends the path4approx and queryapprox kinds. Version 6 made
+// a path4 partial the leg pairs of its edge range minus the triangle
+// correction of incidence positions [2lo, 2hi), where a version-5 partial
+// holds the paths whose middle edge lies in the range: mixed into one
+// gather, the two kinds of partial would sum to a silently wrong count.
+const ProtoVersion = 6
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.

@@ -9,9 +9,9 @@
 // δ-windows. The newest edge is the *last* edge of every newly completed
 // instance: fast.CountBefore, the time mirror of FAST-Star's window loop
 // (Algorithm 1), counts the completed star/pair triples in each endpoint's
-// backward window, and higher.CountLegPairsIn, the pair sweep behind path4,
-// counts the completed triangles as the legs at the two endpoints with one
-// common far end. Per-edge cost is O(d^δ) — the same asymptotics as batch
+// backward window, and higher.CountLegPairsIn, the pair sweep behind
+// higher.CountPaths, counts the completed triangles as the legs at the two
+// endpoints with one common far end. Per-edge cost is O(d^δ) — the same asymptotics as batch
 // FAST, paid incrementally. Sliding mode additionally runs the forward scans
 // when an edge expires: the expiring edge is the *first* edge of every
 // instance leaving the window, so fast.CountAfter (Algorithm 1's loop for
