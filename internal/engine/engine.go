@@ -23,7 +23,7 @@
 // through them to the shard tier's processes). A change to how work is
 // scheduled is an edit to Sweep. Dispatch, the flat
 // chunked loop underneath, is exported for the loops that have no heavy
-// stage (higher.CountPath4Range's leg-pair merges and
+// stage (higher.CountPath4Range's leg-pair walks and
 // higher.SweepEdgesRange under query's path plans, whose per-edge cost is
 // linear in the endpoints' δ-windows; nullmodel.SampleMatrices;
 // approx.EstimateStrata).

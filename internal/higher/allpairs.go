@@ -16,88 +16,119 @@ import (
 // with Tri FAST-Tri's 24 owner cells and triPaths a constant map onto the
 // 48 path slots: the temporal form of ESCAPE's "3-paths = Σ(d_u−1)(d_v−1)
 // − 3·triangles" (Pinar, Seshadhri & Vishal, WWW 2017). Without the far
-// ends no per-neighbour counter is needed. Of the six role orders, FGM and
-// MFG are merges by EdgeID of the two halves on one side of the pivot, GFM
-// and MGF are what those leave of the halves' products (two distinct legs
-// on one side come in one order or the other), and FMG and GMF, whose legs
-// the pivot separates, are merges on the span bound: four merges and two
-// products per pivot, no scratch.
-
-// mergeLegs adds to cell, laid out [outer leg out][inner leg out], every
-// pair of an outer leg in o[oLo:oHi] and an inner leg in in[iLo:iHi] whose
-// inner leg has the smaller EdgeID, or with bySpan lies no more than δ after
-// the outer one. Both sequences ascend in EdgeID (and so in time), and
-// either bound only grows along the outer walk, so the inner cursor never
-// moves back. oSkip and inSkip are the far ends that put a leg on the pivot
-// pair; such legs take no part. Without bySpan it also returns how many legs
-// each side holds, by direction.
-func mergeLegs(o *temporal.Seq, oLo, oHi int, in *temporal.Seq, iLo, iHi int, oSkip, inSkip temporal.NodeID,
-	bySpan bool, delta temporal.Timestamp, cell *[2][2]uint64) (nOuter, nInner [2]uint64) {
-	j := iLo
-	for i := oLo; i < oHi; i++ {
-		if o.Other[i] == oSkip {
-			continue
-		}
-		for ; j < iHi; j++ {
-			if bySpan {
-				if in.Time[j]-o.Time[i] > delta {
-					break
-				}
-			} else if in.ID[j] > o.ID[i] {
-				break
-			}
-			if in.Other[j] != inSkip {
-				nInner[motif.DirOf(in.Out[j])]++
-			}
-		}
-		d := motif.DirOf(o.Out[i])
-		nOuter[d]++
-		cell[d][motif.In] += nInner[motif.In]
-		cell[d][motif.Out] += nInner[motif.Out]
-	}
-	if !bySpan {
-		for ; j < iHi; j++ {
-			if in.Other[j] != inSkip {
-				nInner[motif.DirOf(in.Out[j])]++
-			}
-		}
-	}
-	return nOuter, nInner
-}
+// ends no per-neighbour counter is needed, and a pivot's leg pairs come
+// from two merged walks out from its own positions in S_b and S_c, which
+// temporal.EdgePositions gives in O(1). Of the six role orders, FGM and MFG
+// pair two legs on one side of the pivot in EdgeID order, and GFM and MGF
+// are what those leave of the halves' products (two distinct legs on one
+// side come in one order or the other). FMG and GMF, whose legs the pivot
+// separates, pair the after-walk's legs with the before-halves' legs still
+// within δ of them.
 
 // addLegPairs adds every leg pair of pivot e, for all six role orders, to
-// all: CountLegPairs' diff and same cells together, in the same layout.
-func addLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp, all *LegPairs) {
+// all: CountLegPairs' diff and same cells together, in the same layout. pos
+// is the graph's temporal.EdgePositions.
+func addLegPairs(g *temporal.Graph, pos [][2]int32, e temporal.EdgeID, delta temporal.Timestamp, all *LegPairs) {
 	b, c := g.Src()[e], g.Dst()[e]
 	t := g.Times()[e]
-	// f ranges over sb[fLo:pb] before the pivot and sb[pb+1:fHi] after it, g
-	// over sc[gLo:pc] and sc[pc+1:gHi]. Without a leg at either end there is
-	// no pair, and the other end need not be searched.
-	sb := g.Seq(b)
-	pb := pivotPos(sb.ID, e)
-	fLo, fHi := windowStart(sb.Time, pb, t, delta), windowEnd(sb.Time, pb, t, delta)
-	if fHi-fLo == 1 {
+	sb, sc := g.Seq(b), g.Seq(c)
+	pb, pc := int(pos[e][0]), int(pos[e][1])
+	// Without a leg within δ at either end there is no pair; the nearest leg
+	// on each side of the pivot tells.
+	if !hasLeg(sb.Time, pb, t, delta) || !hasLeg(sc.Time, pc, t, delta) {
 		return
 	}
-	sc := g.Seq(c)
-	pc := pivotPos(sc.ID, e)
-	gLo, gHi := windowStart(sc.Time, pc, t, delta), windowEnd(sc.Time, pc, t, delta)
-	if gHi-gLo == 1 {
-		return
-	}
+	// f walks S_b and g walks S_c. Legs whose far end is the other pivot
+	// endpoint (multi-edges of the pivot pair) are stepped over: the only
+	// edges both sequences hold, so a merge never compares two live legs
+	// with one EdgeID.
+	//
+	// Backward: newest first, merged by EdgeID, to where both sides leave
+	// δ. Each f meets the g already passed, whose EdgeIDs are larger: FGM.
+	var fB, gB [2]uint64      // legs before the pivot, by direction
 	var fgm, mfg [2][2]uint64 // [g out][f out], as outerIsF lays them out
-	gB, fB := mergeLegs(&sc, gLo, pc, &sb, fLo, pb, b, c, false, delta, &fgm)
-	gA, fA := mergeLegs(&sc, pc+1, gHi, &sb, pb+1, fHi, b, c, false, delta, &mfg)
-	mergeLegs(&sb, fLo, pb, &sc, pc+1, gHi, c, b, true, delta, &all[OrderFMG])
-	mergeLegs(&sc, gLo, pc, &sb, pb+1, fHi, b, c, true, delta, &all[OrderGMF])
+	i, j := pb-1, pc-1
+	for {
+		fIn := i >= 0 && t-sb.Time[i] <= delta
+		gIn := j >= 0 && t-sc.Time[j] <= delta
+		if fIn && (!gIn || sb.ID[i] > sc.ID[j]) {
+			if sb.Other[i] != c {
+				d := motif.DirOf(sb.Out[i])
+				fB[d]++
+				fgm[motif.In][d] += gB[motif.In]
+				fgm[motif.Out][d] += gB[motif.Out]
+			}
+			i--
+		} else if gIn {
+			if sc.Other[j] != b {
+				gB[motif.DirOf(sc.Out[j])]++
+			}
+			j--
+		} else {
+			break
+		}
+	}
+	// Forward: oldest first, merged by EdgeID, to where both sides leave δ.
+	// Each g meets the f already passed: MFG. Trailing cursors rf and rg
+	// retire the before-legs more than δ older than the current leg, so the
+	// live ones are its partners across the pivot: FMG for a g, GMF for an
+	// f.
+	var fA, gA [2]uint64
+	liveF, liveG := fB, gB
+	var fmg, gmf [2][2]uint64 // [f out][g out] and [g out][f out]
+	rf, rg := i+1, j+1
+	i, j = pb+1, pc+1
+	for {
+		fIn := i < len(sb.ID) && sb.Time[i]-t <= delta
+		gIn := j < len(sc.ID) && sc.Time[j]-t <= delta
+		if fIn && (!gIn || sb.ID[i] < sc.ID[j]) {
+			if sb.Other[i] != c {
+				for ft := sb.Time[i]; rg < pc && ft-sc.Time[rg] > delta; rg++ {
+					if sc.Other[rg] != b {
+						liveG[motif.DirOf(sc.Out[rg])]--
+					}
+				}
+				d := motif.DirOf(sb.Out[i])
+				fA[d]++
+				gmf[motif.In][d] += liveG[motif.In]
+				gmf[motif.Out][d] += liveG[motif.Out]
+			}
+			i++
+		} else if gIn {
+			if sc.Other[j] != b {
+				for gt := sc.Time[j]; rf < pb && gt-sb.Time[rf] > delta; rf++ {
+					if sb.Other[rf] != c {
+						liveF[motif.DirOf(sb.Out[rf])]--
+					}
+				}
+				d := motif.DirOf(sc.Out[j])
+				gA[d]++
+				mfg[d][motif.In] += fA[motif.In]
+				mfg[d][motif.Out] += fA[motif.Out]
+				fmg[motif.In][d] += liveF[motif.In]
+				fmg[motif.Out][d] += liveF[motif.Out]
+			}
+			j++
+		} else {
+			break
+		}
+	}
 	for x := range 2 {
 		for y := range 2 {
 			all[OrderFGM][x][y] += fgm[x][y]
 			all[OrderMFG][x][y] += mfg[x][y]
+			all[OrderFMG][x][y] += fmg[x][y]
+			all[OrderGMF][x][y] += gmf[x][y]
 			all[OrderGFM][x][y] += fB[x]*gB[y] - fgm[y][x] // [f out][g out]
 			all[OrderMGF][x][y] += fA[x]*gA[y] - mfg[y][x]
 		}
 	}
+}
+
+// hasLeg tells whether a sequence holds an edge other than the one at pos
+// within δ of its time t: the nearest one on either side decides.
+func hasLeg(times []temporal.Timestamp, pos int, t, delta temporal.Timestamp) bool {
+	return pos > 0 && t-times[pos-1] <= delta || pos+1 < len(times) && times[pos+1]-t <= delta
 }
 
 // triPaths[i] holds the path slots that a triangle in TriCounter cell i

@@ -1,6 +1,7 @@
 package higher
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -134,5 +135,38 @@ func TestPath4RangePartition(t *testing.T) {
 					trial, workers, cuts, got.Total(), want.Total(), got.Labels(), want.Labels())
 			}
 		}
+	}
+}
+
+// The merged walks, pivot by pivot: addLegPairs alone must fill exactly the
+// cells of CountLegPairs' diff and same together, on the sweep corpus (also
+// at δ = 2^40, where every window is a whole sequence) and on 300 random
+// multigraphs over a handful of nodes.
+func TestAddLegPairsMatchesSweep(t *testing.T) {
+	cases := sweepCorpus()
+	for _, c := range sweepCorpus() {
+		cases = append(cases, sweepCase{c.name + "/delta=2^40", c.edges, 1 << 40})
+	}
+	r := rand.New(rand.NewSource(3801))
+	for i := 0; i < 300; i++ {
+		cases = append(cases, sweepCase{fmt.Sprintf("multigraph%d", i),
+			edgesOf(randomGraph(r, 2+r.Intn(8), 1+r.Intn(60), 1+int64(r.Intn(20)))), int64(r.Intn(12))})
+	}
+	for _, c := range cases {
+		g := temporal.FromEdges(c.edges)
+		pos := temporal.EdgePositions(g)
+		scratch := fast.GetScratch(g.NumNodes())
+		for id := 0; id < g.NumEdges(); id++ {
+			e := temporal.EdgeID(id)
+			var diff, same, want, got LegPairs
+			CountLegPairs(g, e, c.delta, AllLegOrders, scratch, &diff, &same)
+			want.add(&diff)
+			want.add(&same)
+			addLegPairs(g, pos, e, c.delta, &got)
+			if got != want {
+				t.Fatalf("%s pivot %d (%v) δ=%d:\n walks %v\n sweep %v", c.name, id, g.Edge(e), c.delta, got, want)
+			}
+		}
+		fast.PutScratch(scratch)
 	}
 }

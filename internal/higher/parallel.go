@@ -119,8 +119,8 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // the uint64 sum undoes exactly.
 //
 // The pivots run in the flat dynamic chunks of engine.Dispatch, as
-// SweepEdgesRange's do, four scratch-free merges each; the triangles run on
-// engine.Sweep, whose DegreeThreshold slices the hubs. Counts are
+// SweepEdgesRange's do, two scratch-free merged walks each; the triangles
+// run on engine.Sweep, whose DegreeThreshold slices the hubs. Counts are
 // bit-identical at any setting.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
 	lo, hi = max(lo, 0), min(hi, g.NumEdges())
@@ -129,9 +129,10 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		all LegPairs
 		_   [64]byte // keeps neighbouring workers off each other's cache lines
 	}, eo.EffectiveWorkers())
+	pos := temporal.EdgePositions(g)
 	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
 		for id := lo + start; id < lo+end; id++ {
-			addLegPairs(g, temporal.EdgeID(id), delta, &parts[w].all)
+			addLegPairs(g, pos, temporal.EdgeID(id), delta, &parts[w].all)
 		}
 	})
 	var all LegPairs

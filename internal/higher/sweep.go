@@ -12,19 +12,20 @@ import (
 // three edges are a 4-node path with m its structural middle; where they
 // coincide, a triangle. It is what CountPaths, the samplers, the stream and
 // the query compiler's path plans count with; CountPath4Range, which needs
-// every order of every pivot and no per-pivot split, sums the two kinds
-// without a scratch and separates them afterwards (allpairs.go).
+// every order of every pivot and no per-pivot split, sums the two kinds in
+// two merged walks per pivot without a scratch and separates them
+// afterwards (allpairs.go).
 //
 // Following the paper's argument for FAST over EX, instances are counted
 // from per-neighbour counters, never enumerated: the δ-windows of S_b and
-// S_c are split at the pivot's own position into the legs before and after
-// it, and each of the six temporal role orders of (f, m, g) is one
-// two-pointer sweep over two of those four halves. As the inner cursor
-// admits a leg it bumps a running per-direction total and the per-neighbour
-// m_in/m_out of a fast.Scratch (the paper's triple counter); for each outer
-// leg with far end x, m(x) is then the number of admitted partners with the
-// same far end and total − m(x) the number with a different one. All 48
-// cells cost O(w_b + w_c) per pivot.
+// S_c are split at the pivot's own position (temporal.EdgePositions, O(1))
+// into the legs before and after it, and each of the six temporal role
+// orders of (f, m, g) is one two-pointer sweep over two of those four
+// halves. As the inner cursor admits a leg it bumps a running per-direction
+// total and the per-neighbour m_in/m_out of a fast.Scratch (the paper's
+// triple counter); for each outer leg with far end x, m(x) is then the
+// number of admitted partners with the same far end and total − m(x) the
+// number with a different one. All 48 cells cost O(w_b + w_c) per pivot.
 
 // LegOrder is the temporal order of the three roles f (leg at the pivot's
 // source), m (the pivot) and g (leg at its destination); the values index
@@ -98,21 +99,6 @@ func (p *LegPairs) add(o *LegPairs) {
 	}
 }
 
-// pivotPos is the index of edge e in a sequence's ascending EdgeID column
-// (e must be present).
-func pivotPos(ids []temporal.EdgeID, e temporal.EdgeID) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // windowStart is the lowest lo ≤ pos with every time in times[lo:pos) at
 // most δ before t.
 func windowStart(times []temporal.Timestamp, pos int, t, delta temporal.Timestamp) int {
@@ -148,7 +134,8 @@ func CountLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestam
 		return // a leaf endpoint: the window is the pivot alone
 	}
 	t := g.Times()[e]
-	pb, pc := pivotPos(sb.ID, e), pivotPos(sc.ID, e)
+	pos := temporal.EdgePositions(g)[e]
+	pb, pc := int(pos[0]), int(pos[1])
 	var fBefore, fAfter, gBefore, gAfter temporal.Seq
 	if orders&srcBefore != 0 {
 		fBefore = sb.Slice(windowStart(sb.Time, pb, t, delta), pb)

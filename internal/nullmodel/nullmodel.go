@@ -61,60 +61,55 @@ func ParseModel(s string) (Model, error) {
 	return 0, fmt.Errorf("nullmodel: unknown model %q (want time-shuffle or degree-rewire)", s)
 }
 
-// mutate applies the model's randomisation to edges in place. The RNG
-// stream depends only on (model, seed) — never on worker count or on
-// whether the caller is the copy-based Sample or the in-place Sampler — so
-// every sampling path draws bit-identical samples for a given seed.
-func mutate(edges []temporal.Edge, model Model, seed int64) error {
+// mutate applies the model's randomisation in place to a graph's edge
+// columns: TimeShuffle permutes ts, DegreeRewire rewires dst, and src is
+// only read. The RNG stream depends only on (model, seed), never on worker
+// count, so every sampling path draws bit-identical samples for a given
+// seed.
+func mutate(src, dst []temporal.NodeID, ts []temporal.Timestamp, model Model, seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	switch model {
 	case TimeShuffle:
-		r.Shuffle(len(edges), func(i, j int) {
-			edges[i].Time, edges[j].Time = edges[j].Time, edges[i].Time
+		r.Shuffle(len(ts), func(i, j int) {
+			ts[i], ts[j] = ts[j], ts[i]
 		})
 	case DegreeRewire:
-		rewire(edges, r)
+		rewire(src, dst, r)
 	default:
 		return fmt.Errorf("nullmodel: unknown model %v", model)
 	}
 	return nil
 }
 
-// rewire performs 10·|E| double-edge target-swap attempts in place. A swap
-// is applied only when neither resulting edge is a self-loop: the graph
-// builder drops self-loops (mirroring the loader's self-loop accounting,
-// Graph.SelfLoopsDropped), so letting one through would silently shrink the
-// sample by an edge and break the degree-sequence invariant the model
-// exists to preserve. Both Sample and Sampler route through this one
-// function so the rejection rule cannot drift between the two paths.
-func rewire(edges []temporal.Edge, r *rand.Rand) {
-	attempts := 10 * len(edges)
+// rewire performs 10·|E| double-edge target-swap attempts in place on the
+// target column. A swap is applied only when neither resulting edge is a
+// self-loop: the graph builder drops self-loops (mirroring the loader's
+// self-loop accounting, Graph.SelfLoopsDropped), so letting one through
+// would silently shrink the sample by an edge and break the degree-sequence
+// invariant the model exists to preserve.
+func rewire(src, dst []temporal.NodeID, r *rand.Rand) {
+	attempts := 10 * len(dst)
 	for a := 0; a < attempts; a++ {
-		i, j := r.Intn(len(edges)), r.Intn(len(edges))
+		i, j := r.Intn(len(dst)), r.Intn(len(dst))
 		if i == j {
 			continue
 		}
-		ei, ej := edges[i], edges[j]
-		// Swapping targets turns (ei.From→ei.To, ej.From→ej.To) into
-		// (ei.From→ej.To, ej.From→ei.To); reject the swap when either new
+		// Swapping targets turns (src[i]→dst[i], src[j]→dst[j]) into
+		// (src[i]→dst[j], src[j]→dst[i]); reject the swap when either new
 		// edge would be a self-loop.
-		if ei.From == ej.To || ej.From == ei.To {
+		if src[i] == dst[j] || src[j] == dst[i] {
 			continue
 		}
-		edges[i].To, edges[j].To = ej.To, ei.To
+		dst[i], dst[j] = dst[j], dst[i]
 	}
 }
 
-// Sample draws one randomised graph under the given model. It copies the
-// edge list and builds a fresh graph per call; ensembles should prefer
-// Sampler, which reuses one scratch graph across samples and draws
+// Sample draws one randomised graph under the given model: a one-shot
+// Sampler, so the graph it returns is the caller's. Ensembles should keep a
+// Sampler instead, which reuses one scratch graph across samples and draws
 // bit-identical samples for the same seeds.
 func Sample(g *temporal.Graph, model Model, seed int64) (*temporal.Graph, error) {
-	edges := append([]temporal.Edge(nil), g.Edges()...)
-	if err := mutate(edges, model, seed); err != nil {
-		return nil, err
-	}
-	return temporal.FromEdges(edges), nil
+	return NewSampler(g, model).Sample(seed)
 }
 
 // Options configures a significance run.

@@ -4,21 +4,22 @@ import (
 	"hare/internal/temporal"
 )
 
-// Sampler draws null samples in place: the base graph's edge list is copied
-// into a reusable buffer, mutated columnarly (TimeShuffle permutes the
-// timestamp column, DegreeRewire rewires the target column), and rebuilt
-// onto one reusable scratch graph. An ensemble therefore allocates O(1)
-// graphs no matter how many samples it draws, instead of a FromEdges rebuild
-// per sample.
+// Sampler draws null samples in place: the base graph's target and time
+// columns are copied into reusable buffers, mutated there (TimeShuffle
+// permutes the times, DegreeRewire rewires the targets) and rebuilt, with
+// the base's source column, onto one reusable scratch graph. An ensemble
+// therefore allocates O(1) graphs no matter how many samples it draws, and
+// never a row-major copy of the base graph.
 //
-// Samples are bit-identical to the copy-based Sample for the same seed (the
-// two share the mutation code and the RNG stream).
+// The package-level Sample is a one-shot Sampler, so the two draw
+// bit-identical samples for the same seed.
 //
 // A Sampler is not safe for concurrent use; ensembles run one per worker.
 type Sampler struct {
 	base  *temporal.Graph
 	model Model
-	buf   []temporal.Edge
+	dst   []temporal.NodeID
+	ts    []temporal.Timestamp
 	rb    temporal.Rebuilder
 }
 
@@ -31,9 +32,11 @@ func NewSampler(g *temporal.Graph, model Model) *Sampler {
 // Sampler's scratch storage: the next Sample call overwrites it, so callers
 // that need it longer must copy it (or use the package-level Sample).
 func (s *Sampler) Sample(seed int64) (*temporal.Graph, error) {
-	s.buf = append(s.buf[:0], s.base.Edges()...)
-	if err := mutate(s.buf, s.model, seed); err != nil {
+	src := s.base.Src()
+	s.dst = append(s.dst[:0], s.base.Dst()...)
+	s.ts = append(s.ts[:0], s.base.Times()...)
+	if err := mutate(src, s.dst, s.ts, s.model, seed); err != nil {
 		return nil, err
 	}
-	return s.rb.Rebuild(s.buf), nil
+	return s.rb.RebuildColumns(src, s.dst, s.ts), nil
 }

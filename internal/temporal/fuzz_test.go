@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -170,5 +172,40 @@ func FuzzExtend(f *testing.F) {
 			graphsEqual(t, fmt.Sprintf("after %d of %d edges", hi, len(edges)), g, FromEdges(edges[:hi]))
 			lo = hi
 		}
+	})
+}
+
+// FuzzBuildUnsorted decodes bytes into edges with arbitrary int64 times:
+// after a header byte s, each 10 bytes are a source and a target over 16
+// nodes and a time, shifted right by s%64 so that spans of every width and
+// dense ties both occur. FromEdges, which radix-sorts unsorted input, must
+// validate and equal, column for column, the build of the same edges stably
+// pre-sorted by time, which takes the chronological path and no sort.
+func FuzzBuildUnsorted(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint64([]byte{0, 1, 2}, math.MaxUint64))
+	extremes := []byte{0}
+	for i, t := range []uint64{math.MaxInt64, 1 << 63, 0, math.MaxInt64, 1 << 63, 5} {
+		extremes = binary.LittleEndian.AppendUint64(append(extremes, byte(i), byte(i+1)), t)
+	}
+	f.Add(extremes)
+	f.Add(append([]byte{60}, extremes[1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shift := data[0] % 64
+		var edges []Edge
+		for data = data[1:]; len(data) >= 10; data = data[10:] {
+			edges = append(edges, Edge{From: NodeID(data[0] % 16), To: NodeID(data[1] % 16),
+				Time: Timestamp(binary.LittleEndian.Uint64(data[2:])) >> shift})
+		}
+		g := FromEdges(edges)
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sorted := slices.Clone(edges)
+		slices.SortStableFunc(sorted, byTime)
+		graphsEqual(t, "unsorted against pre-sorted", g, FromEdges(sorted))
 	})
 }

@@ -58,6 +58,9 @@ type Graph struct {
 	// concurrent first readers may race to build it, but they build identical
 	// slices, so whichever store wins is correct.
 	edgesAoS atomic.Pointer[[]Edge]
+	// Lazily derived edge positions (EdgePositions), cached and reset the
+	// same way; never written to a snapshot.
+	edgePos atomic.Pointer[[][2]int32]
 }
 
 // NumNodes returns the number of nodes (the node ID space is [0, NumNodes)).
@@ -100,6 +103,32 @@ func (g *Graph) Edges() []Edge {
 	}
 	g.edgesAoS.Store(&aos)
 	return aos
+}
+
+// EdgePositions returns, for every edge e, its offsets in the incident
+// sequences of its endpoints: S_src[e] holds e at pos[e][0] and S_dst[e] at
+// pos[e][1]. It is derived in one pass over the incident index on first
+// call and cached on the graph (8 bytes per edge); concurrent first callers
+// may each build it, identically. It is a function rather than a method so
+// the index stays internal to the module. The caller must not modify the
+// result.
+func EdgePositions(g *Graph) [][2]int32 {
+	if p := g.edgePos.Load(); p != nil {
+		return *p
+	}
+	pos := make([][2]int32, len(g.ts))
+	for u := 0; u < g.numNodes; u++ {
+		base := g.incOff[u]
+		for j := base; j < g.incOff[u+1]; j++ {
+			side := 1
+			if g.incOut[j] {
+				side = 0
+			}
+			pos[g.incID[j]][side] = int32(j - base)
+		}
+	}
+	g.edgePos.Store(&pos)
+	return pos
 }
 
 // Edge returns the edge with the given ID.

@@ -93,12 +93,18 @@ func BenchmarkReadEdgeListParallel(b *testing.B) {
 }
 
 // BenchmarkBuildParallel isolates the CSR finalisation stage, buildColumns
-// at each worker count, on uniform endpoints (time-shuffled: the sorting
-// branch) and on the hub-skewed shape (chronological).
+// at each worker count, on uniform endpoints (random times: the sorting
+// branch), on the hub-skewed shape (chronological: no sort) and on that
+// shape with its timestamps shuffled — what a TimeShuffle null sample
+// rebuilds, so the time sort over a real time span is timed on its own.
 func BenchmarkBuildParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	benchBuildParallel(b, "", randomEdges(rng, 40_000, 240_000, 1_000_000))
-	benchBuildParallel(b, "hub/", HubSkewedEdges(rng, 40_000, 240_000))
+	hub := HubSkewedEdges(rng, 40_000, 240_000)
+	benchBuildParallel(b, "hub/", hub)
+	shuffled := slices.Clone(hub)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i].Time, shuffled[j].Time = shuffled[j].Time, shuffled[i].Time })
+	benchBuildParallel(b, "hub-shuffled/", shuffled)
 }
 
 func benchBuildParallel(b *testing.B, prefix string, edges []Edge) {

@@ -1,7 +1,7 @@
 package temporal
 
 import (
-	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -9,13 +9,13 @@ import (
 
 // The one CSR core: every Graph except Extend's delta merge and a decoded
 // snapshot is finalised here from input-order edge columns — by
-// Builder.Build (FromEdges, the subgraphs, internal/gen), by Rebuild, and by
-// the text loader at its worker count. After a stable timestamp sort
-// (skipped for chronological input; sorted segments merged left-to-right)
-// every stage is linear in the edges whatever the degree skew: a
-// counting-sort CSR scatter with per-(worker, node) bases, and the per-pair
-// index by groupByTransposition per destination-node range. The result does
-// not depend on the worker count. Each stage is a top-level function over
+// Builder.Build (FromEdges, the subgraphs, internal/gen), by Rebuild and
+// RebuildColumns, and by the text loader at its worker count. Every stage
+// is linear in the edges whatever the degree skew: a stable radix sort by
+// timestamp (skipped for chronological input), a counting-sort CSR scatter
+// with per-(worker, node) bases, and the per-pair index by
+// groupByTransposition per destination-node range. The result does not
+// depend on the worker count. Each stage is a top-level function over
 // the Rebuilder that holds the build's storage, run by parallelRanges, so a
 // one-worker build runs inline and a reused Rebuilder allocates nothing.
 
@@ -43,9 +43,9 @@ func (rb *Rebuilder) fromColumns(src, dst []NodeID, ts []Timestamp, numNodes, se
 	}
 	g := rb.g
 	g.numNodes, g.selfLoops = numNodes, selfLoops
-	g.edgesAoS.Store(nil) // invalidate a reused graph's lazy row-major cache
+	g.edgesAoS.Store(nil) // invalidate a reused graph's lazy derived caches
+	g.edgePos.Store(nil)
 	m, n := len(ts), numNodes
-	rb.workers = workers
 
 	// EdgeID order is the stable sort by timestamp: chronological input, as
 	// every dataset file of the paper is, becomes the graph's columns as it
@@ -115,78 +115,55 @@ func (rb *Rebuilder) fromColumns(src, dst []NodeID, ts []Timestamp, numNodes, se
 	return g
 }
 
+// radixBits is the digit width of sortByTime: 2048 buckets, whose counts
+// stay in L1, and at most six passes for any int64 time span.
+const radixBits = 11
+
 // sortByTime sets rb.perm to the stable sort of the input edges (rb.spare)
-// by timestamp: rb.workers contiguous segments sorted concurrently by
-// (time, input index) — a total order, so the faster non-stable sort is
-// safe — then merged in pairs level by level. A left segment holds only
-// smaller input indices than its right neighbour, so taking the left
-// element on timestamp ties keeps the merge stable. One segment needs no
-// merge and no merge buffer.
+// by timestamp: an LSD radix sort of the edge indices on ts − min(ts), with
+// only the passes the time span needs. The keys are differences taken in
+// uint64, so even a span over the whole int64 range sorts. One pass over
+// the times fills every digit's histogram; each pass then scatters stably,
+// so ties keep their input order, and a pass whose digit is the same for
+// every edge is skipped. It runs on one goroutine: at O(m) a pass it
+// outruns a concurrent comparison sort at every size the builds see.
 func (rb *Rebuilder) sortByTime() {
-	m, k := len(rb.spare.ts), rb.workers
-	rb.perm = grow(rb.perm, m)
-	rb.bounds = grow(rb.bounds, k+1)
-	for w := range rb.bounds {
-		rb.bounds[w] = w * m / k
-	}
-	parallelRanges(rb, k, k, sortSegments)
-	if k > 1 {
-		rb.tmp = grow(rb.tmp, m)
-	}
-	for b := rb.bounds; len(b) > 2; b = rb.bounds {
-		pairs := (len(b) - 1) / 2
-		parallelRanges(rb, pairs, pairs, mergePairs)
-		last := len(b) - 1
-		if last%2 == 1 { // odd segment count: carry the last as is
-			copy(rb.tmp[b[last-1]:], rb.perm[b[last-1]:])
-		}
-		// Pair p now spans b[2p]:b[2p+2]; compact the bounds in place.
-		for p := 1; 2*p <= last; p++ {
-			b[p] = b[2*p]
-		}
-		if last%2 == 1 {
-			b[pairs+1] = b[last]
-		}
-		rb.bounds = b[:(last+1)/2+1]
-		rb.perm, rb.tmp = rb.tmp, rb.perm
-	}
-}
-
-func sortSegments(rb *Rebuilder, lo, hi int) {
+	const buckets = 1 << radixBits
 	ts := rb.spare.ts
-	for w := lo; w < hi; w++ {
-		base := rb.bounds[w]
-		seg := rb.perm[base:rb.bounds[w+1]]
-		for i := range seg {
-			seg[i] = int32(base + i)
-		}
-		slices.SortFunc(seg, func(a, b int32) int {
-			if ts[a] != ts[b] { // cmp.Or would evaluate the tie-break on every call
-				return cmp.Compare(ts[a], ts[b])
-			}
-			return cmp.Compare(a, b)
-		})
+	lo, hi := ts[0], ts[0]
+	for _, t := range ts {
+		lo, hi = min(lo, t), max(hi, t)
 	}
-}
-
-func mergePairs(rb *Rebuilder, lo, hi int) {
-	perm, tmp, ts := rb.perm, rb.tmp, rb.spare.ts
-	for p := lo; p < hi; p++ {
-		l, mid, r := rb.bounds[2*p], rb.bounds[2*p+1], rb.bounds[2*p+2]
-		i, j, k := l, mid, l
-		for i < mid && j < r {
-			a, b := perm[i], perm[j]
-			if ts[a] <= ts[b] { // tie → left, preserving input order
-				tmp[k] = a
-				i++
-			} else {
-				tmp[k] = b
-				j++
-			}
-			k++
+	base := uint64(lo)
+	passes := (bits.Len64(uint64(hi)-base) + radixBits - 1) / radixBits
+	rb.cnt = grow(rb.cnt, passes*buckets)
+	clear(rb.cnt)
+	for _, t := range ts {
+		k := uint64(t) - base
+		for p := range passes {
+			rb.cnt[p*buckets+int(k>>(p*radixBits)%buckets)]++
 		}
-		copy(tmp[k:r], perm[i:mid])
-		copy(tmp[k+(mid-i):r], perm[j:r])
+	}
+	m := len(ts)
+	rb.perm, rb.tmp = grow(rb.perm, m), grow(rb.tmp, m)
+	for i := range rb.perm {
+		rb.perm[i] = int32(i)
+	}
+	for p := range passes {
+		shift, c := p*radixBits, rb.cnt[p*buckets:(p+1)*buckets]
+		if c[(uint64(ts[0])-base)>>shift%buckets] == m {
+			continue
+		}
+		at := 0
+		for d, n := range c {
+			c[d], at = at, at+n
+		}
+		for _, i := range rb.perm {
+			d := (uint64(ts[i]) - base) >> shift % buckets
+			rb.tmp[c[d]] = i
+			c[d]++
+		}
+		rb.perm, rb.tmp = rb.tmp, rb.perm
 	}
 }
 

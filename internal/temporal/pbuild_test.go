@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -135,6 +137,50 @@ func TestBuildColumnsParallelForced(t *testing.T) {
 			t2 := slices.Clone(ts)
 			got := buildColumnsParallel(s2, d2, t2, numNodes, 0, w)
 			graphsEqual(t, "forced", want, got)
+		}
+	}
+}
+
+// sortByTime is the stable sort by timestamp, however the times fall: the
+// permutation must equal slices.SortStableFunc's, through only the radix
+// passes the span needs (a full-int64 span takes six and wraps in uint64),
+// on one Rebuilder reused across the cases.
+func TestSortByTimeIsStable(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	n := 5000
+	reverse, ties, wide := make([]Timestamp, n), make([]Timestamp, n), make([]Timestamp, n)
+	for i := range n {
+		reverse[i] = Timestamp(n - i)
+		ties[i] = Timestamp(r.Intn(3))
+		wide[i] = r.Int63() - r.Int63()
+	}
+	cases := []struct {
+		name   string
+		ts     []Timestamp
+		passes int
+	}{
+		{"all-equal", []Timestamp{7, 7, 7, 7}, 0},
+		{"negative", []Timestamp{-3, -10, 5, -3, math.MinInt64 / 2, 0, -10}, 6},
+		{"full-span", []Timestamp{math.MaxInt64, 0, math.MinInt64, -1, math.MaxInt64, math.MinInt64, 1}, 6},
+		{"reverse", reverse, 2},
+		{"heavy-ties", ties, 1},
+		{"m=2", []Timestamp{2, 1}, 1},
+		{"wide", wide, 6},
+	}
+	var rb Rebuilder
+	for _, c := range cases {
+		rb.spare.ts = slices.Clone(c.ts)
+		rb.sortByTime()
+		want := make([]int32, len(c.ts))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(c.ts[a], c.ts[b]) })
+		if !slices.Equal(rb.perm, want) {
+			t.Fatalf("%s: permutation %v, want %v", c.name, rb.perm[:min(len(want), 8)], want[:min(len(want), 8)])
+		}
+		if passes := len(rb.cnt) >> radixBits; passes != c.passes {
+			t.Fatalf("%s: %d digit histograms, want %d", c.name, passes, c.passes)
 		}
 	}
 }

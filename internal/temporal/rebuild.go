@@ -1,5 +1,7 @@
 package temporal
 
+import "slices"
+
 // Rebuilder rebuilds a scratch Graph from an edge slice, reusing every
 // column and index allocation across rebuilds. It exists for workloads that
 // derive many same-sized graphs from one base graph — null-model ensembles
@@ -20,13 +22,11 @@ type Rebuilder struct {
 	// the input the time sort permuted from) for the next Rebuild to fill.
 	spare Builder
 
-	perm, tmp []int32 // time-sort permutation and its merge buffer
-	bounds    []int   // time-sort segment bounds
-	cnt       []int   // per-(worker, node) incident counts, bases, then cursors
+	perm, tmp []int32 // time-sort permutation and its scatter buffer
+	cnt       []int   // time-sort digit counts; per-(worker, node) incident counts, bases, then cursors
 	nodes     []int   // grouping node ranges, balanced by half-edge count
 
-	workers int // the build's worker count
-	cw      int // the incident stages' worker count (≤ workers)
+	cw int // the incident stages' worker count (≤ the build's)
 }
 
 // Rebuild builds the scratch graph from edges on the calling goroutine;
@@ -39,6 +39,19 @@ func (rb *Rebuilder) Rebuild(edges []Edge) *Graph {
 	b.src, b.dst, b.ts = b.src[:0], b.dst[:0], b.ts[:0]
 	for _, e := range edges {
 		_ = b.AddEdge(e.From, e.To, e.Time) // negative IDs are dropped, as in FromEdges
+	}
+	return rb.fromColumns(b.src, b.dst, b.ts, b.numNodes(), b.selfLoops, 1)
+}
+
+// RebuildColumns is Rebuild on edge columns, edge i being src[i] → dst[i]
+// at ts[i]; the columns are not modified. It spares a caller that holds
+// columns — a null model mutating a copy of a graph's — the row-major copy.
+func (rb *Rebuilder) RebuildColumns(src, dst []NodeID, ts []Timestamp) *Graph {
+	b := rb.spare
+	m := len(ts)
+	b.src, b.dst, b.ts = slices.Grow(b.src[:0], m), slices.Grow(b.dst[:0], m), slices.Grow(b.ts[:0], m)
+	for i, t := range ts {
+		_ = b.AddEdge(src[i], dst[i], t) // negative IDs are dropped, as in FromEdges
 	}
 	return rb.fromColumns(b.src, b.dst, b.ts, b.numNodes(), b.selfLoops, 1)
 }
