@@ -83,6 +83,10 @@ func EstimateStrata(g *temporal.Graph, k Kernel, delta temporal.Timestamp, plan 
 		defer fast.PutScratch(scratch[w])
 		bufs[w] = make([]float64, series)
 	}
+	// Both kernels evaluate a pivot at its positions in its endpoints'
+	// sequences: derived here, once, rather than by every worker's first
+	// draw on a cold graph.
+	temporal.EdgePositions(g)
 	engine.Dispatch(workers, 1, hi-lo, func(w, a, b int) {
 		for i := a; i < b; i++ {
 			out[i] = sampleStratum(g, k, delta, plan, lo+i, scratch[w], bufs[w])

@@ -172,10 +172,11 @@ func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		parts[w].scratch = fast.GetScratch(g.NumNodes())
 		defer fast.PutScratch(parts[w].scratch)
 	}
+	pos := temporal.EdgePositions(g)
 	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
 		p := &parts[w]
 		for id := lo + start; id < lo+end; id++ {
-			CountLegPairs(g, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
+			countLegPairs(g, pos, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
 		}
 	})
 	for w := range parts {

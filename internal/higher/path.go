@@ -200,8 +200,9 @@ func CountPaths(g *temporal.Graph, delta temporal.Timestamp) PathCounter {
 	scratch := fast.GetScratch(g.NumNodes())
 	defer fast.PutScratch(scratch)
 	var diff, same LegPairs
+	pos := temporal.EdgePositions(g)
 	for id := 0; id < g.NumEdges(); id++ {
-		CountLegPairs(g, temporal.EdgeID(id), delta, AllLegOrders, scratch, &diff, &same)
+		countLegPairs(g, pos, temporal.EdgeID(id), delta, AllLegOrders, scratch, &diff, &same)
 	}
 	var out PathCounter
 	out.addPaths(&diff)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -104,12 +105,21 @@ func rewire(src, dst []temporal.NodeID, r *rand.Rand) {
 	}
 }
 
-// Sample draws one randomised graph under the given model: a one-shot
-// Sampler, so the graph it returns is the caller's. Ensembles should keep a
-// Sampler instead, which reuses one scratch graph across samples and draws
+// Sample draws one randomised graph under the given model. It copies the
+// target and time columns, mutates the copies and builds a fresh graph from
+// them, so the graph it returns is the caller's; ensembles should prefer
+// Sampler, which reuses one scratch graph across samples and draws
 // bit-identical samples for the same seeds.
 func Sample(g *temporal.Graph, model Model, seed int64) (*temporal.Graph, error) {
-	return NewSampler(g, model).Sample(seed)
+	src, dst, ts := g.Src(), slices.Clone(g.Dst()), slices.Clone(g.Times())
+	if err := mutate(src, dst, ts, model, seed); err != nil {
+		return nil, err
+	}
+	b := temporal.NewBuilder(len(ts))
+	for i, t := range ts {
+		_ = b.AddEdge(src[i], dst[i], t) // a built graph has no negative IDs
+	}
+	return b.Build(), nil
 }
 
 // Options configures a significance run.

@@ -11,8 +11,9 @@ import (
 // therefore allocates O(1) graphs no matter how many samples it draws, and
 // never a row-major copy of the base graph.
 //
-// The package-level Sample is a one-shot Sampler, so the two draw
-// bit-identical samples for the same seed.
+// The package-level Sample mutates its copies with the same mutate call but
+// builds each sample into fresh storage, so the two draw bit-identical
+// samples for the same seed by separate build paths.
 //
 // A Sampler is not safe for concurrent use; ensembles run one per worker.
 type Sampler struct {

@@ -74,7 +74,7 @@ func TestEdgePositions(t *testing.T) {
 
 	var rb Rebuilder
 	for _, in := range [][]Edge{edges, edges[:400], sorted[:50], edges} {
-		checkEdgePositions(t, "Rebuilder", rb.Rebuild(in))
+		checkEdgePositions(t, "Rebuilder", rebuild(&rb, in))
 	}
 
 	fresh := FromEdges(edges)

@@ -131,7 +131,7 @@ func TestGroupedIndexMatchesStableSortReference(t *testing.T) {
 			g := buildColumnsParallel(slices.Clone(src), slices.Clone(dst), slices.Clone(ts), tc.numNodes, 0, w)
 			checkGroupedIndex(t, fmt.Sprintf("%s workers=%d", tc.name, w), g)
 		}
-		checkGroupedIndex(t, tc.name+" rebuilder", rb.Rebuild(slices.Clone(tc.edges)))
+		checkGroupedIndex(t, tc.name+" rebuilder", rb.RebuildColumns(src, dst, ts))
 	}
 }
 

@@ -66,6 +66,20 @@ func randomEdgeSlice(r *rand.Rand, nodes, edges int, span int64, selfLoopProb fl
 	return out
 }
 
+// edgeColumns splits edges into the src/dst/ts columns RebuildColumns reads.
+func edgeColumns(edges []Edge) (src, dst []NodeID, ts []Timestamp) {
+	src, dst, ts = make([]NodeID, len(edges)), make([]NodeID, len(edges)), make([]Timestamp, len(edges))
+	for i, e := range edges {
+		src[i], dst[i], ts[i] = e.From, e.To, e.Time
+	}
+	return src, dst, ts
+}
+
+// rebuild is rb.RebuildColumns on the columns of edges.
+func rebuild(rb *Rebuilder, edges []Edge) *Graph {
+	return rb.RebuildColumns(edgeColumns(edges))
+}
+
 // A reused Rebuilder must produce graphs bit-identical to FromEdges, across
 // rebuilds of different sizes, self-loop mixes, and timestamp tie densities.
 func TestRebuilderMatchesFromEdges(t *testing.T) {
@@ -77,13 +91,13 @@ func TestRebuilderMatchesFromEdges(t *testing.T) {
 		span := 1 + int64(r.Intn(50)) // dense ties stress the stable sort
 		edges := randomEdgeSlice(r, nodes, count, span, 0.05)
 		want := FromEdges(edges)
-		buf := append([]Edge(nil), edges...)
-		got := rb.Rebuild(buf)
+		src, dst, ts := edgeColumns(edges)
+		got := rb.RebuildColumns(src, dst, ts)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("trial %d: rebuilt graph invalid: %v", trial, err)
 		}
-		if !slices.Equal(buf, edges) {
-			t.Fatalf("trial %d: Rebuild modified its input", trial)
+		if s, d, tm := edgeColumns(edges); !slices.Equal(src, s) || !slices.Equal(dst, d) || !slices.Equal(ts, tm) {
+			t.Fatalf("trial %d: RebuildColumns modified its input", trial)
 		}
 		graphsIdentical(t, got, want)
 		// Both run the same core: hold it to references sharing no code
@@ -96,18 +110,18 @@ func TestRebuilderMatchesFromEdges(t *testing.T) {
 // The scratch graph's lazy Edges cache must be invalidated by each rebuild.
 func TestRebuilderResetsEdgeCache(t *testing.T) {
 	var rb Rebuilder
-	g := rb.Rebuild([]Edge{{From: 0, To: 1, Time: 5}})
+	g := rebuild(&rb, []Edge{{From: 0, To: 1, Time: 5}})
 	if es := g.Edges(); len(es) != 1 || es[0].Time != 5 {
 		t.Fatalf("first rebuild edges = %v", g.Edges())
 	}
-	g = rb.Rebuild([]Edge{{From: 2, To: 3, Time: 9}, {From: 3, To: 2, Time: 1}})
+	g = rebuild(&rb, []Edge{{From: 2, To: 3, Time: 9}, {From: 3, To: 2, Time: 1}})
 	es := g.Edges()
 	if len(es) != 2 || es[0] != (Edge{From: 3, To: 2, Time: 1}) {
 		t.Fatalf("stale edge cache after rebuild: %v", es)
 	}
 }
 
-// Rebuild must mirror FromEdges' degenerate-input semantics exactly.
+// RebuildColumns must mirror FromEdges' degenerate-input semantics exactly.
 func TestRebuilderDegenerateInputs(t *testing.T) {
 	var rb Rebuilder
 	cases := [][]Edge{
@@ -117,7 +131,7 @@ func TestRebuilderDegenerateInputs(t *testing.T) {
 	}
 	for i, edges := range cases {
 		want := FromEdges(edges)
-		got := rb.Rebuild(append([]Edge(nil), edges...))
+		got := rebuild(&rb, edges)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -129,14 +143,11 @@ func TestRebuilderDegenerateInputs(t *testing.T) {
 // the per-sample cost of an ensemble is the rebuild work, not fresh graphs.
 func TestRebuilderSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	edges := randomEdgeSlice(r, 50, 4000, 600, 0)
-	buf := make([]Edge, len(edges))
+	src, dst, ts := edgeColumns(randomEdgeSlice(r, 50, 4000, 600, 0))
 	var rb Rebuilder
-	copy(buf, edges)
-	rb.Rebuild(buf) // warm up capacity growth
+	rb.RebuildColumns(src, dst, ts) // warm up capacity growth
 	avg := testing.AllocsPerRun(5, func() {
-		copy(buf, edges)
-		rb.Rebuild(buf)
+		rb.RebuildColumns(src, dst, ts)
 	})
 	// A handful of fixed allocations (the atomic cache reset) is tolerated;
 	// the columns and indexes themselves must be reused.
