@@ -52,7 +52,7 @@ func main() {
 	// Plant the attack: compromised accounts exchanging rapid ping-pong
 	// probes (a→b, b→a, a→b within seconds).
 	r := rand.New(rand.NewSource(5))
-	edges := append([]hare.Edge(nil), base.Edges()...)
+	edges := base.Edges()
 	for i := 0; i < bursts; i++ {
 		a := hare.NodeID(r.Intn(2000))
 		b := hare.NodeID(r.Intn(2000))

@@ -44,7 +44,7 @@ func main() {
 
 	// Plant rings among dedicated mule accounts (IDs cfg.Nodes ..).
 	r := rand.New(rand.NewSource(99))
-	edges := append([]hare.Edge(nil), base.Edges()...)
+	edges := base.Edges()
 	_, maxT, _ := base.TimeSpan()
 	mule := func() hare.NodeID { return hare.NodeID(cfg.Nodes + r.Intn(ringNodes)) }
 	for i := 0; i < rings; i++ {

@@ -36,7 +36,7 @@ func main() {
 
 	// Plant three stylised accounts.
 	r := rand.New(rand.NewSource(3))
-	edges := append([]hare.Edge(nil), base.Edges()...)
+	edges := base.Edges()
 	_, maxT, _ := base.TimeSpan()
 	broadcaster := hare.NodeID(cfg.Nodes)
 	magnet := hare.NodeID(cfg.Nodes + 1)

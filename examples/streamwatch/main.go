@@ -44,7 +44,7 @@ func main() {
 	// merchants pay processors): orient background transfers up the ID
 	// order, which makes directed cycles — the laundering signature —
 	// organically impossible. Only the injected rings can close cycles.
-	baseEdges := append([]hare.Edge(nil), base.Edges()...)
+	baseEdges := base.Edges()
 	for i, e := range baseEdges {
 		if e.From > e.To {
 			baseEdges[i].From, baseEdges[i].To = e.To, e.From

@@ -229,20 +229,12 @@ func Count(g *Graph, delta Timestamp, opts ...Option) (Result, error) {
 	if eo.Sequential() {
 		counts = sequential(g, delta, doStar, doTri)
 	} else {
-		// Resolve the auto heuristic once, up front: the run uses the
-		// resolved value directly (no second O(n) degree scan) and the
-		// Result reports the threshold actually applied rather than the
-		// unset option.
-		eff := engine.EffectiveDegreeThreshold(g, eo)
-		if eff != 0 {
-			eo.DegreeThreshold = eff
-		}
 		if c.hasOnly {
 			counts = engine.CountCategoryRange(g, delta, eo, 0, g.NumIncidences(), c.only)
 		} else {
 			counts = engine.Count(g, delta, eo)
 		}
-		res.DegreeThreshold = eff
+		res.DegreeThreshold = engine.EffectiveDegreeThreshold(g, eo)
 	}
 	res.Matrix = counts.ToMatrix()
 	res.Elapsed = time.Since(start)

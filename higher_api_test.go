@@ -50,6 +50,30 @@ func TestCountPath4API(t *testing.T) {
 	}
 }
 
+func TestCountMotifAPI(t *testing.T) {
+	g := hare.FromEdges([]hare.Edge{
+		{From: 0, To: 1, Time: 1},
+		{From: 1, To: 2, Time: 2},
+		{From: 2, To: 0, Time: 3},
+	})
+	spec, err := hare.ParseSpecJSON([]byte(`{"edges":[{"src":"a","dst":"b"},{"src":"b","dst":"c"},{"src":"c","dst":"a"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := hare.CountMotif(g, spec, 10); err != nil || n != 1 {
+		t.Fatalf("cycle count = %d, %v; want 1", n, err)
+	}
+	if _, err := hare.CountMotif(nil, spec, 10); err == nil || err.Error() != "hare: nil graph" {
+		t.Fatalf("want the nil-graph error, got %v", err)
+	}
+	if _, err := hare.CountMotif(g, nil, 10); err == nil || err.Error() != "hare: nil spec" {
+		t.Fatalf("want the nil-spec error, got %v", err)
+	}
+	if _, err := hare.CountMotif(g, spec, -2); err == nil || !strings.Contains(err.Error(), "(-2)") {
+		t.Fatalf("want an error naming the negative δ, got %v", err)
+	}
+}
+
 // δ is any non-negative int64 and the server passes it through unchecked, so
 // a window bound written t ± δ wraps around for huge δ and silently drops
 // instances. Every family must give its δ = span answer for every δ beyond

@@ -13,7 +13,6 @@ package bts
 
 import (
 	"math/rand"
-	"sort"
 
 	"hare/internal/baseline/bt"
 	"hare/internal/motif"
@@ -79,7 +78,7 @@ func Estimate(g *temporal.Graph, delta temporal.Timestamp, labels []motif.Label,
 		go func(i int, win window) {
 			sem <- struct{}{}
 			defer func() { <-sem; done <- i }()
-			sub := extractRange(g, win.lo, win.hi)
+			sub := g.TimeSlice(win.lo, win.hi)
 			est := make(map[motif.Label]float64, len(labels))
 			for _, l := range labels {
 				p, ok := bt.PatternOf(l)
@@ -113,11 +112,4 @@ func Estimate(g *temporal.Graph, delta temporal.Timestamp, labels []motif.Label,
 // 2-node motifs.
 func EstimatePairs(g *temporal.Graph, delta temporal.Timestamp, opts Options) map[motif.Label]float64 {
 	return Estimate(g, delta, motif.PairLabels(), opts)
-}
-
-func extractRange(g *temporal.Graph, lo, hi temporal.Timestamp) *temporal.Graph {
-	edges := g.Edges()
-	from := sort.Search(len(edges), func(i int) bool { return edges[i].Time >= lo })
-	to := sort.Search(len(edges), func(i int) bool { return edges[i].Time >= hi })
-	return temporal.FromEdges(edges[from:to])
 }

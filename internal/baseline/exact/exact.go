@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"sort"
 	"sync"
 
 	"hare/internal/motif"
@@ -109,7 +108,7 @@ func CountParallel(g *temporal.Graph, delta temporal.Timestamp, workers int) mot
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sub := extractRange(g, bounds[i], bounds[i+1])
+			sub := g.TimeSlice(bounds[i], bounds[i+1])
 			partial[i] = Count(sub, delta)
 		}(i)
 	}
@@ -125,20 +124,12 @@ func CountParallel(g *temporal.Graph, delta temporal.Timestamp, workers int) mot
 	// Sequential boundary-correction stage.
 	for i := 1; i < nslabs; i++ {
 		b := bounds[i]
-		win := Count(extractRange(g, b-delta, b+delta), delta)
-		left := Count(extractRange(g, b-delta, b), delta)
-		right := Count(extractRange(g, b, b+delta), delta)
+		win := Count(g.TimeSlice(b-delta, b+delta), delta)
+		left := Count(g.TimeSlice(b-delta, b), delta)
+		right := Count(g.TimeSlice(b, b+delta), delta)
 		for _, l := range motif.AllLabels() {
 			total.AddAt(l, win.At(l)-left.At(l)-right.At(l))
 		}
 	}
 	return total
-}
-
-// extractRange builds the subgraph of edges with timestamps in [lo, hi).
-func extractRange(g *temporal.Graph, lo, hi temporal.Timestamp) *temporal.Graph {
-	edges := g.Edges()
-	from := sort.Search(len(edges), func(i int) bool { return edges[i].Time >= lo })
-	to := sort.Search(len(edges), func(i int) bool { return edges[i].Time >= hi })
-	return temporal.FromEdges(edges[from:to])
 }

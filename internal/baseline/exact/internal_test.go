@@ -133,18 +133,20 @@ func TestTriClassLabelTable(t *testing.T) {
 	}
 }
 
+// CountParallel's slabs and boundary windows are Graph.TimeSlice's
+// half-open [lo, hi) time ranges.
 func TestExtractRange(t *testing.T) {
 	g := temporal.FromEdges([]temporal.Edge{
 		{From: 0, To: 1, Time: 10}, {From: 1, To: 2, Time: 20}, {From: 2, To: 3, Time: 30},
 	})
-	sub := extractRange(g, 15, 30)
+	sub := g.TimeSlice(15, 30)
 	if sub.NumEdges() != 1 || sub.Edges()[0].Time != 20 {
-		t.Fatalf("extractRange wrong: %v", sub.Edges())
+		t.Fatalf("TimeSlice wrong: %v", sub.Edges())
 	}
-	if extractRange(g, 100, 200).NumEdges() != 0 {
+	if g.TimeSlice(100, 200).NumEdges() != 0 {
 		t.Fatal("empty range should be empty")
 	}
-	if extractRange(g, 0, 100).NumEdges() != 3 {
+	if g.TimeSlice(0, 100).NumEdges() != 3 {
 		t.Fatal("full range should keep everything")
 	}
 }

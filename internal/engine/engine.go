@@ -141,16 +141,17 @@ func CountCategoryRange(g *temporal.Graph, delta temporal.Timestamp, opts Option
 
 // EffectiveDegreeThreshold reports the thrd a run with opts uses to split
 // light from heavy pivots: the explicit Options.DegreeThreshold when set,
-// otherwise the automatic top-20 heuristic. A return of 0 means the graph
-// is too small for the heuristic and the run has no intra-node stage;
-// negative means the caller disabled it. Callers (hare.Count's Result)
+// otherwise the automatic top-20 heuristic, derived once per graph
+// (temporal.DefaultDegreeThreshold). A return of 0 means the graph is too
+// small for the heuristic and the run has no intra-node stage; negative
+// means the caller disabled it. Callers (hare.Count's Result)
 // surface this so reports show the threshold actually applied rather than
 // the requested option.
 func EffectiveDegreeThreshold(g *temporal.Graph, opts Options) int {
 	if thrd := opts.DegreeThreshold; thrd != 0 {
 		return thrd
 	}
-	return temporal.TopKDegreeThreshold(g, 20)
+	return temporal.DefaultDegreeThreshold(g)
 }
 
 // Dispatch is the flat dynamic work loop under Sweep, exported for loops

@@ -26,13 +26,13 @@ import (
 // within δ of them.
 
 // addLegPairs adds every leg pair of pivot e, for all six role orders, to
-// all: CountLegPairs' diff and same cells together, in the same layout. pos
-// is the graph's temporal.EdgePositions.
-func addLegPairs(g *temporal.Graph, pos [][2]int32, e temporal.EdgeID, delta temporal.Timestamp, all *LegPairs) {
+// all: CountLegPairs' diff and same cells together, in the same layout.
+func addLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp, all *LegPairs) {
 	b, c := g.Src()[e], g.Dst()[e]
 	t := g.Times()[e]
 	sb, sc := g.Seq(b), g.Seq(c)
-	pb, pc := int(pos[e][0]), int(pos[e][1])
+	pos := temporal.EdgePositions(g)[e]
+	pb, pc := int(pos[0]), int(pos[1])
 	// Without a leg within δ at either end there is no pair; the nearest leg
 	// on each side of the pivot tells.
 	if !hasLeg(sb.Time, pb, t, delta) || !hasLeg(sc.Time, pc, t, delta) {

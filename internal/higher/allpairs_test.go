@@ -154,7 +154,6 @@ func TestAddLegPairsMatchesSweep(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := temporal.FromEdges(c.edges)
-		pos := temporal.EdgePositions(g)
 		scratch := fast.GetScratch(g.NumNodes())
 		for id := 0; id < g.NumEdges(); id++ {
 			e := temporal.EdgeID(id)
@@ -162,7 +161,7 @@ func TestAddLegPairsMatchesSweep(t *testing.T) {
 			CountLegPairs(g, e, c.delta, AllLegOrders, scratch, &diff, &same)
 			want.add(&diff)
 			want.add(&same)
-			addLegPairs(g, pos, e, c.delta, &got)
+			addLegPairs(g, e, c.delta, &got)
 			if got != want {
 				t.Fatalf("%s pivot %d (%v) δ=%d:\n walks %v\n sweep %v", c.name, id, g.Edge(e), c.delta, got, want)
 			}

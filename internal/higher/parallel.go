@@ -129,10 +129,9 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		all LegPairs
 		_   [64]byte // keeps neighbouring workers off each other's cache lines
 	}, eo.EffectiveWorkers())
-	pos := temporal.EdgePositions(g)
 	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
 		for id := lo + start; id < lo+end; id++ {
-			addLegPairs(g, pos, temporal.EdgeID(id), delta, &parts[w].all)
+			addLegPairs(g, temporal.EdgeID(id), delta, &parts[w].all)
 		}
 	})
 	var all LegPairs
@@ -172,11 +171,10 @@ func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		parts[w].scratch = fast.GetScratch(g.NumNodes())
 		defer fast.PutScratch(parts[w].scratch)
 	}
-	pos := temporal.EdgePositions(g)
 	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
 		p := &parts[w]
 		for id := lo + start; id < lo+end; id++ {
-			countLegPairs(g, pos, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
+			CountLegPairs(g, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
 		}
 	})
 	for w := range parts {

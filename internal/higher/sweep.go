@@ -128,17 +128,8 @@ func windowEnd(times []temporal.Timestamp, pos int, t, delta temporal.Timestamp)
 // over any set of pivots sum without correction.
 //
 // The pivot's positions come from temporal.EdgePositions, derived on the
-// graph's first use. A parallel caller derives them once before it fans out
-// (and within this package passes them to countLegPairs), so its workers
-// never each build the index.
+// graph's first use.
 func CountLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp,
-	orders LegOrders, s *fast.Scratch, diff, same *LegPairs) {
-	countLegPairs(g, temporal.EdgePositions(g), e, delta, orders, s, diff, same)
-}
-
-// countLegPairs is CountLegPairs with the graph's temporal.EdgePositions in
-// hand.
-func countLegPairs(g *temporal.Graph, pos [][2]int32, e temporal.EdgeID, delta temporal.Timestamp,
 	orders LegOrders, s *fast.Scratch, diff, same *LegPairs) {
 	b, c := g.Src()[e], g.Dst()[e]
 	sb, sc := g.Seq(b), g.Seq(c)
@@ -146,7 +137,8 @@ func countLegPairs(g *temporal.Graph, pos [][2]int32, e temporal.EdgeID, delta t
 		return // a leaf endpoint: the window is the pivot alone
 	}
 	t := g.Times()[e]
-	pb, pc := int(pos[e][0]), int(pos[e][1])
+	pos := temporal.EdgePositions(g)[e]
+	pb, pc := int(pos[0]), int(pos[1])
 	var fBefore, fAfter, gBefore, gAfter temporal.Seq
 	if orders&srcBefore != 0 {
 		fBefore = sb.Slice(windowStart(sb.Time, pb, t, delta), pb)

@@ -89,13 +89,10 @@ func (c *Coordinator) sum(ctx context.Context, g *temporal.Graph, req server.Req
 
 // Count scatters equal ranges of the incidence positions — a hub a
 // boundary falls inside is swept in part by each of two workers — and
-// merges the raw counters in shard order (MergeCount). It resolves the
-// automatic degree threshold once: every range runs with it and the merge
-// echoes it, with no second top-k degree scan.
+// merges the raw counters in shard order (MergeCount). An automatic degree
+// threshold is left to each worker, which reads it from its own replica:
+// it only schedules the sweep, so the counts cannot depend on it.
 func (c *Coordinator) Count(ctx context.Context, g *temporal.Graph, req server.Request) (server.CountAnswer, error) {
-	if eo := (engine.Options{Workers: req.Workers}); !req.ThrdSet && !eo.Sequential() {
-		req.Thrd, req.ThrdSet = engine.EffectiveDegreeThreshold(g, eo), true
-	}
 	gather, err := c.scatter(ctx, g, req, g.NumIncidences(), nil)
 	if err != nil {
 		return server.CountAnswer{}, err

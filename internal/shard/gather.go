@@ -136,8 +136,8 @@ func (g *Gather) Sum() ([]uint64, error) {
 // not add up). It then answers as the library path does for the same
 // request: the motif= restriction is hare.Count's (motif.Matrix.KeepCategory),
 // and the workers and threshold echo are what hare.Count reports for req's
-// hints on g — read off req with no degree scan when req carries a
-// threshold, as Coordinator.Count's does.
+// hints on g (an automatic threshold is gr's derived one, scanned once per
+// graph).
 func (g *Gather) MergeCount(gr *temporal.Graph, req server.Request) (server.CountAnswer, error) {
 	cells, err := g.Sum()
 	if err != nil {

@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// checkEdgePositions holds EdgePositions to its definition: edge e sits at
-// pos[e][0] in S_src[e] and at pos[e][1] in S_dst[e].
-func checkEdgePositions(t *testing.T, name string, g *Graph) {
+// checkDerived holds every derived slot of g to its definition: edge e sits
+// at EdgePositions(g)[e][0] in S_src[e] and at [1] in S_dst[e], and
+// DefaultDegreeThreshold is TopKDegreeThreshold(g, 20).
+func checkDerived(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	pos := EdgePositions(g)
 	if len(pos) != g.NumEdges() {
@@ -25,26 +26,30 @@ func checkEdgePositions(t *testing.T, name string, g *Graph) {
 			}
 		}
 	}
+	if got, want := DefaultDegreeThreshold(g), TopKDegreeThreshold(g, 20); got != want {
+		t.Fatalf("%s: DefaultDegreeThreshold = %d, want %d", name, got, want)
+	}
 }
 
 func byTime(a, b Edge) int { return cmp.Compare(a.Time, b.Time) }
 
-// Every constructor's graph gets a correct index, each derived from that
-// graph alone: the text loader at one and four workers, unsorted input, a
-// decoded snapshot (which never stores it), Extend's delta merge, a
-// subgraph, and a Rebuilder reused from a larger graph to a smaller one and
-// back, where a slot the rebuild failed to reset would read stale. Two
-// first calls racing on a fresh graph must both see a correct index.
+// Every constructor's graph gets correct derived values, each derived from
+// that graph alone: the text loader at one and four workers, unsorted
+// input, a decoded and a memory-mapped snapshot (which never store them),
+// Extend's delta merge, a subgraph, and a Rebuilder reused from a larger
+// graph to a smaller one and back, where a slot the rebuild failed to empty
+// would read stale.
 func TestEdgePositions(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	edges := randomEdges(r, 60, 3000, 40) // unsorted, with ties and self-loops
 	sorted := slices.Clone(edges)
 	slices.SortStableFunc(sorted, byTime)
 	base := FromEdges(sorted)
-	checkEdgePositions(t, "FromEdges", base)
-	checkEdgePositions(t, "unsorted", FromEdges(edges))
+	checkDerived(t, "FromEdges", base)
+	checkDerived(t, "unsorted", FromEdges(edges))
 
-	path := filepath.Join(t.TempDir(), "g.txt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.txt")
 	if err := SaveFile(path, base); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestEdgePositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEdgePositions(t, "LoadFile", g)
+		checkDerived(t, "LoadFile", g)
 	}
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, base); err != nil {
@@ -63,33 +68,62 @@ func TestEdgePositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEdgePositions(t, "ReadSnapshot", snap)
+	checkDerived(t, "ReadSnapshot", snap)
+	snapPath := filepath.Join(dir, "g.hare")
+	if err := SaveSnapshot(snapPath, base); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadSnapshot(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDerived(t, "LoadSnapshot", mapped)
 	head := FromEdges(sorted[:2000])
-	checkEdgePositions(t, "Extend base", head)
+	checkDerived(t, "Extend base", head)
 	if _, _, _, ok := tailFits(head, sorted[2000:]); !ok {
 		t.Fatal("the tail does not take Extend's merge path")
 	}
-	checkEdgePositions(t, "Extend", Extend(head, sorted[2000:]))
-	checkEdgePositions(t, "InducedSubgraph", base.InducedSubgraph([]NodeID{0, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29}))
+	checkDerived(t, "Extend", Extend(head, sorted[2000:]))
+	checkDerived(t, "InducedSubgraph", base.InducedSubgraph([]NodeID{0, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29}))
 
 	var rb Rebuilder
 	for _, in := range [][]Edge{edges, edges[:400], sorted[:50], edges} {
-		checkEdgePositions(t, "Rebuilder", rebuild(&rb, in))
+		checkDerived(t, "Rebuilder", rebuild(&rb, in))
 	}
+}
 
-	fresh := FromEdges(edges)
-	var got [2][][2]int32
+// Racing first calls on a fresh graph build each slot once: all eight get
+// the one stored value, so every position index shares a backing array.
+func TestDerivedBuildOnce(t *testing.T) {
+	g := FromEdges(randomEdges(rand.New(rand.NewSource(41)), 60, 3000, 40))
+	const callers = 8
+	var pos [callers][][2]int32
+	var thrd [callers]int
 	var wg sync.WaitGroup
-	for i := range got {
+	for i := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = EdgePositions(fresh)
+			pos[i] = EdgePositions(g)
+			thrd[i] = DefaultDegreeThreshold(g)
 		}()
 	}
 	wg.Wait()
-	if !slices.Equal(got[0], got[1]) {
-		t.Fatal("racing first calls built different indexes")
+	for i := range callers {
+		if &pos[i][0] != &pos[0][0] || thrd[i] != thrd[0] {
+			t.Fatalf("caller %d got another build than caller 0", i)
+		}
 	}
-	checkEdgePositions(t, "raced", fresh)
+	checkDerived(t, "raced", g)
+}
+
+// Edges copies the columns on every call: a caller may mutate the result.
+func TestEdgesCallerOwned(t *testing.T) {
+	g := FromEdges([]Edge{{From: 0, To: 1, Time: 5}, {From: 1, To: 2, Time: 7}})
+	es := g.Edges()
+	want := slices.Clone(es)
+	es[0] = Edge{From: 9, To: 9, Time: -1}
+	if got := g.Edges(); !slices.Equal(got, want) || g.Edge(0) != want[0] {
+		t.Fatalf("Edges after mutating a result = %v, want %v", got, want)
+	}
 }

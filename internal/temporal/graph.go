@@ -3,7 +3,6 @@ package temporal
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Graph is an immutable directed temporal multigraph in a columnar
@@ -53,14 +52,7 @@ type Graph struct {
 	numNodes  int
 	selfLoops int // self-loops dropped at build time
 
-	// Lazily materialised row-major copy for cold paths. An atomic pointer
-	// rather than a sync.Once so a Rebuilder can reset it between rebuilds;
-	// concurrent first readers may race to build it, but they build identical
-	// slices, so whichever store wins is correct.
-	edgesAoS atomic.Pointer[[]Edge]
-	// Lazily derived edge positions (EdgePositions), cached and reset the
-	// same way; never written to a snapshot.
-	edgePos atomic.Pointer[[][2]int32]
+	derived derived // values derived from the columns (derived.go)
 }
 
 // NumNodes returns the number of nodes (the node ID space is [0, NumNodes)).
@@ -86,49 +78,17 @@ func (g *Graph) Dst() []NodeID { return g.dst }
 // The caller must not modify it.
 func (g *Graph) Times() []Timestamp { return g.ts }
 
-// Edges returns the chronologically sorted edge list as a row-major slice.
-// The columnar storage is authoritative; the slice is materialised lazily on
-// first call and cached (cold-path convenience — hot paths should read the
-// Src/Dst/Times columns). The caller must not modify it.
+// Edges returns the chronologically sorted edge list as a row-major slice,
+// copied from the Src/Dst/Times columns on every call; the caller owns it.
 func (g *Graph) Edges() []Edge {
-	if p := g.edgesAoS.Load(); p != nil {
-		return *p
+	if len(g.ts) == 0 {
+		return nil
 	}
-	var aos []Edge
-	if len(g.ts) > 0 {
-		aos = make([]Edge, len(g.ts))
-		for i := range aos {
-			aos[i] = Edge{From: g.src[i], To: g.dst[i], Time: g.ts[i]}
-		}
+	edges := make([]Edge, len(g.ts))
+	for i := range edges {
+		edges[i] = g.Edge(EdgeID(i))
 	}
-	g.edgesAoS.Store(&aos)
-	return aos
-}
-
-// EdgePositions returns, for every edge e, its offsets in the incident
-// sequences of its endpoints: S_src[e] holds e at pos[e][0] and S_dst[e] at
-// pos[e][1]. It is derived in one pass over the incident index on first
-// call and cached on the graph (8 bytes per edge); concurrent first callers
-// may each build it, identically. It is a function rather than a method so
-// the index stays internal to the module. The caller must not modify the
-// result.
-func EdgePositions(g *Graph) [][2]int32 {
-	if p := g.edgePos.Load(); p != nil {
-		return *p
-	}
-	pos := make([][2]int32, len(g.ts))
-	for u := 0; u < g.numNodes; u++ {
-		base := g.incOff[u]
-		for j := base; j < g.incOff[u+1]; j++ {
-			side := 1
-			if g.incOut[j] {
-				side = 0
-			}
-			pos[g.incID[j]][side] = int32(j - base)
-		}
-	}
-	g.edgePos.Store(&pos)
-	return pos
+	return edges
 }
 
 // Edge returns the edge with the given ID.

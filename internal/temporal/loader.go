@@ -130,8 +130,8 @@ func LoadFile(path string, opts LoadOptions) (*Graph, error) {
 // WriteEdgeList writes the graph as "u v t" lines in chronological order.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d %d\n", e.From, e.To, e.Time); err != nil {
+	for i, t := range g.ts {
+		if _, err := fmt.Fprintf(bw, "%d %d %d\n", g.src[i], g.dst[i], t); err != nil {
 			return err
 		}
 	}

@@ -44,8 +44,7 @@ func (rb *Rebuilder) fromColumns(src, dst []NodeID, ts []Timestamp, numNodes, se
 	}
 	g := rb.g
 	g.numNodes, g.selfLoops = numNodes, selfLoops
-	g.edgesAoS.Store(nil) // invalidate a reused graph's lazy derived caches
-	g.edgePos.Store(nil)
+	g.derived = derived{} // a reused graph's derived values describe its old columns
 	m, n := len(ts), numNodes
 
 	// EdgeID order is the stable sort by timestamp: chronological input, as

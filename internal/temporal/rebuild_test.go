@@ -107,17 +107,23 @@ func TestRebuilderMatchesFromEdges(t *testing.T) {
 	}
 }
 
-// The scratch graph's lazy Edges cache must be invalidated by each rebuild.
+// Each rebuild empties every derived slot of the scratch graph: after it,
+// the slots read what a fresh graph of the same edges derives, from a large
+// graph down to one edge and an empty one.
 func TestRebuilderResetsEdgeCache(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
 	var rb Rebuilder
-	g := rebuild(&rb, []Edge{{From: 0, To: 1, Time: 5}})
-	if es := g.Edges(); len(es) != 1 || es[0].Time != 5 {
-		t.Fatalf("first rebuild edges = %v", g.Edges())
-	}
-	g = rebuild(&rb, []Edge{{From: 2, To: 3, Time: 9}, {From: 3, To: 2, Time: 1}})
-	es := g.Edges()
-	if len(es) != 2 || es[0] != (Edge{From: 3, To: 2, Time: 1}) {
-		t.Fatalf("stale edge cache after rebuild: %v", es)
+	for i, edges := range [][]Edge{randomEdges(r, 60, 3000, 40), randomEdges(r, 30, 40, 40), {{From: 0, To: 1, Time: 5}}, nil} {
+		g, want := rebuild(&rb, edges), FromEdges(edges)
+		if !slices.Equal(EdgePositions(g), EdgePositions(want)) {
+			t.Fatalf("rebuild %d: stale EdgePositions", i)
+		}
+		if th, wantTh := DefaultDegreeThreshold(g), DefaultDegreeThreshold(want); th != wantTh {
+			t.Fatalf("rebuild %d: stale DefaultDegreeThreshold %d, want %d", i, th, wantTh)
+		}
+		if !slices.Equal(g.Edges(), want.Edges()) {
+			t.Fatalf("rebuild %d: Edges = %v, want %v", i, g.Edges(), want.Edges())
+		}
 	}
 }
 

@@ -221,69 +221,45 @@ func encodeColumn[T int32 | int64 | int | bool](dst []byte, col []T) {
 	}
 }
 
-// sectionPayload returns the little-endian payload bytes of section i of g,
-// using scratch as the encode buffer when the in-memory bytes cannot be
-// used directly.
-func (g *Graph) sectionPayload(kind uint32, scratch []byte) []byte {
-	payload := func(col any) []byte {
-		switch c := col.(type) {
-		case []int32:
-			if b, ok := columnBytes(c); ok {
-				return b
-			}
-			encodeColumn(scratch[:4*len(c)], c)
-			return scratch[:4*len(c)]
-		case []int64:
-			if b, ok := columnBytes(c); ok {
-				return b
-			}
-			encodeColumn(scratch[:8*len(c)], c)
-			return scratch[:8*len(c)]
-		case []int:
-			// Byte-compatible with the on-disk int64 layout only on 64-bit
-			// little-endian hosts; otherwise widened element-wise.
-			if b, ok := columnBytes(c); ok {
-				return b
-			}
-			encodeColumn(scratch[:8*len(c)], c)
-			return scratch[:8*len(c)]
-		case []bool:
-			b, _ := columnBytes(c) // bool is one byte everywhere
+// columns returns pointers to g's fifteen columns in canonical section
+// order, the one list WriteSnapshot and decodeSnapshot both walk. Node and
+// edge IDs are []int32, times []int64 and offsets []int.
+func (g *Graph) columns() [snapNumSections]any {
+	return [snapNumSections]any{
+		&g.src, &g.dst, &g.ts,
+		&g.incOff, &g.incID, &g.incTime, &g.incOther, &g.incOut,
+		&g.nbrOff, &g.nbrKey, &g.grpOff, &g.grpID, &g.grpTime, &g.grpOther, &g.grpOut,
+	}
+}
+
+// sectionPayload returns the little-endian payload bytes of the column col
+// points to, using scratch as the encode buffer when the in-memory bytes
+// cannot be used directly.
+func sectionPayload(col any, scratch []byte) []byte {
+	switch c := col.(type) {
+	case *[]int32:
+		if b, ok := columnBytes(*c); ok {
 			return b
 		}
-		panic("unreachable")
-	}
-	switch kind {
-	case secSrc:
-		return payload(g.src)
-	case secDst:
-		return payload(g.dst)
-	case secTs:
-		return payload(g.ts)
-	case secIncOff:
-		return payload(g.incOff)
-	case secIncID:
-		return payload(g.incID)
-	case secIncTime:
-		return payload(g.incTime)
-	case secIncOther:
-		return payload(g.incOther)
-	case secIncOut:
-		return payload(g.incOut)
-	case secNbrOff:
-		return payload(g.nbrOff)
-	case secNbrKey:
-		return payload(g.nbrKey)
-	case secGrpOff:
-		return payload(g.grpOff)
-	case secGrpID:
-		return payload(g.grpID)
-	case secGrpTime:
-		return payload(g.grpTime)
-	case secGrpOther:
-		return payload(g.grpOther)
-	case secGrpOut:
-		return payload(g.grpOut)
+		encodeColumn(scratch[:4*len(*c)], *c)
+		return scratch[:4*len(*c)]
+	case *[]int64:
+		if b, ok := columnBytes(*c); ok {
+			return b
+		}
+		encodeColumn(scratch[:8*len(*c)], *c)
+		return scratch[:8*len(*c)]
+	case *[]int:
+		// Byte-compatible with the on-disk int64 layout only on 64-bit
+		// little-endian hosts; otherwise widened element-wise.
+		if b, ok := columnBytes(*c); ok {
+			return b
+		}
+		encodeColumn(scratch[:8*len(*c)], *c)
+		return scratch[:8*len(*c)]
+	case *[]bool:
+		b, _ := columnBytes(*c) // bool is one byte everywhere
+		return b
 	}
 	panic("unreachable")
 }
@@ -321,6 +297,7 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(k))
 	binary.LittleEndian.PutUint32(hdr[48:], snapNumSections)
 
+	cols := g.columns()
 	off := snapPayloadOff
 	for i, s := range specs {
 		e := hdr[snapHeaderSize+i*snapEntrySize:]
@@ -329,7 +306,7 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 		binary.LittleEndian.PutUint64(e[8:], uint64(length))
 		binary.LittleEndian.PutUint32(e[16:], s.kind)
 		binary.LittleEndian.PutUint32(e[20:], uint32(s.elem))
-		binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(g.sectionPayload(s.kind, scratch), snapCRCTable))
+		binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(sectionPayload(cols[i], scratch), snapCRCTable))
 		binary.LittleEndian.PutUint32(e[28:], 0)
 		off += align8(length)
 	}
@@ -341,8 +318,8 @@ func WriteSnapshot(w io.Writer, g *Graph) error {
 		return err
 	}
 	var pad [8]byte
-	for _, s := range specs {
-		payload := g.sectionPayload(s.kind, scratch)
+	for _, col := range cols {
+		payload := sectionPayload(col, scratch)
 		if _, err := w.Write(payload); err != nil {
 			return err
 		}
@@ -769,11 +746,7 @@ func decodeSnapshot(data []byte, borrow bool, unmap func()) (*Graph, error) {
 		return err
 	}
 	var structErr error
-	for _, dst := range []any{
-		&g.src, &g.dst, &g.ts,
-		&g.incOff, &g.incID, &g.incTime, &g.incOther, &g.incOut,
-		&g.nbrOff, &g.nbrKey, &g.grpOff, &g.grpID, &g.grpTime, &g.grpOther, &g.grpOut,
-	} {
+	for _, dst := range g.columns() {
 		if structErr = column(dst); structErr != nil {
 			break
 		}

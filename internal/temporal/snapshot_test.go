@@ -94,6 +94,33 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// The v1 bytes are frozen: testdata/v1.hare was written by the format's
+// first writer from these edges, and today's writer must reproduce it byte
+// for byte, and today's reader decode it to the same graph. A writer and a
+// reader that agreed on a new section order would pass every round trip.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	g := FromEdges([]Edge{
+		{From: 0, To: 1, Time: 10}, {From: 1, To: 2, Time: 10}, {From: 2, To: 0, Time: 12}, {From: 0, To: 2, Time: 15},
+		{From: 3, To: 1, Time: 20}, {From: 1, To: 3, Time: 20}, {From: 2, To: 2, Time: 21}, {From: 4, To: 0, Time: 25},
+	})
+	golden, err := os.ReadFile(filepath.Join("testdata", "v1.hare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatal("WriteSnapshot no longer writes the v1 bytes")
+	}
+	got, err := ReadSnapshot(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, "golden", g, got)
+}
+
 // TestSnapshotFileRoundTrip exercises the real file paths: SaveSnapshot,
 // then LoadSnapshot (mmap-backed where available) — and the graph must
 // stay valid and identical, including after the source file handle is gone.
