@@ -40,16 +40,18 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("sizes differ: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
-	for i := range a.Edges() {
-		if a.Edges()[i] != b.Edges()[i] {
+	ae, be := a.Edges(), b.Edges()
+	for i := range ae {
+		if ae[i] != be[i] {
 			t.Fatalf("edge %d differs", i)
 		}
 	}
 	cfg.Seed = 8
 	c, _ := Generate(cfg)
 	same := true
-	for i := range a.Edges() {
-		if a.Edges()[i] != c.Edges()[i] {
+	ce := c.Edges()
+	for i := range ae {
+		if ae[i] != ce[i] {
 			same = false
 			break
 		}

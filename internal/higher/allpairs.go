@@ -16,23 +16,303 @@ import (
 // with Tri FAST-Tri's 24 owner cells and triPaths a constant map onto the
 // 48 path slots: the temporal form of ESCAPE's "3-paths = Σ(d_u−1)(d_v−1)
 // − 3·triangles" (Pinar, Seshadhri & Vishal, WWW 2017). Without the far
-// ends no per-neighbour counter is needed, and a pivot's leg pairs come
-// from two merged walks out from its own positions in S_b and S_c, which
-// temporal.EdgePositions gives in O(1). Of the six role orders, FGM and MFG
-// pair two legs on one side of the pivot in EdgeID order, and GFM and MGF
-// are what those leave of the halves' products (two distinct legs on one
-// side come in one order or the other). FMG and GMF, whose legs the pivot
-// separates, pair the after-walk's legs with the before-halves' legs still
-// within δ of them.
+// ends no per-neighbour counter is needed, and leg pairs are counts of legs
+// in ranges of S_b and S_c.
+//
+// The pivots between the same two nodes {b, c} (g.Between(b, c), in EdgeID
+// order and so in time order) find their legs in the same two sequences, S_b
+// and S_c less the pair's own edges, and on a busy pair most of their
+// windows overlap. So the unit of work is a run of one pair's pivots, each
+// no more than δ after the one before it (their windows overlap by at least
+// half), within [lo, hi) and within one aligned block of 2^unitShift
+// EdgeIDs, which keeps a unit to a few dynamic chunks' work (addRange). The
+// run's first pivot owns the unit, collects it along temporal.PairLinks
+// (each pivot's neighbours on its pair, in O(1)), and the others skip it.
+//
+// A unit of several pivots is one walk (pairScratch.walk) over the union of
+// their windows, merged by EdgeID, stepping over the pair's own edges. It
+// keeps prefix tallies (legPrefix): per side and direction the legs passed,
+// and over each side's legs the sums of the other side's legs passed before
+// them (p) and of those more than δ older (r). Three cursors over the pivots
+// move forward with the walk and mark each pivot at its window start, at
+// itself and at its window end, and every role order is an O(1) difference
+// of the tallies at those marks (pivotMarks): FGM and MFG pair f before g on
+// one side of the pivot, GFM and MGF are what those leave of the halves'
+// products, and FMG and GMF, whose legs the pivot separates, are the
+// products less the pairs more than δ apart. A unit of one pivot is walked
+// by addLegPairs, two merged walks out from the pivot's own positions
+// (temporal.EdgePositions). Scratch is one worker's and reused: a ring of
+// the marks of the pivots whose windows are open, so it grows to the most
+// pivots of one unit within 2δ of each other, never with the node count,
+// and the run's pivots, at most 2^unitShift.
 
-// addLegPairs adds every leg pair of pivot e, for all six role orders, to
-// all: CountLegPairs' diff and same cells together, in the same layout.
-func addLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp, all *LegPairs) {
-	b, c := g.Src()[e], g.Dst()[e]
-	t := g.Times()[e]
+// legPrefix is a pair walk's running tally. Side 0 is S_b and side 1 is
+// S_c of the pair {b, c} the walk was started from, and a leg's direction is
+// relative to the node of its side.
+type legPrefix struct {
+	c [2][2]uint64 // [side][dir]: the legs passed
+	// p[s][x][y] sums, over the legs of side 1−s and direction y passed, the
+	// side-s legs of direction x passed before them; r the same for the
+	// side-s legs more than δ older than them.
+	p, r [2][2][2]uint64
+}
+
+// pivotMarks is what a pair walk keeps of one pivot between its window
+// start and its window end, from the pivot's own point of view: f are its
+// source's legs and g its destination's.
+type pivotMarks struct {
+	fs int // the side of f
+	// At the window start: the f and g legs passed, and p of f before g.
+	loF, loG [2]uint64
+	loP      [2][2]uint64
+	// At the pivot: the same, and r of f before g (rF) and g before f (rG).
+	midF, midG   [2]uint64
+	midP, rF, rG [2][2]uint64
+}
+
+// pairScratch is one worker's reusable pair-walk state: the pivots of the
+// run being walked, and a ring of the marks of the pivots whose windows the
+// walk has entered and not yet left.
+type pairScratch struct {
+	ids   []temporal.EdgeID
+	times []temporal.Timestamp
+	outs  []bool
+	ring  []pivotMarks // pivot k at ring[k & (len−1)]; len is a power of two
+}
+
+// unitShift bounds a unit to one aligned block of 2^unitShift EdgeIDs, so
+// that no unit outweighs a few dynamic chunks of pivots.
+const unitShift = 9
+
+// addRange adds to all the leg pairs of the units whose first pivot lies in
+// [from, to) ⊆ [lo, hi): runs of one pair's pivots with EdgeIDs in [lo, hi)
+// and in one block of 2^unitShift, each no more than δ after the one before
+// it. Each pivot's tally is the same whichever unit holds it, so any cut of
+// the edge IDs, between two pivots of a pair too, leaves the sum unchanged.
+func (s *pairScratch) addRange(g *temporal.Graph, from, to int, delta temporal.Timestamp, lo, hi int, all *LegPairs) {
+	ts, src, dst := g.Times(), g.Src(), g.Dst()
+	links, pos := temporal.PairLinks(g), temporal.EdgePositions(g)
+	// joined tells whether the neighbouring pivots x < y of a pair are in
+	// one unit.
+	joined := func(x, y temporal.EdgeID) bool {
+		return x >= temporal.EdgeID(lo) && y < temporal.EdgeID(hi) && x>>unitShift == y>>unitShift && ts[y]-ts[x] <= delta
+	}
+	for id := from; id < to; id++ {
+		e := temporal.EdgeID(id)
+		link := links[e]
+		if link[0] >= 0 && joined(link[0], e) {
+			continue // the unit of an earlier pivot
+		}
+		b, c := src[e], dst[e]
+		if link[1] < 0 || !joined(e, link[1]) {
+			addLegPairs(g, b, c, int(pos[e][0]), int(pos[e][1]), ts[e], delta, all)
+			continue
+		}
+		// The run's pivots, along the links: side 0 is S_b.
+		run := temporal.Seq{ID: s.ids[:0], Time: s.times[:0], Out: s.outs[:0]}
+		for x := e; ; x = links[x][1] {
+			run.ID, run.Time, run.Out = append(run.ID, x), append(run.Time, ts[x]), append(run.Out, src[x] == b)
+			if next := links[x][1]; next < 0 || !joined(x, next) {
+				break
+			}
+		}
+		s.ids, s.times, s.outs = run.ID, run.Time, run.Out
+		s.walk(g, b, c, run, 0, len(run.ID), delta, all)
+	}
+}
+
+// walk adds the leg pairs of the pivots ps[k0:k1) to all: edges between b
+// and c in EdgeID order, of which it reads ID, Time and Out (relative to
+// b), such as g.Between(b, c) or a run of it. It visits the legs within δ
+// of any of those pivots once each, merged by EdgeID, keeping the running
+// legPrefix, and marks each pivot at its window start (the first leg no
+// more than δ before it), at itself (the first leg after it) and at its
+// window end (the first leg more than δ after it): three cursors over the
+// pivots, each moving forward with the walk. Legs whose far end is the
+// other node of the pair are the pair's own edges and are stepped over.
+// Where no window is open the walk jumps to the next pivot's window start;
+// the tallies then count the legs passed, not the legs of the sequence,
+// which every difference within one window reads alike.
+func (s *pairScratch) walk(g *temporal.Graph, b, c temporal.NodeID, ps temporal.Seq, k0, k1 int,
+	delta temporal.Timestamp, all *LegPairs) {
+	sa, sb := g.Seq(b), g.Seq(c)
+	if len(s.ring) == 0 {
+		s.ring = make([]pivotMarks, 16)
+	}
+	mask := len(s.ring) - 1
+	var st legPrefix
+	var oldA, oldB [2]uint64 // the legs of each side passed more than δ before the current leg
+	var ia, ib, ra, rb int   // the walk's and the trailing cursors in S_b and S_c
+	kl, km, kh := k0, k0, k0 // the next pivots to meet their window start, themselves, their window end
+	for {
+		var t temporal.Timestamp
+		var id temporal.EdgeID
+		side := 2 // no leg left
+		if ia < len(sa.ID) && (ib == len(sb.ID) || sa.ID[ia] < sb.ID[ib]) {
+			if sa.Other[ia] == c {
+				ia++
+				continue
+			}
+			side, id, t = 0, sa.ID[ia], sa.Time[ia]
+		} else if ib < len(sb.ID) {
+			if sb.Other[ib] == b {
+				ib++
+				continue
+			}
+			side, id, t = 1, sb.ID[ib], sb.Time[ib]
+		}
+		if none := side == 2; none || kl == kh || kl < k1 && ps.Time[kl]-t <= delta ||
+			km < kl && ps.ID[km] < id || kh < km && t-ps.Time[kh] > delta {
+			for ; kl < k1 && (none || ps.Time[kl]-t <= delta); kl++ {
+				if kl-kh > mask {
+					s.grow(kh, kl)
+					mask = len(s.ring) - 1
+				}
+				s.ring[kl&mask].start(&st, ps.Out[kl])
+			}
+			for ; km < kl && (none || ps.ID[km] < id); km++ {
+				s.ring[km&mask].pivot(&st, all)
+			}
+			for ; kh < km && (none || t-ps.Time[kh] > delta); kh++ {
+				s.ring[kh&mask].end(&st, all)
+			}
+			if kh == k1 {
+				return
+			}
+			if kl == kh {
+				// No window is open and the leg is older than the next
+				// pivot's window. The pivots without a leg on either side
+				// have no pair and are passed over; then the walk jumps to
+				// the next one's window start.
+				var pa, pb int
+				for ; kl < k1; kl++ {
+					pos := temporal.EdgePositions(g)[ps.ID[kl]]
+					pa, pb = int(pos[0]), int(pos[1])
+					if !ps.Out[kl] {
+						pa, pb = pb, pa
+					}
+					if legNear(&sa, pa, ps.Time[kl], delta, c) && legNear(&sb, pb, ps.Time[kl], delta, b) {
+						break
+					}
+				}
+				if km, kh = kl, kl; kl == k1 {
+					return
+				}
+				ia = max(ia, windowStart(sa.Time, pa, ps.Time[kl], delta))
+				ib = max(ib, windowStart(sb.Time, pb, ps.Time[kl], delta))
+				ra, rb, oldA, oldB = ia, ib, st.c[0], st.c[1]
+				continue
+			}
+		}
+		// Admit the leg: it follows the other side's legs passed (p), and
+		// of those, the ones more than δ older than it (r).
+		if side == 0 {
+			for ; rb < ib && t-sb.Time[rb] > delta; rb++ {
+				if sb.Other[rb] != b {
+					oldB[motif.DirOf(sb.Out[rb])]++
+				}
+			}
+			d := motif.DirOf(sa.Out[ia])
+			st.p[1][motif.In][d] += st.c[1][motif.In]
+			st.p[1][motif.Out][d] += st.c[1][motif.Out]
+			st.r[1][motif.In][d] += oldB[motif.In]
+			st.r[1][motif.Out][d] += oldB[motif.Out]
+			st.c[0][d]++
+			ia++
+		} else {
+			for ; ra < ia && t-sa.Time[ra] > delta; ra++ {
+				if sa.Other[ra] != c {
+					oldA[motif.DirOf(sa.Out[ra])]++
+				}
+			}
+			d := motif.DirOf(sb.Out[ib])
+			st.p[0][motif.In][d] += st.c[0][motif.In]
+			st.p[0][motif.Out][d] += st.c[0][motif.Out]
+			st.r[0][motif.In][d] += oldA[motif.In]
+			st.r[0][motif.Out][d] += oldA[motif.Out]
+			st.c[1][d]++
+			ib++
+		}
+	}
+}
+
+// legNear tells whether a sequence holds a leg within δ of the time t of
+// the edge at pos: an edge whose far end is not skip.
+func legNear(s *temporal.Seq, pos int, t, delta temporal.Timestamp, skip temporal.NodeID) bool {
+	for i := pos - 1; i >= 0 && t-s.Time[i] <= delta; i-- {
+		if s.Other[i] != skip {
+			return true
+		}
+	}
+	for i := pos + 1; i < len(s.Time) && s.Time[i]-t <= delta; i++ {
+		if s.Other[i] != skip {
+			return true
+		}
+	}
+	return false
+}
+
+// grow doubles the ring, keeping the marks of the pivots [kh, kl).
+func (s *pairScratch) grow(kh, kl int) {
+	ring := make([]pivotMarks, 2*len(s.ring))
+	for k := kh; k < kl; k++ {
+		ring[k&(len(ring)-1)] = s.ring[k&(len(s.ring)-1)]
+	}
+	s.ring = ring
+}
+
+// start marks the pivot's window start; bOut tells whether the pivot leaves
+// the walk's node b, whose legs are side 0.
+func (m *pivotMarks) start(st *legPrefix, bOut bool) {
+	m.fs = 1
+	if bOut {
+		m.fs = 0
+	}
+	m.loF, m.loG, m.loP = st.c[m.fs], st.c[1-m.fs], st.p[m.fs]
+}
+
+// pivot marks the pivot itself and adds the pairs of the legs before it:
+// FGM pairs f before g, and GFM is the rest of the halves' product. Every
+// cell is exact modulo 2^64, so the differences wrap back to the counts.
+func (m *pivotMarks) pivot(st *legPrefix, all *LegPairs) {
+	fs, gs := m.fs, 1-m.fs
+	for x := range 2 { // f's direction
+		fBefore := st.c[fs][x] - m.loF[x]
+		for y := range 2 { // g's direction
+			gBefore := st.c[gs][y] - m.loG[y]
+			fgm := st.p[fs][x][y] - m.loP[x][y] - gBefore*m.loF[x]
+			all[OrderFGM][y][x] += fgm
+			all[OrderGFM][x][y] += fBefore*gBefore - fgm
+		}
+	}
+	m.midF, m.midG, m.midP, m.rF, m.rG = st.c[fs], st.c[gs], st.p[fs], st.r[fs], st.r[gs]
+}
+
+// end adds the pairs with a leg after the pivot at its window end: MFG pairs
+// f before g after the pivot, and MGF is the rest of the halves' product;
+// FMG and GMF pair each leg after the pivot with the other side's legs
+// before it, less those more than δ older.
+func (m *pivotMarks) end(st *legPrefix, all *LegPairs) {
+	fs, gs := m.fs, 1-m.fs
+	for x := range 2 {
+		fAfter := st.c[fs][x] - m.midF[x]
+		for y := range 2 {
+			gAfter := st.c[gs][y] - m.midG[y]
+			mfg := st.p[fs][x][y] - m.midP[x][y] - gAfter*m.midF[x]
+			all[OrderMFG][y][x] += mfg
+			all[OrderMGF][x][y] += fAfter*gAfter - mfg
+			all[OrderFMG][x][y] += gAfter*m.midF[x] - (st.r[fs][x][y] - m.rF[x][y])
+			all[OrderGMF][y][x] += fAfter*m.midG[y] - (st.r[gs][y][x] - m.rG[y][x])
+		}
+	}
+}
+
+// addLegPairs adds every leg pair of the pivot b→c at time t, at position pb
+// of S_b and pc of S_c, for all six role orders, to all: CountLegPairs' diff
+// and same cells together, in the same layout. It walks the pivot's windows
+// alone, for a unit of one pivot.
+func addLegPairs(g *temporal.Graph, b, c temporal.NodeID, pb, pc int, t, delta temporal.Timestamp, all *LegPairs) {
 	sb, sc := g.Seq(b), g.Seq(c)
-	pos := temporal.EdgePositions(g)[e]
-	pb, pc := int(pos[0]), int(pos[1])
 	// Without a leg within δ at either end there is no pair; the nearest leg
 	// on each side of the pivot tells.
 	if !hasLeg(sb.Time, pb, t, delta) || !hasLeg(sc.Time, pc, t, delta) {

@@ -1,8 +1,10 @@
 package higher
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -100,15 +102,38 @@ func hubCut(t *testing.T, r *rand.Rand, g *temporal.Graph) int {
 	return cuts[r.Intn(len(cuts))]
 }
 
+// pairCut returns an edge ID lo strictly inside the pivot list of g's
+// heaviest node pair, so the two ranges it separates each hold some of that
+// pair's pivots, and a unit straddles the cut wherever the pivots on either
+// side lie within δ.
+func pairCut(t *testing.T, r *rand.Rand, g *temporal.Graph) int {
+	t.Helper()
+	var heavy temporal.Seq
+	for e := 0; e < g.NumEdges(); e++ {
+		if ps := g.Between(g.Src()[e], g.Dst()[e]); ps.Len() > heavy.Len() {
+			heavy = ps
+		}
+	}
+	if heavy.Len() < 2 {
+		t.Fatalf("no node pair of %d edges has two", g.NumEdges())
+	}
+	return int(heavy.ID[1+r.Intn(heavy.Len()-1)])
+}
+
 // A path4 partial is meaningless alone, so the partition is the contract:
-// 2–5-way random cuts of the edge IDs, one always inside the largest hub's
-// incidences, at 1, 2 and 3 workers with every hub sliced (thrd 1), the
-// outer bounds overshooting, must sum to CountPaths and to brute force.
+// 3–6-way random cuts of the edge IDs, one always inside the largest hub's
+// incidences and one between two pivots of the heaviest node pair, at 1, 2
+// and 3 workers with every hub sliced (thrd 1), the outer bounds
+// overshooting, must sum to CountPaths and to brute force. The last trial
+// is the heavy pair, whose units a cut and the EdgeID blocks both split.
 func TestPath4RangePartition(t *testing.T) {
 	r := rand.New(rand.NewSource(3701))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 11; trial++ {
 		g := hubGraph(r, 5+r.Intn(10), 30+r.Intn(60), 40+r.Intn(40), 1+int64(r.Intn(30)))
 		delta := temporal.Timestamp(r.Intn(25))
+		if trial == 10 {
+			g, delta = temporal.FromEdges(heavyPair(r)), 3
+		}
 		want := CountPaths(g, delta)
 		if brute := brutePaths(g, delta); brute != want {
 			t.Fatalf("trial %d: CountPaths %d, brute force %d", trial, want.Total(), brute.Total())
@@ -116,8 +141,8 @@ func TestPath4RangePartition(t *testing.T) {
 		m := g.NumEdges()
 		for _, workers := range []int{1, 2, 3} {
 			opts := Options{Workers: workers, DegreeThreshold: 1, ChunkSize: 1 + r.Intn(8)}
-			cuts := []int{hubCut(t, r, g)}
-			for k := 1 + r.Intn(4); len(cuts) < k; {
+			cuts := []int{hubCut(t, r, g), pairCut(t, r, g)}
+			for k := 2 + r.Intn(4); len(cuts) < k; {
 				cuts = append(cuts, r.Intn(m+1))
 			}
 			sort.Ints(cuts)
@@ -138,32 +163,120 @@ func TestPath4RangePartition(t *testing.T) {
 	}
 }
 
-// The merged walks, pivot by pivot: addLegPairs alone must fill exactly the
-// cells of CountLegPairs' diff and same together, on the sweep corpus (also
-// at δ = 2^40, where every window is a whole sequence) and on 300 random
-// multigraphs over a handful of nodes.
-func TestAddLegPairsMatchesSweep(t *testing.T) {
+// heavyPair is one node pair carrying hundreds of multi-edges in both
+// directions, many at equal times, beside legs at both ends (ties among
+// them too), and more than two aligned blocks of EdgeIDs: the shape a pair
+// walk runs long on and a unit's block bound cuts.
+func heavyPair(r *rand.Rand) []temporal.Edge {
+	var edges []temporal.Edge
+	for i := 0; i < 600; i++ {
+		t := int64(i / 4) // four pivots share each time
+		if r.Intn(2) == 0 {
+			edges = append(edges, temporal.Edge{From: 0, To: 1, Time: t})
+		} else {
+			edges = append(edges, temporal.Edge{From: 1, To: 0, Time: t})
+		}
+		for k := r.Intn(3); k > 0; k-- {
+			e := temporal.Edge{From: temporal.NodeID(r.Intn(2)), To: temporal.NodeID(2 + r.Intn(8)), Time: t + int64(r.Intn(3))}
+			if r.Intn(2) == 0 {
+				e.From, e.To = e.To, e.From
+			}
+			edges = append(edges, e)
+		}
+	}
+	slices.SortStableFunc(edges, func(a, b temporal.Edge) int { return cmp.Compare(a.Time, b.Time) })
+	return edges
+}
+
+// legPairCases are the inputs the per-pivot tallies are held to
+// CountLegPairs on: the sweep corpus, also at δ = 0 and at δ = 2^40 (where
+// every window is a whole sequence), 300 random multigraphs over a handful
+// of nodes, and the heavy pair at three δ.
+func legPairCases() []sweepCase {
 	cases := sweepCorpus()
 	for _, c := range sweepCorpus() {
-		cases = append(cases, sweepCase{c.name + "/delta=2^40", c.edges, 1 << 40})
+		cases = append(cases, sweepCase{c.name + "/delta=0", c.edges, 0}, sweepCase{c.name + "/delta=2^40", c.edges, 1 << 40})
 	}
 	r := rand.New(rand.NewSource(3801))
 	for i := 0; i < 300; i++ {
 		cases = append(cases, sweepCase{fmt.Sprintf("multigraph%d", i),
 			edgesOf(randomGraph(r, 2+r.Intn(8), 1+r.Intn(60), 1+int64(r.Intn(20)))), int64(r.Intn(12))})
 	}
-	for _, c := range cases {
+	heavy := heavyPair(r)
+	for _, delta := range []temporal.Timestamp{0, 3, 40} {
+		cases = append(cases, sweepCase{fmt.Sprintf("heavy-pair/delta=%d", delta), heavy, delta})
+	}
+	return cases
+}
+
+// legPairsOf is CountLegPairs' diff and same cells of pivot e together.
+func legPairsOf(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp, scratch *fast.Scratch) LegPairs {
+	var diff, same, want LegPairs
+	CountLegPairs(g, e, delta, AllLegOrders, scratch, &diff, &same)
+	want.add(&diff)
+	want.add(&same)
+	return want
+}
+
+// The merged walks, pivot by pivot: addLegPairs alone must fill exactly the
+// cells of CountLegPairs' diff and same together.
+func TestAddLegPairsMatchesSweep(t *testing.T) {
+	for _, c := range legPairCases() {
+		g := temporal.FromEdges(c.edges)
+		scratch := fast.GetScratch(g.NumNodes())
+		pos := temporal.EdgePositions(g)
+		for id := 0; id < g.NumEdges(); id++ {
+			e := temporal.EdgeID(id)
+			b, d := g.Src()[e], g.Dst()[e]
+			var got LegPairs
+			addLegPairs(g, b, d, int(pos[e][0]), int(pos[e][1]), g.Times()[e], c.delta, &got)
+			if want := legPairsOf(g, e, c.delta, scratch); got != want {
+				t.Fatalf("%s pivot %d (%v) δ=%d:\n walks %v\n sweep %v", c.name, id, g.Edge(e), c.delta, got, want)
+			}
+		}
+		fast.PutScratch(scratch)
+	}
+}
+
+// The pair walk, pivot by pivot: walked from either node of a pair, from its
+// first pivot and from a random one, the walk of one more pivot must add
+// exactly that pivot's CountLegPairs diff and same together, whichever
+// pivots share its walk.
+func TestPairWalkMatchesSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(4201))
+	var ps pairScratch
+	for _, c := range legPairCases() {
 		g := temporal.FromEdges(c.edges)
 		scratch := fast.GetScratch(g.NumNodes())
 		for id := 0; id < g.NumEdges(); id++ {
 			e := temporal.EdgeID(id)
-			var diff, same, want, got LegPairs
-			CountLegPairs(g, e, c.delta, AllLegOrders, scratch, &diff, &same)
-			want.add(&diff)
-			want.add(&same)
-			addLegPairs(g, e, c.delta, &got)
-			if got != want {
-				t.Fatalf("%s pivot %d (%v) δ=%d:\n walks %v\n sweep %v", c.name, id, g.Edge(e), c.delta, got, want)
+			b, d := g.Src()[e], g.Dst()[e]
+			if g.Between(b, d).ID[0] != e {
+				continue // each pair once, from its first edge
+			}
+			for _, ends := range [][2]temporal.NodeID{{b, d}, {d, b}} {
+				pivots := g.Between(ends[0], ends[1])
+				n := pivots.Len()
+				for _, k0 := range []int{0, r.Intn(n)} {
+					var before LegPairs // the walk of pivots [k0, k)
+					for k := k0; k < n; k++ {
+						var walked LegPairs
+						ps.walk(g, ends[0], ends[1], pivots, k0, k+1, c.delta, &walked)
+						var got LegPairs
+						for o := range got {
+							for x := range got[o] {
+								for y := range got[o][x] {
+									got[o][x][y] = walked[o][x][y] - before[o][x][y]
+								}
+							}
+						}
+						if want := legPairsOf(g, pivots.ID[k], c.delta, scratch); got != want {
+							t.Fatalf("%s pair %v pivots [%d, %d], pivot %d (%v) δ=%d:\n walk  %v\n sweep %v",
+								c.name, ends, k0, k, pivots.ID[k], g.Edge(pivots.ID[k]), c.delta, got, want)
+						}
+						before = walked
+					}
+				}
 			}
 		}
 		fast.PutScratch(scratch)

@@ -119,20 +119,25 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // the uint64 sum undoes exactly.
 //
 // The pivots run in the flat dynamic chunks of engine.Dispatch, as
-// SweepEdgesRange's do, two scratch-free merged walks each; the triangles
-// run on engine.Sweep, whose DegreeThreshold slices the hubs. Counts are
-// bit-identical at any setting.
+// SweepEdgesRange's do, one node pair's run at a time (allpairs.go): the
+// run's first pivot in [lo, hi) walks the union of the run's δ-windows once
+// and the others skip it. A run never leaves [lo, hi), and each pivot's
+// tally is the same whichever run holds it, so a cut inside a pair's pivots
+// changes no sum. Each worker reuses one run list and one ring of pivot
+// marks, as large as the most pivots of one run within 2δ of each other.
+// The triangles run on engine.Sweep, whose DegreeThreshold slices the hubs.
+// Counts are bit-identical at any setting.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
 	lo, hi = max(lo, 0), min(hi, g.NumEdges())
 	eo := opts.Engine()
 	parts := make([]struct {
-		all LegPairs
-		_   [64]byte // keeps neighbouring workers off each other's cache lines
+		all   LegPairs
+		pairs pairScratch
+		_     [64]byte // keeps neighbouring workers off each other's cache lines
 	}, eo.EffectiveWorkers())
 	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
-		for id := lo + start; id < lo+end; id++ {
-			addLegPairs(g, temporal.EdgeID(id), delta, &parts[w].all)
-		}
+		p := &parts[w]
+		p.pairs.addRange(g, lo+start, lo+end, delta, lo, hi, &p.all)
 	})
 	var all LegPairs
 	for w := range parts {

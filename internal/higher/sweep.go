@@ -12,9 +12,9 @@ import (
 // three edges are a 4-node path with m its structural middle; where they
 // coincide, a triangle. It is what CountPaths, the samplers, the stream and
 // the query compiler's path plans count with; CountPath4Range, which needs
-// every order of every pivot and no per-pivot split, sums the two kinds in
-// two merged walks per pivot without a scratch and separates them
-// afterwards (allpairs.go).
+// every order of every pivot and no per-pivot split, sums the two kinds
+// without a per-neighbour counter, one walk per run of a node pair's
+// pivots, and separates them afterwards (allpairs.go).
 //
 // Following the paper's argument for FAST over EX, instances are counted
 // from per-neighbour counters, never enumerated: the δ-windows of S_b and

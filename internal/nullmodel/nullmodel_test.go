@@ -101,8 +101,9 @@ func TestDegreeRewirePreservesDegrees(t *testing.T) {
 		t.Fatal("rewire created self-loops")
 	}
 	// Timestamps per position unchanged.
+	ge := g.Edges()
 	for i, e := range s.Edges() {
-		if e.Time != g.Edges()[i].Time {
+		if e.Time != ge[i].Time {
 			t.Fatal("rewire changed a timestamp")
 		}
 	}
@@ -114,15 +115,17 @@ func TestSampleDeterministic(t *testing.T) {
 	for _, model := range []Model{TimeShuffle, DegreeRewire} {
 		a, _ := Sample(g, model, 42)
 		b, _ := Sample(g, model, 42)
-		for i := range a.Edges() {
-			if a.Edges()[i] != b.Edges()[i] {
+		ae, be := a.Edges(), b.Edges()
+		for i := range ae {
+			if ae[i] != be[i] {
 				t.Fatalf("%v: sample not deterministic", model)
 			}
 		}
 		c, _ := Sample(g, model, 43)
 		same := true
-		for i := range a.Edges() {
-			if a.Edges()[i] != c.Edges()[i] {
+		ce := c.Edges()
+		for i := range ae {
+			if ae[i] != ce[i] {
 				same = false
 				break
 			}

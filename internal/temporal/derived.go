@@ -15,8 +15,9 @@ import (
 
 // derived holds a graph's derived slots.
 type derived struct {
-	edgePos slot[[][2]int32] // EdgePositions
-	thrd    slot[int]        // DefaultDegreeThreshold
+	edgePos   slot[[][2]int32] // EdgePositions
+	pairLinks slot[[][2]int32] // PairLinks
+	thrd      slot[int]        // DefaultDegreeThreshold
 }
 
 // slot holds one derived value. The atomic pointer is the fast path; the
@@ -70,6 +71,37 @@ func edgePositions(g *Graph) [][2]int32 {
 		}
 	}
 	return pos
+}
+
+// PairLinks returns, for every edge e, the edges next to it among the edges
+// between its two endpoints, in either direction: links[e][0] is the
+// previous one in EdgeID order and links[e][1] the next, −1 where there is
+// none. It is derived in one pass over the grouped per-pair index on first
+// call and kept on the graph (8 bytes per edge). The caller must not modify
+// the result.
+func PairLinks(g *Graph) [][2]int32 {
+	return g.derived.pairLinks.get(g, pairLinks)
+}
+
+func pairLinks(g *Graph) [][2]int32 {
+	links := make([][2]int32, len(g.ts))
+	for u := 0; u < g.numNodes; u++ {
+		for k := g.nbrOff[u]; k < g.nbrOff[u+1]; k++ {
+			if g.nbrKey[k] < NodeID(u) {
+				continue // each pair once, from its lower node
+			}
+			prev := EdgeID(-1)
+			for _, id := range g.grpID[g.grpOff[k]:g.grpOff[k+1]] {
+				links[id][0] = prev
+				if prev >= 0 {
+					links[prev][1] = id
+				}
+				prev = id
+			}
+			links[prev][1] = -1
+		}
+	}
+	return links
 }
 
 // DefaultDegreeThreshold returns the paper's default degree threshold thrd,

@@ -11,7 +11,8 @@ import (
 )
 
 // checkDerived holds every derived slot of g to its definition: edge e sits
-// at EdgePositions(g)[e][0] in S_src[e] and at [1] in S_dst[e], and
+// at EdgePositions(g)[e][0] in S_src[e] and at [1] in S_dst[e], PairLinks
+// chains the edges of Between(src, dst) in order, and
 // DefaultDegreeThreshold is TopKDegreeThreshold(g, 20).
 func checkDerived(t *testing.T, name string, g *Graph) {
 	t.Helper()
@@ -24,6 +25,24 @@ func checkDerived(t *testing.T, name string, g *Graph) {
 			if s := g.Seq(u); int(p[side]) >= s.Len() || s.ID[p[side]] != EdgeID(e) {
 				t.Fatalf("%s: edge %d is not at offset %d of S_%d", name, e, p[side], u)
 			}
+		}
+	}
+	links := PairLinks(g)
+	if len(links) != g.NumEdges() {
+		t.Fatalf("%s: %d pair links for %d edges", name, len(links), g.NumEdges())
+	}
+	for e := range links {
+		ids := g.Between(g.Src()[e], g.Dst()[e]).ID
+		k := slices.Index(ids, EdgeID(e))
+		want := [2]int32{-1, -1}
+		if k > 0 {
+			want[0] = ids[k-1]
+		}
+		if k+1 < len(ids) {
+			want[1] = ids[k+1]
+		}
+		if links[e] != want {
+			t.Fatalf("%s: edge %d links %v, its pair %v", name, e, links[e], ids)
 		}
 	}
 	if got, want := DefaultDegreeThreshold(g), TopKDegreeThreshold(g, 20); got != want {
@@ -93,11 +112,12 @@ func TestEdgePositions(t *testing.T) {
 }
 
 // Racing first calls on a fresh graph build each slot once: all eight get
-// the one stored value, so every position index shares a backing array.
+// the one stored value, so every position and link index shares a backing
+// array.
 func TestDerivedBuildOnce(t *testing.T) {
 	g := FromEdges(randomEdges(rand.New(rand.NewSource(41)), 60, 3000, 40))
 	const callers = 8
-	var pos [callers][][2]int32
+	var pos, links [callers][][2]int32
 	var thrd [callers]int
 	var wg sync.WaitGroup
 	for i := range callers {
@@ -105,12 +125,13 @@ func TestDerivedBuildOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			pos[i] = EdgePositions(g)
+			links[i] = PairLinks(g)
 			thrd[i] = DefaultDegreeThreshold(g)
 		}()
 	}
 	wg.Wait()
 	for i := range callers {
-		if &pos[i][0] != &pos[0][0] || thrd[i] != thrd[0] {
+		if &pos[i][0] != &pos[0][0] || &links[i][0] != &links[0][0] || thrd[i] != thrd[0] {
 			t.Fatalf("caller %d got another build than caller 0", i)
 		}
 	}

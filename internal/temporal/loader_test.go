@@ -92,9 +92,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip lost edges: %d vs %d", g2.NumEdges(), g.NumEdges())
 	}
+	got := g2.Edges()
 	for i, e := range g.Edges() {
-		if g2.Edges()[i] != e {
-			t.Fatalf("edge %d = %v, want %v", i, g2.Edges()[i], e)
+		if got[i] != e {
+			t.Fatalf("edge %d = %v, want %v", i, got[i], e)
 		}
 	}
 }

@@ -118,6 +118,9 @@ func TestRebuilderResetsEdgeCache(t *testing.T) {
 		if !slices.Equal(EdgePositions(g), EdgePositions(want)) {
 			t.Fatalf("rebuild %d: stale EdgePositions", i)
 		}
+		if !slices.Equal(PairLinks(g), PairLinks(want)) {
+			t.Fatalf("rebuild %d: stale PairLinks", i)
+		}
 		if th, wantTh := DefaultDegreeThreshold(g), DefaultDegreeThreshold(want); th != wantTh {
 			t.Fatalf("rebuild %d: stale DefaultDegreeThreshold %d, want %d", i, th, wantTh)
 		}

@@ -30,9 +30,9 @@ func TestTimeSlicePreservesTieOrder(t *testing.T) {
 	g := FromEdges([]Edge{
 		{From: 0, To: 1, Time: 5}, {From: 1, To: 2, Time: 5}, {From: 2, To: 0, Time: 5},
 	})
-	s := g.TimeSlice(5, 6)
+	se := g.TimeSlice(5, 6).Edges()
 	for i, e := range g.Edges() {
-		if s.Edges()[i] != e {
+		if se[i] != e {
 			t.Fatalf("tie order changed at %d", i)
 		}
 	}
