@@ -23,10 +23,9 @@
 // through them to the shard tier's processes). A change to how work is
 // scheduled is an edit to Sweep. Dispatch, the flat
 // chunked loop underneath, is exported for the loops that have no heavy
-// stage (higher.CountPath4Range's leg-pair walks and
-// higher.SweepEdgesRange under query's path plans, whose per-edge cost is
-// linear in the endpoints' δ-windows; nullmodel.SampleMatrices;
-// approx.EstimateStrata).
+// stage (higher.CountPath4Range's leg-pair walks, which query's path plans
+// also read, whose per-edge cost is linear in the endpoints' δ-windows;
+// nullmodel.SampleMatrices; approx.EstimateStrata).
 //
 // Every worker accumulates into private counters that are merged at the end
 // (the analogue of OpenMP reduction), so the hot path has no shared mutable

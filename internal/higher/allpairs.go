@@ -439,7 +439,7 @@ var triPaths = func() (slots [len(motif.TriCounter{})][3]PathLabel) {
 			if f.src != m.src && f.dst != m.src {
 				f, g = g, f
 			}
-			o := LegOrderOf(f.rank, m.rank, g.rank)
+			o := legOrderOf(f.rank, m.rank, g.rank)
 			outer, inner := motif.DirOf(g.src == m.dst), motif.DirOf(f.src == m.src)
 			if outerIsF[o] {
 				outer, inner = inner, outer

@@ -30,11 +30,10 @@
 // engine.Sweep, HARE's two-stage schedule: it sweeps center nodes with an
 // intra-center split for hubs, and returns the FAST-Star counters beside the
 // 4-node ones, so the query compiler's center plans read any star or pair
-// cell from it. CountPath4Range and SweepEdgesRange (the query compiler's
-// path plans) sweep edges in the flat dynamic chunks of engine.Dispatch,
-// because an edge pivot's cost is linear in its endpoints' δ-windows;
-// CountPath4Range's triangles run on engine.Sweep like every FAST-Tri
-// count. Options converts to engine.Options in one place and resolves no
+// cell from it. CountPath4Range, whose cells the query compiler's path plans
+// read, sweeps edges in the flat dynamic chunks of engine.Dispatch, because
+// an edge pivot's cost is linear in its endpoints' δ-windows; its triangles
+// run on engine.Sweep like every FAST-Tri count. Options converts to engine.Options in one place and resolves no
 // default itself. Count and CountPaths stay plain sequential loops: the
 // references the differential tests compare the scheduled counters to.
 package higher

@@ -22,7 +22,7 @@ type Options struct {
 	// scheduled with finer-grained parallelism. 0 selects the automatic
 	// top-20 heuristic; negative disables the heavy stage. It steers node
 	// pivots only (CountStar4Range, center plans, CountPath4Range's
-	// triangles): edge pivots have no heavy stage, see SweepEdgesRange.
+	// triangles): edge pivots have no heavy stage, see CountPath4Range.
 	DegreeThreshold int
 	// ChunkSize is the number of light work items (centers, or edge pivots)
 	// per dynamic work unit (default 64).
@@ -118,8 +118,10 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // anything: a partial's own cells may even have wrapped below zero, which
 // the uint64 sum undoes exactly.
 //
-// The pivots run in the flat dynamic chunks of engine.Dispatch, as
-// SweepEdgesRange's do, one node pair's run at a time (allpairs.go): the
+// The pivots run in the flat dynamic chunks of engine.Dispatch, one node
+// pair's run at a time (allpairs.go): an edge pivot costs the sum of its
+// endpoints' δ-windows, never a degree product, so a hub's edges need no
+// stage of their own and DegreeThreshold does not apply to them. The
 // run's first pivot in [lo, hi) walks the union of the run's δ-windows once
 // and the others skip it. A run never leaves [lo, hi), and each pivot's
 // tally is the same whichever run holds it, so a cut inside a pair's pivots
@@ -148,42 +150,4 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 	tri := engine.CountCategoryRange(g, delta, eo, 2*lo, 2*hi, motif.CategoryTri)
 	out.subTriangles(&tri.Tri)
 	return out
-}
-
-// SweepEdgesRange runs CountLegPairs for every pivot edge ID in [lo, hi)
-// (clamped to [0, NumEdges)) and the given role orders, each worker with a
-// pooled scratch and tallies of its own, and returns the merged tallies of
-// leg pairs with different far ends: the 4-node paths with their middle in
-// the range. Cells are exact integers, so the sums do not depend on which
-// worker met which pivot. It is the range form of the sweep, for the query
-// compiler's path plans, which read one role order: CountPath4Range, which
-// needs all six, counts them without the sweep.
-//
-// The schedule is flat, dynamic chunks of Options.ChunkSize
-// (engine.Dispatch): an edge pivot costs the sum of its endpoints'
-// δ-windows, never a degree product, so a hub's edges need no stage of
-// their own and DegreeThreshold does not apply. With one worker the pivots
-// run on the caller's goroutine in ascending ID order.
-func SweepEdgesRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, orders LegOrders, lo, hi int) (diff LegPairs) {
-	lo, hi = max(lo, 0), min(hi, g.NumEdges())
-	eo := opts.Engine()
-	parts := make([]struct {
-		diff, same LegPairs
-		scratch    *fast.Scratch
-		_          [64]byte // keeps neighbouring workers off each other's cache lines
-	}, eo.EffectiveWorkers())
-	for w := range parts {
-		parts[w].scratch = fast.GetScratch(g.NumNodes())
-		defer fast.PutScratch(parts[w].scratch)
-	}
-	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
-		p := &parts[w]
-		for id := lo + start; id < lo+end; id++ {
-			CountLegPairs(g, temporal.EdgeID(id), delta, orders, p.scratch, &p.diff, &p.same)
-		}
-	})
-	for w := range parts {
-		diff.add(&parts[w].diff)
-	}
-	return diff
 }

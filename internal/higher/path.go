@@ -222,6 +222,37 @@ func CountPathMiddle(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Time
 	out.addPaths(&diff)
 }
 
+// CountPathCell counts the instances of one path motif whose structural
+// middle is the given edge: CountPathMiddle's cell for label, from the one
+// role order that fills it. Reversing a path flips its middle, so of a
+// label's two raw patterns exactly one has the stored pivot forward along
+// a→b→c→d, and the label is one raw cell of the pivot's leg pairs. It is
+// the per-draw unit of the query sampler (internal/approx): one sweep
+// instead of six. label must be canonical (AllPathLabels).
+func CountPathCell(g *temporal.Graph, mid temporal.EdgeID, delta temporal.Timestamp,
+	label PathLabel, scratch *fast.Scratch) uint64 {
+	c := rawPathCell[label]
+	var diff, same LegPairs
+	CountLegPairs(g, mid, delta, 1<<c.order, scratch, &diff, &same)
+	return diff[c.order][c.outer][c.inner]
+}
+
+// rawPathCell inverts pathCells: the raw LegPairs cell of each canonical
+// label.
+var rawPathCell = func() (raw [len(PathCounter{})]struct {
+	order        LegOrder
+	outer, inner uint8
+}) {
+	for o := range pathCells {
+		for x := range pathCells[o] {
+			for y, l := range pathCells[o][x] {
+				raw[l].order, raw[l].outer, raw[l].inner = LegOrder(o), uint8(x), uint8(y)
+			}
+		}
+	}
+	return raw
+}()
+
 // NumPathMotifs is the number of non-isomorphic 4-node 3-edge path motifs.
 const NumPathMotifs = 24
 

@@ -213,6 +213,27 @@ func TestCountPathMiddleSumsToCountPaths(t *testing.T) {
 	}
 }
 
+// CountPathCell is CountPathMiddle read at one label, from one role order:
+// for every pivot and every canonical label the two must agree.
+func TestCountPathCellIsCountPathMiddlesCell(t *testing.T) {
+	r := rand.New(rand.NewSource(84))
+	for trial := 0; trial < 10; trial++ {
+		g := randomGraph(r, 4+r.Intn(10), 1+r.Intn(120), 1+int64(r.Intn(40)))
+		delta := int64(r.Intn(25))
+		scratch := fast.GetScratch(g.NumNodes())
+		for id := 0; id < g.NumEdges(); id++ {
+			var want PathCounter
+			CountPathMiddle(g, temporal.EdgeID(id), delta, scratch, &want)
+			for _, l := range AllPathLabels() {
+				if got := CountPathCell(g, temporal.EdgeID(id), delta, l, scratch); got != want.At(l) {
+					t.Fatalf("trial %d pivot %d label %v: cell %d, CountPathMiddle %d", trial, id, l, got, want.At(l))
+				}
+			}
+		}
+		fast.PutScratch(scratch)
+	}
+}
+
 func TestPathCounterHelpers(t *testing.T) {
 	var a, b PathCounter
 	l := AllPathLabels()[0]

@@ -10,11 +10,11 @@ import (
 // a pivot edge m = (b→c, t) with one more edge f at b and one more edge g at
 // c, the far ends of f and g off the pivot pair. Where the far ends differ the
 // three edges are a 4-node path with m its structural middle; where they
-// coincide, a triangle. It is what CountPaths, the samplers, the stream and
-// the query compiler's path plans count with; CountPath4Range, which needs
-// every order of every pivot and no per-pivot split, sums the two kinds
-// without a per-neighbour counter, one walk per run of a node pair's
-// pivots, and separates them afterwards (allpairs.go).
+// coincide, a triangle. It is what CountPaths, the stream and the samplers'
+// per-pivot units (CountPathMiddle, CountPathCell) count with;
+// CountPath4Range, which needs every order of every pivot and no per-pivot
+// split, sums the two kinds without a per-neighbour counter, one walk per
+// run of a node pair's pivots, and separates them afterwards (allpairs.go).
 //
 // Following the paper's argument for FAST over EX, instances are counted
 // from per-neighbour counters, never enumerated: the δ-windows of S_b and
@@ -43,9 +43,9 @@ const (
 	numLegOrders
 )
 
-// LegOrderOf maps the temporal ranks (0, 1, 2 in some order) of the roles f,
+// legOrderOf maps the temporal ranks (0, 1, 2 in some order) of the roles f,
 // m and g to their LegOrder.
-func LegOrderOf(rankF, rankM, rankG int) LegOrder {
+func legOrderOf(rankF, rankM, rankG int) LegOrder {
 	return LegOrder(permIndex(rankF, rankM, rankG))
 }
 

@@ -48,7 +48,7 @@ func enumLegPairs(g *temporal.Graph, e temporal.EdgeID, delta temporal.Timestamp
 			if hi-lo > delta {
 				continue
 			}
-			o := LegOrderOf(rank(f.ID, e, h.ID), rank(e, f.ID, h.ID), rank(h.ID, f.ID, e))
+			o := legOrderOf(rank(f.ID, e, h.ID), rank(e, f.ID, h.ID), rank(h.ID, f.ID, e))
 			if f.Other == h.Other {
 				same[o][motif.DirOf(f.Out)][motif.DirOf(h.Out)]++
 			} else {
@@ -69,16 +69,6 @@ func cellsOf(p *LegPairs) (c legCells) {
 		}
 	}
 	return c
-}
-
-func (c *legCells) add(o *legCells) {
-	for i := range c {
-		for x := range c[i] {
-			for y := range c[i][x] {
-				c[i][x][y] += o[i][x][y]
-			}
-		}
-	}
 }
 
 // sweepCase is one differential input; every case keeps node IDs and time
@@ -152,16 +142,13 @@ func sweepCorpus() []sweepCase {
 }
 
 // checkSweep compares the sweep with the enumerator on one input: all 48
-// cells of every pivot, then the range form at 1, 2 and 4 workers and over a
-// three-way partition of the pivots (whose bounds overshoot, to be clamped).
+// cells of every pivot, and each role order run alone.
 func checkSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
 	t.Helper()
 	g := temporal.FromEdges(edges)
-	n := g.NumEdges()
 	scratch := fast.GetScratch(g.NumNodes())
 	defer fast.PutScratch(scratch)
-	var wantDiff legCells
-	for id := 0; id < n; id++ {
+	for id := 0; id < g.NumEdges(); id++ {
 		e := temporal.EdgeID(id)
 		wd, ws := enumLegPairs(g, e, delta)
 		var diff, same LegPairs
@@ -178,22 +165,6 @@ func checkSweep(t *testing.T, edges []temporal.Edge, delta temporal.Timestamp) {
 			if d1 != onlyD || s1 != onlyS {
 				t.Fatalf("pivot %d order %d alone differs from its share of all six", id, o)
 			}
-		}
-		wantDiff.add(&wd)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		opts := Options{Workers: workers, ChunkSize: 5}
-		diff := SweepEdgesRange(g, delta, opts, AllLegOrders, 0, n)
-		if cellsOf(&diff) != wantDiff {
-			t.Fatalf("workers=%d: range sweep differs from the per-pivot enumeration", workers)
-		}
-		var pd LegPairs
-		for _, cut := range [][2]int{{-3, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n + 5}} {
-			d := SweepEdgesRange(g, delta, opts, AllLegOrders, cut[0], cut[1])
-			pd.add(&d)
-		}
-		if pd != diff {
-			t.Fatalf("workers=%d: three-way partition does not sum to the full range", workers)
 		}
 	}
 }

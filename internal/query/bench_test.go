@@ -35,7 +35,7 @@ func benchExecute(b *testing.B, shapes []struct{ name, text string }) {
 }
 
 // BenchmarkExecuteEdge measures the edge-plan executor: a 4-node path, one
-// role order of the pair sweep.
+// cell of CountPath4Range's counter.
 func BenchmarkExecuteEdge(b *testing.B) {
 	benchExecute(b, []struct{ name, text string }{
 		{"path", "a->b; b->c; c->d"},

@@ -23,9 +23,9 @@ const (
 	// CountStar4Range returns; a triangle spec reads its label's three cells
 	// of FAST-Tri's owner-mode counter (engine.CountCategoryRange).
 	PlanCenter PlanKind = iota
-	// PlanEdge pivots on graph edges bound to the middle of a 4-node path,
-	// the two legs read from the pivot's endpoints by the pair sweep. The
-	// range domain is the edge IDs.
+	// PlanEdge pivots on graph edges bound to the middle of a 4-node path:
+	// the plan reads its label's cell of CountPath4Range's counter. The range
+	// domain is the edge IDs.
 	PlanEdge
 )
 
@@ -35,15 +35,6 @@ func (k PlanKind) String() string {
 		return "center"
 	}
 	return "edge"
-}
-
-// legSweep describes a path plan as the pair sweep (higher.CountLegPairs)
-// sees it: one non-pivot edge f hangs off the pivot's source, the other, g,
-// off its destination, and the two far ends are distinct nodes off the pivot
-// pair. The count is one cell of the sweep's different-far-end tallies.
-type legSweep struct {
-	order      higher.LegOrder // temporal order of (f, pivot, g), from the slots
-	fOut, gOut bool            // f leaves the pivot's source; g leaves its destination
 }
 
 // Plan is a compiled counting plan. Plans are immutable and safe for
@@ -56,13 +47,11 @@ type Plan struct {
 	spec *Spec
 	kind PlanKind
 
-	// PlanCenter: the cells of the per-node counter the spec's shape selects
-	// (see ExecuteRange) whose sum is the count — one cell of a star or pair
-	// counter, or a triangle label's three isomorphic FAST-Tri cells.
+	// The cells of the counter the spec's shape selects (see ExecuteRange)
+	// whose sum is the count: one cell of a star, pair or path counter, or a
+	// triangle label's three isomorphic FAST-Tri cells.
 	cells []int
 	tri   bool
-	// PlanEdge: the plan's cell of the pair sweep's tallies.
-	sweep legSweep
 }
 
 // Spec returns the plan's (canonicalized) spec.
@@ -75,8 +64,8 @@ func (p *Plan) Kind() PlanKind { return p.kind }
 // ParseSpec compiles, to cells of a counter the repository already has.
 // Every spec over at most three variables is one of the paper's 36 motifs
 // and, like a 4-node star, a PlanCenter reading the counters of a node-pivot
-// kernel (FAST-Star, FAST-Tri, or the 4-node star complement); the 4-node
-// paths are PlanEdge plans reading the pair sweep.
+// kernel (FAST-Star, FAST-Tri, or the 4-node star complement); a 4-node path
+// is a PlanEdge reading its label's cell of CountPath4Range's counter.
 func Compile(s *Spec) *Plan {
 	p := &Plan{spec: s}
 	if s.nodes < MaxNodes {
@@ -93,26 +82,17 @@ func Compile(s *Spec) *Plan {
 		p.cells = []int{motif.PairIndex(d[0], d[1], d[2])}
 		return p
 	}
-	// A 4-node path: the pivot shares a variable with both other edges, one
-	// at each of its endpoints, and neither far end is a pivot endpoint.
-	p.kind = PlanEdge
-	pivot := pickPivot(s)
-	pe := s.edges[pivot]
-	var f, g int // slots of the legs at the pivot's source and destination
-	for slot, e := range s.edges {
-		switch {
-		case slot == pivot:
-		case e.Src == pe.Src || e.Dst == pe.Src:
-			f = slot
-		default:
-			g = slot
-		}
+	// A 4-node path a–b–c–d: its middle b→c meets both other edges, the leg
+	// f = a–b its source and the leg g = c–d its destination. Slots are
+	// temporal ranks, so the spec's own edges name the label.
+	mid := pickPivot(s)
+	m := s.edges[mid]
+	f, g := (mid+1)%SpecEdges, (mid+2)%SpecEdges
+	if e := s.edges[f]; e.Src != m.Src && e.Dst != m.Src {
+		f, g = g, f
 	}
-	p.sweep = legSweep{
-		order: higher.LegOrderOf(f, pivot, g),
-		fOut:  s.edges[f].Src == pe.Src,
-		gOut:  s.edges[g].Src == pe.Dst,
-	}
+	label := higher.CanonicalPath(f, mid, g, s.edges[f].Dst == m.Src, true, s.edges[g].Src == m.Dst)
+	p.kind, p.cells = PlanEdge, []int{int(label)}
 	return p
 }
 

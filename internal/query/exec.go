@@ -28,35 +28,38 @@ func (p *Plan) Execute(g *temporal.Graph, delta temporal.Timestamp, opts Options
 	return p.ExecuteRange(g, delta, opts, 0, p.RangeDomain(g))
 }
 
-// PivotCount counts the instances of an edge plan whose middle is edge id:
-// ExecuteRange over any ID set equals the sum of PivotCount over it. The
-// sampler (internal/approx) calls this per draw, reusing one scratch
-// (covering the graph's node IDs) across draws instead of paying a range
-// dispatch each. Center plans are never sampled — their exact kernels are as
-// fast as a sample — so they have no per-pivot form.
+// PivotCount counts the instances of an edge plan whose middle is edge id
+// (higher.CountPathCell): summed over every edge ID it equals Execute. An
+// ExecuteRange partial is not the sum over its range: it also holds the
+// range's triangles, which only the triangle correction of a whole partition
+// takes off. The sampler (internal/approx) calls this per draw, reusing one
+// scratch (covering the graph's node IDs) across draws instead of paying a
+// range dispatch each. Center plans are never sampled — their exact kernels
+// are as fast as a sample — so they have no per-pivot form.
 func (p *Plan) PivotCount(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch) uint64 {
-	var diff, same higher.LegPairs
-	higher.CountLegPairs(g, temporal.EdgeID(id), delta, 1<<p.sweep.order, scratch, &diff, &same)
-	return diff.At(p.sweep.order, p.sweep.fOut, p.sweep.gOut)
+	return higher.CountPathCell(g, temporal.EdgeID(id), delta, higher.PathLabel(p.cells[0]), scratch)
 }
 
-// ExecuteRange counts the instances found in the half-open range [lo, hi)
-// of the plan's range domain, clamped to [0, RangeDomain(g)). For a center
-// plan these are incidence positions of the node-pivot kernels' range form:
-// FAST-Tri for a triangle (an instance at its owner, by its first edge), the
-// star/pair sweep for the rest (at its center, by its last edge). For an
-// edge plan they are pivot-slot graph edge IDs of the pair sweep, of which
-// only the one role order the slots select is run. Either way the compiled
-// plan *is* the hand-tuned machinery plus a cell read.
+// ExecuteRange counts the share of the instances that belongs to the
+// half-open range [lo, hi) of the plan's range domain, clamped to
+// [0, RangeDomain(g)): it runs one served range counter and sums the plan's
+// cells of it. A center plan reads incidence positions of the node-pivot
+// kernels: FAST-Tri for a triangle (an instance at its owner, by its first
+// edge), the star/pair sweep for the rest (at its center, by its last edge).
+// An edge plan reads edge IDs of CountPath4Range, whose partial is the
+// range's leg pairs minus the triangle correction of incidence positions
+// [2lo, 2hi): only a sum over a partition is a count, and one partial may
+// have wrapped below zero. Either way the compiled plan *is* the hand-tuned
+// machinery plus a cell read.
 func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) uint64 {
-	if p.kind == PlanEdge {
-		diff := higher.SweepEdgesRange(g, delta, opts, 1<<p.sweep.order, lo, hi)
-		return diff.At(p.sweep.order, p.sweep.fOut, p.sweep.gOut)
-	}
 	var cells []uint64
-	if p.tri {
+	switch {
+	case p.kind == PlanEdge:
+		paths := higher.CountPath4Range(g, delta, opts, lo, hi)
+		cells = paths[:]
+	case p.tri:
 		cells = engine.CountCategoryRange(g, delta, opts.Engine(), lo, hi, motif.CategoryTri).Tri[:]
-	} else {
+	default:
 		s4, counts := higher.CountStar4Range(g, delta, opts, lo, hi)
 		switch p.spec.nodes {
 		case MaxNodes:

@@ -54,7 +54,7 @@ func hubGraph(r *rand.Rand, nodes, edges, hubEdges int, span int64) *temporal.Gr
 
 // schedulingRegimes is the option matrix every exactness test runs under:
 // the 1/2/4-worker ladder plus the degree-threshold extremes (which steer
-// center plans; for edge plans they vary the chunk size only).
+// center plans and an edge plan's triangle correction).
 var schedulingRegimes = []Options{
 	{Workers: 1},
 	{Workers: 2},
@@ -200,7 +200,11 @@ func TestCompiledPathMatchesCountPath4(t *testing.T) {
 // triangle, the cycle-closing 3-path, ping-pong multi-edges, 3-node stars —
 // and every other spec over at most three variables must match the
 // independent brute-force enumeration on both corpora at every scheduling
-// regime, and their range partials must sum to the total.
+// regime, and their range partials must sum to the total. The last trial is
+// a heavy multi-edge pair with legs at both ends, whose path-plan partials
+// are cut between two of the pair's pivots: a path partial carries its
+// range's triangles and the correction of its incidences, so one may wrap
+// below zero, and the partials must still sum exactly.
 func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 	shapes := []string{
 		"a->b; b->c; c->a", // temporal triangle
@@ -225,11 +229,16 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 		specs = append(specs, s)
 	}
 	r := rand.New(rand.NewSource(403))
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 5; trial++ {
 		var g *temporal.Graph
-		if trial%2 == 0 {
+		var pivots temporal.Seq // the heavy pair's edges, in the last trial
+		switch {
+		case trial == 4:
+			g = heavyPairGraph(r)
+			pivots = g.Between(0, 1)
+		case trial%2 == 0:
 			g = randomGraph(r, 4+r.Intn(10), 60+r.Intn(120), 1+int64(r.Intn(40)))
-		} else {
+		default:
 			g = hubGraph(r, 5+r.Intn(10), 40+r.Intn(80), 40+r.Intn(60), 1+int64(r.Intn(40)))
 		}
 		delta := int64(1 + r.Intn(25))
@@ -244,9 +253,13 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 			// Partition the range domain three ways: partials must sum
 			// exactly (the shard tier's scatter/gather contract).
 			n := p.RangeDomain(g)
+			lo, hi := n/3, 2*n/3
+			if pivots.Len() > 0 && p.Kind() == PlanEdge {
+				lo = int(pivots.ID[pivots.Len()/3]) // between two of the pair's pivots
+			}
 			opts := Options{Workers: 2}
 			var sum uint64
-			for _, cut := range [][2]int{{-3, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n + 5}} {
+			for _, cut := range [][2]int{{-3, lo}, {lo, hi}, {hi, n + 5}} {
 				sum += p.ExecuteRange(g, delta, opts, cut[0], cut[1])
 			}
 			if sum != want {
@@ -254,6 +267,29 @@ func TestCompiledNovelShapesMatchBrute(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heavyPairGraph is one node pair, 0 and 1, carrying a long run of
+// multi-edges in both directions, several at each time, with legs at both
+// ends to a few shared far ends: paths and triangles on every pivot.
+func heavyPairGraph(r *rand.Rand) *temporal.Graph {
+	b := temporal.NewBuilder(0)
+	for i := 0; i < 150; i++ {
+		t := int64(i / 3) // three pivots share each time
+		if r.Intn(2) == 0 {
+			_ = b.AddEdge(0, 1, t)
+		} else {
+			_ = b.AddEdge(1, 0, t)
+		}
+		for k := r.Intn(3); k > 0; k-- {
+			u, v := temporal.NodeID(r.Intn(2)), temporal.NodeID(2+r.Intn(6))
+			if r.Intn(2) == 0 {
+				u, v = v, u
+			}
+			_ = b.AddEdge(u, v, t+int64(r.Intn(3)))
+		}
+	}
+	return b.Build()
 }
 
 // PivotCount is the per-pivot unit the sampler (internal/approx) evaluates
@@ -304,6 +340,10 @@ func TestExecuteDegenerate(t *testing.T) {
 	ps := Compile(star)
 	if got := ps.ExecuteRange(g, 10, Options{Workers: 2}, 3, 1); got != 0 {
 		t.Fatalf("inverted center range: count %d, want 0", got)
+	}
+	path, _ := ParseSpec("a->b; b->c; c->d")
+	if got := Compile(path).ExecuteRange(g, 10, Options{Workers: 2}, 3, 1); got != 0 {
+		t.Fatalf("inverted edge range: count %d, want 0", got)
 	}
 }
 

@@ -3,8 +3,8 @@
 // over at most four node variables — into a counting *plan* that runs over
 // the columnar CSR core with the counting routines and the scheduling of the
 // hand-tuned counters (a star or pair spec is a cell of CountStar4Range's
-// counters, a triangle spec three cells of FAST-Tri's, a path spec a cell of
-// the pair sweep, higher.SweepEdgesRange; see Compile), and the same
+// counters, a triangle spec three cells of FAST-Tri's, a path spec one cell
+// of CountPath4Range's; see Compile), and the same
 // exactness bar: plans are exact, bit-identical at any worker count, and
 // range-splittable along their pivot for the scatter/gather tier.
 //

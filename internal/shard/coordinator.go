@@ -23,7 +23,7 @@ import (
 // workers only ever see already-deduplicated, already-admitted sub-requests.
 //
 // Every partition rides a uniqueness argument (a star or pair at its center
-// by its last edge, a triangle at its owner by its first, a path at its
+// by its last edge, a triangle at its owner by its first, a leg pair at its
 // middle edge, an index-derived sample seed) so the merged answer is
 // bit-identical at any fleet size, one included, to the library's answer
 // for the same request. The node-pivot kinds range over incidence
@@ -109,7 +109,8 @@ func (c *Coordinator) Star4(ctx context.Context, g *temporal.Graph, req server.R
 	return higher.Star4Counter(cells), nil
 }
 
-// Path4 sums the partial counters of middle-edge ID ranges.
+// Path4 sums the partial counters of edge ID ranges: each the range's leg
+// pairs minus its triangle correction, a count only in the sum.
 func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.Request) (higher.PathCounter, error) {
 	cells, err := c.sum(ctx, g, req, g.NumEdges())
 	if err != nil {
@@ -120,7 +121,8 @@ func (c *Coordinator) Path4(ctx context.Context, g *temporal.Graph, req server.R
 
 // Query compiles the (already canonical) spec and sums the partial counts
 // of ranges of the plan's range domain — incidence positions for center
-// plans (star, pair and triangle specs), middle-edge IDs for path plans.
+// plans (star, pair and triangle specs), edge IDs for path plans (whose
+// partials are a cell of path4's).
 func (c *Coordinator) Query(ctx context.Context, g *temporal.Graph, req server.Request) (uint64, error) {
 	qp, err := compile(req.Spec)
 	if err != nil {

@@ -245,9 +245,9 @@ func TestPermanentRejectionsFailFast(t *testing.T) {
 // TestV1SubRequestIsRefused: a version-1 coordinator ranges node pivots
 // by node ID and expects a count matrix, and a version-2 one ranges a
 // triangle query by pivot-edge ID, and a version-5 one expects a path4
-// partial to hold the paths of its middle-edge range, so this worker must
-// answer their sub-requests 426, naming the version it speaks, rather than
-// answer in its own terms.
+// partial (a version-6 one a path-plan query partial) to hold the paths of
+// its middle-edge range, so this worker must answer their sub-requests 426,
+// naming the version it speaks, rather than answer in its own terms.
 func TestV1SubRequestIsRefused(t *testing.T) {
 	g := shardTestGraph(t)
 	live := liveWorker(t, g)
@@ -261,6 +261,9 @@ func TestV1SubRequestIsRefused(t *testing.T) {
 		// the two must never meet in one gather.
 		fmt.Sprintf(`{"proto":5,"kind":"path4","dataset":"d","delta":600,"delta_set":true,"shard":0,"shards":2,"lo":0,"hi":%d,"nodes":%d,"edges":%d}`,
 			g.NumEdges()/2, g.NumNodes(), g.NumEdges()),
+		// The same split between versions 6 and 7, for a path-plan query.
+		fmt.Sprintf(`{"proto":6,"kind":"query","dataset":"d","delta":600,"delta_set":true,"shard":0,"shards":2,"lo":0,"hi":%d,"nodes":%d,"edges":%d,"spec":"a->b; b->c; c->d"}`,
+			g.NumEdges()/2, g.NumNodes(), g.NumEdges()),
 	} {
 		resp, err := http.Post(live.URL+PathCompute, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -272,8 +275,8 @@ func TestV1SubRequestIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusUpgradeRequired || we.Proto != ProtoVersion || ProtoVersion < 6 {
-			t.Fatalf("%s: HTTP %d, error body proto %d (%s); want 426 naming proto %d ≥ 6",
+		if resp.StatusCode != http.StatusUpgradeRequired || we.Proto != ProtoVersion || ProtoVersion < 7 {
+			t.Fatalf("%s: HTTP %d, error body proto %d (%s); want 426 naming proto %d ≥ 7",
 				body, resp.StatusCode, we.Proto, we.Error, ProtoVersion)
 		}
 	}

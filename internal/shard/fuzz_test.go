@@ -60,6 +60,8 @@ func FuzzSubRequest(f *testing.F) {
 	f.Add([]byte(`{"proto":5,"kind":"path4","dataset":"d","delta":5,"delta_set":true,"shard":0,"shards":1,"lo":0,"hi":9}`))
 	f.Add([]byte(`{"proto":6,"kind":"count","dataset":"d","shard":0,"shards":1,"seed":4}`))
 	f.Add([]byte(`{"proto":6,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
+	f.Add([]byte(`{"proto":7,"kind":"count","dataset":"d","shard":0,"shards":1,"seed":4}`))
+	f.Add([]byte(`{"proto":7,"kind":"nope","dataset":"d","shard":2,"shards":1,"delta":-1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s SubRequest
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&s) != nil { // the worker's decode
@@ -131,6 +133,8 @@ func FuzzPartial(f *testing.F) {
 	f.Add([]byte(`{"proto":5,"kind":"query","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
 	f.Add([]byte(`{"proto":6,"kind":"count","shard":0,"cells":[1]}`))
 	f.Add([]byte(`{"proto":6,"kind":"query","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
+	f.Add([]byte(`{"proto":7,"kind":"count","shard":0,"cells":[1]}`))
+	f.Add([]byte(`{"proto":7,"kind":"query","shard":0,"approx":[{"draws":1,"sum":[1],"mean":[],"m2":[2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Partial
 		if json.Unmarshal(data, &p) != nil { // the coordinator's decode

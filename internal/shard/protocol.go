@@ -13,12 +13,10 @@
 //     triangle at its owner by its first, so per-range counters sum exactly,
 //     and a hub a boundary falls inside is split between two workers instead
 //     of weighing on one;
-//   - path-plan /v1/query splits by middle-edge ID range — every 4-node
-//     path has a unique structural-middle edge;
-//   - /v1/path4 splits by edge ID range too, but its partial is the range's
-//     leg pairs minus the triangle correction of incidence positions
-//     [2lo, 2hi) (higher.CountPath4Range): only the sum over a partition
-//     is a count;
+//   - /v1/path4 and path-plan /v1/query split by edge ID range, and their
+//     partial is the range's leg pairs minus the triangle correction of
+//     incidence positions [2lo, 2hi) (higher.CountPath4Range; a path spec
+//     reads one of its cells): only the sum over a partition is a count;
 //   - /v1/sig splits by sample-index range — per-sample seeds are
 //     index-derived, and the coordinator re-folds the raw sample count
 //     matrices through the same fixed-chunk Welford tree as a local run.
@@ -55,7 +53,10 @@ import (
 // correction of incidence positions [2lo, 2hi), where a version-5 partial
 // holds the paths whose middle edge lies in the range: mixed into one
 // gather, the two kinds of partial would sum to a silently wrong count.
-const ProtoVersion = 6
+// Version 7 gave a path-plan query partial the same semantics, its label's
+// cell of the path4 partial, where a version-6 one holds the paths whose
+// middle edge lies in the range.
+const ProtoVersion = 7
 
 // Worker endpoint paths, mounted next to (not replacing) the public /v1
 // API.
@@ -67,7 +68,7 @@ const (
 // SubRequest is one shard's slice of a query: the coordinator's normalized
 // request plus the work range it owns. Lo/Hi are half-open and
 // kind-relative — incidence positions for count, star4 and center-plan
-// queries, middle-edge IDs for path4 and path-plan queries, sample indices
+// queries, edge IDs for path4 and path-plan queries, sample indices
 // for sig. A sampled request (EpsilonSet, path4 or a path-plan query)
 // ranges over the sampling plan's stratum indices instead: every end
 // rebuilds the identical plan from the knobs on the wire (docs/APPROX.md).

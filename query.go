@@ -36,10 +36,10 @@ const QueryMotif = server.KindQuery
 // package already has (a 4-node star, 3-node star or 2-node pair spec reads
 // the star counter behind CountStar4 and the FAST-Star counters it is built
 // from, a triangle the FAST-Tri counter behind Count's triangle motifs, a
-// 4-node path one role order of the pair sweep behind CountPath4's
-// reference), and scheduling follows the shared knobs: WithWorkers applies,
-// WithDegreeThreshold to all but path specs, and the count is bit-identical
-// at any setting.
+// 4-node path its cell of the counter behind CountPath4), and scheduling
+// follows the shared knobs: WithWorkers applies, WithDegreeThreshold to the
+// node pivots (a path spec's are its triangle correction), and the count is
+// bit-identical at any setting.
 func CountMotif(g *Graph, spec *MotifSpec, delta Timestamp, opts ...Option) (uint64, error) {
 	if g == nil {
 		return 0, errNilGraph
