@@ -18,9 +18,11 @@ import (
 
 // Ablation: the paper's HARE finds every triangle at all three vertices
 // ("all-centres"); this repo gives each triangle to its lowest-(degree, ID)
-// vertex ("owner"), which is what every whole-graph count runs. A hub skips
-// each first edge in O(1) and the i/j loops that remain run at the cheap
-// end of every triangle: ~14× measured here on the reference box.
+// vertex ("owner"), which is what every whole-graph count runs. Both cases
+// time Algorithm 2 (the sequential reference); the engine's owner loop over
+// stored forward incidences is BenchmarkTri/forward in internal/fast. A hub
+// skips each first edge in O(1) and the i/j loops that remain run at the
+// cheap end of every triangle: ~14× measured here on the reference box.
 func BenchmarkAblationTriDedup(b *testing.B) {
 	g := benchGraph(b, "wikitalk", 0.1)
 	b.Run("owner", func(b *testing.B) {

@@ -79,7 +79,7 @@ func TestOptionsValidate(t *testing.T) {
 func TestBuildPlanProperties(t *testing.T) {
 	g := hubGraph(1)
 	k := PathKernel{}
-	weight := func(id int) float64 { return k.Weight(g, id) }
+	weight := degreeProduct(g)
 	for _, o := range []Options{
 		{},
 		{Epsilon: 0.1, Confidence: 0.9, Seed: 7},

@@ -290,9 +290,24 @@ func tQuantile(p, df float64) float64 {
 
 // NewPlan builds the sampling plan for kernel k on g — the single plan
 // constructor every tier shares, so a coordinator and its workers always
-// agree on strata, budgets, and seeds.
+// agree on strata, budgets, and seeds. Every kernel's pivots are g's edges,
+// weighted by temporal.PivotWeight (d(src)·d(dst) plus the +1 floor), so the
+// ranking is the graph's kept temporal.PivotRanking, built by its first
+// sampled request: after it a plan costs the budget, the strata and one
+// pass summing each stratum's weight in rank order. The plan equals
+// BuildPlan's over the degree products, field for field.
 func NewPlan(g *temporal.Graph, k Kernel, o Options) (*Plan, error) {
-	return BuildPlan(k.Domain(g), k.Cells(), func(id int) float64 { return k.Weight(g, id) }, o)
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	perm := temporal.PivotRanking(g)
+	return allocate(k.Domain(g), k.Cells(), perm, func(lo, hi int) float64 {
+		w := 0.0
+		for _, e := range perm[lo:hi] {
+			w += temporal.PivotWeight(g, e)
+		}
+		return w
+	}, o), nil
 }
 
 // Estimate runs the full plan locally: build, sample, finish.

@@ -8,30 +8,27 @@ import (
 )
 
 // Kernel is one sampleable counting problem: a pivot-ID domain whose
-// per-pivot tallies sum to the exact count, a per-pivot cost/variance
-// proxy for stratum allocation, and the per-pivot evaluation itself. All
-// methods must be pure (safe for concurrent use with per-worker scratch).
-// Both kernels here pivot on edges: the node-pivot families are answered
-// exactly (see Exact).
+// per-pivot tallies sum to the exact count, and the per-pivot evaluation
+// itself. All methods must be pure (safe for concurrent use with per-worker
+// scratch). Every kernel pivots on edges, and NewPlan allocates its draws by
+// the edges' degree products, d(src)·d(dst) (temporal.PivotWeight): a proxy
+// for the tally's variance (a middle edge can host up to one path per pair
+// of legs), not for the evaluation's cost, which the pair sweep made linear
+// in the two windows. The node-pivot families are answered exactly (see
+// Exact).
 type Kernel interface {
 	// Cells is the number of counter cells Eval fills (48 path slots, 1
 	// query total).
 	Cells() int
-	// Domain is the pivot-ID domain size on g.
+	// Domain is the pivot-ID domain size on g: its edge count.
 	Domain(g *temporal.Graph) int
-	// Weight is the nonnegative allocation proxy for pivot id — a cheap
-	// stand-in for the pivot's tally variance, typically a degree product.
-	Weight(g *temporal.Graph, id int) float64
 	// Eval writes pivot id's exact per-cell tally into out[:Cells()],
 	// overwriting every cell. scratch is a per-worker fast.Scratch grown
 	// to NumNodes.
 	Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64)
 }
 
-// PathKernel samples 4-node paths by structural-middle edge. Weight is
-// d(src)·d(dst): a proxy for the tally's variance (a middle edge can host up
-// to one path per pair of legs), not for the evaluation's cost, which the
-// pair sweep made linear in the two windows.
+// PathKernel samples 4-node paths by structural-middle edge.
 type PathKernel struct{}
 
 // Cells implements Kernel: the full 48-slot path counter (24 canonical
@@ -40,12 +37,6 @@ func (PathKernel) Cells() int { return 48 }
 
 // Domain implements Kernel: middles are edges.
 func (PathKernel) Domain(g *temporal.Graph) int { return g.NumEdges() }
-
-// Weight implements Kernel.
-func (PathKernel) Weight(g *temporal.Graph, id int) float64 {
-	e := temporal.EdgeID(id)
-	return float64(g.Degree(g.Src()[e])) * float64(g.Degree(g.Dst()[e]))
-}
 
 // Eval implements Kernel via the exact per-middle-edge counter.
 func (PathKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64) {
@@ -57,8 +48,8 @@ func (PathKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scra
 }
 
 // PlanKernel samples a compiled path plan (query.PlanEdge) by its
-// pivot-slot edge, with PathKernel's weight. Center plans are never sampled:
-// Query answers them exactly.
+// pivot-slot edge. Center plans are never sampled: Query answers them
+// exactly.
 type PlanKernel struct{ Plan *query.Plan }
 
 // Cells implements Kernel: one total per pivot.
@@ -66,9 +57,6 @@ func (PlanKernel) Cells() int { return 1 }
 
 // Domain implements Kernel: pivots are edges.
 func (PlanKernel) Domain(g *temporal.Graph) int { return g.NumEdges() }
-
-// Weight implements Kernel.
-func (PlanKernel) Weight(g *temporal.Graph, id int) float64 { return PathKernel{}.Weight(g, id) }
 
 // Eval implements Kernel via the plan's exact per-pivot tally.
 func (k PlanKernel) Eval(g *temporal.Graph, delta temporal.Timestamp, id int, scratch *fast.Scratch, out []float64) {

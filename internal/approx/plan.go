@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"hare/internal/temporal"
 )
 
 // Defaults for the two knobs; the zero Options value selects both.
@@ -147,8 +149,10 @@ type Plan struct {
 	Strata []Stratum
 
 	// perm maps rank -> pivot ID (weight descending, ID ascending on
-	// ties). Never serialized: every node rebuilds it deterministically
-	// from the graph and knobs via NewPlan, so only knobs cross the wire.
+	// ties); NewPlan's is the graph's kept temporal.PivotRanking, shared
+	// read-only by every plan on that graph. Never serialized: every node
+	// rebuilds it deterministically from the graph via NewPlan, so only
+	// knobs cross the wire.
 	perm []int32
 }
 
@@ -167,18 +171,49 @@ func (p *Plan) ExactStrata() int {
 }
 
 // BuildPlan materializes the sampling plan for a pivot domain of the given
-// size, with weight(id) the nonnegative per-pivot cost/variance proxy.
-// Deterministic: equal inputs produce equal plans, field for field.
+// size, with weight(id) the nonnegative per-pivot cost/variance proxy: it
+// ranks the pivots (temporal.RankByWeight) and allocates the draws.
+// Deterministic: equal inputs produce equal plans, field for field. NewPlan
+// is the same plan for the edge pivots of a graph, read from the graph's
+// kept ranking.
 func BuildPlan(domain, cells int, weight func(id int) float64, o Options) (*Plan, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	// The per-pivot weights are sanitized once: negative/NaN/Inf proxies
+	// count as 0, and every pivot carries a +1 floor so no stratum's share
+	// vanishes.
+	wts := make([]float64, max(domain, 0))
+	for id := range wts {
+		w := weight(id)
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			w = 0
+		}
+		wts[id] = w + 1
+	}
+	// Rank the pivots by weight (descending; ID breaks ties, so the
+	// permutation is a pure function of the weights).
+	perm := temporal.RankByWeight(wts)
+	return allocate(domain, cells, perm, func(lo, hi int) float64 {
+		w := 0.0
+		for _, id := range perm[lo:hi] {
+			w += wts[id]
+		}
+		return w
+	}, o), nil
+}
+
+// allocate sizes the budget, slices the ranked pivots perm into strata and
+// allocates the draws, given sum(lo, hi), the weight of the ranks [lo, hi)
+// summed in rank order. o must be valid.
+func allocate(domain, cells int, perm []int32, sum func(lo, hi int) float64, o Options) *Plan {
 	eps, conf := o.epsilon(), o.confidence()
 	z := zQuantile((1 + conf) / 2)
 	p := &Plan{Domain: domain, Cells: cells, Z: z, Epsilon: eps, Confidence: conf, Seed: o.Seed}
 	if domain <= 0 {
-		return p, nil
+		return p
 	}
+	p.perm = perm
 
 	// Draw budget: explicit override, else the CLT sizing ceil((z/eps)^2),
 	// clamped to [2, domain] — a budget at the domain size degenerates to
@@ -211,20 +246,6 @@ func BuildPlan(domain, cells int, weight func(id int) float64, o Options) (*Plan
 		sMax = 1
 	}
 
-	// Rank the pivots by weight (descending; ID breaks ties, so the
-	// permutation is a pure function of the weights). The per-pivot
-	// weights are sanitized once: negative/NaN/Inf proxies count as 0,
-	// and every pivot carries a +1 floor so no stratum's share vanishes.
-	wts := make([]float64, domain)
-	for id := 0; id < domain; id++ {
-		w := weight(id)
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			w = 0
-		}
-		wts[id] = w + 1
-	}
-	p.perm = rankByWeight(wts)
-
 	// Geometric rank slices from the head: sizes 1, 2, 4, … On a skewed
 	// graph the ranked head holds the dominant pivots, so the head strata
 	// are tiny, win the weight allocation, saturate under the waterfall,
@@ -249,11 +270,7 @@ func BuildPlan(domain, cells int, weight func(id int) float64, o Options) (*Plan
 			hi = bounds[i+1]
 		}
 		strata[i] = Stratum{Lo: bounds[i], Hi: hi, Seed: mixSeed(o.Seed, i)}
-		w := 0.0
-		for r := bounds[i]; r < hi; r++ {
-			w += wts[p.perm[r]]
-		}
-		weights[i] = w
+		weights[i] = sum(bounds[i], hi)
 	}
 
 	// Allocation: a draw floor per stratum (the variance estimate needs a
@@ -303,58 +320,7 @@ func BuildPlan(domain, cells int, weight func(id int) float64, o Options) (*Plan
 		}
 	}
 	p.Strata = strata
-	return p, nil
-}
-
-// rankByWeight returns the pivot permutation sorted by weight descending,
-// ID ascending on ties — the plan's canonical rank order. Plan
-// construction is pure overhead next to the draws it schedules, and a
-// comparison sort over the whole domain was the estimator's single
-// hottest block on large graphs, so the ranking is an LSD radix sort on
-// order-inverted IEEE bits instead: the weights are sanitized positive
-// floats, whose bit patterns order like the values, so complementing the
-// bits yields an ascending integer sort == descending float sort, and
-// radix stability turns ascending-ID initialization into the tie-break.
-// O(domain) per pass, four 16-bit passes, identical output to the
-// comparison sort on every input.
-func rankByWeight(wts []float64) []int32 {
-	type pair struct {
-		key uint64
-		id  int32
-	}
-	n := len(wts)
-	pairs := make([]pair, n)
-	for id := range wts {
-		pairs[id] = pair{^math.Float64bits(wts[id]), int32(id)}
-	}
-	tmp := make([]pair, n)
-	var count [1 << 16]int32
-	for shift := 0; shift < 64; shift += 16 {
-		clear(count[:])
-		for i := range pairs {
-			count[uint16(pairs[i].key>>shift)]++
-		}
-		if count[uint16(pairs[0].key>>shift)] == int32(n) {
-			continue // all keys share this digit: the pass is a no-op
-		}
-		pos := int32(0)
-		for d := range count {
-			c := count[d]
-			count[d] = pos
-			pos += c
-		}
-		for i := range pairs {
-			d := uint16(pairs[i].key >> shift)
-			tmp[count[d]] = pairs[i]
-			count[d]++
-		}
-		pairs, tmp = tmp, pairs
-	}
-	perm := make([]int32, n)
-	for i := range pairs {
-		perm[i] = pairs[i].id
-	}
-	return perm
+	return p
 }
 
 // apportion splits units integer-exactly in proportion to weights (all

@@ -34,8 +34,11 @@
 // Deviation from the paper: HARE recounts every triangle at all three of its
 // vertices to stay dependency free. Here each triangle is counted once, by
 // its lowest vertex in (temporal degree, ID) order (see package fast): a
-// pure function of the immutable graph, so equally dependency free, exact
-// under every split below, and a heavy center skips its first edges in O(1).
+// pure function of the immutable graph, so equally dependency free and exact
+// under every split below. The triangle half reads the graph's forward
+// incidences (fast.CountTriForwardRange), built once per graph, so a heavy
+// center never visits the first edges it does not own: its slices of S_u
+// map to forward entries by binary search.
 package engine
 
 import (
@@ -310,8 +313,10 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, 
 		}
 	}
 	minDegree := 3 // a star or pair needs three incident edges,
+	var fw temporal.Forward
 	if doTri {
 		minDegree = 2 // a triangle two
+		fw = temporal.ForwardIncidences(g)
 	}
 	// A center's whole edge range is the light unit, a slice of it the heavy
 	// one: the star/pair sweep's slice is a last-edge range, FAST-Tri's a
@@ -322,7 +327,7 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, 
 			fast.SweepStarPairRange(g.Seq(temporal.NodeID(u)), delta, &perWorker[w], &all, scratch[w], from, to)
 		}
 		if doTri {
-			fast.CountTriRange(g, temporal.NodeID(u), delta, &perWorker[w].Tri, true, from, to)
+			fast.CountTriForwardRange(g, fw, temporal.NodeID(u), delta, &perWorker[w].Tri, from, to)
 		}
 	}
 	Sweep(g, opts, lo, hi,

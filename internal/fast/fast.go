@@ -31,14 +31,22 @@
 // Deviation from the paper: Algorithm 2 finds every triangle at each of its
 // three vertices (HARE recounts and divides by three; the sequential variant
 // removes finished centers). Here every triangle belongs to exactly one
-// owner, its lowest vertex in (temporal degree, ID) order — the classical
-// degree-ordered orientation of triangle listing. Ownership is a pure
-// function of the immutable graph, so it is as dependency free as
-// recounting, and it hands each triangle to the vertex that finds it most
-// cheaply: a hub skips every first edge in O(1).
+// owner, its lowest vertex in (temporal degree, ID) order
+// (temporal.Precedes) — the classical degree-ordered orientation of
+// triangle listing. Ownership is a pure function of the immutable graph, so
+// it is as dependency free as recounting, and it hands each triangle to the
+// vertex that finds it most cheaply. CountTriRange in owner mode tests the
+// order at every first and second edge; CountTriForwardRange, what the
+// engine runs, walks the graph's stored forward incidences
+// (temporal.ForwardIncidences), the half-edges whose far end follows the
+// center, so a hub never visits the first edges it does not own. Count,
+// CountTri, CountTriNode, CountInto and NodeProfile stay Algorithm 2: Table
+// III's FAST-Tri column and the reference the forward loop is checked
+// against.
 package fast
 
 import (
+	"slices"
 	"sync"
 
 	"hare/internal/motif"
@@ -255,22 +263,15 @@ func CountBefore(win temporal.Seq, o3 temporal.NodeID, out3 bool, counts *motif.
 	}
 }
 
-// precedes reports whether v comes before u, whose temporal degree is du, in
-// the (temporal degree, ID) order that decides triangle ownership.
-func precedes(g *temporal.Graph, v, u temporal.NodeID, du int) bool {
-	dv := g.Degree(v)
-	return dv < du || dv == du && v < u
-}
-
 // CountTriNode runs Algorithm 2 (FAST-Tri) for a single center node u,
 // accumulating into tri.
 //
-// With dedup == true (owner mode, what every whole-graph count uses) only
-// neighbors that follow u in (temporal degree, ID) order participate. That
-// is a strict total order on one graph, so summed over all centers every
-// instance is recorded exactly once, from its lowest vertex. With dedup ==
-// false every triangle containing u is recorded: the per-node view of
-// NodeProfile, three isomorphic cells per instance when summed over centers.
+// With dedup == true (owner mode) only neighbors that follow u in (temporal
+// degree, ID) order (temporal.Precedes) participate. That is a strict total
+// order on one graph, so summed over all centers every instance is recorded
+// exactly once, from its lowest vertex. With dedup == false every triangle
+// containing u is recorded: the per-node view of NodeProfile, three
+// isomorphic cells per instance when summed over centers.
 func CountTriNode(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestamp,
 	tri *motif.TriCounter, dedup bool) {
 	CountTriRange(g, u, delta, tri, dedup, 0, g.Degree(u))
@@ -287,14 +288,13 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 		to = n - 1
 	}
 	times, others, outs, ids := su.Time, su.Other, su.Out, su.ID
+	grp := g.Grouped()
 	for i := from; i < to; i++ {
 		oi := others[i]
-		if dedup && precedes(g, oi, u, n) {
+		if dedup && temporal.Precedes(g, oi, u, n) {
 			continue
 		}
 		ti := times[i]
-		di := motif.DirOf(outs[i])
-		idi := ids[i]
 		for j := i + 1; j < n; j++ {
 			if times[j]-ti > delta {
 				break
@@ -303,47 +303,114 @@ func CountTriRange(g *temporal.Graph, u temporal.NodeID, delta temporal.Timestam
 			if oj == oi {
 				continue
 			}
-			if dedup && precedes(g, oj, u, n) {
+			if dedup && temporal.Precedes(g, oj, u, n) {
 				continue
 			}
-			dj := motif.DirOf(outs[j])
-			idj := ids[j]
-			between := g.Between(oi, oj) // directions relative to v = oi
-			bn := between.Len()
-			if bn == 0 {
-				continue
-			}
-			// Only edges with t_k >= t_j − δ can participate (Triangle-I
-			// needs t_j − t_k ≤ δ; types II/III start at t_i ≥ t_j − δ).
-			// Compared as a difference: t_j − δ overflows for huge δ.
-			bTimes := between.Time
-			tj := times[j]
-			lo, hi := 0, bn
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if tj-bTimes[mid] > delta {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			bIDs, bOuts := between.ID, between.Out
-			for k := lo; k < bn; k++ {
-				if bTimes[k]-ti > delta {
-					break // Triangle-III needs t_k − t_i ≤ δ
-				}
-				dk := motif.DirOf(bOuts[k])
-				switch {
-				case bIDs[k] < idi:
-					tri[motif.TriIndex(motif.TriI, di, dj, dk)]++
-				case bIDs[k] < idj:
-					tri[motif.TriIndex(motif.TriII, di, dj, dk)]++
-				default:
-					tri[motif.TriIndex(motif.TriIII, di, dj, dk)]++
-				}
+			if lo, hi := g.PairSpan(oi, oj); lo < hi {
+				countThird(&grp, lo, hi, delta, ti, times[j], outs[i], outs[j], ids[i], ids[j], tri)
 			}
 		}
 	}
+}
+
+// CountTriForwardRange is owner-mode CountTriRange read from g's forward
+// incidences fw (temporal.ForwardIncidences): it finds the same triangles
+// and adds the same cells for first-edge indices in [from, to) of S_u. The
+// loops visit only the half-edges whose far end follows u, so a hub never
+// visits its first edges to lower vertices, nor reads a degree, and a run
+// of multi-edges to the first edge's own neighbour is one step. It is
+// FAST-Tri as the engine runs it; CountTriRange stays Algorithm 2 as
+// published.
+func CountTriForwardRange(g *temporal.Graph, fw temporal.Forward, u temporal.NodeID, delta temporal.Timestamp,
+	tri *motif.TriCounter, from, to int) {
+	pos, next := fw.Of(u)
+	a, b := 0, len(pos)
+	if b < 2 {
+		return
+	}
+	if from > 0 {
+		a, _ = slices.BinarySearch(pos, int32(from))
+	}
+	if to < g.Degree(u) {
+		b, _ = slices.BinarySearch(pos, int32(max(to, 0)))
+	}
+	su, grp := g.Seq(u), g.Grouped()
+	times, others, outs, ids := su.Time, su.Other, su.Out, su.ID
+	for x := a; x < b; x++ {
+		i := pos[x]
+		oi, ti := others[i], times[i]
+		// next[x] is the first later entry to another neighbour than oi.
+		for y := int(next[x]); y < len(pos); {
+			j := pos[y]
+			if times[j]-ti > delta {
+				break
+			}
+			oj := others[j]
+			if oj == oi {
+				y = int(next[y])
+				continue
+			}
+			if lo, hi := g.PairSpan(oi, oj); lo < hi {
+				countThird(&grp, lo, hi, delta, ti, times[j], outs[i], outs[j], ids[i], ids[j], tri)
+			}
+			y++
+		}
+	}
+}
+
+// countThird adds the triangles closed by a first edge (ti, outi, idi) to oi
+// and a second edge (tj, outj, idj) to oj of one center: one per third edge
+// of E(oi, oj) in the window. E(oi, oj) spans [lo, hi) of the grouped
+// columns grp, EdgeID-sorted with directions relative to oi, so the third
+// edges before the first edge (Triangle-I), between the two (II) and after
+// the second (III) are three consecutive runs, each tallied by direction.
+func countThird(grp *temporal.Seq, lo, hi int, delta, ti, tj temporal.Timestamp, outi, outj bool, idi, idj temporal.EdgeID, tri *motif.TriCounter) {
+	bTimes, bIDs, bOuts := grp.Time[lo:hi], grp.ID[lo:hi], grp.Out[lo:hi]
+	bn := len(bTimes)
+	// Only edges with t_k >= t_j − δ can participate (Triangle-I needs
+	// t_j − t_k ≤ δ; types II/III start at t_i ≥ t_j − δ). Compared as a
+	// difference: t_j − δ overflows for huge δ.
+	lo, hi = 0, bn
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tj-bTimes[mid] > delta {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	k := lo
+	var out uint64
+	for ; k < bn && bIDs[k] < idi; k++ {
+		out += b2u(bOuts[k])
+	}
+	addThird(tri, motif.TriI, outi, outj, uint64(k-lo), out)
+	start, out := k, 0
+	for ; k < bn && bIDs[k] < idj; k++ {
+		out += b2u(bOuts[k])
+	}
+	addThird(tri, motif.TriII, outi, outj, uint64(k-start), out)
+	start, out = k, 0
+	for ; k < bn && bTimes[k]-ti <= delta; k++ { // Triangle-III needs t_k − t_i ≤ δ
+		out += b2u(bOuts[k])
+	}
+	addThird(tri, motif.TriIII, outi, outj, uint64(k-start), out)
+}
+
+// addThird adds n triangles of type t, out of them with the third edge
+// leaving oi, to their two cells.
+func addThird(tri *motif.TriCounter, t motif.TriType, outi, outj bool, n, out uint64) {
+	di, dj := motif.DirOf(outi), motif.DirOf(outj)
+	tri[motif.TriIndex(t, di, dj, motif.Out)] += out
+	tri[motif.TriIndex(t, di, dj, motif.In)] += n - out
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Count runs both FAST algorithms sequentially over all centers, every

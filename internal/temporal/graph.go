@@ -144,22 +144,51 @@ func (g *Graph) Incidence(p int) (u NodeID, off int) {
 // sorted by EdgeID, with Out recorded relative to v (Out == true means
 // v -> w). Returns an empty view when no edge exists.
 func (g *Graph) Between(v, w NodeID) Seq {
+	lo, hi := g.PairSpan(v, w)
+	if lo == hi {
+		return Seq{}
+	}
+	return g.Grouped().Slice(lo, hi)
+}
+
+// PairSpan returns the bounds of E(v,w) in the grouped per-pair index:
+// Between(v, w) is Grouped().Slice(lo, hi). lo == hi when no edge exists.
+// Loops that look up many pairs read the columns through it and slice
+// nothing per lookup.
+func (g *Graph) PairSpan(v, w NodeID) (lo, hi int) {
 	if v < 0 || int(v) >= g.numNodes {
-		return Seq{}
+		return 0, 0
 	}
-	lo, hi := g.nbrOff[v], g.nbrOff[v+1]
-	keys := g.nbrKey[lo:hi]
-	i := sort.Search(len(keys), func(k int) bool { return keys[k] >= w })
-	if i == len(keys) || keys[i] != w {
-		return Seq{}
+	a, b := g.nbrOff[v], g.nbrOff[v+1]
+	i := a + searchKeys(g.nbrKey[a:b], w)
+	if i == b || g.nbrKey[i] != w {
+		return 0, 0
 	}
-	a, b := g.grpOff[lo+i], g.grpOff[lo+i+1]
-	return Seq{
-		ID:    g.grpID[a:b],
-		Time:  g.grpTime[a:b],
-		Other: g.grpOther[a:b],
-		Out:   g.grpOut[a:b],
+	return g.grpOff[i], g.grpOff[i+1]
+}
+
+// Grouped returns the columns of the grouped per-pair index, in which E(v,w)
+// spans PairSpan(v, w) with Out relative to v. The caller must not modify
+// them.
+func (g *Graph) Grouped() Seq {
+	return Seq{ID: g.grpID, Time: g.grpTime, Other: g.grpOther, Out: g.grpOut}
+}
+
+// searchKeys returns the index of the first key at least w in the ascending
+// keys (len(keys) if there is none): PairSpan's lookup of a neighbour among a
+// node's distinct-neighbour keys, a plain loop because sort.Search's closure
+// call per probe was a tenth of path4's profile.
+func searchKeys(keys []NodeID, w NodeID) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo
 }
 
 // Neighbors returns u's distinct static neighbors in ascending order. The

@@ -124,6 +124,13 @@ func TestRebuilderResetsEdgeCache(t *testing.T) {
 		if th, wantTh := DefaultDegreeThreshold(g), DefaultDegreeThreshold(want); th != wantTh {
 			t.Fatalf("rebuild %d: stale DefaultDegreeThreshold %d, want %d", i, th, wantTh)
 		}
+		if got, w := ForwardIncidences(g), ForwardIncidences(want); !slices.Equal(got.off, w.off) ||
+			!slices.Equal(got.pos, w.pos) || !slices.Equal(got.next, w.next) {
+			t.Fatalf("rebuild %d: stale ForwardIncidences", i)
+		}
+		if !slices.Equal(PivotRanking(g), PivotRanking(want)) {
+			t.Fatalf("rebuild %d: stale PivotRanking", i)
+		}
 		if !slices.Equal(g.Edges(), want.Edges()) {
 			t.Fatalf("rebuild %d: Edges = %v, want %v", i, g.Edges(), want.Edges())
 		}
