@@ -13,7 +13,8 @@
 // With -compare two `go test -bench` output files are compared with an
 // exact permutation test and the command exits 1 on any statistically
 // significant ns/op regression beyond -max-regress percent — the CI
-// performance fence. End-to-end numbers (real processes, latency
+// performance fence. Benchmarks that report cpu-ns/op (the process's CPU
+// time per op) get it printed beside ns/op; it does not gate. End-to-end numbers (real processes, latency
 // percentiles, CPU and memory per operation) come from
 // `bash benchmark/run.sh`, not from this command.
 package main

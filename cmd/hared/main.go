@@ -76,7 +76,7 @@ func main() {
 	var (
 		listen    = flag.String("listen", ":8315", "listen address")
 		cacheSize = flag.Int("cache", 1024, "result-cache capacity in entries (negative = disable)")
-		budget    = flag.Int("budget", 0, "admission worker budget (0 = all CPUs)")
+		budget    = flag.Int("budget", 0, "admission worker budget (0 = all CPUs): a request without workers= gets max(1, budget / (jobs running + jobs waiting + 1)), fixed on arrival")
 		maxGraphs = flag.Int("max-graphs", 0, "max resident dataset graphs, LRU-evicted beyond (0 = unbounded)")
 		relabel   = flag.Bool("relabel", false, "relabel arbitrary node ids in -data files to a dense space")
 		comma     = flag.Bool("comma", false, "treat commas as field separators in -data files")

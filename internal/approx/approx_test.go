@@ -378,7 +378,7 @@ func TestFinishRejectsMismatches(t *testing.T) {
 	if _, err := Finish(plan, nil); err == nil {
 		t.Errorf("Finish must reject a moment/stratum count mismatch")
 	}
-	moments := EstimateStrata(g, PathKernel{}, 600, plan, 2, 0, len(plan.Strata))
+	moments := EstimateStrata(g, PathKernel{}, 600, plan, 2, 0, len(plan.Strata), nil)
 	bad := make([]Moments, len(moments))
 	copy(bad, moments)
 	bad[0].Mean = bad[0].Mean[:1]
@@ -405,11 +405,11 @@ func TestEstimateStrataRangesCompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := EstimateStrata(g, tc.k, delta, plan, 2, 0, len(plan.Strata))
+		full := EstimateStrata(g, tc.k, delta, plan, 2, 0, len(plan.Strata), nil)
 		mid := len(plan.Strata) / 2
 		parts := append(
-			EstimateStrata(g, tc.k, delta, plan, 3, 0, mid),
-			EstimateStrata(g, tc.k, delta, plan, 1, mid, len(plan.Strata))...)
+			EstimateStrata(g, tc.k, delta, plan, 3, 0, mid, nil),
+			EstimateStrata(g, tc.k, delta, plan, 1, mid, len(plan.Strata), nil)...)
 		if !reflect.DeepEqual(full, parts) {
 			t.Fatalf("%s: range-split moments differ from the full run", name)
 		}

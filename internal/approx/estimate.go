@@ -60,8 +60,10 @@ func (m *Moments) observe(y []float64) {
 // order — the per-shard work unit of the scatter tier, and the whole job
 // when called with the full range. Each stratum is one work unit under
 // engine.Dispatch; its moments are a pure function of (g, kernel, delta,
-// stratum), so the result is bit-identical at any worker count.
-func EstimateStrata(g *temporal.Graph, k Kernel, delta temporal.Timestamp, plan *Plan, workers, lo, hi int) []Moments {
+// stratum), so the result is bit-identical at any worker count. done, once
+// closed, stops the run at the next stratum, and EstimateStrata returns nil;
+// nil never stops.
+func EstimateStrata(g *temporal.Graph, k Kernel, delta temporal.Timestamp, plan *Plan, workers, lo, hi int, done <-chan struct{}) []Moments {
 	if lo < 0 {
 		lo = 0
 	}
@@ -83,11 +85,14 @@ func EstimateStrata(g *temporal.Graph, k Kernel, delta temporal.Timestamp, plan 
 		defer fast.PutScratch(scratch[w])
 		bufs[w] = make([]float64, series)
 	}
-	engine.Dispatch(workers, 1, hi-lo, func(w, a, b int) {
+	engine.Dispatch(workers, 1, hi-lo, done, func(w, a, b int) {
 		for i := a; i < b; i++ {
 			out[i] = sampleStratum(g, k, delta, plan, lo+i, scratch[w], bufs[w])
 		}
 	})
+	if engine.Stopped(done) {
+		return nil
+	}
 	return out
 }
 
@@ -316,7 +321,7 @@ func Estimate(g *temporal.Graph, k Kernel, delta temporal.Timestamp, o Options) 
 	if err != nil {
 		return nil, err
 	}
-	moments := EstimateStrata(g, k, delta, plan, o.Workers, 0, len(plan.Strata))
+	moments := EstimateStrata(g, k, delta, plan, o.Workers, 0, len(plan.Strata), nil)
 	return Finish(plan, moments)
 }
 

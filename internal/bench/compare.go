@@ -19,10 +19,14 @@ import (
 // test benchstat applies — so noisy benchmarks don't trip the fence and
 // consistent slowdowns can't hide behind "it's just noise".
 
-// BenchSet holds ns/op samples per benchmark name, in first-seen order.
+// BenchSet holds ns/op samples per benchmark name, in first-seen order,
+// and the cpu-ns/op samples of the benchmarks that report them
+// (cputime.Report): the process's CPU time per op, which drift in the
+// runner's speed moves far less than the wall clock.
 type BenchSet struct {
 	Order   []string
 	Samples map[string][]float64
+	CPU     map[string][]float64
 }
 
 // ParseBenchOutput reads `go test -bench` text and collects the ns/op
@@ -31,9 +35,10 @@ type BenchSet struct {
 // trailing GOMAXPROCS suffix ("-8") is stripped from names so a baseline
 // recorded on a runner with a different core count still matches — with
 // the suffix kept, every benchmark would land in the added/removed
-// buckets and the fence would pass vacuously.
+// buckets and the fence would pass vacuously. A line's cpu-ns/op, when it
+// has one, is collected beside its ns/op.
 func ParseBenchOutput(r io.Reader) (*BenchSet, error) {
-	set := &BenchSet{Samples: make(map[string][]float64)}
+	set := &BenchSet{Samples: make(map[string][]float64), CPU: make(map[string][]float64)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -44,21 +49,31 @@ func ParseBenchOutput(r io.Reader) (*BenchSet, error) {
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue // not an iteration count: not a benchmark result line
 		}
-		// Value/unit pairs follow the iteration count; take ns/op.
+		// Value/unit pairs follow the iteration count; take ns/op and
+		// cpu-ns/op.
+		vals := make(map[string]float64, 2)
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] != "ns/op" {
+			unit := fields[i+1]
+			if unit != "ns/op" && unit != "cpu-ns/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bench: bad ns/op %q in %q", fields[i], sc.Text())
+				return nil, fmt.Errorf("bench: bad %s %q in %q", unit, fields[i], sc.Text())
 			}
-			name := stripProcsSuffix(fields[0])
-			if _, seen := set.Samples[name]; !seen {
-				set.Order = append(set.Order, name)
-			}
-			set.Samples[name] = append(set.Samples[name], v)
-			break
+			vals[unit] = v
+		}
+		ns, ok := vals["ns/op"]
+		if !ok {
+			continue
+		}
+		name := stripProcsSuffix(fields[0])
+		if _, seen := set.Samples[name]; !seen {
+			set.Order = append(set.Order, name)
+		}
+		set.Samples[name] = append(set.Samples[name], ns)
+		if cpu, ok := vals["cpu-ns/op"]; ok {
+			set.CPU[name] = append(set.CPU[name], cpu)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -101,6 +116,9 @@ type Comparison struct {
 	OldMedian, NewMedian float64
 	// DeltaPct is the median ns/op change in percent (positive = slower).
 	DeltaPct float64
+	// OldCPU and NewCPU are the median cpu-ns/op, 0 where a side reports
+	// none. They are shown beside ns/op and never fail the fence.
+	OldCPU, NewCPU float64
 	// P is the two-sided permutation-test p-value for a median shift; 1
 	// when either side has fewer than 2 samples (no inference possible).
 	P float64
@@ -148,6 +166,8 @@ func CompareBench(old, cur *BenchSet, alpha, maxRegressPct float64) *FenceResult
 			Name:      name,
 			OldMedian: median(olds),
 			NewMedian: median(ns),
+			OldCPU:    median(old.CPU[name]),
+			NewCPU:    median(cur.CPU[name]),
 			P:         permTestRankSum(olds, ns),
 		}
 		if c.OldMedian > 0 {
@@ -168,7 +188,8 @@ func CompareBench(old, cur *BenchSet, alpha, maxRegressPct float64) *FenceResult
 // Write renders a benchstat-style table plus the fence verdict.
 func (f *FenceResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "bench fence: alpha=%g, fail on significant slowdown > %g%%\n", f.Alpha, f.MaxRegressPct)
-	fmt.Fprintf(w, "%-44s %14s %14s %9s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "p", "verdict")
+	fmt.Fprintf(w, "%-44s %14s %14s %9s %8s  %-22s %14s %14s %9s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "p", "verdict", "old cpu-ns/op", "new cpu-ns/op", "cpu delta")
 	for _, c := range f.Comparisons {
 		verdict := "~"
 		switch {
@@ -179,8 +200,12 @@ func (f *FenceResult) Write(w io.Writer) {
 		case c.Significant:
 			verdict = "slower (within fence)"
 		}
-		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+8.1f%% %8.3f  %s\n",
-			c.Name, c.OldMedian, c.NewMedian, c.DeltaPct, c.P, verdict)
+		cpu := ""
+		if c.OldCPU > 0 && c.NewCPU > 0 {
+			cpu = fmt.Sprintf(" %14.0f %14.0f %+8.1f%%", c.OldCPU, c.NewCPU, (c.NewCPU-c.OldCPU)/c.OldCPU*100)
+		}
+		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+8.1f%% %8.3f  %-22s%s\n",
+			c.Name, c.OldMedian, c.NewMedian, c.DeltaPct, c.P, verdict, cpu)
 	}
 	for _, name := range f.OldOnly {
 		fmt.Fprintf(w, "%-44s only in baseline (renamed or removed?)\n", name)

@@ -55,6 +55,38 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// cpu-ns/op (cputime.Report) is read beside ns/op and printed in the
+// table, and only ns/op gates: a CPU rise alone passes the fence.
+func TestFenceShowsCPUTime(t *testing.T) {
+	line := func(ns, cpu float64) string {
+		return fmt.Sprintf("BenchmarkFoo-2 \t 3\t %.0f ns/op\t %.0f cpu-ns/op\t 120 B/op\t 3 allocs/op\n", ns, cpu)
+	}
+	var old, cur string
+	for i := 0; i < 5; i++ {
+		old += line(1000+float64(i), 900+float64(i))
+		cur += line(1001+float64(i), 1800+float64(i))
+	}
+	set, err := ParseBenchOutput(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := set.CPU["BenchmarkFoo"]; len(got) != 5 || got[0] != 900 {
+		t.Fatalf("cpu samples = %v", got)
+	}
+	if got := set.Samples["BenchmarkFoo"]; len(got) != 5 || got[0] != 1000 {
+		t.Fatalf("ns samples = %v", got)
+	}
+	var out strings.Builder
+	if err := Fence(&out, writeBench(t, "old.txt", old), writeBench(t, "new.txt", cur), 0.05, 15); err != nil {
+		t.Fatalf("a cpu-ns/op rise failed the ns/op fence: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"cpu-ns/op", "902", "1802", "+99.8%"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestFencePassesOnEquivalentRuns(t *testing.T) {
 	// Same distribution, mild noise: must not fail.
 	old := benchText("BenchmarkFoo", []float64{1000, 1020, 990, 1010, 1005})

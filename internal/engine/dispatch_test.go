@@ -25,7 +25,7 @@ func TestDispatchCoversRangeOnce(t *testing.T) {
 		var mu sync.Mutex
 		seen := make([]int, tc.n)
 		calls := 0
-		engine.Dispatch(tc.workers, tc.chunk, tc.n, func(w, start, end int) {
+		engine.Dispatch(tc.workers, tc.chunk, tc.n, nil, func(w, start, end int) {
 			if w < 0 || (tc.workers > 0 && w >= tc.workers) {
 				t.Errorf("worker id %d out of range", w)
 			}

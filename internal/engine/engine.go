@@ -42,6 +42,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -83,6 +84,25 @@ type Options struct {
 	Schedule Schedule
 	// ChunkSize is the number of pivots per dynamic work unit (default 64).
 	ChunkSize int
+	// Done, when closed, stops the run: no worker takes another chunk, and
+	// the run returns no answer (see Count). It is read once per chunk,
+	// never per pivot. nil never stops; a served job passes its flight
+	// context's Done.
+	Done <-chan struct{}
+}
+
+// ErrStopped is the error of a run whose done channel was closed before it
+// ended, for the callers that return an error (nullmodel.SampleMatrices).
+var ErrStopped = errors.New("engine: run stopped")
+
+// Stopped reports whether done has been closed. A nil done never is.
+func Stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // EffectiveWorkers resolves Options.Workers to the goroutine count a run
@@ -113,7 +133,9 @@ func (o Options) Chunk() int {
 	return 64
 }
 
-// Count runs HARE over all 36 motifs and returns the merged counters.
+// Count runs HARE over all 36 motifs and returns the merged counters, or
+// nil when opts.Done was closed before the run ended: the counters of a
+// stopped run may be partial, so none are returned.
 func Count(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Counts {
 	return run(g, delta, opts, 0, g.NumIncidences(), true, true)
 }
@@ -124,7 +146,8 @@ func Count(g *temporal.Graph, delta temporal.Timestamp, opts Options) *motif.Cou
 // by its first, so the counters of any partition of [0, g.NumIncidences())
 // sum — cell by cell, in any order — to Count's. They are summed before
 // ToMatrix, which halves the pair cells: matrices of parts do not add up.
-// It is the shard tier's count unit.
+// It is the shard tier's count unit. Like Count, it returns nil once
+// opts.Done is closed.
 func CountRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) *motif.Counts {
 	return run(g, delta, opts, lo, hi, true, true)
 }
@@ -162,9 +185,12 @@ func EffectiveDegreeThreshold(g *temporal.Graph, opts Options) int {
 // [start, end) ⊂ [0, n) from a shared atomic cursor until the range is
 // exhausted, then Dispatch returns. body runs concurrently with itself;
 // the worker id in [0, workers) lets callers index per-worker accumulators.
-// workers and chunk below 1 are treated as 1; with one worker the whole
-// range is delivered in a single call on the caller's goroutine.
-func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
+// workers and chunk below 1 are treated as 1; with one worker the chunks go
+// in ascending order on the caller's goroutine. Once done is closed no
+// worker takes another chunk, so Dispatch returns within one chunk of each
+// worker, with part of the range undelivered: a caller passing a done
+// reads Stopped(done) before trusting its tallies.
+func Dispatch(workers, chunk, n int, done <-chan struct{}, body func(worker, start, end int)) {
 	if n <= 0 {
 		return
 	}
@@ -175,7 +201,9 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 		chunk = 1
 	}
 	if workers == 1 {
-		body(0, 0, n)
+		for start := 0; start < n && !Stopped(done); start += chunk {
+			body(0, start, min(start+chunk, n))
+		}
 		return
 	}
 	var cursor atomic.Int64
@@ -185,7 +213,7 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 		go func(w int) {
 			defer wg.Done()
 			c := int64(chunk)
-			for {
+			for !Stopped(done) {
 				end := cursor.Add(c)
 				start := end - c
 				if start >= int64(n) {
@@ -227,14 +255,17 @@ func Dispatch(workers, chunk, n int, body func(worker, start, end int)) {
 // strictly inside is delivered the same way, its slices partitioning only
 // its share of [lo, hi); the other share is the neighbouring range's.
 //
-// Every non-skipped (center, edge) position in the range is delivered exactly
-// once, which is what keeps per-pivot integer tallies bit-identical at any
-// setting and any partition of the positions. Callbacks run concurrently
-// with themselves; worker ids lie in [0, opts.EffectiveWorkers()). One
-// worker has nobody to split a hub with, so every whole pivot goes to light,
-// on the caller's goroutine, in ascending ID order, and only a center cut by
-// a bound gets a heavy call (one, after the light ones) — the sequential
-// sweep is this code, not a second loop.
+// Both stages read opts.Done once per chunk or slice (Dispatch): once it is
+// closed the sweep returns early, and the caller discards its tallies.
+// Otherwise every non-skipped (center, edge) position in the range is
+// delivered exactly once, which is what keeps per-pivot integer tallies
+// bit-identical at any setting and any partition of the positions.
+// Callbacks run concurrently with themselves; worker ids lie in
+// [0, opts.EffectiveWorkers()). One worker has nobody to split a hub with,
+// so every whole pivot goes to light, on the caller's goroutine, in
+// ascending ID order, and only a center cut by a bound gets a heavy call
+// (one, after the light ones) — the sequential sweep is this code, not a
+// second loop.
 func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 	light func(worker, id int), heavy func(worker, id, from, to int)) {
 	lo, hi = max(lo, 0), min(hi, g.NumIncidences())
@@ -272,7 +303,7 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 		chunk = (n + workers - 1) / workers
 	}
 	deferred := make([][]int, workers)
-	Dispatch(workers, chunk, n, func(w, a, b int) {
+	Dispatch(workers, chunk, n, opts.Done, func(w, a, b int) {
 		ids := deferred[w] // written back once per chunk: the headers share cache lines
 		for id := first + a; id < first+b; id++ {
 			switch d := degree(id); {
@@ -296,9 +327,14 @@ func Sweep(g *temporal.Graph, opts Options, lo, hi int, degree func(id int) int,
 		}
 		// Slices cost unevenly (FAST-Tri's first edges scan windows of
 		// different lengths; a sweep slice replays the window before it), so
-		// use small dynamic slices rather than a static split.
+		// use small dynamic slices rather than a static split. One worker
+		// takes a cut center's share whole.
 		d := h.to - h.from
-		Dispatch(workers, d/(workers*8)+1, d, func(w, from, to int) { heavy(w, h.id, h.from+from, h.from+to) })
+		size := d
+		if workers > 1 {
+			size = d/(workers*8) + 1
+		}
+		Dispatch(workers, size, d, opts.Done, func(w, from, to int) { heavy(w, h.id, h.from+from, h.from+to) })
 	}
 }
 
@@ -339,7 +375,9 @@ func run(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int, 
 		},
 		func(w, u int) { count(w, u, 0, g.Degree(temporal.NodeID(u))) },
 		count)
-
+	if Stopped(opts.Done) {
+		return nil
+	}
 	total := &motif.Counts{}
 	for w := range perWorker {
 		total.Add(&perWorker[w])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hare/internal/cputime"
 	"hare/internal/gen"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -41,6 +42,7 @@ func BenchmarkTri(b *testing.B) {
 		for _, delta := range []temporal.Timestamp{600, 6000} {
 			b.Run(fmt.Sprintf("%s/wikitalk/delta=%d", k.name, delta), func(b *testing.B) {
 				var tri motif.TriCounter
+				defer cputime.Report(b)()
 				for b.Loop() {
 					for u := 0; u < g.NumNodes(); u++ {
 						k.count(temporal.NodeID(u), delta, &tri)

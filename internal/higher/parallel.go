@@ -27,12 +27,15 @@ type Options struct {
 	// ChunkSize is the number of light work items (centers, or edge pivots)
 	// per dynamic work unit (default 64).
 	ChunkSize int
+	// Done stops a run once closed, as engine.Options.Done does: the
+	// counters then return the zero answer, which the caller discards.
+	Done <-chan struct{}
 }
 
 // Engine converts to the scheduler's options: the one place the two structs
 // meet. Defaults are resolved there, by engine alone.
 func (o Options) Engine() engine.Options {
-	return engine.Options{Workers: o.Workers, DegreeThreshold: o.DegreeThreshold, ChunkSize: o.ChunkSize}
+	return engine.Options{Workers: o.Workers, DegreeThreshold: o.DegreeThreshold, ChunkSize: o.ChunkSize, Done: o.Done}
 }
 
 // EffectiveWorkers resolves Workers to the goroutine count a run actually
@@ -64,7 +67,8 @@ func CountStar4(g *temporal.Graph, delta temporal.Timestamp, opts Options) Star4
 // fast.SweepStarPairRange call that yields the star, pair and all-triples
 // tallies together. Each worker sums them over whatever it is handed and the
 // complement is applied once, after the partials merge. Counts are
-// bit-identical to the sequential Count at any setting.
+// bit-identical to the sequential Count at any setting. A run stopped by
+// opts.Done returns zero counters.
 func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) (Star4Counter, motif.Counts) {
 	eo := opts.Engine()
 	parts := make([]struct {
@@ -89,6 +93,9 @@ func CountStar4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		},
 		func(w, u int) { count(w, u, 0, g.Degree(temporal.NodeID(u))) },
 		count)
+	if engine.Stopped(eo.Done) {
+		return Star4Counter{}, motif.Counts{}
+	}
 	var all [8]uint64
 	var counts motif.Counts
 	for w := range parts {
@@ -128,7 +135,8 @@ func CountPath4(g *temporal.Graph, delta temporal.Timestamp, opts Options) PathC
 // changes no sum. Each worker reuses one run list and one ring of pivot
 // marks, as large as the most pivots of one run within 2δ of each other.
 // The triangles run on engine.Sweep, whose DegreeThreshold slices the hubs.
-// Counts are bit-identical at any setting.
+// Counts are bit-identical at any setting. A run stopped by opts.Done
+// returns the zero counter.
 func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) PathCounter {
 	lo, hi = max(lo, 0), min(hi, g.NumEdges())
 	eo := opts.Engine()
@@ -137,17 +145,20 @@ func CountPath4Range(g *temporal.Graph, delta temporal.Timestamp, opts Options, 
 		pairs pairScratch
 		_     [64]byte // keeps neighbouring workers off each other's cache lines
 	}, eo.EffectiveWorkers())
-	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, func(w, start, end int) {
+	engine.Dispatch(len(parts), eo.Chunk(), hi-lo, eo.Done, func(w, start, end int) {
 		p := &parts[w]
 		p.pairs.addRange(g, lo+start, lo+end, delta, lo, hi, &p.all)
 	})
+	tri := engine.CountCategoryRange(g, delta, eo, 2*lo, 2*hi, motif.CategoryTri)
+	if tri == nil { // stopped
+		return PathCounter{}
+	}
 	var all LegPairs
 	for w := range parts {
 		all.add(&parts[w].all)
 	}
 	var out PathCounter
 	out.addPaths(&all)
-	tri := engine.CountCategoryRange(g, delta, eo, 2*lo, 2*hi, motif.CategoryTri)
 	out.subTriangles(&tri.Tri)
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hare/internal/brute"
+	"hare/internal/cputime"
 	"hare/internal/engine"
 	"hare/internal/fast"
 	"hare/internal/gen"
@@ -166,6 +167,7 @@ func BenchmarkCountStar4(b *testing.B) {
 	g := hubGraph(r, 400, 30_000, 8_000, 200_000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer cputime.Report(b)()
 			for i := 0; i < b.N; i++ {
 				CountStar4(g, 5_000, Options{Workers: workers})
 			}
@@ -178,6 +180,7 @@ func BenchmarkCountPath4(b *testing.B) {
 	g := hubGraph(r, 400, 12_000, 3_000, 200_000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer cputime.Report(b)()
 			for i := 0; i < b.N; i++ {
 				CountPath4(g, 2_000, Options{Workers: workers})
 			}
@@ -196,6 +199,7 @@ func BenchmarkCountPath4(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("wikitalk/workers=%d", workers), func(b *testing.B) {
+			defer cputime.Report(b)()
 			for i := 0; i < b.N; i++ {
 				CountPath4(wiki, 600, Options{Workers: workers})
 			}

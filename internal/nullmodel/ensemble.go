@@ -116,7 +116,7 @@ func (e *Ensemble) Run(g *temporal.Graph, delta temporal.Timestamp) (*Report, er
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	mats, err := SampleMatrices(g, delta, e.Model, e.Seed, 0, samples, e.Workers)
+	mats, err := SampleMatrices(g, delta, e.Model, e.Seed, 0, samples, e.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -154,9 +154,11 @@ func finishReport(rep *Report, chunkStats []moments) {
 // in-place Sampler (one scratch graph reused across its samples) and a FAST
 // scratch, and counts a sample with the sequential algorithms: parallelism
 // lives across samples, not within one. workers bounds local parallelism
-// and never changes the matrices.
+// and never changes the matrices. done, once closed, stops the draws at the
+// next sample and makes SampleMatrices return engine.ErrStopped and no
+// matrices; nil never stops.
 func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
-	seed int64, lo, hi, workers int) ([]motif.Matrix, error) {
+	seed int64, lo, hi, workers int, done <-chan struct{}) ([]motif.Matrix, error) {
 	if g == nil {
 		return nil, fmt.Errorf("nullmodel: nil graph")
 	}
@@ -189,7 +191,7 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 		errMu  sync.Mutex
 		runErr error
 	)
-	engine.Dispatch(w, 1, n, func(w, a, b int) {
+	engine.Dispatch(w, 1, n, done, func(w, a, b int) {
 		for i := a; i < b; i++ {
 			sg, err := samplers[w].Sample(sampleSeed(seed, lo+i))
 			if err != nil { // unknown model: first error wins, workers drain
@@ -207,6 +209,9 @@ func SampleMatrices(g *temporal.Graph, delta temporal.Timestamp, model Model,
 	})
 	if runErr != nil {
 		return nil, runErr
+	}
+	if engine.Stopped(done) {
+		return nil, engine.ErrStopped
 	}
 	return out, nil
 }

@@ -233,7 +233,7 @@ func TestSampleMatricesPartitionAssemblesRunReport(t *testing.T) {
 		} {
 			mats := make([]motif.Matrix, 0, samples)
 			for i := 0; i+1 < len(cuts); i++ {
-				part, err := SampleMatrices(g, delta, model, seed, cuts[i], cuts[i+1], i+1)
+				part, err := SampleMatrices(g, delta, model, seed, cuts[i], cuts[i+1], i+1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,30 +256,30 @@ func TestSampleMatricesPartitionAssemblesRunReport(t *testing.T) {
 func TestSampleMatricesErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	g := randomGraph(r, 10, 50, 100)
-	if _, err := SampleMatrices(nil, 10, TimeShuffle, 1, 0, 2, 1); err == nil {
+	if _, err := SampleMatrices(nil, 10, TimeShuffle, 1, 0, 2, 1, nil); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := SampleMatrices(g, -1, TimeShuffle, 1, 0, 2, 1); err == nil {
+	if _, err := SampleMatrices(g, -1, TimeShuffle, 1, 0, 2, 1, nil); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, 3, 2, 1); err == nil {
+	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, 3, 2, 1, nil); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, err := SampleMatrices(g, 10, Model(99), 1, 0, 2, 1); err == nil {
+	if _, err := SampleMatrices(g, 10, Model(99), 1, 0, 2, 1, nil); err == nil {
 		t.Error("unknown model accepted")
 	}
 	// Past the sample limit is an error before anything is allocated: a
 	// range this size would exhaust memory.
-	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, 0, 10_000_000_000, 1); err == nil {
+	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, 0, 10_000_000_000, 1, nil); err == nil {
 		t.Error("range past MaxSamples accepted")
 	}
-	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples, MaxSamples+1, 1); err == nil {
+	if _, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples, MaxSamples+1, 1, nil); err == nil {
 		t.Error("sample index MaxSamples accepted")
 	}
-	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples-1, MaxSamples, 1); err != nil || len(out) != 1 {
+	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, MaxSamples-1, MaxSamples, 1, nil); err != nil || len(out) != 1 {
 		t.Errorf("last sample index: %v, %d matrices", err, len(out))
 	}
-	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, 5, 5, 1); err != nil || len(out) != 0 {
+	if out, err := SampleMatrices(g, 10, TimeShuffle, 1, 5, 5, 1, nil); err != nil || len(out) != 0 {
 		t.Errorf("empty range: %v, %d matrices", err, len(out))
 	}
 	if _, err := ReportFromSamples(TimeShuffle, motif.Matrix{}, nil, 1); err == nil {

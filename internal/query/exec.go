@@ -50,7 +50,7 @@ func (p *Plan) PivotCount(g *temporal.Graph, delta temporal.Timestamp, id int, s
 // range's leg pairs minus the triangle correction of incidence positions
 // [2lo, 2hi): only a sum over a partition is a count, and one partial may
 // have wrapped below zero. Either way the compiled plan *is* the hand-tuned
-// machinery plus a cell read.
+// machinery plus a cell read. A run stopped by opts.Done returns 0.
 func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Options, lo, hi int) uint64 {
 	var cells []uint64
 	switch {
@@ -58,7 +58,11 @@ func (p *Plan) ExecuteRange(g *temporal.Graph, delta temporal.Timestamp, opts Op
 		paths := higher.CountPath4Range(g, delta, opts, lo, hi)
 		cells = paths[:]
 	case p.tri:
-		cells = engine.CountCategoryRange(g, delta, opts.Engine(), lo, hi, motif.CategoryTri).Tri[:]
+		counts := engine.CountCategoryRange(g, delta, opts.Engine(), lo, hi, motif.CategoryTri)
+		if counts == nil { // stopped by opts.Done
+			return 0
+		}
+		cells = counts.Tri[:]
 	default:
 		s4, counts := higher.CountStar4Range(g, delta, opts, lo, hi)
 		switch p.spec.nodes {

@@ -7,10 +7,19 @@ import (
 )
 
 // Admission is a weighted FIFO semaphore bounding the total worker budget
-// of concurrently running counting jobs. A job declaring weight w (its
-// worker count, clamped to [1, budget]) blocks until w budget units are
-// free; waiters are granted strictly in arrival order so a wide job cannot
-// be starved by a stream of narrow ones.
+// of concurrently running counting jobs. A job of weight w (its worker
+// count) blocks until w budget units are free; waiters are granted strictly
+// in arrival order so a wide job cannot be starved by a stream of narrow
+// ones.
+//
+// A job that names no width gets a share, fixed when it arrives:
+// max(1, budget / (jobs admitted + jobs waiting + 1)). A lone job takes the
+// whole budget; the second of two concurrent jobs takes half, and from then
+// on two closed-loop clients run side by side instead of taking turns. The
+// share is fixed on arrival, not on grant: a job queued behind a full-width
+// one would otherwise find nothing running when its turn came and take the
+// whole budget again, and two clients would alternate forever. Answers are
+// bit-identical at any width, so the width never changes a result.
 type Admission struct {
 	mu      sync.Mutex
 	budget  int
@@ -19,6 +28,7 @@ type Admission struct {
 
 	waits    uint64 // acquisitions that had to block
 	inflight int    // jobs currently admitted
+	granted  uint64 // worker units granted, summed over admitted jobs
 }
 
 type waiter struct {
@@ -37,19 +47,17 @@ func NewAdmission(budget int) *Admission {
 // Budget returns the total worker budget.
 func (a *Admission) Budget() int { return a.budget }
 
-// Acquire blocks until weight units are available or ctx is done. The
-// weight is clamped to [1, budget] and returned; pass it to Release.
+// Acquire blocks until the job's width is free or ctx is done, and returns
+// the width; pass it to Release. A weight >= 1 is an explicit width,
+// clamped to the budget; a weight <= 0 asks for the share (see Admission).
 func (a *Admission) Acquire(ctx context.Context, weight int) (int, error) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.budget {
-		weight = a.budget
-	}
 	a.mu.Lock()
+	if weight < 1 {
+		weight = max(1, a.budget/(a.inflight+a.waiters.Len()+1))
+	}
+	weight = min(weight, a.budget)
 	if a.waiters.Len() == 0 && a.used+weight <= a.budget {
-		a.used += weight
-		a.inflight++
+		a.admit(weight)
 		a.mu.Unlock()
 		return weight, nil
 	}
@@ -98,10 +106,16 @@ func (a *Admission) grant() {
 			return
 		}
 		a.waiters.Remove(a.waiters.Front())
-		a.used += w.weight
-		a.inflight++
+		a.admit(w.weight)
 		close(w.ready)
 	}
+}
+
+// admit books an admitted job of the given width. Callers hold a.mu.
+func (a *Admission) admit(weight int) {
+	a.used += weight
+	a.inflight++
+	a.granted += uint64(weight)
 }
 
 // Stats returns the cumulative blocked-acquire count and current admitted
@@ -110,4 +124,12 @@ func (a *Admission) Stats() (waits uint64, inflight int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.waits, a.inflight
+}
+
+// Queue returns the number of jobs waiting now and the worker units granted
+// since start: granted over admitted jobs is the mean job width.
+func (a *Admission) Queue() (waiting int, granted uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.waiters.Len(), a.granted
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hare/internal/live"
@@ -17,6 +18,7 @@ type metrics struct {
 	mu        sync.Mutex
 	start     time.Time
 	endpoints map[string]*endpointStats
+	cancelled atomic.Uint64 // jobs whose flight was canceled, queued or running
 }
 
 type endpointStats struct {
@@ -89,6 +91,10 @@ func (m *metrics) write(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP hared_admission_waits_total Jobs that blocked for worker budget.\n# TYPE hared_admission_waits_total counter\nhared_admission_waits_total %d\n", waits)
 	fmt.Fprintf(w, "# HELP hared_jobs_inflight Counting jobs currently admitted.\n# TYPE hared_jobs_inflight gauge\nhared_jobs_inflight %d\n", inflight)
 	fmt.Fprintf(w, "# HELP hared_worker_budget Total admission worker budget.\n# TYPE hared_worker_budget gauge\nhared_worker_budget %d\n", s.admission.Budget())
+	queued, granted := s.admission.Queue()
+	fmt.Fprintf(w, "# HELP hared_admission_queue_depth Counting jobs waiting for worker budget.\n# TYPE hared_admission_queue_depth gauge\nhared_admission_queue_depth %d\n", queued)
+	fmt.Fprintf(w, "# HELP hared_admission_granted_workers_total Worker units granted to admitted jobs (divided by jobs: the mean job width).\n# TYPE hared_admission_granted_workers_total counter\nhared_admission_granted_workers_total %d\n", granted)
+	fmt.Fprintf(w, "# HELP hared_jobs_cancelled_total Counting jobs stopped because every request waiting on them had gone, queued or running.\n# TYPE hared_jobs_cancelled_total counter\nhared_jobs_cancelled_total %d\n", m.cancelled.Load())
 
 	loads, devictions, resident := s.registry.Stats()
 	fmt.Fprintf(w, "# HELP hared_dataset_loads_total Dataset graph loads.\n# TYPE hared_dataset_loads_total counter\nhared_dataset_loads_total %d\n", loads)

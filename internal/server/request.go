@@ -47,7 +47,9 @@ type Request struct {
 	// Motif restricts a count query to one motif's category and names the
 	// cell to surface as the scalar "count" field (count kind only).
 	Motif string `json:"motif,omitempty"`
-	// Workers is the per-job parallelism hint (0 = the server's job width).
+	// Workers is the per-job parallelism hint, clamped to the worker budget.
+	// 0 asks admission for a share fixed when the job arrives:
+	// max(1, budget / (jobs admitted + jobs waiting + 1)) (see Admission).
 	Workers int `json:"workers,omitempty"`
 	// Thrd overrides HARE's degree threshold when ThrdSet (0 = auto).
 	Thrd    int  `json:"thrd,omitempty"`

@@ -45,8 +45,8 @@ import (
 // over one range computed in process (shard.Local, the single-node
 // backend). ctx is the job's flight context (canceled only when every
 // request waiting on the job has gone): a scatter threads it through its
-// RPCs; the in-process range ignores it (admission already handled
-// cancellation before compute starts).
+// RPCs, and the in-process range hands its Done to the kernels, which stop
+// within one chunk. A canceled job returns ctx.Err() and no answer.
 type Backend interface {
 	Count(ctx context.Context, g *temporal.Graph, req Request) (CountAnswer, error)
 	Star4(ctx context.Context, g *temporal.Graph, req Request) (higher.Star4Counter, error)
@@ -83,8 +83,9 @@ type Options struct {
 	// negative = disable storage; in-flight dedup always applies).
 	CacheSize int
 	// WorkerBudget bounds the summed worker weight of concurrently running
-	// jobs (0 = GOMAXPROCS). A request's weight is its workers parameter,
-	// defaulting to the full budget (one exclusive job at a time).
+	// jobs (0 = GOMAXPROCS). A request's weight is its workers parameter;
+	// a request without one gets a share fixed on arrival,
+	// max(1, budget / (jobs admitted + jobs waiting + 1)) (see Admission).
 	WorkerBudget int
 	// MaxLoadedGraphs bounds resident datasets; least recently used
 	// residents are evicted and transparently reload (0 = unbounded).
@@ -211,7 +212,8 @@ func (s *Server) query(kind Kind) http.HandlerFunc {
 		// The flight's context outlives any single request: one client
 		// disconnecting never fails the other members of its coalesced
 		// flight. Only when every request for the key has gone is the
-		// flight canceled, shedding its queued admission wait.
+		// flight canceled: a queued job leaves the admission queue, and a
+		// running one stops within one chunk of its kernel.
 		// cacheKey appends the dataset version for live datasets, so an
 		// answer cached at version v is unreachable once an ingest advances
 		// the dataset to v+1 — the entry ages out of the LRU on its own.
@@ -252,8 +254,9 @@ func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	weight, err := s.admission.Acquire(ctx, s.jobWeight(req))
+	weight, err := s.admission.Acquire(ctx, req.Workers)
 	if err != nil {
+		s.metrics.cancelled.Add(1)
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
 	defer s.admission.Release(weight)
@@ -334,6 +337,12 @@ func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 	default:
 		return nil, fmt.Errorf("unknown kind %q", req.Kind)
 	}
+	if ctx.Err() != nil {
+		// Nobody waits for the job any more, and the backend stopped it:
+		// drop whatever it returned rather than render or cache it.
+		s.metrics.cancelled.Add(1)
+		return nil, ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -342,15 +351,6 @@ func (s *Server) compute(ctx context.Context, req Request) (any, error) {
 	}
 	out.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	return out, nil
-}
-
-// jobWeight resolves a request's admission weight: its workers hint, or
-// the whole budget when unset.
-func (s *Server) jobWeight(req Request) int {
-	if req.Workers > 0 {
-		return req.Workers
-	}
-	return s.admission.Budget()
 }
 
 // queryResponse is the JSON envelope shared by all /v1 query endpoints.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1045,6 +1046,10 @@ func TestDatasetsHealthzMetrics(t *testing.T) {
 		"hared_cache_hits_total 0",
 		"hared_dataset_loads_total 1",
 		"hared_worker_budget",
+		"hared_admission_queue_depth 0",
+		// One unhinted job on an idle server: the whole budget.
+		fmt.Sprintf("hared_admission_granted_workers_total %d", runtime.GOMAXPROCS(0)),
+		"hared_jobs_cancelled_total 0",
 		`hared_build_info{version="test-v1"} 1`,
 	} {
 		if !strings.Contains(text, want) {

@@ -63,7 +63,7 @@ func (c *Coordinator) scatter(ctx context.Context, g *temporal.Graph, req server
 		return gatherFor(req, 0), nil
 	}
 	if c.client == nil {
-		p, err := compute(g, sub(req, g, 0, 1, 0, n), plan)
+		p, err := compute(ctx, g, sub(req, g, 0, 1, 0, n), plan)
 		if err != nil {
 			return nil, err
 		}
@@ -215,10 +215,13 @@ func (c *Coordinator) Significance(ctx context.Context, g *temporal.Graph, req s
 	if samples <= 0 {
 		samples = nullmodel.DefaultSamples
 	}
-	real := engine.Count(g, temporal.Timestamp(req.Delta), engine.Options{Workers: req.Workers}).ToMatrix()
+	counts := engine.Count(g, temporal.Timestamp(req.Delta), engine.Options{Workers: req.Workers, Done: ctx.Done()})
+	if counts == nil {
+		return nil, ctx.Err()
+	}
 	gather, err := c.scatter(ctx, g, req, samples, nil)
 	if err != nil {
 		return nil, err
 	}
-	return gather.MergeSig(model, real, req.Workers)
+	return gather.MergeSig(model, counts.ToMatrix(), req.Workers)
 }

@@ -103,7 +103,7 @@ func FuzzPartial(f *testing.F) {
 	}
 	// A sampled partial merges through a sampled gather.
 	sampled := Partial{Proto: ProtoVersion, Kind: server.KindPath4,
-		Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata))}
+		Approx: approx.EstimateStrata(g, approx.PathKernel{}, delta, plan, 1, 0, len(plan.Strata), nil)}
 	gather := gatherFor(server.Request{Kind: server.KindPath4, EpsilonSet: true}, 1)
 	if err := gather.Add(&sampled); err != nil {
 		f.Fatal(err)

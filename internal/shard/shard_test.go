@@ -186,7 +186,7 @@ func TestGatherMergeSigBitIdentical(t *testing.T) {
 			rs := Ranges(samples, shards)
 			parts := make([]*Partial, len(rs))
 			for i, r := range rs {
-				ms, err := nullmodel.SampleMatrices(g, delta, model, seed, r.Lo, r.Hi, 2)
+				ms, err := nullmodel.SampleMatrices(g, delta, model, seed, r.Lo, r.Hi, 2, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

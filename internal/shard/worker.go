@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,9 +107,16 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p, err := compute(g, sub, nil)
+	p, err := compute(r.Context(), g, sub, nil)
 	if err != nil {
-		writeWireError(rw, http.StatusBadRequest, err, ProtoVersion)
+		status := http.StatusBadRequest
+		if r.Context().Err() != nil {
+			// The coordinator gave up on this sub-request (its job was
+			// canceled, or a hedge won): the kernel stopped, and nobody
+			// reads the answer.
+			status = http.StatusServiceUnavailable
+		}
+		writeWireError(rw, status, err, ProtoVersion)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
@@ -120,9 +128,20 @@ func (w *Worker) handleCompute(rw http.ResponseWriter, r *http.Request) {
 // Local coordinator, the whole answer's one range. plan is the coordinator's
 // sampling plan for a sampled request; nil rebuilds it from the knobs on the
 // wire — the plan is a pure function of (graph, knobs), so a remote worker's
-// plan is byte-identical to the coordinator's. An error is the sub-request's
-// fault (a worker answers 400).
-func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, error) {
+// plan is byte-identical to the coordinator's. The kernels stop within one
+// chunk once ctx ends, and compute then returns ctx.Err() and no partial.
+// Any other error is the sub-request's fault (a worker answers 400).
+func compute(ctx context.Context, g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, error) {
+	p, err := computeRange(ctx.Done(), g, sub, plan)
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return p, err
+}
+
+// computeRange is compute's kernel dispatch. A kernel stopped by done
+// returns no answer or a zero one, which compute discards.
+func computeRange(done <-chan struct{}, g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, error) {
 	// The hint never changes the partial, and no request may size per-worker
 	// state past the CPUs: admission clamps a public request the same way.
 	sub.Workers = min(sub.Workers, runtime.GOMAXPROCS(0))
@@ -148,40 +167,46 @@ func compute(g *temporal.Graph, sub SubRequest, plan *approx.Plan) (*Partial, er
 				sub.Lo, sub.Hi, len(plan.Strata))
 		}
 		// The raw moments go back; only the coordinator finishes.
-		p.Approx = approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi)
+		p.Approx = approx.EstimateStrata(g, k, delta, plan, sub.Workers, sub.Lo, sub.Hi, done)
 		return p, nil
 	}
+	eo, ho := schedule(sub.Request), higherOpts(sub.Request)
+	eo.Done, ho.Done = done, done
 	switch sub.Kind {
 	case server.KindCount:
+		var c *motif.Counts
 		if sub.Motif == "" {
-			p.Cells = engine.CountRange(g, delta, schedule(sub.Request), sub.Lo, sub.Hi).Cells()
-			break
+			c = engine.CountRange(g, delta, eo, sub.Lo, sub.Hi)
+		} else {
+			// A motif= count runs its category's kernel only; the merge
+			// keeps that category's cells.
+			l, err := motif.ParseLabel(sub.Motif)
+			if err != nil {
+				return nil, err
+			}
+			c = engine.CountCategoryRange(g, delta, eo, sub.Lo, sub.Hi, l.Category())
 		}
-		// A motif= count runs its category's kernel only; the merge keeps
-		// that category's cells.
-		l, err := motif.ParseLabel(sub.Motif)
-		if err != nil {
-			return nil, err
+		if c != nil { // nil: stopped
+			p.Cells = c.Cells()
 		}
-		p.Cells = engine.CountCategoryRange(g, delta, schedule(sub.Request), sub.Lo, sub.Hi, l.Category()).Cells()
 	case server.KindStar4:
-		c, _ := higher.CountStar4Range(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)
+		c, _ := higher.CountStar4Range(g, delta, ho, sub.Lo, sub.Hi)
 		p.Cells = c[:]
 	case server.KindPath4:
-		c := higher.CountPath4Range(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)
+		c := higher.CountPath4Range(g, delta, ho, sub.Lo, sub.Hi)
 		p.Cells = c[:]
 	case server.KindQuery:
 		qp, err := compile(sub.Spec)
 		if err != nil {
 			return nil, err
 		}
-		p.Cells = []uint64{qp.ExecuteRange(g, delta, higherOpts(sub.Request), sub.Lo, sub.Hi)}
+		p.Cells = []uint64{qp.ExecuteRange(g, delta, ho, sub.Lo, sub.Hi)}
 	case server.KindSig:
 		model, err := nullmodel.ParseModel(sub.Model)
 		if err != nil {
 			return nil, err
 		}
-		if p.Sig, err = nullmodel.SampleMatrices(g, delta, model, sub.Seed, sub.Lo, sub.Hi, sub.Workers); err != nil {
+		if p.Sig, err = nullmodel.SampleMatrices(g, delta, model, sub.Seed, sub.Lo, sub.Hi, sub.Workers, done); err != nil {
 			return nil, err
 		}
 	}

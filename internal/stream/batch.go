@@ -130,7 +130,7 @@ func (c *Counter) scanPhase(recs []edgeRec, retire bool) {
 	perWorker := make([]motif.Counts, workers)
 	scratch := make([]*fast.Scratch, workers)
 	delta := c.opts.Delta
-	engine.Dispatch(workers, batchChunk, len(recs), func(w, start, end int) {
+	engine.Dispatch(workers, batchChunk, len(recs), nil, func(w, start, end int) {
 		if scratch[w] == nil {
 			scratch[w] = fast.GetScratch(c.nodes)
 		}
