@@ -7,6 +7,7 @@ import (
 	"hare/internal/brute"
 	"hare/internal/engine"
 	"hare/internal/fast"
+	"hare/internal/gen"
 	"hare/internal/motif"
 	"hare/internal/temporal"
 )
@@ -147,5 +148,37 @@ func TestManyMoreWorkersThanNodes(t *testing.T) {
 	got := engine.Count(g, delta, engine.Options{Workers: 32, ChunkSize: 1}).ToMatrix()
 	if !got.Equal(&want) {
 		t.Fatalf("diff %v", got.Diff(&want))
+	}
+}
+
+// The served count must equal the sequential reference on the graphs the
+// end-to-end benchmark serves (wikitalk) and batch-counts
+// (redditcomments:0.5) at the δs around its workloads', at one worker and at
+// two, with the automatic degree threshold that splits their hubs between
+// workers.
+func TestCountMatchesFastAtServedScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("served-scale graphs; run without -short")
+	}
+	for _, in := range []struct {
+		dataset string
+		scale   float64
+	}{{"wikitalk", 1}, {"redditcomments", 0.5}} {
+		cfg, err := gen.DatasetByName(in.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := gen.Generate(gen.Scaled(cfg, in.scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, delta := range []temporal.Timestamp{300, 600, 900} {
+			want := fast.Count(g, delta)
+			for _, workers := range []int{1, 2} {
+				if got := engine.Count(g, delta, engine.Options{Workers: workers}); *got != *want {
+					t.Fatalf("%s δ=%d workers=%d: engine.Count differs from fast.Count", in.dataset, delta, workers)
+				}
+			}
+		}
 	}
 }

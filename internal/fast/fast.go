@@ -11,8 +11,11 @@
 //
 // Beside Algorithm 1 the package has the star/pair sweep
 // (SweepStarPairRange), which finds the same star and pair cells in O(|E|)
-// whatever the window, one push and one pop per edge: it is what the engine,
-// package higher and the null-model ensembles run. Count, CountStarPair and
+// whatever the window, at most one push and one pop per edge: an edge with
+// fewer than two edges within δ before it adds to no cell, so once the
+// window empties the sweep drops it at once and reads only timestamps up to
+// the next edge that can add. It is what the engine, package higher and the null-model
+// ensembles run. Count, CountStarPair and
 // CountStarPairRange stay Algorithm 1 verbatim — Table III's FAST columns,
 // the sequential reference the parallel paths are checked against, and the
 // sweep's oracle — and CountAfter/CountBefore, its inner loop and that

@@ -255,8 +255,8 @@ type starPairCase struct {
 }
 
 // starPairCorpus lists the inputs the per-center star/pair routines are held
-// to Algorithm 1 on: random, hub-skewed, duplicate timestamps, δ = 0, and δ
-// so large that t − δ would overflow.
+// to Algorithm 1 on: random, hub-skewed, bursty, duplicate timestamps, δ = 0,
+// and δ so large that t − δ would overflow.
 func starPairCorpus() []starPairCase {
 	r := rand.New(rand.NewSource(31))
 	hub := func() *temporal.Graph {
@@ -270,9 +270,31 @@ func starPairCorpus() []starPairCase {
 		}
 		return b.Build()
 	}
+	// Bursts of 1 to 8 edges among 6 nodes, each burst spanning up to 2δ
+	// and separated from the next by more than δ: most windows are empty
+	// or hold one edge, so the sweep jumps between bursts, and a cut lands
+	// as often in a gap as inside a burst.
+	bursty := func(delta temporal.Timestamp) *temporal.Graph {
+		b := temporal.NewBuilder(600)
+		var end temporal.Timestamp // the last time so far
+		for burst := 0; burst < 100; burst++ {
+			now := end + delta + 1 + r.Int63n(2*delta)
+			for k := 1 + r.Intn(8); k > 0; k-- {
+				u, v := temporal.NodeID(r.Intn(6)), temporal.NodeID(r.Intn(5))
+				if v >= u {
+					v++
+				}
+				t := now + r.Int63n(2*delta)
+				end = max(end, t)
+				_ = b.AddEdge(u, v, t)
+			}
+		}
+		return b.Build()
+	}
 	return []starPairCase{
 		{"random", randomGraph(r, 12, 300, 200), 30},
 		{"hub-skewed", hub(), 40},
+		{"bursty", bursty(20), 20},
 		{"duplicate-timestamp", randomGraph(r, 6, 200, 4), 1},
 		{"delta-0", randomGraph(r, 6, 200, 20), 0},
 		{"huge-delta", randomGraph(r, 8, 150, 1000), math.MaxInt64},

@@ -36,6 +36,17 @@ import (
 // sumPre plus the edge's own class.) Only differences of pre_c appear, so its
 // origin is arbitrary: two running counts, at j and at the window start,
 // stand in for the prefix arrays.
+//
+// Every cell counts window pairs, so a last edge with fewer than two edges
+// in its window adds zero to all of them. The window of j is empty exactly
+// when t_j − t_{j−1} > δ (or a slice starts with nothing to replay). Then
+// the sweep drops every record at once instead of popping each edge, scans
+// the timestamps alone to the next last edge k with t_k − t_{k−2} ≤ δ,
+// pushes k's window as a slice replays its seed, and goes on at k. The jump
+// is exact because only differences of pre_c appear: with every record
+// dropped, no sum refers to the old origin, so the aggregate restarts from
+// zero as a fresh slice's does. On a sparse center the sweep costs a scan of
+// its timestamps, not a push, a pop and a score per edge.
 
 // nbrWindow is one neighbour's share of the sweep's window.
 type nbrWindow struct {
@@ -147,30 +158,67 @@ func SweepStarPairRange(su temporal.Seq, delta temporal.Timestamp, counts *motif
 		w.push(s.window(others[p]), int(motif.DirOf(outs[p])))
 	}
 	for j := from; j < to; j++ {
-		for times[j]-times[start] > delta {
-			o := others[start]
-			r := &s.nbrs[s.in[o]]
-			w.pop(r, int(motif.DirOf(outs[start])))
-			if r.cnt1 == [2]uint64{} {
-				s.release(o)
+		if start == j || times[j]-times[j-1] > delta {
+			// An empty window: drop every record at once, jump to the next
+			// last edge k with two edges within δ before it, and seed k's
+			// window as a slice seeds its first. With none before to, seed
+			// to−1's window, edge to−1 included, which is where the sweep
+			// would have ended.
+			s.Reset()
+			s.nbrs, s.free = s.nbrs[:0], s.free[:0]
+			w = starWindow{}
+			k := j + 2
+			for k < to && times[k]-times[k-2] > delta {
+				k++
 			}
-			start++
+			last := min(k, to-1)
+			start = last
+			for start > j && times[last]-times[start-1] <= delta {
+				start--
+			}
+			for p := start; p < min(k, to); p++ {
+				w.push(s.window(others[p]), int(motif.DirOf(outs[p])))
+			}
+			if k >= to {
+				break
+			}
+			j = k
+		} else {
+			for times[j]-times[start] > delta { // stops at j−1, which is within δ
+				o := others[start]
+				r := &s.nbrs[s.in[o]]
+				w.pop(r, int(motif.DirOf(outs[start])))
+				if r.cnt1 == [2]uint64{} {
+					s.release(o)
+				}
+				start++
+			}
 		}
 		r := s.window(others[j])
 		z := int(motif.DirOf(outs[j]))
-		a := &acc[z]
-		for xy := 0; xy < 4; xy++ {
-			x, y := xy>>1, xy&1
-			firstTo := r.cnt1[x]*w.pre[y] - r.sumPre[xy]
-			if x == y {
-				firstTo -= r.cnt1[x]
-			}
-			a.b[xy] += r.b[xy]
-			a.secondTo[xy] += r.sumPre[y<<1|x] - r.cnt1[y]*w.preStart[x]
-			a.firstTo[xy] += firstTo
-			a.bTot[xy] += w.bTot[xy]
-			a.c2[xy] += w.c2[xy]
-		}
+		a := &acc[z&1]
+		// The terms of the header's table, one line per [x<<1|y] cell.
+		c0, c1, sp := r.cnt1[0], r.cnt1[1], &r.sumPre
+		a.b[0] += r.b[0]
+		a.b[1] += r.b[1]
+		a.b[2] += r.b[2]
+		a.b[3] += r.b[3]
+		a.secondTo[0] += sp[0] - c0*w.preStart[0]
+		a.secondTo[1] += sp[2] - c1*w.preStart[0]
+		a.secondTo[2] += sp[1] - c0*w.preStart[1]
+		a.secondTo[3] += sp[3] - c1*w.preStart[1]
+		a.firstTo[0] += c0*(w.pre[0]-1) - sp[0]
+		a.firstTo[1] += c0*w.pre[1] - sp[1]
+		a.firstTo[2] += c1*w.pre[0] - sp[2]
+		a.firstTo[3] += c1*(w.pre[1]-1) - sp[3]
+		a.bTot[0] += w.bTot[0]
+		a.bTot[1] += w.bTot[1]
+		a.bTot[2] += w.bTot[2]
+		a.bTot[3] += w.bTot[3]
+		a.c2[0] += w.c2[0]
+		a.c2[1] += w.c2[1]
+		a.c2[2] += w.c2[2]
+		a.c2[3] += w.c2[3]
 		w.push(r, z)
 	}
 	for z := range acc {

@@ -2,11 +2,13 @@ package fast
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"hare/internal/brute"
+	"hare/internal/cputime"
 	"hare/internal/gen"
 	"hare/internal/motif"
 	"hare/internal/temporal"
@@ -91,6 +93,61 @@ func TestSweepStarPairMatchesAlgorithm1(t *testing.T) {
 	}
 }
 
+// decodeSweepEdges turns fuzz bytes into a small multigraph on 8 nodes: each
+// 3-byte group is an edge u→v placed its third byte after the previous edge,
+// so a gap byte above δ ends a burst and a 0 makes a tie. Inputs are cut to
+// 200 edges: brute force's all-triples tally is cubic in a window, and a
+// fuzzed window can hold every edge.
+func decodeSweepEdges(data []byte) []temporal.Edge {
+	var edges []temporal.Edge
+	var now temporal.Timestamp
+	for ; len(data) >= 3 && len(edges) < 200; data = data[3:] {
+		u, v := temporal.NodeID(data[0]%8), temporal.NodeID(data[1]%8)
+		if u == v {
+			v = (v + 1) % 8
+		}
+		now += temporal.Timestamp(data[2])
+		edges = append(edges, temporal.Edge{From: u, To: v, Time: now})
+	}
+	return edges
+}
+
+// FuzzSweepStarPair: any small multigraph, any δ ≥ 0 and one cut by last
+// edge; at every center the two slices of the sweep sum to Algorithm 1's
+// star and pair cells and to brute force's all-triples tally, and each
+// slice leaves the scratch holding exactly its last edge's window.
+func FuzzSweepStarPair(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 2, 1, 1, 0, 1, 0, 1, 40, 2, 0, 0, 0, 3, 2}, int64(5), uint16(2))
+	f.Add([]byte{0, 1, 9, 1, 0, 9, 0, 2, 9, 0, 1, 0, 2, 0, 0}, int64(0), uint16(3))
+	f.Add([]byte{0, 1, 200, 0, 2, 255, 3, 0, 1, 0, 4, 1, 1, 0, 255}, int64(math.MaxInt64), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, delta int64, cut uint16) {
+		if delta < 0 {
+			delta = -(delta + 1) // fold onto [0, MaxInt64], both ends included
+		}
+		g := temporal.FromEdges(decodeSweepEdges(data))
+		s := NewScratch()
+		for u := 0; u < g.NumNodes(); u++ {
+			su := g.Seq(temporal.NodeID(u))
+			n := su.Len()
+			var want, got motif.Counts
+			CountStarPairRange(su, delta, &want, s, 0, n)
+			wantAll := brute.CenterTriples(g, temporal.NodeID(u), delta)
+			var all [8]uint64
+			p := int(cut) % (n + 1)
+			for _, sl := range [][2]int{{0, p}, {p, n}} {
+				SweepStarPairRange(su, delta, &got, &all, s, sl[0], sl[1])
+				if n >= 3 && sl[0] < sl[1] {
+					checkSweepWindow(t, s, su, delta, sl[1])
+				}
+			}
+			if got.Star != want.Star || got.Pair != want.Pair || all != wantAll {
+				t.Fatalf("center %d δ=%d cut %d of %d:\n star %v\n want %v\n pair %v\n want %v\n all %v\n want %v",
+					u, delta, p, n, got.Star, want.Star, got.Pair, want.Pair, all, wantAll)
+			}
+		}
+	})
+}
+
 // The sweep's steady state is as allocation free as Algorithm 1's (see
 // TestSteadyStateZeroAllocsPerCenter): its neighbour records reuse the
 // scratch's slots once they have grown to the widest window.
@@ -116,10 +173,12 @@ func TestSweepSteadyStateZeroAllocsPerCenter(t *testing.T) {
 
 // BenchmarkStarPair times FAST-Star's star and pair cells over every center
 // on one thread, by Algorithm 1's rescan (CountStarPairRange) and by the
-// sweep (SweepStarPairRange). The graphs are the end-to-end benchmark's
-// batch input (redditcomments:0.5) and serving input (wikitalk) at δs around
-// its workloads', and collegemsg at δ = 0: there the rescan skips every
-// first edge in O(1) while the sweep still pushes and pops every edge.
+// sweep (SweepStarPairRange), and reports CPU time beside wall time. The
+// graphs are the end-to-end benchmark's batch input (redditcomments:0.5) and
+// serving input (wikitalk) at δs around its workloads', and collegemsg at
+// δ = 0: there the rescan skips every first edge in O(1), and the sweep
+// finds nearly every window empty and jumps over it, reading only
+// timestamps.
 func BenchmarkStarPair(b *testing.B) {
 	inputs := []struct {
 		name, dataset string
@@ -161,6 +220,7 @@ func BenchmarkStarPair(b *testing.B) {
 						s.Grow(g.NumNodes())
 						var counts motif.Counts
 						var all [8]uint64
+						defer cputime.Report(b)()
 						for b.Loop() {
 							for u := 0; u < g.NumNodes(); u++ {
 								k.count(g.Seq(temporal.NodeID(u)), delta, &counts, &all, s)
